@@ -12,11 +12,11 @@ import time
 from typing import Callable
 
 from . import cspace
-from .cover import Library, preprocess
+from .cover import preprocess
 from .cspace import Scenario
 from .errors import NotFittedError
 from .online import PotentialStateIndex, QueryRequest, QueryResult, query, update_potential_index
-from .search import DEFAULT_DELTA, Path
+from .search import Path
 
 
 class CoverPlanner:
@@ -31,18 +31,19 @@ class CoverPlanner:
     ----------
     seed : rng seed for attractor sampling during fit.
     rep_path_weight : heuristic inflation of the offline path planner.
-    delta : singularity guard in the refinement inflation schedule.
+
+    Fitted attributes: ``scenario_``, ``library_`` (the cover library) and
+    ``index_`` (the potential-state index).
     """
 
-    def __init__(self, *, seed: int = 0, rep_path_weight: float = 3.0, delta: float = DEFAULT_DELTA):
+    def __init__(self, *, seed: int = 0, rep_path_weight: float = 3.0):
         self.seed = seed
         self.rep_path_weight = rep_path_weight
-        self.delta = delta
 
     # -- scikit-learn parameter protocol ------------------------------------
 
     def get_params(self, deep: bool = True) -> dict:
-        return {"seed": self.seed, "rep_path_weight": self.rep_path_weight, "delta": self.delta}
+        return {"seed": self.seed, "rep_path_weight": self.rep_path_weight}
 
     def set_params(self, **params) -> "CoverPlanner":
         valid = self.get_params()
@@ -90,8 +91,3 @@ class CoverPlanner:
         """Mark a returned path as executed; its states become valid starts."""
         self._check_fitted()
         update_potential_index(self.index_, path)
-
-    @property
-    def fitted_library(self) -> Library:
-        self._check_fitted()
-        return self.library_

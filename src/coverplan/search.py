@@ -6,7 +6,12 @@ with every state of an initial solution at its path cost, and the
 heuristic inflation schedule is driven by the incumbent cost so that each
 iteration is guaranteed at least one productive expansion. ara_star is
 the classic fixed-schedule baseline, shortcut_path the random-restart
-smoothing baseline.
+smoothing baseline. anytime_refine and ara_star run one weighted-A* pass,
+_AnytimeSearch.improve_path, over g-values and inconsistent states kept
+from pass to pass as in ARA* (Likhachev, Gordon, Thrun, NIPS 2003); only
+their inflation schedules differ. astar keeps its own loop: it never
+reopens a closed state, and the shared pass would change its paths at
+weights above 1.
 
 All searches own their mutable state; many may run concurrently over one
 immutable scenario. Deadlines are absolute instants on the injected
@@ -17,6 +22,7 @@ expansion.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -77,13 +83,13 @@ def path_is_valid(scenario: Scenario, path: Path) -> bool:
     return abs(cost - path.cost) < 1e-9
 
 
-def _reconstruct(parent: dict, goal: Config) -> tuple[Path, float]:
+def _reconstruct(parent: dict, goal: Config) -> Path:
     """Follow parent pointers; the cost is recomputed from real edges."""
     configs = [goal]
     while parent[configs[-1]] is not None:
         configs.append(parent[configs[-1]])
     configs.reverse()
-    return Path.from_configs(configs), cspace.UNIT_COST * (len(configs) - 1)
+    return Path.from_configs(configs)
 
 
 def astar(
@@ -94,20 +100,19 @@ def astar(
     weight: float = 1.0,
     deadline: float | None = None,
     clock: Callable[[], float] = time.monotonic,
-    goal_predicate: Callable[[Config], bool] | None = None,
 ) -> Path:
     """(Weighted) A* over the lattice.
 
     With weight 1 the result is optimal; with weight w >= 1 the cost is
     within w of optimal. Ties on f are broken by larger g, then
-    lexicographic config order, so runs are fully deterministic.
+    lexicographic config order, so runs are fully deterministic. Closed
+    states are never reopened, unlike in the shared anytime pass.
 
     Raises Timeout when the deadline passes, NoPath when the frontier
     empties.
     """
     if weight < 1.0:
         raise ValueError("weight must be >= 1")
-    is_goal = goal_predicate if goal_predicate is not None else (lambda q: q == goal)
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")
 
@@ -121,19 +126,108 @@ def astar(
         f, neg_g, q = heapq.heappop(heap)
         if q in closed or -neg_g != g[q]:
             continue  # stale entry
-        if is_goal(q):
-            return _reconstruct(parent, q)[0]
+        if q == goal:
+            return _reconstruct(parent, q)
         closed.add(q)
         scenario.counters.expansions += 1
         gq = g[q]
         for nb, cost in cspace.successors(scenario, q):
             g2 = gq + cost
-            if nb in closed or g2 >= g.get(nb, float("inf")):
+            if nb in closed or g2 >= g.get(nb, math.inf):
                 continue
             g[nb] = g2
             parent[nb] = q
             heapq.heappush(heap, (g2 + weight * cspace.heuristic(scenario, nb, goal), -g2, nb))
     raise NoPath(f"no path from {start}")
+
+
+# ---------------------------------------------------------------------------
+# the weighted-A* pass shared by the anytime searches
+
+
+class _HeuristicMemo(dict):
+    """Heuristic values to one goal, computed on first lookup."""
+
+    def __init__(self, scenario: Scenario, goal: Config):
+        self.scenario = scenario
+        self.goal = goal
+
+    def __missing__(self, q: Config) -> float:
+        v = self[q] = cspace.heuristic(self.scenario, q, self.goal)
+        return v
+
+
+@dataclass
+class _AnytimeSearch:
+    """State that successive weighted-A* passes toward one goal share.
+
+    The heuristic memo, which also names the scenario and the goal;
+    g-values and parent links; the open set; INCONS, the states improved
+    after being closed in the current pass, which reopen in the next one;
+    and v-values, each state's g at its most recent successor scan.
+    """
+
+    h: _HeuristicMemo
+    g: dict[Config, float]
+    parent: dict[Config, Config | None]
+    open_set: set[Config]
+    incons: set[Config] = field(default_factory=set)
+    v: dict[Config, float] = field(default_factory=dict)
+
+    def improve_path(
+        self, eps: float, deadline: float | None, clock: Callable[[], float]
+    ) -> tuple[str, int, int]:
+        """One weighted-A* pass at inflation ``eps``; INCONS rejoins the open set.
+
+        Returns (stop reason, expansions, selections). The pass stops when
+        the goal is selected ("goal"), the frontier empties ("empty"), no
+        open key beats g(goal) ("bound"; never while the goal is open, as
+        in anytime_refine, since h > 0 off the goal and f-ties go to the
+        larger g) or the deadline passes ("deadline").
+        """
+        h, g, parent, v = self.h, self.g, self.parent, self.v
+        open_set, incons = self.open_set, self.incons
+        scenario, goal = h.scenario, h.goal
+        open_set |= incons
+        incons.clear()
+        heap = [(g[q] + eps * h[q], -g[q], q) for q in open_set]
+        heapq.heapify(heap)
+        closed: set[Config] = set()
+        expansions = selections = 0
+        while True:
+            if deadline is not None and clock() >= deadline:
+                return "deadline", expansions, selections
+            while heap:
+                f, neg_g, q = heapq.heappop(heap)
+                if q in open_set and -neg_g == g[q]:
+                    break
+            else:
+                return "empty", expansions, selections
+            if q == goal:
+                open_set.discard(q)
+                return "goal", expansions, selections
+            if f >= g.get(goal, math.inf):
+                return "bound", expansions, selections
+            open_set.discard(q)
+            closed.add(q)
+            selections += 1
+            gq = g[q]
+            if v.get(q) == gq:
+                continue  # successor g-values only fell since q's last scan
+            v[q] = gq
+            scenario.counters.expansions += 1
+            expansions += 1
+            for nb, cost in cspace.successors(scenario, q):
+                g2 = gq + cost
+                if g2 >= g.get(nb, math.inf):
+                    continue
+                g[nb] = g2
+                parent[nb] = q
+                if nb in closed:
+                    incons.add(nb)
+                else:
+                    open_set.add(nb)
+                    heapq.heappush(heap, (g2 + eps * h[nb], -g2, nb))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +301,15 @@ def _seed_from_path(path: Path):
     """Path states with their path g-values and predecessor links.
 
     A concatenated initial path can revisit a state (the V through home);
-    the cheaper occurrence wins, which keeps g strictly decreasing along
-    parent chains and therefore acyclic.
+    the first, cheaper occurrence wins, which keeps g strictly decreasing
+    along parent chains and therefore acyclic.
     """
     g: dict[Config, float] = {}
     parent: dict[Config, Config | None] = {}
-    acc = 0.0
     prev: Config | None = None
     for k, q in enumerate(path.configs):
-        if k > 0:
-            acc += cspace.UNIT_COST
-        if q not in g or acc < g[q]:
-            g[q] = acc
+        if q not in g:
+            g[q] = cspace.UNIT_COST * k
             parent[q] = prev
         prev = q
     return g, parent
@@ -231,7 +322,6 @@ def anytime_refine(
     initial_path: Path,
     *,
     deadline: float | None = None,
-    delta: float = DEFAULT_DELTA,
     clock: Callable[[], float] = time.monotonic,
 ) -> tuple[Path, RefineReport]:
     """Refine an initial solution toward optimality within a deadline.
@@ -266,112 +356,41 @@ def anytime_refine(
 
     t0 = clock()
     g, parent = _seed_from_path(initial_path)
-    h_cache: dict[Config, float] = {}
-
-    def h(q: Config) -> float:
-        v = h_cache.get(q)
-        if v is None:
-            v = cspace.heuristic(scenario, q, goal)
-            h_cache[q] = v
-        return v
-
+    h = _HeuristicMemo(scenario, goal)
+    search = _AnytimeSearch(h, g, parent, set(initial_path.configs))
     incumbent = initial_path
-    cost_c = initial_path.cost
-    open_set: set[Config] = set(initial_path.configs)
-    incons: set[Config] = set()
-    closed: set[Config] = set()
-    # v-values: g at the most recent successor scan. A selected state whose
-    # g is unchanged since its last scan cannot relax anything (successor
-    # g-values only decreased meanwhile), so re-scanning it is skipped —
-    # the classic once-per-inconsistency expansion discipline.
-    v: dict[Config, float] = {}
-
     eps = initial_epsilon(
-        [g[q] for q in initial_path.configs],
-        [h(q) for q in initial_path.configs],
-        cost_c,
-        delta,
+        [g[q] for q in incumbent.configs], [h[q] for q in incumbent.configs], incumbent.cost
     )
-
     while True:
-        if deadline is not None and clock() >= deadline:
-            break
-        # one weighted-A* iteration at the current inflation
-        heap = [(g[q] + eps * h(q), -g[q], q) for q in open_set]
-        heapq.heapify(heap)
-        expansions = 0
-        selections = 0
-        interrupted = False
-        goal_extracted = False
-        while True:
-            if deadline is not None and clock() >= deadline:
-                interrupted = True
-                break
-            q = None
-            while heap:
-                _, neg_g, cand = heapq.heappop(heap)
-                if cand in open_set and -neg_g == g[cand]:
-                    q = cand
-                    break
-            if q is None:
-                break  # frontier exhausted: close the iteration, keep the incumbent
-            if q == goal:
-                open_set.discard(q)
-                goal_extracted = True
-                break
-            open_set.discard(q)
-            closed.add(q)
-            selections += 1
-            gq = g[q]
-            if v.get(q) == gq:
-                continue
-            v[q] = gq
-            scenario.counters.expansions += 1
-            expansions += 1
-            for nb, cost in cspace.successors(scenario, q):
-                g2 = gq + cost
-                if g2 >= g.get(nb, float("inf")):
-                    continue
-                g[nb] = g2
-                parent[nb] = q
-                if nb in closed:
-                    incons.add(nb)
-                else:
-                    open_set.add(nb)
-                    heapq.heappush(heap, (g2 + eps * h(nb), -g2, nb))
-        if interrupted:
+        stop, expansions, selections = search.improve_path(eps, deadline, clock)
+        if stop == "deadline":
             break  # mid-iteration deadline: report only completed iterations
-
-        if goal_extracted:
-            extracted, true_cost = _reconstruct(parent, goal)
+        if stop == "goal":
             # Stale parent links can only overstate g(goal); the edge-cost
             # sum is an achieved cost, so adopt it.
-            incumbent = extracted
-            cost_c = true_cost
-            g[goal] = min(g[goal], true_cost)
+            incumbent = _reconstruct(parent, goal)
+            g[goal] = min(g[goal], incumbent.cost)
         report.iterations.append(
-            RefineIteration(eps, cost_c, expansions, selections, (clock() - t0) * 1000.0)
+            RefineIteration(eps, incumbent.cost, expansions, selections, (clock() - t0) * 1000.0)
         )
         report.incumbents.append(incumbent)
         if eps == 1.0:
             report.optimal_flag = True
             break
 
-        closed.clear()
         path_g = [g[q] for q in incumbent.configs]
-        path_h = [h(q) for q in incumbent.configs]
-        open_list = list(open_set)
+        path_h = [h[q] for q in incumbent.configs]
+        open_list = list(search.open_set)
         new_eps = next_epsilon(
-            path_g, path_h, [g[q] for q in open_list], [h(q) for q in open_list], cost_c, delta
+            path_g, path_h, [g[q] for q in open_list], [h[q] for q in open_list], incumbent.cost
         )
         if new_eps >= eps:
             # Only reachable when the frontier emptied, i.e. the g-values
             # are Bellman-stable; one inflation-1 pass certifies that.
             new_eps = 1.0
         eps = new_eps
-        open_set |= incons
-        incons.clear()
-        open_set.update(incumbent.configs)
+        search.open_set.update(incumbent.configs)
 
     report.final_cost = incumbent.cost
     return incumbent, report
@@ -410,84 +429,27 @@ def ara_star(
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")
     t0 = clock()
-    g: dict[Config, float] = {start: 0.0}
-    parent: dict[Config, Config | None] = {start: None}
-    open_set: set[Config] = {start}
-    incons: set[Config] = set()
+    search = _AnytimeSearch(_HeuristicMemo(scenario, goal), {start: 0.0}, {start: None}, {start})
     incumbent: Path | None = None
     profile: list[AraIteration] = []
     w = w0
-    optimal = False
-    v: dict[Config, float] = {}  # g at last scan; only inconsistent states re-scan
-
-    def h(q: Config) -> float:
-        return cspace.heuristic(scenario, q, goal)
-
     while True:
-        heap = [(g[q] + w * h(q), -g[q], q) for q in open_set]
-        heapq.heapify(heap)
-        closed: set[Config] = set()
-        expansions = 0
-        interrupted = False
-        while True:
-            if deadline is not None and clock() >= deadline:
-                interrupted = True
-                break
-            q = None
-            while heap:
-                _, neg_g, cand = heapq.heappop(heap)
-                if cand in open_set and -neg_g == g[cand]:
-                    q = cand
-                    break
-            if q is None:
-                break
-            if q == goal:
-                open_set.discard(q)
-                break
-            # classic guard: nothing on the frontier can beat the incumbent
-            if goal in g and g[q] + w * h(q) >= g[goal]:
-                break
-            open_set.discard(q)
-            closed.add(q)
-            gq = g[q]
-            if v.get(q) == gq:
-                continue
-            v[q] = gq
-            scenario.counters.expansions += 1
-            expansions += 1
-            for nb, cost in cspace.successors(scenario, q):
-                g2 = gq + cost
-                if g2 >= g.get(nb, float("inf")):
-                    continue
-                g[nb] = g2
-                parent[nb] = q
-                if nb in closed:
-                    incons.add(nb)
-                else:
-                    open_set.add(nb)
-                    heapq.heappush(heap, (g2 + w * h(nb), -g2, nb))
-        if interrupted:
+        stop, expansions, _ = search.improve_path(w, deadline, clock)
+        if stop == "deadline":
             if incumbent is None:
                 raise Timeout("deadline expired before the first ARA* solution")
-            break
-        if goal in g:
-            extracted, true_cost = _reconstruct(parent, goal)
-            if incumbent is None or true_cost < incumbent.cost:
+            return incumbent, profile, False
+        if goal in search.g:
+            extracted = _reconstruct(search.parent, goal)
+            if incumbent is None or extracted.cost < incumbent.cost:
                 incumbent = extracted
-                g[goal] = min(g[goal], true_cost)
+                search.g[goal] = min(search.g[goal], extracted.cost)
         if incumbent is None:
             raise NoPath(f"no path from {start}")
         profile.append(AraIteration(w, incumbent.cost, expansions, (clock() - t0) * 1000.0))
-        if w == 1.0:
-            optimal = True
-            break
-        open_set |= incons
-        incons.clear()
-        if not open_set:
-            optimal = True  # frontier exhausted: g-values are stable, hence optimal
-            break
+        if w == 1.0 or not (search.open_set or search.incons):
+            return incumbent, profile, True  # weight 1, or stable g-values
         w = max(1.0, w - dw)
-    return incumbent, profile, optimal
 
 
 def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] | None:
@@ -562,6 +524,7 @@ def shortcut_path(
         if segment is None:
             failures += 1
             continue
-        configs = configs[: i + 1] + segment[1:-1] + configs[j:]
+        # splicing the whole segment drops the loop when configs[i] == configs[j]
+        configs = configs[:i] + segment + configs[j + 1 :]
         failures = 0
     return Path.from_configs(configs)

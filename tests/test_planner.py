@@ -6,17 +6,20 @@ from coverplan import CoverPlanner, errors
 def test_get_set_params_round_trip():
     p = CoverPlanner(seed=3, rep_path_weight=2.0)
     params = p.get_params()
-    assert params == {"seed": 3, "rep_path_weight": 2.0, "delta": 1e-6}
+    assert params == {"seed": 3, "rep_path_weight": 2.0}
     clone = CoverPlanner(**params)  # the sklearn clone recipe
     assert clone.get_params() == params
-    p.set_params(seed=11, delta=1e-5)
-    assert p.get_params()["seed"] == 11
-    assert p.get_params()["delta"] == 1e-5
+    p.set_params(seed=11, rep_path_weight=4.0)
+    assert p.get_params() == {"seed": 11, "rep_path_weight": 4.0}
 
 
 def test_set_params_rejects_unknown():
     with pytest.raises(ValueError):
         CoverPlanner().set_params(gamma=1.0)
+    with pytest.raises(ValueError):
+        CoverPlanner().set_params(delta=1e-5)  # the refinement guard is not a parameter
+    with pytest.raises(TypeError):
+        CoverPlanner(delta=1e-5)
 
 
 def test_plan_requires_fit():

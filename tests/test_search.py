@@ -4,7 +4,7 @@ import time
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import errors, search
+from coverplan import cspace, errors, search
 from oracles import bfs_distances
 
 
@@ -42,9 +42,13 @@ def test_astar_detour_matches_bfs_oracle():
     assert search.path_is_valid(sc, path)
 
 
-def test_astar_unreachable_predicate(empty8):
+def test_astar_unreachable_predicate():
+    """A valid goal inside a walled-off 3x3 pocket empties the frontier."""
+    wall = [cell_rect(4, j) for j in range(4, 8)] + [cell_rect(i, 4) for i in range(5, 8)]
+    sc = grid(8, obstacles=wall)
+    assert cspace.is_valid(sc, (7, 7))
     with pytest.raises(errors.NoPath):
-        search.astar(empty8, (0, 0), (7, 7), goal_predicate=lambda q: False)
+        search.astar(sc, (0, 0), (7, 7))
 
 
 def test_astar_timeout(empty8):
@@ -409,6 +413,16 @@ def test_shortcut_across_wrap_boundary():
     assert out.cost == 4.0
     assert out.configs[0] == (2,) and out.configs[-1] == (14,)
     assert search.path_is_valid(sc, out)
+
+
+def test_shortcut_drops_loops_through_a_repeated_state(empty8):
+    """A span whose endpoints are one state is spliced out, not kept as a self-edge."""
+    looped = search.Path.from_configs([(0, 0), (1, 0), (1, 1), (1, 0), (2, 0)])
+    for max_failures in (1, 5):
+        for seed in range(200):
+            out = search.shortcut_path(empty8, looped, seed=seed, max_failures=max_failures)
+            assert search.path_is_valid(empty8, out), (seed, max_failures)
+            assert out.configs[0] == (0, 0) and out.configs[-1] == (2, 0)
 
 
 def test_shortcut_respects_obstacles():
