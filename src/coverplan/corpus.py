@@ -72,13 +72,13 @@ def make_arm(
     seed: int,
     link_lengths: tuple[float, ...] = (1.0, 0.8),
 ) -> Scenario:
-    """Planar 2-link arm with seeded disc clutter; regions are EE boxes."""
+    """Planar arm (2 links by default) with seeded disc clutter; regions are EE boxes."""
     reach = sum(link_lengths)
     regions = (
         RegionSpec("pick", (0.55 * reach, 0.15 * reach, 1.0 * reach, 0.65 * reach)),
         RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
     )
-    home = (0, 0)
+    home = (0,) * len(link_lengths)
     for attempt in range(200):
         rng = random.Random(seed * 2003 + attempt)
         obstacles = []

@@ -6,16 +6,18 @@ freedom. Grid scenarios index workspace cells directly (1 m cells, cell
 fixed angular step of 2*pi / joints_per_rev. Continuous joints wrap;
 joints with limits do not.
 
-All operations are pure functions of immutable scenario data and are safe
-for concurrent use. The only mutable companion is the scenario's
-``OpCounters`` instrumentation block, which exists so callers can prove
-how much work (collision checks, expansions, elementary steps) an online
-query performed.
+A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``) are
+derived once, at construction, from fields that cannot change afterwards.
+All operations are pure functions of that data and are safe for concurrent
+use. The scenario's only mutable part is its ``OpCounters``
+instrumentation block, which exists so callers can prove how much work
+(collision checks, expansions, elementary steps) an online query performed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,9 +134,13 @@ class OpCounters:
         self.elementary_steps = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A planning world: domain, obstacles, home state and goal regions."""
+    """A planning world: domain, obstacles, home state and goal regions.
+
+    ``dims`` (lattice size per DOF) and ``wraps`` (which axes wrap) are
+    computed once from ``grid_dims`` or ``arm``; freezing keeps them valid.
+    """
 
     kind: str  # "grid" | "arm"
     s_home: Config
@@ -145,30 +151,33 @@ class Scenario:
     actions: str = ACTION_SET
     cost_model: str = COST_MODEL
     counters: OpCounters = field(default_factory=OpCounters, compare=False, repr=False)
+    dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "grid":
-            if self.grid_dims is None:
-                raise ValueError("grid scenario needs grid_dims")
+            dims = self.grid_dims
+            if not (dims and len(dims) == 2 and all(isinstance(n, int) and n > 0 for n in dims)):
+                raise ValueError(f"grid_dims must be two positive ints, got {dims!r}")
+            dims, wraps = tuple(dims), (False, False)
         elif self.kind == "arm":
             if self.arm is None:
                 raise ValueError("arm scenario needs an ArmModel")
+            dims = self.arm.dims()
+            wraps = tuple(self.arm.limit(j) is None for j in range(len(dims)))
         else:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not self.regions:
             raise ValueError("scenario needs at least one region")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        if self.kind == "grid":
-            return self.grid_dims
-        return self.arm.dims()
-
-    @property
-    def wraps(self) -> tuple[bool, ...]:
-        if self.kind == "grid":
-            return (False, False)
-        return tuple(self.arm.limit(j) is None for j in range(self.dof))
+        ids = [r.id for r in self.regions]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate region ids in {ids}")
+        if self.actions != ACTION_SET:
+            raise ValueError(f"unsupported actions {self.actions!r}; only {ACTION_SET!r}")
+        if self.cost_model != COST_MODEL:
+            raise ValueError(f"unsupported cost_model {self.cost_model!r}; only {COST_MODEL!r}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "wraps", wraps)
 
     @property
     def dof(self) -> int:
@@ -311,22 +320,17 @@ def is_valid(scenario: Scenario, q: Config) -> bool:
 
 def lattice_neighbors(scenario: Scenario, q: Config) -> list[Config]:
     """Single-DOF +-1 neighbors by lattice geometry only (no validity)."""
-    dims = scenario.dims
-    wraps = scenario.wraps
+    # Only arm joints without limits wrap, and ArmModel keeps joints_per_rev
+    # >= 4, so a wrapping axis's two moves differ from each other and from q.
     out: list[Config] = []
-    for d in range(len(dims)):
-        n = dims[d]
+    for d, (n, wrap) in enumerate(zip(scenario.dims, scenario.wraps)):
         for delta in (-1, 1):
             c = q[d] + delta
-            if wraps[d]:
+            if wrap:
                 c %= n
             elif c < 0 or c >= n:
                 continue
-            if c == q[d]:  # wrap-around collapse on tiny dims
-                continue
-            nb = q[:d] + (c,) + q[d + 1 :]
-            if nb not in out:
-                out.append(nb)
+            out.append(q[:d] + (c,) + q[d + 1 :])
     return out
 
 
@@ -335,7 +339,7 @@ def successors(scenario: Scenario, q: Config) -> list[tuple[Config, float]]:
     return [(nb, UNIT_COST) for nb in lattice_neighbors(scenario, q) if is_valid(scenario, nb)]
 
 
-def _axis_delta(a: int, b: int, n: int, wrap: bool) -> int:
+def axis_delta(a: int, b: int, n: int, wrap: bool) -> int:
     d = abs(a - b)
     if wrap:
         d = min(d, n - d)
@@ -346,7 +350,7 @@ def heuristic(scenario: Scenario, q: Config, goal: Config) -> float:
     """Wrapped Manhattan lattice distance; consistent for the unit action set."""
     dims = scenario.dims
     wraps = scenario.wraps
-    return float(sum(_axis_delta(a, b, n, w) for a, b, n, w in zip(q, goal, dims, wraps)))
+    return float(sum(axis_delta(a, b, n, w) for a, b, n, w in zip(q, goal, dims, wraps)))
 
 
 def navigation_value(scenario: Scenario, q: Config, attractor: Config) -> float:
@@ -354,7 +358,7 @@ def navigation_value(scenario: Scenario, q: Config, attractor: Config) -> float:
     dims = scenario.dims
     wraps = scenario.wraps
     return math.sqrt(
-        sum(_axis_delta(a, b, n, w) ** 2 for a, b, n, w in zip(q, attractor, dims, wraps))
+        sum(axis_delta(a, b, n, w) ** 2 for a, b, n, w in zip(q, attractor, dims, wraps))
     )
 
 
@@ -369,16 +373,7 @@ def in_region(scenario: Scenario, region: RegionSpec, q: Config) -> bool:
 
 def lattice_configs(scenario: Scenario):
     """All lattice configurations, in lexicographic order."""
-    dims = scenario.dims
-
-    def rec(prefix: tuple[int, ...], d: int):
-        if d == len(dims):
-            yield prefix
-            return
-        for i in range(dims[d]):
-            yield from rec(prefix + (i,), d + 1)
-
-    yield from rec((), 0)
+    return itertools.product(*(range(n) for n in scenario.dims))
 
 
 def region_configs(scenario: Scenario, region: RegionSpec) -> list[Config]:

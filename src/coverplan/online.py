@@ -14,7 +14,7 @@ must be serialized per robot (single writer).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .cover import CoverEntry, Library, descend
@@ -185,7 +185,7 @@ class QueryRequest:
     refine: bool = True
 
     def __post_init__(self):
-        if self.budget_ms <= 0:
+        if not self.budget_ms > 0:  # also rejects nan
             raise ValueError("budget_ms must be positive")
 
 
@@ -197,7 +197,6 @@ class QueryResult:
     lookup_ms: float
     connect_ms: float
     refine_ms: float
-    eps_history: list[float] = field(default_factory=list)
     optimal_flag: bool = False
     refine_report: RefineReport | None = None
 
@@ -260,7 +259,6 @@ def query(
         result.path = refined
         result.final_cost = refined.cost
         result.refine_ms = (clock() - t_connect) * 1000.0
-        result.eps_history = report.epsilon_history
         result.optimal_flag = report.optimal_flag
         result.refine_report = report
     return result

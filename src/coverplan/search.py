@@ -466,7 +466,7 @@ def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] |
     while cur != b:
         best_d, best_gap = -1, 0
         for d in range(len(dims)):
-            gap = cspace._axis_delta(cur[d], b[d], dims[d], wraps[d])
+            gap = cspace.axis_delta(cur[d], b[d], dims[d], wraps[d])
             if gap > best_gap:
                 best_d, best_gap = d, gap
         d = best_d
@@ -513,10 +513,7 @@ def shortcut_path(
             failures += 1
             continue
         a, b = configs[i], configs[j]
-        gap = sum(
-            cspace._axis_delta(a[d], b[d], scenario.dims[d], scenario.wraps[d])
-            for d in range(scenario.dof)
-        )
+        gap = cspace.heuristic(scenario, a, b)
         if gap >= j - i:  # unit costs: the span is already as short as the lattice allows
             failures += 1
             continue

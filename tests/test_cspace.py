@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -102,9 +104,28 @@ def test_edge_symmetry_exhaustive():
             regions=(RegionSpec("r", (1.0, 0.0, 1.8, 0.9)),),
             obstacles=(Circle((0.0, 1.2), 0.3),),
         ),
+        # the smallest wrapping axis ArmModel allows
+        Scenario(
+            kind="arm",
+            arm=ArmModel(link_lengths=(1.0, 0.8), joints_per_rev=4),
+            s_home=(0, 0),
+            regions=(RegionSpec("r", (-1.8, -1.8, 1.8, 1.8)),),
+        ),
+        # a limited joint with a single index next to a wrapping one
+        Scenario(
+            kind="arm",
+            arm=ArmModel(
+                link_lengths=(1.0, 0.8), joints_per_rev=8, joint_limits=((0.0, 0.5), None)
+            ),
+            s_home=(0, 0),
+            regions=(RegionSpec("r", (-1.8, -1.8, 1.8, 1.8)),),
+        ),
     ]
+    assert scenarios[-1].dims == (1, 8)
     for sc in scenarios:
         for q in cspace.lattice_configs(sc):
+            nbs = cspace.lattice_neighbors(sc, q)
+            assert len(set(nbs)) == len(nbs) and q not in nbs, (q, nbs)
             if not cspace.is_valid(sc, q):
                 continue
             for nb, cost in cspace.successors(sc, q):
@@ -214,6 +235,27 @@ def test_bad_scenario_files(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(errors.ScenarioFormatError):
         cspace.load_scenario(path)
+    good = cspace.scenario_to_payload(grid(8))
+    assert cspace.scenario_from_payload(good) == grid(8)
+    bad_fields = [
+        ("grid", {"dims": [8.5, 8]}),
+        ("grid", {"dims": [8, 8, 8]}),
+        ("grid", {"dims": [0, 8]}),
+        ("actions", "multi_dof"),
+        ("cost_model", "euclid"),
+        ("regions", [{"id": "r", "box": [0, 0, 1, 1]}, {"id": "r", "box": [2, 2, 3, 3]}]),
+    ]
+    for key, value in bad_fields:
+        path.write_text(json.dumps(dict(good, **{key: value})))
+        with pytest.raises(errors.ScenarioFormatError):
+            cspace.load_scenario(path)
+
+
+def test_scenario_is_frozen(empty8):
+    for name, value in [("s_home", (1, 1)), ("grid_dims", (4, 4)), ("dims", (4, 4))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(empty8, name, value)
+    assert empty8.dims == (8, 8) and empty8.wraps == (False, False)
 
 
 def test_check_config(empty8):

@@ -10,6 +10,7 @@ from coverplan import (
     CoverPlanner,
     RegionSpec,
     Scenario,
+    corpus,
     cspace,
 )
 from coverplan import cover as pre
@@ -54,6 +55,13 @@ def test_limited_arm_pipeline(limited_arm):
     assert res.optimal_flag
     assert res.final_cost == astar(sc, start, goal).cost
     assert path_is_valid(sc, res.path)
+
+
+def test_make_arm_three_links():
+    sc = corpus.make_arm(16, 2, seed=3, link_lengths=(1.0, 0.8, 0.6))
+    assert sc.s_home == (0, 0, 0)
+    assert sc.dims == (16, 16, 16)
+    assert cspace.is_valid(sc, sc.s_home)
 
 
 def test_limited_arm_scenario_round_trip(tmp_path, limited_arm):

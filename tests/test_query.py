@@ -171,6 +171,12 @@ def test_query_goal_uncovered(fitted12):
         onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=(5, 5)))
 
 
+def test_query_request_rejects_bad_budget():
+    for budget in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            onl.QueryRequest(start=(0, 0), goal=(1, 1), budget_ms=budget)
+
+
 def test_query_start_not_potential(fitted12):
     sc, lib = fitted12
     goal = sorted(lib.regions[0].covered)[0]
