@@ -9,9 +9,16 @@ joints with limits do not.
 A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``) are
 derived once, at construction, from fields that cannot change afterwards.
 All operations are pure functions of that data and are safe for concurrent
-use. The scenario's only mutable part is its ``OpCounters``
+use. The scenario has two mutable parts. ``counters`` is an ``OpCounters``
 instrumentation block, which exists so callers can prove how much work
 (collision checks, expansions, elementary steps) an online query performed.
+``validity_memo`` maps each lattice configuration already checked to its
+collision-free answer, so ``is_valid`` runs the geometry of a configuration
+once per scenario. The memo is safe to share: it caches a pure function of
+the frozen fields, it holds only in-lattice configurations (at most
+prod(dims) entries), and two threads racing on one configuration write the
+same value twice. ``dataclasses.replace`` builds a new scenario with a new,
+empty memo, so an answer never outlives the obstacles it was computed for.
 """
 
 from __future__ import annotations
@@ -115,10 +122,11 @@ class ArmModel:
 class OpCounters:
     """Instrumentation: work performed against a scenario.
 
-    collision_checks counts is_valid() calls (each one runs obstacle
-    geometry), expansions counts search-node expansions, elementary_steps
-    counts constant-cost bookkeeping ops (configs assembled into a
-    lookup-built path, descent moves).
+    collision_checks counts is_valid() calls (logical checks: one per call,
+    whether the geometry runs or the validity memo answers), expansions
+    counts search-node expansions, elementary_steps counts constant-cost
+    bookkeeping ops (configs assembled into a lookup-built path, descent
+    moves).
     """
 
     collision_checks: int = 0
@@ -140,6 +148,10 @@ class Scenario:
 
     ``dims`` (lattice size per DOF) and ``wraps`` (which axes wrap) are
     computed once from ``grid_dims`` or ``arm``; freezing keeps them valid.
+    Besides ``counters``, the one mutable part is ``validity_memo``, the
+    config -> collision-free cache behind ``is_valid``: it stores a pure
+    function of the frozen fields, only for in-lattice configurations, so
+    it stays bounded, and concurrent writers store the same answer.
     """
 
     kind: str  # "grid" | "arm"
@@ -153,6 +165,7 @@ class Scenario:
     counters: OpCounters = field(default_factory=OpCounters, compare=False, repr=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+    validity_memo: dict[Config, bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "grid":
@@ -169,6 +182,10 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not self.regions:
             raise ValueError("scenario needs at least one region")
+        for region in self.regions:
+            x0, y0, x1, y1 = region.box
+            if x1 <= x0 or y1 <= y0:
+                raise ValueError(f"region {region.id!r} box has no area")
         ids = [r.id for r in self.regions]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate region ids in {ids}")
@@ -176,8 +193,13 @@ class Scenario:
             raise ValueError(f"unsupported actions {self.actions!r}; only {ACTION_SET!r}")
         if self.cost_model != COST_MODEL:
             raise ValueError(f"unsupported cost_model {self.cost_model!r}; only {COST_MODEL!r}")
+        if len(self.s_home) != len(dims) or not all(
+            0 <= c < n for c, n in zip(self.s_home, dims)
+        ):
+            raise ValueError(f"s_home {self.s_home} is not a state of a lattice with dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "wraps", wraps)
+        object.__setattr__(self, "validity_memo", {})
 
     @property
     def dof(self) -> int:
@@ -298,11 +320,8 @@ def in_bounds(scenario: Scenario, q: Config) -> bool:
     return all(0 <= c < n for c, n in zip(q, dims))
 
 
-def is_valid(scenario: Scenario, q: Config) -> bool:
-    """Collision / limit check. Counted: one collision check per call."""
-    scenario.counters.collision_checks += 1
-    if not in_bounds(scenario, q):
-        return False
+def collision_free(scenario: Scenario, q: Config) -> bool:
+    """Obstacle geometry for an in-lattice q: not counted, not memoised."""
     if scenario.kind == "grid":
         p = cell_center(q)
         return not any(point_in_obstacle(p, o) for o in scenario.obstacles)
@@ -312,6 +331,23 @@ def is_valid(scenario: Scenario, q: Config) -> bool:
             if segment_hits_obstacle(a, b, obstacle):
                 return False
     return True
+
+
+def is_valid(scenario: Scenario, q: Config) -> bool:
+    """Collision / limit check. Counted: one collision check per call.
+
+    The count is logical: a call that the scenario's validity memo answers
+    still adds one. Only in-lattice configurations are stored, so the memo
+    holds at most prod(dims) entries.
+    """
+    scenario.counters.collision_checks += 1
+    memo = scenario.validity_memo
+    ok = memo.get(q)
+    if ok is None:
+        if not in_bounds(scenario, q):
+            return False
+        ok = memo[q] = collision_free(scenario, q)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +435,11 @@ def check_config(scenario: Scenario, q) -> Config:
 
 
 def check_scenario(scenario: Scenario) -> Scenario:
-    """Validate cross-field scenario invariants (home validity, region areas)."""
-    for region in scenario.regions:
-        x0, y0, x1, y1 = region.box
-        if x1 <= x0 or y1 <= y0:
-            raise ValueError(f"region {region.id!r} box has no area")
-    check_config(scenario, scenario.s_home)
+    """Check that the home state is collision-free.
+
+    ``Scenario`` itself rejects a home off the lattice and region boxes
+    with no area; collision needs the geometry, so it is checked here.
+    """
     if not is_valid(scenario, scenario.s_home):
         raise ValueError("s_home is not collision-free")
     return scenario

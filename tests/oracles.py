@@ -2,12 +2,24 @@
 
 These deliberately avoid the search / preprocess / query code paths they
 are used to check: breadth-first flood fill for unit-cost distances, and
-a literal step-by-step simulation of the navigation-descent rule.
+a literal step-by-step simulation of the navigation-descent rule. They
+test validity with ``cspace.collision_free``, which runs the geometry on
+every call, so they never read the validity memo that ``is_valid`` keeps
+on the scenario.
 """
 
 from collections import deque
 
 from coverplan import cspace
+
+
+def successors(scenario, q):
+    """Valid unit-cost lattice moves from q, checked without the memo."""
+    return [
+        (nb, cspace.UNIT_COST)
+        for nb in cspace.lattice_neighbors(scenario, q)
+        if cspace.collision_free(scenario, nb)
+    ]
 
 
 def bfs_distances(scenario, source):
@@ -16,7 +28,7 @@ def bfs_distances(scenario, source):
     queue = deque([source])
     while queue:
         q = queue.popleft()
-        for nb, cost in cspace.successors(scenario, q):
+        for nb, cost in successors(scenario, q):
             if nb not in dist:
                 dist[nb] = dist[q] + cost
                 queue.append(nb)
@@ -34,7 +46,7 @@ def simulate_descent(scenario, q, attractor, max_steps=10_000):
     steps = 0
     while cur != attractor and steps < max_steps:
         nav_cur = cspace.navigation_value(scenario, cur, attractor)
-        candidates = [nb for nb, _ in cspace.successors(scenario, cur)]
+        candidates = [nb for nb, _ in successors(scenario, cur)]
         if not candidates:
             return False, steps, visited
         best = min(
@@ -54,7 +66,7 @@ def descent_basin(scenario, attractor):
     members = set()
     max_steps = 0
     for q in cspace.lattice_configs(scenario):
-        if not cspace.is_valid(scenario, q):
+        if not cspace.collision_free(scenario, q):
             continue
         reached, steps, _ = simulate_descent(scenario, q, attractor)
         if reached:
@@ -115,7 +127,7 @@ def naive_refine(scenario, start, goal, initial_path, delta=1e-6):
                 break
             open_set.discard(q)
             closed.add(q)
-            for nb, cost in cspace.successors(scenario, q):
+            for nb, cost in successors(scenario, q):
                 g2 = g[q] + cost
                 if g2 < g.get(nb, float("inf")):
                     g[nb] = g2

@@ -227,7 +227,7 @@ def test_fingerprint_tracks_content(two_region_grid12):
     assert cspace.scenario_fingerprint(other) != cspace.scenario_fingerprint(two_region_grid12)
 
 
-def test_bad_scenario_files(tmp_path):
+def test_bad_scenario_files(tmp_path, unit_arm):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(errors.ScenarioFormatError):
@@ -244,9 +244,18 @@ def test_bad_scenario_files(tmp_path):
         ("actions", "multi_dof"),
         ("cost_model", "euclid"),
         ("regions", [{"id": "r", "box": [0, 0, 1, 1]}, {"id": "r", "box": [2, 2, 3, 3]}]),
+        ("regions", [{"id": "flat", "box": [1.0, 1.0, 1.0, 4.0]}]),
+        ("regions", [{"id": "line", "box": [1.0, 2.0, 4.0, 2.0]}]),
+        ("regions", [{"id": "flipped", "box": [4.0, 4.0, 1.0, 1.0]}]),
+        ("s_home", [0, 0, 0]),
+        ("s_home", [0]),
+        ("s_home", [8, 0]),
+        ("s_home", [0, -1]),
     ]
-    for key, value in bad_fields:
-        path.write_text(json.dumps(dict(good, **{key: value})))
+    payloads = [dict(good, **{key: value}) for key, value in bad_fields]
+    payloads.append(dict(cspace.scenario_to_payload(unit_arm), s_home=[16, 0]))
+    for payload in payloads:
+        path.write_text(json.dumps(payload))
         with pytest.raises(errors.ScenarioFormatError):
             cspace.load_scenario(path)
 

@@ -1,4 +1,4 @@
-"""Frozen outputs: exact search records and bench bytes on grid21_ladder.
+"""Frozen outputs: exact search records, bench bytes and library bytes.
 
 The values below were recorded before the anytime searches were folded
 into one shared weighted-A* pass. A refactor of the search core must
@@ -39,6 +39,14 @@ ARA = {
 
 # criterion 8's bench config without ctmp+shortcut
 TRIALS_SHA256 = "9e50e648d1c631b9ef3cd5b91444b2fb8e8ac663ab8f931022745ef4709400aa"
+
+# scenario -> sha256 of its saved library at preprocess seed 0, recorded
+# before is_valid answered from the scenario's validity memo
+LIBRARY_SHA256 = {
+    "grid24_d20": "8e87521f6e34a76408ade44fed961c2416f9b70553e33113c8e0f228cb942867",
+    "arm32_o2": "05b6ef9f375e2b80396e418cd4643b85a1e31cd8c2c63f041dd93c3cee7fbbe1",
+    "grid21_ladder": "f906ff3b8cd61668852c4ee36180fcc43eb4ca62343a52f5a1ae2833bc6a2bef",
+}
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +102,12 @@ def test_bench_trials_csv_frozen(ladder, tmp_path):
     files = bench.emit_results(records, stats, cfg.outdir)
     with open(files["trials"], "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == TRIALS_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SHA256))
+def test_library_bytes_frozen(name, tmp_path):
+    scenario = dict(corpus.corpus())[name]
+    path = tmp_path / f"{name}_library.json"
+    pre.save_library(pre.preprocess(scenario, seed=0), path)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == LIBRARY_SHA256[name]
