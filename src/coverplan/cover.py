@@ -11,13 +11,18 @@ lattice.
 
 A neighborhood's member set is the full descent basin: every valid
 config whose iterated steepest-descent walk of the navigation value
-reaches the attractor. Membership is what makes the online connect
-check-free: for a member q, the walk's next state is itself a member
-(the tail of a successful walk is a successful walk), and no valid
-non-member can beat it on navigation value or tie-break order (it would
-have been the walk's next state, contradicting q's membership). So
-restricting the online argmin to stored members reproduces the offline
-walk exactly, with set lookups in place of collision checks.
+reaches the attractor. Each member stores a descent pointer, the next
+state of its walk (the attractor points to itself), and the pointer lands
+on a member: the tail of a successful walk is a successful walk. Following
+pointers from a member therefore replays the offline walk exactly, in at
+most ``max_descent_steps`` moves, with no collision check and no
+navigation value; that is the whole of the online connect.
+
+Remark (offline only): the same basin property means no valid non-member
+neighbour of a member q can beat q's pointer on navigation value or
+tie-break order (it would have been the walk's next state, and so a
+member). So an argmin restricted to the stored members would also
+reproduce the walk; the stored pointers make that argmin unnecessary.
 
 Regions are independent; builders may run concurrently. The merged
 library is immutable afterward.
@@ -25,10 +30,14 @@ library is immutable afterward.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
+import operator
 import random
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Set
+from dataclasses import dataclass, field
 
 from . import cspace
 from .cspace import Config, Scenario
@@ -43,7 +52,7 @@ from .errors import (
 )
 from .search import Path, astar
 
-LIBRARY_FORMAT_VERSION = 1
+LIBRARY_FORMAT_VERSION = 2
 
 # Offline representative-path planner: moderately inflated, no deadline.
 # Offline time is cheap; weight 3 keeps preprocessing fast while the
@@ -53,31 +62,32 @@ REP_PATH_WEIGHT = 3.0
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """An attractor's descent basin with its recorded step bound."""
+    """An attractor's descent basin: its descent pointers and step bound.
+
+    ``next_member`` maps each member to the next state of its descent walk,
+    which is itself a member; the attractor maps to itself. Its keys are
+    the member set.
+    """
 
     attractor: Config
-    members: frozenset[Config]
+    next_member: dict[Config, Config] = field(hash=False)
     max_descent_steps: int
+
+    @property
+    def members(self) -> Set[Config]:
+        return self.next_member.keys()
 
 
 @dataclass(frozen=True)
 class CoverEntry:
-    """One cover unit: attractor, basin, representative path(s) from home.
-
-    A single representative path is stored today; the list shape is kept
-    for per-object path variants.
-    """
+    """One cover unit: attractor, basin, representative path from home."""
 
     attractor: Config
     neighborhood: Neighborhood
-    rep_paths: tuple[Path, ...]
+    rep_path: Path
 
     @property
-    def rep_path(self) -> Path:
-        return self.rep_paths[0]
-
-    @property
-    def members(self) -> frozenset[Config]:
+    def members(self) -> Set[Config]:
         return self.neighborhood.members
 
 
@@ -98,13 +108,41 @@ class RegionCover:
 
 
 @dataclass(frozen=True)
+class CoverHit:
+    """Lookup result: which region/entry covers a configuration."""
+
+    region_id: str
+    entry_index: int
+    entry: CoverEntry
+
+    @property
+    def rep_path(self) -> Path:
+        return self.entry.rep_path
+
+
+@dataclass(frozen=True)
 class Library:
-    """Preprocessing output: per-region covers bound to one scenario."""
+    """Preprocessing output: per-region covers bound to one scenario.
+
+    ``goal_index`` maps every covered state to its cover entry, built once
+    at construction from the frozen regions. A state covered twice goes to
+    its first region and, within it, to the lowest entry id.
+    """
 
     fingerprint: str
     dims: tuple[int, ...]
     s_home: Config
     regions: tuple[RegionCover, ...]
+    goal_index: dict[Config, CoverHit] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        index: dict[Config, CoverHit] = {}
+        for rc in self.regions:
+            for i, entry in enumerate(rc.entries):
+                hit = CoverHit(rc.region_id, i, entry)
+                for q in entry.members & rc.covered:
+                    index.setdefault(q, hit)
+        object.__setattr__(self, "goal_index", index)
 
     def region(self, region_id: str) -> RegionCover:
         for rc in self.regions:
@@ -117,28 +155,17 @@ class Library:
 # greedy descent
 
 
-def greedy_step(
-    scenario: Scenario,
-    q: Config,
-    attractor: Config,
-    *,
-    member_set: frozenset[Config] | None = None,
-) -> Config | None:
+def greedy_step(scenario: Scenario, q: Config, attractor: Config) -> Config | None:
     """One steepest-descent move of the navigation value, or None at a stall.
 
-    Candidates are the valid lattice successors, or — when ``member_set``
-    is given — the lattice neighbors inside that set (zero collision
-    checks). The move must strictly decrease the navigation value; ties
-    break lexicographically.
+    Candidates are the valid lattice successors. The move must strictly
+    decrease the navigation value; ties break lexicographically.
     """
     nav_q = cspace.navigation_value(scenario, q, attractor)
     best: Config | None = None
     best_nav = nav_q
     for nb in cspace.lattice_neighbors(scenario, q):
-        if member_set is not None:
-            if nb not in member_set:
-                continue
-        elif not cspace.is_valid(scenario, nb):
+        if not cspace.is_valid(scenario, nb):
             continue
         nav = cspace.navigation_value(scenario, nb, attractor)
         if nav < best_nav or (nav == best_nav and best is not None and nb < best):
@@ -149,17 +176,12 @@ def greedy_step(
     return best
 
 
-def descend(
-    scenario: Scenario,
-    q: Config,
-    attractor: Config,
-    step_bound: int | None = None,
-    *,
-    member_set: frozenset[Config] | None = None,
-) -> Path:
+def descend(scenario: Scenario, q: Config, attractor: Config, step_bound: int | None = None) -> Path:
     """Run greedy descent q -> attractor. No search, only successor evaluation.
 
-    Raises DescentStalled when no strictly improving move exists and
+    This is the offline walk, with collision checks; online, connect
+    follows the pointers that construct_neighborhood recorded from the same
+    walk. Raises DescentStalled when no strictly improving move exists and
     BoundExceeded when the walk outruns ``step_bound``.
     """
     configs = [q]
@@ -167,7 +189,7 @@ def descend(
     while cur != attractor:
         if step_bound is not None and len(configs) - 1 >= step_bound:
             raise BoundExceeded(f"descent from {q} exceeded {step_bound} steps")
-        nxt = greedy_step(scenario, cur, attractor, member_set=member_set)
+        nxt = greedy_step(scenario, cur, attractor)
         if nxt is None:
             raise DescentStalled(f"descent stalled at {cur} toward {attractor}")
         configs.append(nxt)
@@ -180,11 +202,14 @@ def construct_neighborhood(
 ) -> tuple[Neighborhood, frozenset[Config]]:
     """Grow the attractor's full descent basin by outward expansion.
 
-    Returns the neighborhood and its frontier: valid states adjacent to
-    members whose own descent walk does not reach the attractor.
+    Returns the neighborhood, with each member's descent pointer, and its
+    frontier: valid states adjacent to members whose own descent walk does
+    not reach the attractor.
     """
-    # Memoized walk results: config -> steps to attractor, or -1 for failure.
+    # Memoized walk results: config -> steps to attractor, or -1 for failure,
+    # and config -> the walk's next state.
     steps: dict[Config, int] = {attractor: 0}
+    next_state: dict[Config, Config] = {attractor: attractor}
 
     def walk(q: Config) -> int:
         # Strict descent means no cycles: the walk ends at the attractor,
@@ -197,6 +222,7 @@ def construct_neighborhood(
             if nxt is None:
                 steps[cur] = -1
                 break
+            next_state[cur] = nxt
             cur = nxt
         base = steps[cur]
         for dist, state in enumerate(reversed(chain), start=1):
@@ -221,10 +247,12 @@ def construct_neighborhood(
                 max_steps = max(max_steps, n_steps)
             else:
                 frontier.add(nb)
-    return (
-        Neighborhood(attractor=attractor, members=frozenset(members), max_descent_steps=max_steps),
-        frozenset(frontier),
+    neighborhood = Neighborhood(
+        attractor=attractor,
+        next_member={q: next_state[q] for q in members},
+        max_descent_steps=max_steps,
     )
+    return neighborhood, frozenset(frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +308,8 @@ def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_P
                 excluded.add(cand)
                 continue
             neighborhood, frontier = construct_neighborhood(scenario, cand)
-            entries.append(CoverEntry(cand, neighborhood, (rep,)))
-            covered |= neighborhood.members.intersection(region_states)
+            entries.append(CoverEntry(cand, neighborhood, rep))
+            covered |= neighborhood.members & region_states
             frontier_cache = frontier
         region_covers.append(
             RegionCover(
@@ -300,7 +328,7 @@ def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_P
 
 
 # ---------------------------------------------------------------------------
-# persistence: versioned container, delta-encoded member sets
+# persistence: versioned container, delta-encoded member sets, descent moves
 
 
 def _rank_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -310,31 +338,119 @@ def _rank_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(strides)
 
 
+def _ranks(configs, dims) -> list[int]:
+    """Row-major lattice rank of each configuration, in order."""
+    strides = _rank_strides(dims)
+    return [sum(map(operator.mul, q, strides)) for q in configs]
+
+
 def _encode_set(configs, dims) -> list[int]:
     """Sorted lattice ranks, delta encoded: [first, diff, diff, ...]."""
-    strides = _rank_strides(dims)
-    ranks = sorted(sum(c * s for c, s in zip(q, strides)) for q in configs)
-    out = []
-    prev = 0
-    for r in ranks:
-        out.append(r - prev)
-        prev = r
-    return out
+    ranks = sorted(_ranks(configs, dims))
+    return list(map(operator.sub, ranks, [0] + ranks[:-1]))
 
 
-def _decode_set(deltas, dims) -> frozenset[Config]:
+# A move is axis * 2 + (1 if +1 else 0), stored as one base-36 digit; the
+# attractor, which has no move, is "-". One character per member keeps the
+# JSON parse of the moves string to one token.
+MOVE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+NO_MOVE = "-"
+
+
+def _encode_moves(neighborhood: Neighborhood, dims) -> str:
+    """Each member's descent move, in rank order, one character each.
+
+    A move changes the rank by its axis stride, or, across a wrapping
+    axis's seam, by n - 1 strides the other way. These steps are distinct:
+    a wrapping axis has n >= 4, and n - 1 strides of one axis lie strictly
+    between one stride of it and one stride of the next axis out.
+    """
+    move_of_step = {0: NO_MOVE}
+    for axis, (n, stride) in enumerate(zip(dims, _rank_strides(dims))):
+        down, up = MOVE_DIGITS[2 * axis], MOVE_DIGITS[2 * axis + 1]
+        if n >= 4:
+            move_of_step.update({(n - 1) * stride: down, -(n - 1) * stride: up})
+        move_of_step.update({-stride: down, stride: up})
+    members = sorted(neighborhood.members)  # lexicographic order is rank order
+    rank = dict(zip(members, _ranks(members, dims)))
+    targets = map(rank.__getitem__, map(neighborhood.next_member.__getitem__, members))
+    return "".join(map(move_of_step.__getitem__, map(operator.sub, targets, rank.values())))
+
+
+def _decode_ranks(deltas, size: int) -> list[int]:
+    """Lattice ranks of a delta-encoded set, strictly increasing in [0, size)."""
+    ranks = list(itertools.accumulate(deltas))
+    if ranks and (ranks[0] < 0 or ranks[-1] >= size or min(deltas[1:], default=1) <= 0):
+        raise CorruptLibrary(f"rank list is not strictly increasing within [0, {size})")
+    return ranks
+
+
+def _move_targets(scenario: Scenario) -> dict[str, list[int]]:
+    """Move character -> the rank each rank moves to, -1 off the lattice.
+
+    The attractor's ``NO_MOVE`` keeps every rank where it is. A move adds
+    its axis stride to the rank, except from the lattice edge it moves
+    toward: there it crosses a wrapping axis's seam, or leaves the lattice.
+    Those edge ranks form one run of ``stride`` ranks per block of
+    ``n * stride``; they are patched by slice, run by run or, when there
+    are fewer offsets in a run than runs, offset by offset across runs.
+    """
+    dims, wraps = scenario.dims, scenario.wraps
     strides = _rank_strides(dims)
-    out = set()
-    rank = 0
-    for d in deltas:
-        rank += d
-        rem = rank
-        coords = []
-        for s in strides:
-            coords.append(rem // s)
-            rem %= s
-        out.add(tuple(coords))
-    return frozenset(out)
+    size = strides[0] * dims[0]
+    # Every table is cut from one list of rank ints, so no int is made twice;
+    # only a one-stride shift reaches past the lattice.
+    pad = max(strides)
+    ints = list(range(-pad, size + pad))
+
+    def shifted(by: int) -> list[int]:
+        return ints[pad + by : pad + by + size]
+
+    targets = {NO_MOVE: shifted(0)}
+    for axis, (n, stride, wrap) in enumerate(zip(dims, strides, wraps)):
+        block = n * stride
+        for up, step in ((0, -stride), (1, stride)):
+            reach = shifted(step)
+            first = (n - 1) * stride if up else 0  # rank offset of the edge run
+            if stride < size // block:
+                edges = [slice(first + j, None, block) for j in range(stride)]
+            else:
+                edges = [slice(b, b + stride) for b in range(first, size, block)]
+            for where in edges:
+                run = range(size)[where]
+                if wrap:  # the ranks of run, shifted across the seam
+                    at = pad - (n - 1) * step
+                    reach[where] = ints[run.start + at : run.stop + at : run.step]
+                else:
+                    reach[where] = [-1] * len(run)
+            targets[MOVE_DIGITS[2 * axis + up]] = reach
+    return targets
+
+
+def _decode_pointers(ranks, moves, attractor_rank, table, move_targets) -> dict[Config, Config]:
+    """Member -> descent successor, from one move character per member rank.
+
+    Every move must stay on the lattice and land on a member; the
+    attractor's move, and only its move, is ``NO_MOVE``. The work is done
+    by whole-list operations, since a library holds several moves per
+    lattice state.
+    """
+    if len(moves) != len(ranks):
+        raise CorruptLibrary(f"{len(moves)} descent moves for {len(ranks)} members")
+    if not move_targets.keys() >= set(moves):
+        raise CorruptLibrary("descent moves hold a character that is no move of this lattice")
+    at = bisect.bisect_left(ranks, attractor_rank)
+    if at == len(ranks) or ranks[at] != attractor_rank:
+        raise CorruptLibrary(f"attractor {table[attractor_rank]} is not one of its members")
+    if moves.count(NO_MOVE) != 1 or moves[at] != NO_MOVE:
+        raise CorruptLibrary(f"the attractor, and no other member, must have move {NO_MOVE!r}")
+    targets = list(map(operator.getitem, map(move_targets.__getitem__, moves), ranks))
+    members = set(ranks)
+    if min(targets) < 0 or not members.issuperset(targets):
+        i = next(i for i, target in enumerate(targets) if target not in members)
+        where = "the lattice" if targets[i] < 0 else "the member set"
+        raise CorruptLibrary(f"descent move {moves[i]} of member {table[ranks[i]]} leaves {where}")
+    return dict(zip(map(table.__getitem__, ranks), map(table.__getitem__, targets)))
 
 
 def library_to_payload(library: Library) -> dict:
@@ -351,8 +467,9 @@ def library_to_payload(library: Library) -> dict:
                     {
                         "attractor": list(e.attractor),
                         "members": _encode_set(e.members, dims),
+                        "moves": _encode_moves(e.neighborhood, dims),
                         "max_descent_steps": e.neighborhood.max_descent_steps,
-                        "rep_paths": [[list(q) for q in p.configs] for p in e.rep_paths],
+                        "rep_path": [list(q) for q in e.rep_path.configs],
                     }
                     for e in rc.entries
                 ],
@@ -365,6 +482,14 @@ def library_to_payload(library: Library) -> dict:
 
 
 def library_from_payload(payload: dict, scenario: Scenario) -> Library:
+    """Decode and check a library payload against the scenario it must match.
+
+    Raises LibraryVersionError for any format version but the current one,
+    FingerprintMismatch for another scenario's library, and CorruptLibrary
+    for a structural defect: dims other than the scenario's, a rank set
+    that is not strictly increasing within the lattice, an attractor
+    outside its member set, or descent moves that do not match the members.
+    """
     try:
         version = payload["format_version"]
         if version != LIBRARY_FORMAT_VERSION:
@@ -373,30 +498,45 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         if fingerprint != cspace.scenario_fingerprint(scenario):
             raise FingerprintMismatch("library was built for a different scenario")
         dims = tuple(payload["dims"])
+        if dims != scenario.dims:
+            raise CorruptLibrary(f"library dims {dims} differ from the scenario's {scenario.dims}")
+        table = list(cspace.lattice_configs(scenario))  # row-major: rank r is table[r]
+        size = len(table)
+        strides = _rank_strides(dims)
+        move_targets = _move_targets(scenario)
+
+        def decode_set(deltas) -> frozenset[Config]:
+            return frozenset(map(table.__getitem__, _decode_ranks(deltas, size)))
+
         regions = []
         for rc in payload["regions"]:
             entries = []
             for e in rc["entries"]:
                 attractor = tuple(e["attractor"])
+                if not cspace.in_bounds(scenario, attractor):
+                    raise CorruptLibrary(f"attractor {attractor} is not a lattice state")
+                attractor_rank = sum(map(operator.mul, attractor, strides))
+                ranks = _decode_ranks(e["members"], size)
+                next_member = _decode_pointers(
+                    ranks, e["moves"], attractor_rank, table, move_targets
+                )
                 entries.append(
                     CoverEntry(
                         attractor=attractor,
                         neighborhood=Neighborhood(
                             attractor=attractor,
-                            members=_decode_set(e["members"], dims),
+                            next_member=next_member,
                             max_descent_steps=int(e["max_descent_steps"]),
                         ),
-                        rep_paths=tuple(
-                            Path.from_configs(tuple(tuple(q) for q in p)) for p in e["rep_paths"]
-                        ),
+                        rep_path=Path.from_configs(tuple(tuple(q) for q in e["rep_path"])),
                     )
                 )
             regions.append(
                 RegionCover(
                     region_id=rc["id"],
                     entries=tuple(entries),
-                    covered=_decode_set(rc["covered"], dims),
-                    excluded=_decode_set(rc["excluded"], dims),
+                    covered=decode_set(rc["covered"]),
+                    excluded=decode_set(rc["excluded"]),
                 )
             )
         return Library(
@@ -405,7 +545,7 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
             s_home=tuple(payload["s_home"]),
             regions=tuple(regions),
         )
-    except (FingerprintMismatch, LibraryVersionError):
+    except (FingerprintMismatch, LibraryVersionError, CorruptLibrary):
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptLibrary(f"malformed library payload: {exc}") from exc

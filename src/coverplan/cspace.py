@@ -314,10 +314,11 @@ def ee_position(scenario: Scenario, q: Config) -> tuple[float, float]:
 
 
 def in_bounds(scenario: Scenario, q: Config) -> bool:
+    """True iff q is a lattice state: one integer index per DOF, in range."""
     dims = scenario.dims
     if len(q) != len(dims):
         return False
-    return all(0 <= c < n for c, n in zip(q, dims))
+    return all(isinstance(c, int) and 0 <= c < n for c, n in zip(q, dims))
 
 
 def collision_free(scenario: Scenario, q: Config) -> bool:

@@ -1,10 +1,12 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
-A query resolves the goal to a cover entry by set lookup, replays greedy
-descent inside the stored member set (no collision checks, no search),
-and concatenates the reversed home path of the start with the home path
-of the goal. The optional refinement stage then spends whatever remains
-of the time budget improving that path.
+A query is a pointer chase. The goal resolves to its cover entry with one
+dict lookup in the library's goal index; the stored descent pointers lead
+from the goal to the entry's attractor in at most max_descent_steps moves
+(no collision checks, no navigation values, no search); and the reversed
+home path of the start is concatenated with the home path of the goal.
+The optional refinement stage then spends whatever remains of the time
+budget improving that path.
 
 The library and scenario are immutable and shareable across concurrent
 queries; the PotentialStateIndex mutates between sequential queries and
@@ -17,66 +19,50 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .cover import CoverEntry, Library, descend
+from .cover import CoverEntry, CoverHit, Library
 from .cspace import Config, Scenario
 from .errors import DescentStalled, GoalUncovered, StaleLibrary, StartNotPotential
 from .search import Path, RefineReport, anytime_refine, concat_paths
-
-
-@dataclass(frozen=True)
-class CoverHit:
-    """Lookup result: which region/entry covers a configuration."""
-
-    region_id: str
-    entry_index: int
-    entry: CoverEntry
-
-    @property
-    def rep_path(self) -> Path:
-        return self.entry.rep_path
 
 
 def find_rep_path(library: Library, q: Config) -> CoverHit | None:
     """Pure lookup of the cover entry holding q (lowest entry id on overlap).
 
     Returns None when q is outside every region or in an exclusion set.
-    No planning, no collision checks.
+    One dict lookup: no planning, no collision checks.
     """
-    for rc in library.regions:
-        if q not in rc.covered:
-            continue
-        for i, entry in enumerate(rc.entries):
-            if q in entry.members:
-                return CoverHit(rc.region_id, i, entry)
-    return None
+    return library.goal_index.get(q)
 
 
-def connect(scenario: Scenario, entry: CoverEntry, q: Config) -> Path:
+def connect(entry: CoverEntry, q: Config) -> Path:
     """Extend the entry's representative path from its attractor out to q.
 
-    The descent from q to the attractor replays against the stored member
-    set, so the step count is bounded by the recorded max_descent_steps
-    and no collision checks run. A representative path may pass through q
-    on its way to the attractor; the result is truncated at its first
-    arrival at q so q appears exactly once, at the end. Raises
-    DescentStalled when the member set no longer supports a decreasing
-    step (stale or tampered library).
+    Follows the stored descent pointers from q to the attractor, so the
+    step count is bounded by the recorded max_descent_steps and no
+    collision checks run. A representative path may pass through q on its
+    way to the attractor; the result is truncated at its first arrival at
+    q so q appears exactly once, at the end. Raises DescentStalled when a
+    pointer is missing or the chase outruns max_descent_steps (stale or
+    tampered library).
     """
-    if q not in entry.members:
+    neighborhood = entry.neighborhood
+    next_member = neighborhood.next_member
+    if q not in next_member:
         raise ValueError(f"{q} is not a member of the entry's neighborhood")
-    if q == entry.attractor:
-        full = entry.rep_path
-    else:
-        down = descend(
-            scenario,
-            q,
-            entry.attractor,
-            step_bound=entry.neighborhood.max_descent_steps,
-            member_set=entry.members,
-        )
-        full = concat_paths(entry.rep_path, down.reverse())
-    first = full.configs.index(q)
-    return Path.from_configs(full.configs[: first + 1])
+    bound = neighborhood.max_descent_steps
+    attractor = entry.attractor
+    down = [q]
+    cur = q
+    while cur != attractor:
+        if len(down) > bound:
+            raise DescentStalled(f"descent from {q} exceeded {bound} steps")
+        cur = next_member.get(cur)
+        if cur is None:
+            raise DescentStalled(f"no descent pointer at {down[-1]}")
+        down.append(cur)
+    down.reverse()
+    configs = entry.rep_path.configs + tuple(down[1:])
+    return Path.from_configs(configs[: configs.index(q) + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +122,7 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     """Constant-time path from home to a potential state. Never plans.
 
     rep_path states take the stored prefix; goal-region states take
-    lookup + descent replay; executed-path states take the stored anchor
+    lookup + pointer chase; executed-path states take the stored anchor
     plus the reversed executed suffix.
     """
     prov = index.provenance(s)
@@ -149,8 +135,7 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
         rep = rc.entries[prov.entry_index].rep_path
         return Path.from_configs(rep.configs[: prov.position + 1])
     if prov.kind == "goal_region":
-        hit = find_rep_path(index.library, s)
-        return connect(index.scenario, hit.entry, s)
+        return connect(find_rep_path(index.library, s).entry, s)
     # executed: home -> end, then back along the executed path to s
     suffix = Path.from_configs(index._executed_path.configs[prov.position :])
     if len(suffix.configs) == 1:
@@ -210,7 +195,7 @@ def query(
 ) -> QueryResult:
     """Answer a start -> goal request from the library, then refine.
 
-    The pre-refinement work is lookups plus bounded descent replay and
+    The pre-refinement work is lookups plus a bounded pointer chase and
     path assembly: zero collision checks, zero expansions, and at most
     len(rep_start) + len(rep_goal) + 2 * max_descent_steps elementary
     steps (starts registered from an executed path substitute their stored
@@ -230,7 +215,7 @@ def query(
         if request.start == request.goal:
             initial = Path((request.start,), 0.0)
         else:
-            home_to_goal = connect(scenario, hit.entry, request.goal)
+            home_to_goal = connect(hit.entry, request.goal)
             if request.start == library.s_home:
                 initial = home_to_goal
             else:

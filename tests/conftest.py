@@ -45,3 +45,20 @@ def unit_arm():
         s_home=(0, 0),
         regions=(RegionSpec("reach", (1.9, -0.1, 2.1, 0.1)),),
     )
+
+
+def v1_projection(payload):
+    """A library payload in format 1: no descent moves, ``rep_paths`` a list.
+
+    Format 2 added one descent move per member and stored the single
+    representative path as ``rep_path``; everything else is unchanged, so
+    the projection of a format-2 file serializes to the format-1 bytes.
+    """
+    regions = []
+    for rc in payload["regions"]:
+        entries = []
+        for e in rc["entries"]:
+            v1 = {k: v for k, v in e.items() if k not in ("moves", "rep_path")}
+            entries.append(dict(v1, rep_paths=[e["rep_path"]]))
+        regions.append(dict(rc, entries=entries))
+    return dict(payload, format_version=1, regions=regions)

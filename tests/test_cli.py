@@ -66,7 +66,7 @@ def test_version_prints_format_versions(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "scenario format 1" in out
-    assert "library format 1" in out
+    assert "library format 2" in out
 
 
 def test_bench_subcommand(scenario_file, capsys):

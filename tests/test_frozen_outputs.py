@@ -1,5 +1,10 @@
 """Frozen outputs: exact search records, bench bytes and library bytes.
 
+Library files are pinned in both formats: the format-1 pins, recorded
+before format 2 existed, are checked through ``conftest.v1_projection``,
+which shows that format 2 changed nothing but the added descent moves and
+the ``rep_path`` field.
+
 The values below were recorded before the anytime searches were folded
 into one shared weighted-A* pass. A refactor of the search core must
 leave them unchanged; a change meant to alter them updates them here and
@@ -10,9 +15,11 @@ selections) tuples.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from conftest import v1_projection
 from coverplan import bench, corpus, cspace, search
 from coverplan import cover as pre
 from coverplan.online import QueryRequest, query
@@ -41,11 +48,19 @@ ARA = {
 TRIALS_SHA256 = "9e50e648d1c631b9ef3cd5b91444b2fb8e8ac663ab8f931022745ef4709400aa"
 
 # scenario -> sha256 of its saved library at preprocess seed 0, recorded
-# before is_valid answered from the scenario's validity memo
+# in format 1 before is_valid answered from the scenario's validity memo
 LIBRARY_SHA256 = {
     "grid24_d20": "8e87521f6e34a76408ade44fed961c2416f9b70553e33113c8e0f228cb942867",
     "arm32_o2": "05b6ef9f375e2b80396e418cd4643b85a1e31cd8c2c63f041dd93c3cee7fbbe1",
     "grid21_ladder": "f906ff3b8cd61668852c4ee36180fcc43eb4ca62343a52f5a1ae2833bc6a2bef",
+}
+
+# scenario -> sha256 of the same library saved in format 2, recorded when
+# format 2 was introduced
+LIBRARY_V2_SHA256 = {
+    "grid24_d20": "b54da7ea2c5fe61d2a638e51b5703b27ffaf5cafa627b905dd42b97a8f6be7c9",
+    "arm32_o2": "313048bd4c7acf34e97b90fee7a8e042b461b89674aa0198c95ce3316c7fcd17",
+    "grid21_ladder": "6ff3ecf4cda9900969a0cebed0e96a5c14d2b101a816cb5037c3f9c045ff77d4",
 }
 
 
@@ -109,5 +124,7 @@ def test_library_bytes_frozen(name, tmp_path):
     scenario = dict(corpus.corpus())[name]
     path = tmp_path / f"{name}_library.json"
     pre.save_library(pre.preprocess(scenario, seed=0), path)
-    with open(path, "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == LIBRARY_SHA256[name]
+    data = path.read_bytes()
+    v1 = cspace.canonical_json(v1_projection(json.loads(data))) + "\n"
+    assert hashlib.sha256(v1.encode()).hexdigest() == LIBRARY_SHA256[name]
+    assert hashlib.sha256(data).hexdigest() == LIBRARY_V2_SHA256[name]

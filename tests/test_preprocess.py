@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from conftest import cell_rect, grid
-from coverplan import RegionSpec, cspace, errors
+from conftest import cell_rect, grid, v1_projection
+from coverplan import RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from oracles import bfs_distances, descent_basin, simulate_descent
 
@@ -80,22 +81,42 @@ def test_descend_bound_exceeded():
         pre.descend(sc, (2, 2), (0, 0), step_bound=1)
 
 
-def test_descend_member_replay_equals_validity_descent():
-    """For basin members the member-set replay is the offline walk exactly."""
-    rng = random.Random(3)
-    cells = [(i, j) for i in range(8) for j in range(8) if rng.random() < 0.2]
-    sc = grid(8, obstacles=[cell_rect(i, j) for i, j in cells if (i, j) != (0, 0)])
-    nbhd, _ = pre.construct_neighborhood(sc, (0, 0))
-    checks_before = sc.counters.collision_checks
-    for q in sorted(nbhd.members):
-        replay = pre.descend(
-            sc, q, (0, 0), step_bound=nbhd.max_descent_steps, member_set=nbhd.members
-        )
-        checks_after = sc.counters.collision_checks
-        assert checks_after == checks_before  # replay does zero collision checks
-        offline = pre.descend(sc, q, (0, 0))
-        checks_before = sc.counters.collision_checks
-        assert replay.configs == offline.configs
+@pytest.fixture(scope="module")
+def corpus_libraries():
+    return [(name, sc, pre.preprocess(sc, seed=0)) for name, sc in corpus.corpus()]
+
+
+def test_descent_pointers_replay_the_walk(corpus_libraries):
+    """For all 23 corpus scenarios, every member's pointer chase is the
+    offline walk. Each pointer equals the validity-mode ``greedy_step`` and
+    the literal oracle's first move, and every chase reaches the attractor
+    within max_descent_steps, so by induction each chase equals both the
+    ``descend`` walk and ``simulate_descent``; the longest chase of each
+    entry is also checked against both walks in full."""
+    for name, sc, lib in corpus_libraries:
+        for rc in lib.regions:
+            for entry in rc.entries:
+                nbhd, attractor = entry.neighborhood, entry.attractor
+                pointers = nbhd.next_member
+                assert pointers[attractor] == attractor, name
+                chases = {}
+                for q in nbhd.members - {attractor}:
+                    nxt = pointers[q]
+                    assert nxt in nbhd.members, (name, q)
+                    assert pre.greedy_step(sc, q, attractor) == nxt, (name, q)
+                    _, _, visited = simulate_descent(sc, q, attractor, max_steps=1)
+                    assert visited == [q, nxt], (name, q)
+                    chase = [q]
+                    while chase[-1] != attractor and len(chase) <= nbhd.max_descent_steps:
+                        chase.append(pointers[chase[-1]])
+                    assert chase[-1] == attractor, (name, q)
+                    chases[q] = chase
+                longest = max(chases.values(), key=len, default=[attractor])
+                assert len(longest) - 1 == nbhd.max_descent_steps, name
+                q = longest[0]
+                assert list(pre.descend(sc, q, attractor).configs) == longest, name
+                reached, steps, visited = simulate_descent(sc, q, attractor)
+                assert reached and visited == longest, name
 
 
 def test_descent_soundness_within_bound():
@@ -226,12 +247,18 @@ def test_preprocess_deterministic(two_region_grid12):
 # persistence
 
 
-def test_library_round_trip(tmp_path, two_region_grid12):
-    lib = pre.preprocess(two_region_grid12, seed=1)
-    path = tmp_path / "lib.json"
-    pre.save_library(lib, path)
-    again = pre.load_library(path, two_region_grid12)
-    assert again == lib
+def test_library_round_trip(tmp_path, two_region_grid12, corpus_libraries):
+    """Save then load gives the built library back, descent pointers and
+    goal index included (arms exercise moves across a wrapping axis)."""
+    built = [("grid12", two_region_grid12, pre.preprocess(two_region_grid12, seed=1))]
+    for name, sc, lib in built + corpus_libraries:
+        path = tmp_path / f"{name}.json"
+        pre.save_library(lib, path)
+        again = pre.load_library(path, sc)
+        assert again == lib, name
+        assert {q: (h.region_id, h.entry_index) for q, h in again.goal_index.items()} == {
+            q: (h.region_id, h.entry_index) for q, h in lib.goal_index.items()
+        }, name
 
 
 def test_library_bit_stable(tmp_path, two_region_grid12):
@@ -267,16 +294,104 @@ def test_library_truncated_file(tmp_path, two_region_grid12):
 
 
 def test_library_version_error(tmp_path, two_region_grid12):
+    """Unknown versions and format-1 files (there is no format-1 reader)."""
     lib = pre.preprocess(two_region_grid12, seed=1)
     payload = pre.library_to_payload(lib)
-    payload["format_version"] = 99
+    path = tmp_path / "lib.json"
+    for old in (dict(payload, format_version=99), v1_projection(payload)):
+        path.write_text(json.dumps(old))
+        with pytest.raises(errors.LibraryVersionError):
+            pre.load_library(path, two_region_grid12)
+
+
+def lattice_step(q, move, n):
+    """The state one ``move`` (axis * 2 + (1 if +1 else 0)) from q on an
+    n x n grid, or None off the lattice."""
+    axis, up = divmod(move, 2)
+    c = q[axis] + (1 if up else -1)
+    return q[:axis] + (c,) + q[axis + 1 :] if 0 <= c < n else None
+
+
+def set_move(entry_payload, i, move):
+    """Replace the i-th character of an entry's descent moves."""
+    moves = entry_payload["moves"]
+    entry_payload["moves"] = moves[:i] + move + moves[i + 1 :]
+
+
+CORRUPTIONS = (
+    "covered [-5, 1000]",
+    "covered repeats a rank",
+    "covered steps back",
+    "covered rank past the lattice",
+    "members rank past the lattice",
+    "dims differ from the scenario",
+    "attractor not a member",
+    "one move too few",
+    "one move too many",
+    "member without a move",
+    "move index out of range",
+    "attractor with a move",
+    "move leaves the lattice",
+    "move leaves the member set",
+)
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
+    """Rank sets and descent moves are checked on load: CorruptLibrary."""
+    # 12 x 12, with basins smaller than the lattice
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    payload = pre.library_to_payload(lib)
+    entry = lib.regions[0].entries[0]
+    rc_p = payload["regions"][0]
+    e_p = rc_p["entries"][0]
+    order = sorted(entry.members)  # the order of e_p["moves"]
+    movers = [(i, q) for i, q in enumerate(order) if q != entry.attractor]
+    assert movers
+    if case == "covered [-5, 1000]":
+        rc_p["covered"] = [-5, 1000]
+    elif case == "covered repeats a rank":
+        rc_p["covered"] = [3, 0]
+    elif case == "covered steps back":
+        rc_p["covered"] = [3, -1]
+    elif case == "covered rank past the lattice":
+        rc_p["covered"] = [0, 144]
+    elif case == "members rank past the lattice":
+        e_p["members"][-1] += 144
+    elif case == "dims differ from the scenario":
+        payload["dims"] = [12, 13]
+    elif case == "attractor not a member":
+        e_p["attractor"] = list(next(q for q in cspace.lattice_configs(sc) if q not in entry.members))
+    elif case == "one move too few":
+        e_p["moves"] = e_p["moves"][:-1]
+    elif case == "one move too many":
+        e_p["moves"] += "0"
+    elif case == "member without a move":
+        set_move(e_p, movers[0][0], pre.NO_MOVE)
+    elif case == "move index out of range":
+        set_move(e_p, movers[0][0], "4")  # a 2-DOF lattice has moves 0..3
+    elif case == "attractor with a move":
+        set_move(e_p, order.index(entry.attractor), "0")
+    elif case == "move leaves the lattice":
+        i, m = next((i, m) for i, q in movers for m in range(4) if lattice_step(q, m, 12) is None)
+        set_move(e_p, i, str(m))
+    else:
+        i, m = next(
+            (i, m)
+            for i, q in movers
+            for m in range(4)
+            if lattice_step(q, m, 12) not in entry.members | {None}
+        )
+        set_move(e_p, i, str(m))
     path = tmp_path / "lib.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(errors.LibraryVersionError):
-        pre.load_library(path, two_region_grid12)
+    with pytest.raises(errors.CorruptLibrary):
+        pre.load_library(path, sc)
 
 
 def test_member_encoding_round_trip():
     dims = (5, 7, 3)
     configs = {(0, 0, 0), (4, 6, 2), (2, 3, 1), (1, 0, 2)}
-    assert pre._decode_set(pre._encode_set(configs, dims), dims) == configs
+    table = list(itertools.product(*(range(n) for n in dims)))  # rank r is table[r]
+    ranks = pre._decode_ranks(pre._encode_set(configs, dims), len(table))
+    assert {table[r] for r in ranks} == configs

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -52,7 +53,7 @@ def test_find_rep_path_overlap_prefers_lowest_entry(fitted12):
 def test_connect_at_attractor_returns_rep_path(fitted12):
     sc, lib = fitted12
     entry = lib.regions[0].entries[0]
-    path = onl.connect(sc, entry, entry.attractor)
+    path = onl.connect(entry, entry.attractor)
     assert path.configs == entry.rep_path.configs
 
 
@@ -67,7 +68,7 @@ def test_connect_one_step_neighbor(fitted12):
     if not neighbors:
         pytest.skip("attractor has no off-path member neighbor in this fixture")
     q = neighbors[0]
-    path = onl.connect(sc, entry, q)
+    path = onl.connect(entry, q)
     assert path.configs == entry.rep_path.configs + (q,)
 
 
@@ -78,30 +79,53 @@ def test_connect_zero_collision_checks(fitted12):
     before = sc.counters.collision_checks
     for q in goals:
         if q in entry.members:
-            onl.connect(sc, entry, q)
+            onl.connect(entry, q)
     assert sc.counters.collision_checks == before
 
 
+def tampered(entry, edits):
+    """The entry with its descent pointers edited: q -> target, or removed for None."""
+    pointers = dict(entry.neighborhood.next_member)
+    for q, target in edits.items():
+        if target is None:
+            del pointers[q]
+        else:
+            pointers[q] = target
+    neighborhood = dataclasses.replace(entry.neighborhood, next_member=pointers)
+    return dataclasses.replace(entry, neighborhood=neighborhood)
+
+
+def two_step_goal(rc, entry):
+    """A covered member whose descent takes at least two moves, and its next state."""
+    pointers = entry.neighborhood.next_member
+    for q in sorted(entry.members & rc.covered, reverse=True):
+        if q != entry.attractor and pointers[q] != entry.attractor:
+            return q, pointers[q]
+    raise AssertionError("no covered member two moves from its attractor")
+
+
 def test_connect_stalled_on_tampered_members(fitted12):
-    """A member set that lost its descent chain signals a stale library."""
+    """Tampered descent pointers signal a stale library: a missing pointer
+    stalls the chase, and a pointer cycle, like any chase longer than
+    max_descent_steps, is cut off at that bound."""
     sc, lib = fitted12
-    entry = lib.regions[0].entries[0]
-    goals = [q for q in sorted(entry.members & lib.regions[0].covered) if q != entry.attractor]
-    assert goals
-    q = goals[-1]
-    full = onl.connect(sc, entry, q)
-    interior = set(full.configs) - {q, sc.s_home}
-    hollowed = pre.CoverEntry(
-        attractor=entry.attractor,
-        neighborhood=pre.Neighborhood(
-            attractor=entry.attractor,
-            members=frozenset(entry.members - interior),
-            max_descent_steps=entry.neighborhood.max_descent_steps,
-        ),
-        rep_paths=entry.rep_paths,
-    )
+    rc = lib.regions[0]
+    entry = rc.entries[0]
+    q, nxt = two_step_goal(rc, entry)
+    assert onl.connect(entry, q).configs[-1] == q
+    for edits in ({nxt: None}, {nxt: q}):
+        with pytest.raises(errors.DescentStalled):
+            onl.connect(tampered(entry, edits), q)
+    # the chase may take exactly the recorded bound, and no more
+    steps, cur = 0, q
+    while cur != entry.attractor:
+        cur = entry.neighborhood.next_member[cur]
+        steps += 1
+    exact = dataclasses.replace(entry.neighborhood, max_descent_steps=steps)
+    assert onl.connect(dataclasses.replace(entry, neighborhood=exact), q) == onl.connect(entry, q)
+    short = dataclasses.replace(entry.neighborhood, max_descent_steps=steps - 1)
     with pytest.raises(errors.DescentStalled):
-        onl.connect(sc, hollowed, q)
+        onl.connect(dataclasses.replace(entry, neighborhood=short), q)
 
 
 def test_descend_detects_post_hoc_obstacle(fitted12):
@@ -145,7 +169,7 @@ def test_query_concatenation_arithmetic(fitted12):
     goal = sorted(lib.regions[1].covered)[0]
     res = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False), index=index)
     half_start = onl.path_home_to(index, start)
-    half_goal = onl.connect(sc, onl.find_rep_path(lib, goal).entry, goal)
+    half_goal = onl.connect(onl.find_rep_path(lib, goal).entry, goal)
     assert res.initial_cost == half_start.cost + half_goal.cost
     assert sc.s_home in res.path.configs
     assert res.path.configs[0] == start and res.path.configs[-1] == goal
@@ -188,29 +212,24 @@ def test_query_stale_library_propagation(fitted12):
     sc, lib = fitted12
     rc = lib.regions[0]
     entry = rc.entries[0]
-    goals = [q for q in sorted(entry.members & rc.covered) if q != entry.attractor]
-    q = goals[-1]
-    interior = set(onl.connect(sc, entry, q).configs) - {q, sc.s_home}
-    hollowed_entry = pre.CoverEntry(
-        attractor=entry.attractor,
-        neighborhood=pre.Neighborhood(
-            attractor=entry.attractor,
-            members=frozenset(entry.members - interior),
-            max_descent_steps=entry.neighborhood.max_descent_steps,
-        ),
-        rep_paths=entry.rep_paths,
-    )
-    lib2 = pre.Library(
-        fingerprint=lib.fingerprint,
-        dims=lib.dims,
-        s_home=lib.s_home,
-        regions=(
-            pre.RegionCover(rc.region_id, (hollowed_entry,) + rc.entries[1:], rc.covered, rc.excluded),
+    q, nxt = two_step_goal(rc, entry)
+    for edits in ({nxt: None}, {nxt: q}):
+        lib2 = pre.Library(
+            fingerprint=lib.fingerprint,
+            dims=lib.dims,
+            s_home=lib.s_home,
+            regions=(
+                pre.RegionCover(
+                    rc.region_id,
+                    (tampered(entry, edits),) + rc.entries[1:],
+                    rc.covered,
+                    rc.excluded,
+                ),
+            )
+            + lib.regions[1:],
         )
-        + lib.regions[1:],
-    )
-    with pytest.raises(errors.StaleLibrary):
-        onl.query(sc, lib2, onl.QueryRequest(start=sc.s_home, goal=q))
+        with pytest.raises(errors.StaleLibrary):
+            onl.query(sc, lib2, onl.QueryRequest(start=sc.s_home, goal=q))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +265,7 @@ def test_path_home_to_goal_region_matches_connect(fitted12):
         pytest.skip("every covered state lies on a representative path")
     s = candidates[0]
     via_index = onl.path_home_to(index, s)
-    via_connect = onl.connect(sc, onl.find_rep_path(lib, s).entry, s)
+    via_connect = onl.connect(onl.find_rep_path(lib, s).entry, s)
     assert via_index.configs == via_connect.configs
 
 

@@ -49,7 +49,7 @@ def test_every_call_counts_one_check():
 
 def test_out_of_lattice_configs_are_invalid_and_not_stored(unit_arm):
     sc = grid(8)
-    outside = [(-1, 0), (0, -1), (8, 0), (0, 8), (0,), (0, 0, 0), ()]
+    outside = [(-1, 0), (0, -1), (8, 0), (0, 8), (0,), (0, 0, 0), (), (0.5, 0), (0, 2.5)]
     for q in outside:
         assert not cspace.is_valid(sc, q)
     assert sc.validity_memo == {}
