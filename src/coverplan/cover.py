@@ -486,9 +486,10 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
 
     Raises LibraryVersionError for any format version but the current one,
     FingerprintMismatch for another scenario's library, and CorruptLibrary
-    for a structural defect: dims other than the scenario's, a rank set
-    that is not strictly increasing within the lattice, an attractor
-    outside its member set, or descent moves that do not match the members.
+    for a structural defect: dims or a home other than the scenario's, a
+    rank set that is not strictly increasing within the lattice, an
+    attractor outside its member set, or descent moves that do not match
+    the members.
     """
     try:
         version = payload["format_version"]
@@ -500,6 +501,9 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         dims = tuple(payload["dims"])
         if dims != scenario.dims:
             raise CorruptLibrary(f"library dims {dims} differ from the scenario's {scenario.dims}")
+        s_home = tuple(payload["s_home"])
+        if s_home != scenario.s_home:
+            raise CorruptLibrary(f"library home {s_home} is not the scenario's {scenario.s_home}")
         table = list(cspace.lattice_configs(scenario))  # row-major: rank r is table[r]
         size = len(table)
         strides = _rank_strides(dims)
@@ -542,7 +546,7 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         return Library(
             fingerprint=fingerprint,
             dims=dims,
-            s_home=tuple(payload["s_home"]),
+            s_home=s_home,
             regions=tuple(regions),
         )
     except (FingerprintMismatch, LibraryVersionError, CorruptLibrary):

@@ -147,7 +147,9 @@ class Scenario:
     """A planning world: domain, obstacles, home state and goal regions.
 
     ``dims`` (lattice size per DOF) and ``wraps`` (which axes wrap) are
-    computed once from ``grid_dims`` or ``arm``; freezing keeps them valid.
+    computed once from ``grid_dims`` or ``arm``, and so is ``fingerprint``,
+    the content hash that binds libraries to the scenario; freezing keeps
+    them valid.
     Besides ``counters``, the one mutable part is ``validity_memo``, the
     config -> collision-free cache behind ``is_valid``: it stores a pure
     function of the frozen fields, only for in-lattice configurations, so
@@ -166,6 +168,7 @@ class Scenario:
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
     validity_memo: dict[Config, bool] = field(init=False, compare=False, repr=False)
+    fingerprint: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "grid":
@@ -200,6 +203,8 @@ class Scenario:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "wraps", wraps)
         object.__setattr__(self, "validity_memo", {})
+        payload = canonical_json(scenario_to_payload(self))
+        object.__setattr__(self, "fingerprint", hashlib.sha256(payload.encode()).hexdigest())
 
     @property
     def dof(self) -> int:
@@ -530,7 +535,7 @@ def canonical_json(payload: dict) -> str:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Content hash binding libraries to the scenario they were built for."""
-    return hashlib.sha256(canonical_json(scenario_to_payload(scenario)).encode()).hexdigest()
+    return scenario.fingerprint
 
 
 def save_scenario(scenario: Scenario, path) -> None:

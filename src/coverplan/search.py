@@ -15,8 +15,9 @@ weights above 1.
 
 All searches own their mutable state; many may run concurrently over one
 immutable scenario. Deadlines are absolute instants on the injected
-clock (monotonic wall clock by default) and are checked once per
-expansion.
+clock (monotonic wall clock by default): astar checks it before each
+heap pop, the shared pass before each selection, and shortcut_path
+before each trial.
 """
 
 from __future__ import annotations
@@ -164,7 +165,9 @@ class _AnytimeSearch:
     The heuristic memo, which also names the scenario and the goal;
     g-values and parent links; the open set; INCONS, the states improved
     after being closed in the current pass, which reopen in the next one;
-    and v-values, each state's g at its most recent successor scan.
+    v-values, each state's g at its most recent successor scan; and the
+    states of the caller's incumbent, ``chain``, with ``dirty`` set once
+    one of them gets a new g and parent.
     """
 
     h: _HeuristicMemo
@@ -173,6 +176,8 @@ class _AnytimeSearch:
     open_set: set[Config]
     incons: set[Config] = field(default_factory=set)
     v: dict[Config, float] = field(default_factory=dict)
+    chain: set[Config] = field(default_factory=set)
+    dirty: bool = False
 
     def improve_path(
         self, eps: float, deadline: float | None, clock: Callable[[], float]
@@ -186,7 +191,7 @@ class _AnytimeSearch:
         larger g) or the deadline passes ("deadline").
         """
         h, g, parent, v = self.h, self.g, self.parent, self.v
-        open_set, incons = self.open_set, self.incons
+        open_set, incons, chain = self.open_set, self.incons, self.chain
         scenario, goal = h.scenario, h.goal
         open_set |= incons
         incons.clear()
@@ -223,6 +228,8 @@ class _AnytimeSearch:
                     continue
                 g[nb] = g2
                 parent[nb] = q
+                if nb in chain:
+                    self.dirty = True
                 if nb in closed:
                     incons.add(nb)
                 else:
@@ -232,6 +239,11 @@ class _AnytimeSearch:
 
 # ---------------------------------------------------------------------------
 # incumbent-driven inflation schedule
+
+
+def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA) -> float:
+    """max over ``states`` of (C - g) / (h + delta), with g and h mappings; inf if empty."""
+    return max(((incumbent_cost - g[q]) / (h[q] + delta) for q in states), default=math.inf)
 
 
 def initial_epsilon(path_g, path_h, incumbent_cost: float, delta: float = DEFAULT_DELTA) -> float:
@@ -245,8 +257,7 @@ def initial_epsilon(path_g, path_h, incumbent_cost: float, delta: float = DEFAUL
     """
     if len(path_g) < 2:
         raise DegeneratePath("cannot seed a schedule from a single-state path")
-    best = max((incumbent_cost - g) / (h + delta) for g, h in zip(path_g, path_h))
-    return max(1.0, best)
+    return max(1.0, _max_ratio(range(len(path_g)), path_g, path_h, incumbent_cost, delta))
 
 
 def next_epsilon(
@@ -258,11 +269,9 @@ def next_epsilon(
     below the inflation the completed iteration ran at. An empty open
     list falls back to the path maximum alone.
     """
-    ratios_path = max((incumbent_cost - g) / (h + delta) for g, h in zip(path_g, path_h))
-    if open_g:
-        ratios_open = max((incumbent_cost - g) / (h + delta) for g, h in zip(open_g, open_h))
-        return max(1.0, min(ratios_path, ratios_open))
-    return max(1.0, ratios_path)
+    path_ratio = _max_ratio(range(len(path_g)), path_g, path_h, incumbent_cost, delta)
+    open_ratio = _max_ratio(range(len(open_g)), open_g, open_h, incumbent_cost, delta)
+    return max(1.0, min(path_ratio, open_ratio))
 
 
 @dataclass
@@ -357,20 +366,24 @@ def anytime_refine(
     t0 = clock()
     g, parent = _seed_from_path(initial_path)
     h = _HeuristicMemo(scenario, goal)
-    search = _AnytimeSearch(h, g, parent, set(initial_path.configs))
+    # dirty: a seed path that revisits states is longer than its parent chain
+    search = _AnytimeSearch(h, g, parent, set(initial_path.configs), dirty=True)
     incumbent = initial_path
-    eps = initial_epsilon(
-        [g[q] for q in incumbent.configs], [h[q] for q in incumbent.configs], incumbent.cost
-    )
+    eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
     while True:
         stop, expansions, selections = search.improve_path(eps, deadline, clock)
         if stop == "deadline":
             break  # mid-iteration deadline: report only completed iterations
-        if stop == "goal":
+        # The goal was selected (it is open at every pass start); the parent
+        # chain from it and the path ratio change only with a chain state's g.
+        if search.dirty:
             # Stale parent links can only overstate g(goal); the edge-cost
             # sum is an achieved cost, so adopt it.
             incumbent = _reconstruct(parent, goal)
             g[goal] = min(g[goal], incumbent.cost)
+            search.chain = set(incumbent.configs)
+            search.dirty = False
+            path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
         report.iterations.append(
             RefineIteration(eps, incumbent.cost, expansions, selections, (clock() - t0) * 1000.0)
         )
@@ -379,12 +392,7 @@ def anytime_refine(
             report.optimal_flag = True
             break
 
-        path_g = [g[q] for q in incumbent.configs]
-        path_h = [h[q] for q in incumbent.configs]
-        open_list = list(search.open_set)
-        new_eps = next_epsilon(
-            path_g, path_h, [g[q] for q in open_list], [h[q] for q in open_list], incumbent.cost
-        )
+        new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))
         if new_eps >= eps:
             # Only reachable when the frontier emptied, i.e. the g-values
             # are Bellman-stable; one inflation-1 pass certifies that.

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import ArmModel, Circle, RegionSpec, Scenario, cspace, errors
+from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
 
 
 def test_fk_zero_angles_collinear():
@@ -225,6 +226,24 @@ def test_fingerprint_tracks_content(two_region_grid12):
         regions=two_region_grid12.regions,
     )
     assert cspace.scenario_fingerprint(other) != cspace.scenario_fingerprint(two_region_grid12)
+
+
+def _content_hash(sc):
+    return hashlib.sha256(cspace.canonical_json(cspace.scenario_to_payload(sc)).encode()).hexdigest()
+
+
+def test_fingerprint_is_the_content_hash_for_the_corpus():
+    scenarios = corpus.corpus()
+    assert len(scenarios) == 23
+    for name, sc in scenarios:
+        assert sc.fingerprint == _content_hash(sc), name
+        assert cspace.scenario_fingerprint(sc) == sc.fingerprint, name
+
+
+def test_replace_gets_a_new_fingerprint(two_region_grid12):
+    edited = dataclasses.replace(two_region_grid12, obstacles=(cell_rect(5, 5),))
+    assert edited.fingerprint != two_region_grid12.fingerprint
+    assert edited.fingerprint == _content_hash(edited)
 
 
 def test_bad_scenario_files(tmp_path, unit_arm):

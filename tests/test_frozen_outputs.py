@@ -12,6 +12,14 @@ says why in CHANGES.md. Refinement schedules run to well over a hundred
 iterations, so each one is pinned by its length, its total expansions
 and the sha256 of the repr of its (epsilon, cost, expansions,
 selections) tuples.
+
+The wider refine pins below were recorded before the refinement loop
+stopped rebuilding its incumbent and inflation ratios on every pass. Each
+pins a run by its length, the collision checks it spent, the sha256 of
+its records and the sha256 of its per-iteration incumbent configs: seed
+paths that revisit states (non-home starts on the ladder), two more
+scenarios, goals whose paths cross the arm's wrap seam, and a simulated
+deadline that stops the schedule midway.
 """
 
 import hashlib
@@ -64,6 +72,120 @@ LIBRARY_V2_SHA256 = {
 }
 
 
+# run -> (iterations, collision checks, sha256 of the refine records,
+# sha256 of the incumbent configs per iteration)
+LADDER_V_REFINE = {  # (start, goal): the seed path runs via home
+    ((18, 0), (20, 19)): (
+        3,
+        99,
+        "3798b5306e474a5175a0890ec7794443692353b9e3d2bb2145578a164020fd9e",
+        "21a3aac2c1a4e9245d089eb848c65bd45f892217d677422f19910e06987d2d4b",
+    ),
+    ((19, 2), (18, 18)): (
+        3,
+        76,
+        "949f0b498baedf3d20867e49ec426c41b18a8aa3af78ddd6c71dc3562c016edc",
+        "b6dc70ff3eaa9dacd9a022c08bd798a1fa0536103dd936fb26558159406546c3",
+    ),
+    ((19, 20), (18, 0)): (
+        3,
+        96,
+        "76f510b1b107e2af0ca429b859abd457ceac797363499748b1960690ebcf7788",
+        "feece0d88b993c030e701b6fc478a565b8ba514716f59386472a81e342544427",
+    ),
+    # a rep-path start: its first pass improves no state of the seed path,
+    # whose parent chain is still shorter than the path
+    ((7, 18), (18, 0)): (
+        87,
+        1042,
+        "dcd32efd4944b2ef833dcc666a2e7a5644b6f1b2786ca79f0f6fb6b1ac79a51b",
+        "824e069c1255e70211a003066b2d12eeb149a44e85cae99ee65ebc36b7a0cf2c",
+    ),
+}
+HOME_REFINE = {  # (scenario, goal), from home
+    ("grid24_d30", (21, 0)): (
+        56,
+        1286,
+        "6c43ca7777ff9ec639d938da1be965e3e99be34fc64ba98c7cb3268455b97f88",
+        "79730475b5f72dfc21aa7d4ce6a5f8d54710f24c3e004c160aaddc940b1619a4",
+    ),
+    ("grid24_d30", (22, 0)): (
+        45,
+        960,
+        "7fe220d0691171c5c7ee3e8d621316de0c7bd1cb33431739738564f3f3f1af96",
+        "46e701561dc270b3611c6bc07d237cdc20b6b099560079ec051b1df66e3f44ff",
+    ),
+    ("grid24_d30", (23, 1)): (
+        26,
+        719,
+        "b8098868a9a59aa2c5cddb8d829e13d638e8c1eef5a62eb21dac9b3b767071b2",
+        "b67fd99abc45667a34bd129a586265f7a872c12c45790dfe0838b7f2a1c63771",
+    ),
+    ("grid24_d30", (23, 23)): (
+        14,
+        177,
+        "072f497c179d8d22051e7f41e83ac01359cd178f188cce2432f1dd3bc2e8f7f0",
+        "ba968988ec8a2a4d97d1788a80c5ea25ca1888f2df436da0e80d66307262c67e",
+    ),
+    ("arm32_o2", (12, 3)): (
+        52,
+        824,
+        "7b44965261df4682705e42c8a31d34ac789aff28ebc024837f3b1c5db40ff90c",
+        "8f3b67964a1ad38c3a04739e71c3774cc81aeba055a93c40954c68b3ea3206c5",
+    ),
+    ("arm32_o2", (13, 31)): (  # this and the next two cross the wrap seam
+        76,
+        1248,
+        "588d5456648a50a569962f3659752c74c24ce3f6e1d9548a0a9ec40c6d4e4f87",
+        "3775c6c8edda8185e021bb8437fb7ceb6b0d4dca017a9e6d2b94eb55349d381b",
+    ),
+    ("arm32_o2", (14, 29)): (
+        58,
+        1368,
+        "5411b2ff493c8afc9486fac6abbd0437a0c25a9d0d25ce7d6cc8e585d06afa7a",
+        "15827de999adf9c8c61be90354930f44e7f28535c4a71bca311f3fd647de0429",
+    ),
+    ("arm32_o2", (15, 30)): (
+        68,
+        1452,
+        "377fb259d63835c5c7617d0ec1df37aed916d62f9e998d0ff5f69726a75bff94",
+        "646306ae035ed06d8b37c3eb27792f2785ce2870f963151fc95926b701cb6de2",
+    ),
+}
+# ladder, home -> (19, 18) under SimClock with half the simulated time
+# that the full 158-iteration run takes
+SIMCLOCK_REFINE = (
+    74,
+    604,
+    "e610e1e09eee8014c6334b05ede4d4816d96e5e9f2ccd8dd8a5d43e93a2a882e",
+    "cd8218c024f68f9be9e0cc079ff1c7d06c9f77c8f60271790aad85dc026da352",
+)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _initial(scenario, library, start, goal):
+    request = QueryRequest(start=start, goal=goal, refine=False)
+    return query(scenario, library, request).path
+
+
+def _refine_pin(scenario, start, goal, initial, **kwargs):
+    """Refine ``initial``; return the run's pin and its report."""
+    checks = scenario.counters.collision_checks
+    _, report = search.anytime_refine(scenario, start, goal, initial, **kwargs)
+    records = [(it.epsilon, it.cost, it.expansions, it.selections) for it in report.iterations]
+    incumbents = [path.configs for path in report.incumbents]
+    pin = (
+        len(records),
+        scenario.counters.collision_checks - checks,
+        _sha256(records),
+        _sha256(incumbents),
+    )
+    return pin, report
+
+
 @pytest.fixture(scope="module")
 def ladder():
     scenario = dict(corpus.corpus())["grid21_ladder"]
@@ -93,6 +215,52 @@ def test_ara_star_records_frozen(ladder, goal):
     _, profile, optimal = search.ara_star(scenario, scenario.s_home, goal)
     assert [(it.weight, it.cost, it.expansions) for it in profile] == ARA[goal]
     assert optimal
+
+
+@pytest.mark.parametrize("start, goal", sorted(LADDER_V_REFINE))
+def test_refine_records_frozen_via_home(ladder, start, goal):
+    scenario, library = ladder
+    initial = _initial(scenario, library, start, goal)
+    assert len(set(initial.configs)) < len(initial.configs)  # the seed path revisits states
+    pin, report = _refine_pin(scenario, start, goal, initial)
+    assert pin == LADDER_V_REFINE[start, goal]
+    assert report.optimal_flag
+
+
+@pytest.fixture(scope="module")
+def home_refine_setups():
+    names = {name for name, _ in HOME_REFINE}
+    return {
+        name: (scenario, pre.preprocess(scenario, seed=0))
+        for name, scenario in corpus.corpus()
+        if name in names
+    }
+
+
+@pytest.mark.parametrize("name, goal", sorted(HOME_REFINE))
+def test_refine_records_frozen_from_home(home_refine_setups, name, goal):
+    scenario, library = home_refine_setups[name]
+    initial = _initial(scenario, library, scenario.s_home, goal)
+    pin, report = _refine_pin(scenario, scenario.s_home, goal, initial)
+    assert pin == HOME_REFINE[name, goal]
+    assert report.optimal_flag
+
+
+def test_refine_records_frozen_at_a_simulated_deadline(ladder):
+    scenario, library = ladder
+    goal = (19, 18)
+    initial = _initial(scenario, library, scenario.s_home, goal)
+    clock = bench.SimClock(scenario.counters)
+    scenario.counters.reset()
+    _, full = _refine_pin(scenario, scenario.s_home, goal, initial, clock=clock)
+    assert len(full.iterations) == REFINE[goal][0]
+    run_time = clock()
+    scenario.counters.reset()
+    pin, report = _refine_pin(
+        scenario, scenario.s_home, goal, initial, deadline=run_time / 2, clock=clock
+    )
+    assert pin == SIMCLOCK_REFINE
+    assert not report.optimal_flag
 
 
 def test_bench_trials_csv_frozen(ladder, tmp_path):

@@ -283,6 +283,18 @@ def test_library_fingerprint_mismatch(tmp_path, two_region_grid12):
         pre.load_library(path, edited)
 
 
+def test_library_home_must_be_the_scenarios(tmp_path, two_region_grid12):
+    """A home naming a goal state is rejected on load: taken on trust, a
+    query from that state would return a path from the real home."""
+    lib = pre.preprocess(two_region_grid12, seed=1)
+    payload = pre.library_to_payload(lib)
+    payload["s_home"] = list(min(lib.regions[0].covered))
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(errors.CorruptLibrary, match="home"):
+        pre.load_library(path, two_region_grid12)
+
+
 def test_library_truncated_file(tmp_path, two_region_grid12):
     lib = pre.preprocess(two_region_grid12, seed=1)
     path = tmp_path / "lib.json"
