@@ -18,6 +18,12 @@ pointers from a member therefore replays the offline walk exactly, in at
 most ``max_descent_steps`` moves, with no collision check and no
 navigation value; that is the whole of the online connect.
 
+Descent compares squared navigation values, as integers: the sum over
+axes of the squared wrapped index distance, read from a per-attractor
+table that each walk builds once. The walk is the one the float value
+gives: ``math.sqrt`` is correctly rounded and strictly monotone on these
+integers, so every argmin, every strict decrease and every tie is the same.
+
 Remark (offline only): the same basin property means no valid non-member
 neighbour of a member q can beat q's pointer on navigation value or
 tie-break order (it would have been the walk's next state, and so a
@@ -36,7 +42,7 @@ import json
 import operator
 import random
 from collections import deque
-from collections.abc import Set
+from collections.abc import Collection, Set
 from dataclasses import dataclass, field
 
 from . import cspace
@@ -155,24 +161,34 @@ class Library:
 # greedy descent
 
 
-def greedy_step(scenario: Scenario, q: Config, attractor: Config) -> Config | None:
+def _squared_deltas(scenario: Scenario, attractor: Config) -> tuple[tuple[int, ...], ...]:
+    """Per axis, each index c's squared wrapped distance to the attractor's
+    a: ``axis_squares`` at |c - a|, which is symmetric on a wrapping axis."""
+    if not cspace.in_bounds(scenario, attractor):
+        raise ValueError(f"attractor {attractor} is not a lattice state")
+    return tuple(sq[a:0:-1] + sq[: len(sq) - a] for sq, a in zip(scenario.axis_squares, attractor))
+
+
+def greedy_step(scenario: Scenario, q: Config, attractor: Config, squares=None) -> Config | None:
     """One steepest-descent move of the navigation value, or None at a stall.
 
-    Candidates are the valid lattice successors. The move must strictly
-    decrease the navigation value; ties break lexicographically.
+    Candidates are the valid successors of the lattice state ``q``, from
+    the scenario's neighbour table. The move must strictly decrease the
+    navigation value, compared squared, as an integer sum over ``squares``
+    (``_squared_deltas``, which a walk builds once); ties break lexicographically.
     """
-    nav_q = cspace.navigation_value(scenario, q, attractor)
+    if squares is None:
+        squares = _squared_deltas(scenario, attractor)
+    nav_q = sum(map(operator.getitem, squares, q))
     best: Config | None = None
     best_nav = nav_q
-    for nb in cspace.lattice_neighbors(scenario, q):
+    for nb in scenario.neighbor_table[q]:
         if not cspace.is_valid(scenario, nb):
             continue
-        nav = cspace.navigation_value(scenario, nb, attractor)
+        nav = sum(map(operator.getitem, squares, nb))
         if nav < best_nav or (nav == best_nav and best is not None and nb < best):
             best = nb
             best_nav = nav
-    if best is None or best_nav >= nav_q:
-        return None
     return best
 
 
@@ -181,15 +197,17 @@ def descend(scenario: Scenario, q: Config, attractor: Config, step_bound: int | 
 
     This is the offline walk, with collision checks; online, connect
     follows the pointers that construct_neighborhood recorded from the same
-    walk. Raises DescentStalled when no strictly improving move exists and
-    BoundExceeded when the walk outruns ``step_bound``.
+    walk. Raises ValueError for an attractor off the lattice, DescentStalled
+    when no strictly improving move exists and BoundExceeded when the walk
+    outruns ``step_bound``.
     """
+    squares = _squared_deltas(scenario, attractor)
     configs = [q]
     cur = q
     while cur != attractor:
         if step_bound is not None and len(configs) - 1 >= step_bound:
             raise BoundExceeded(f"descent from {q} exceeded {step_bound} steps")
-        nxt = greedy_step(scenario, cur, attractor)
+        nxt = greedy_step(scenario, cur, attractor, squares)
         if nxt is None:
             raise DescentStalled(f"descent stalled at {cur} toward {attractor}")
         configs.append(nxt)
@@ -210,6 +228,7 @@ def construct_neighborhood(
     # and config -> the walk's next state.
     steps: dict[Config, int] = {attractor: 0}
     next_state: dict[Config, Config] = {attractor: attractor}
+    squares = _squared_deltas(scenario, attractor)
 
     def walk(q: Config) -> int:
         # Strict descent means no cycles: the walk ends at the attractor,
@@ -218,7 +237,7 @@ def construct_neighborhood(
         cur = q
         while cur not in steps:
             chain.append(cur)
-            nxt = greedy_step(scenario, cur, attractor)
+            nxt = greedy_step(scenario, cur, attractor, squares)
             if nxt is None:
                 steps[cur] = -1
                 break
@@ -234,9 +253,10 @@ def construct_neighborhood(
     queue = deque([attractor])
     seen = {attractor}
     max_steps = 0
+    neighbors = scenario.neighbor_table
     while queue:
         q = queue.popleft()
-        for nb in cspace.lattice_neighbors(scenario, q):
+        for nb in neighbors[q]:
             if nb in seen or not cspace.is_valid(scenario, nb):
                 continue
             seen.add(nb)
@@ -260,22 +280,22 @@ def construct_neighborhood(
 
 
 def sample_valid_uncovered(
-    region_states: list[Config],
+    region_states: Collection[Config],
     done: set[Config],
     frontier_cache: frozenset[Config],
     rng: random.Random,
 ) -> Config | None:
     """Next attractor candidate: frontier states first, else uniform.
 
-    ``done`` holds states already covered or excluded. Candidates are
-    drawn from a sorted list, so the pick is deterministic for a seeded
-    rng. Returns None when the region is exhausted.
+    ``region_states`` iterates in lexicographic order (preprocess passes a
+    dict, for one-lookup membership); ``done`` holds states already covered
+    or excluded. Candidates are drawn from a sorted list, so the pick is
+    deterministic for a seeded rng. Returns None when the region is exhausted.
     """
-    region_set = set(region_states)
-    from_frontier = sorted(q for q in frontier_cache if q in region_set and q not in done)
+    from_frontier = sorted(q for q in frontier_cache if q in region_states and q not in done)
     if from_frontier:
         return from_frontier[rng.randrange(len(from_frontier))]
-    remaining = sorted(q for q in region_states if q not in done)
+    remaining = [q for q in region_states if q not in done]
     if not remaining:
         return None
     return remaining[rng.randrange(len(remaining))]
@@ -293,7 +313,7 @@ def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_P
     region_covers = []
     for region in scenario.regions:
         rng = random.Random(f"{seed}:{region.id}")
-        region_states = cspace.region_configs(scenario, region)
+        region_states = dict.fromkeys(cspace.region_configs(scenario, region))
         covered: set[Config] = set()
         excluded: set[Config] = set()
         entries: list[CoverEntry] = []
@@ -344,10 +364,13 @@ def _ranks(configs, dims) -> list[int]:
     return [sum(map(operator.mul, q, strides)) for q in configs]
 
 
-def _encode_set(configs, dims) -> list[int]:
+def _deltas(ranks: list[int]) -> list[int]:
     """Sorted lattice ranks, delta encoded: [first, diff, diff, ...]."""
-    ranks = sorted(_ranks(configs, dims))
     return list(map(operator.sub, ranks, [0] + ranks[:-1]))
+
+
+def _encode_set(configs, dims) -> list[int]:
+    return _deltas(sorted(_ranks(configs, dims)))
 
 
 # A move is axis * 2 + (1 if +1 else 0), stored as one base-36 digit; the
@@ -357,8 +380,9 @@ MOVE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 NO_MOVE = "-"
 
 
-def _encode_moves(neighborhood: Neighborhood, dims) -> str:
-    """Each member's descent move, in rank order, one character each.
+def _encode_entry(entry: CoverEntry, dims) -> dict:
+    """An entry's payload. One ranking of its members serves both the
+    member set and the descent moves, one character per member in rank order.
 
     A move changes the rank by its axis stride, or, across a wrapping
     axis's seam, by n - 1 strides the other way. These steps are distinct:
@@ -371,10 +395,17 @@ def _encode_moves(neighborhood: Neighborhood, dims) -> str:
         if n >= 4:
             move_of_step.update({(n - 1) * stride: down, -(n - 1) * stride: up})
         move_of_step.update({-stride: down, stride: up})
-    members = sorted(neighborhood.members)  # lexicographic order is rank order
-    rank = dict(zip(members, _ranks(members, dims)))
-    targets = map(rank.__getitem__, map(neighborhood.next_member.__getitem__, members))
-    return "".join(map(move_of_step.__getitem__, map(operator.sub, targets, rank.values())))
+    members = sorted(entry.members)  # lexicographic order is rank order
+    ranks = _ranks(members, dims)
+    rank = dict(zip(members, ranks))
+    targets = map(rank.__getitem__, map(entry.neighborhood.next_member.__getitem__, members))
+    return {
+        "attractor": list(entry.attractor),
+        "members": _deltas(ranks),
+        "moves": "".join(map(move_of_step.__getitem__, map(operator.sub, targets, ranks))),
+        "max_descent_steps": entry.neighborhood.max_descent_steps,
+        "rep_path": [list(q) for q in entry.rep_path.configs],
+    }
 
 
 def _decode_ranks(deltas, size: int) -> list[int]:
@@ -463,16 +494,7 @@ def library_to_payload(library: Library) -> dict:
         "regions": [
             {
                 "id": rc.region_id,
-                "entries": [
-                    {
-                        "attractor": list(e.attractor),
-                        "members": _encode_set(e.members, dims),
-                        "moves": _encode_moves(e.neighborhood, dims),
-                        "max_descent_steps": e.neighborhood.max_descent_steps,
-                        "rep_path": [list(q) for q in e.rep_path.configs],
-                    }
-                    for e in rc.entries
-                ],
+                "entries": [_encode_entry(e, dims) for e in rc.entries],
                 "covered": _encode_set(rc.covered, dims),
                 "excluded": _encode_set(rc.excluded, dims),
             }

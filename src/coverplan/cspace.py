@@ -6,19 +6,22 @@ freedom. Grid scenarios index workspace cells directly (1 m cells, cell
 fixed angular step of 2*pi / joints_per_rev. Continuous joints wrap;
 joints with limits do not.
 
-A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``) are
-derived once, at construction, from fields that cannot change afterwards.
-All operations are pure functions of that data and are safe for concurrent
-use. The scenario has two mutable parts. ``counters`` is an ``OpCounters``
-instrumentation block, which exists so callers can prove how much work
-(collision checks, expansions, elementary steps) an online query performed.
-``validity_memo`` maps each lattice configuration already checked to its
-collision-free answer, so ``is_valid`` runs the geometry of a configuration
-once per scenario. The memo is safe to share: it caches a pure function of
-the frozen fields, it holds only in-lattice configurations (at most
-prod(dims) entries), and two threads racing on one configuration write the
-same value twice. ``dataclasses.replace`` builds a new scenario with a new,
-empty memo, so an answer never outlives the obstacles it was computed for.
+A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
+``axis_squares``) are derived once, at construction, from fields that cannot
+change afterwards. All operations are pure functions of that data and are
+safe for concurrent use. ``counters`` is an ``OpCounters`` instrumentation
+block, which exists so callers can prove how much work (collision checks,
+expansions, elementary steps) an online query performed. Three caches run
+lattice-only work once per scenario: ``validity_memo`` (config ->
+collision-free, behind ``is_valid``), ``neighbor_table`` (each state's
++-1 neighbours, read by ``lattice_neighbors`` and the offline descent;
+geometry only, so validity still goes through the counted ``is_valid``) and ``ee_points`` (each
+state's end-effector point, read by ``region_configs``). They are safe to
+share: each caches a pure function of the frozen fields, keyed by lattice
+states only (at most prod(dims) entries); the two tables are built whole
+on first use, and two threads racing on the memo write the same value
+twice. ``dataclasses.replace`` builds a new scenario with new, empty
+caches, so an answer never outlives the fields it was computed from.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ScenarioFormatError
 
@@ -146,14 +150,14 @@ class OpCounters:
 class Scenario:
     """A planning world: domain, obstacles, home state and goal regions.
 
-    ``dims`` (lattice size per DOF) and ``wraps`` (which axes wrap) are
-    computed once from ``grid_dims`` or ``arm``, and so is ``fingerprint``,
-    the content hash that binds libraries to the scenario; freezing keeps
-    them valid.
-    Besides ``counters``, the one mutable part is ``validity_memo``, the
-    config -> collision-free cache behind ``is_valid``: it stores a pure
-    function of the frozen fields, only for in-lattice configurations, so
-    it stays bounded, and concurrent writers store the same answer.
+    ``dims`` (lattice size per DOF), ``wraps`` (which axes wrap) and
+    ``axis_squares`` (per axis, each index's squared wrapped distance from
+    index 0) are computed once from ``grid_dims`` or ``arm``, and so is
+    ``fingerprint``, the content hash that binds libraries to the scenario;
+    freezing keeps them valid. Besides ``counters``, the mutable parts are
+    the caches ``validity_memo``, ``neighbor_table`` and ``ee_points``,
+    each within prod(dims) entries (the module docstring says why they are
+    safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -167,6 +171,7 @@ class Scenario:
     counters: OpCounters = field(default_factory=OpCounters, compare=False, repr=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+    axis_squares: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     validity_memo: dict[Config, bool] = field(init=False, compare=False, repr=False)
     fingerprint: str = field(init=False, compare=False, repr=False)
 
@@ -202,6 +207,8 @@ class Scenario:
             raise ValueError(f"s_home {self.s_home} is not a state of a lattice with dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "wraps", wraps)
+        rows = (tuple(axis_delta(c, 0, n, w) ** 2 for c in range(n)) for n, w in zip(dims, wraps))
+        object.__setattr__(self, "axis_squares", tuple(rows))
         object.__setattr__(self, "validity_memo", {})
         payload = canonical_json(scenario_to_payload(self))
         object.__setattr__(self, "fingerprint", hashlib.sha256(payload.encode()).hexdigest())
@@ -209,6 +216,16 @@ class Scenario:
     @property
     def dof(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def neighbor_table(self) -> dict[Config, tuple[Config, ...]]:
+        """Lattice state -> its single-DOF +-1 neighbours (geometry only)."""
+        return {q: _neighbors(self, q) for q in lattice_configs(self)}
+
+    @cached_property
+    def ee_points(self) -> dict[Config, tuple[float, float]]:
+        """Lattice state -> its end-effector point, in lexicographic order."""
+        return {q: ee_position(self, q) for q in lattice_configs(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +377,7 @@ def is_valid(scenario: Scenario, q: Config) -> bool:
 # lattice connectivity, metrics, regions
 
 
-def lattice_neighbors(scenario: Scenario, q: Config) -> list[Config]:
-    """Single-DOF +-1 neighbors by lattice geometry only (no validity)."""
+def _neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
     # Only arm joints without limits wrap, and ArmModel keeps joints_per_rev
     # >= 4, so a wrapping axis's two moves differ from each other and from q.
     out: list[Config] = []
@@ -373,7 +389,16 @@ def lattice_neighbors(scenario: Scenario, q: Config) -> list[Config]:
             elif c < 0 or c >= n:
                 continue
             out.append(q[:d] + (c,) + q[d + 1 :])
-    return out
+    return tuple(out)
+
+
+def lattice_neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
+    """Single-DOF +-1 neighbors by lattice geometry only (no validity).
+
+    Lattice states read the scenario's table; other input is not stored.
+    """
+    nbs = scenario.neighbor_table.get(q)
+    return _neighbors(scenario, q) if nbs is None else nbs
 
 
 def successors(scenario: Scenario, q: Config) -> list[tuple[Config, float]]:
@@ -419,8 +444,10 @@ def lattice_configs(scenario: Scenario):
 
 
 def region_configs(scenario: Scenario, region: RegionSpec) -> list[Config]:
-    """Exhaustive enumeration of the region's valid member states."""
-    return [q for q in lattice_configs(scenario) if in_region(scenario, region, q)]
+    """The region's valid member states in lexicographic order; one check per state."""
+    x0, y0, x1, y1 = region.box
+    points = scenario.ee_points.items()
+    return [q for q, (x, y) in points if is_valid(scenario, q) and x0 <= x <= x1 and y0 <= y <= y1]
 
 
 # ---------------------------------------------------------------------------

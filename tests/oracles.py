@@ -4,8 +4,8 @@ These deliberately avoid the search / preprocess / query code paths they
 are used to check: breadth-first flood fill for unit-cost distances, and
 a literal step-by-step simulation of the navigation-descent rule. They
 test validity with ``cspace.collision_free``, which runs the geometry on
-every call, so they never read the validity memo that ``is_valid`` keeps
-on the scenario.
+every call, and find neighbours by their own formula, so they never read
+the validity memo or the neighbour table that the scenario keeps.
 """
 
 from collections import deque
@@ -13,11 +13,25 @@ from collections import deque
 from coverplan import cspace
 
 
+def lattice_neighbors(scenario, q):
+    """q with one coordinate moved by one index down or up.
+
+    A wrapping axis takes the moved index modulo its size; any other axis
+    drops a move that leaves [0, n).
+    """
+    out = []
+    for d, (n, wrap) in enumerate(zip(scenario.dims, scenario.wraps)):
+        for c in (q[d] - 1, q[d] + 1):
+            if wrap or 0 <= c < n:
+                out.append(q[:d] + (c % n,) + q[d + 1 :])
+    return out
+
+
 def successors(scenario, q):
     """Valid unit-cost lattice moves from q, checked without the memo."""
     return [
         (nb, cspace.UNIT_COST)
-        for nb in cspace.lattice_neighbors(scenario, q)
+        for nb in lattice_neighbors(scenario, q)
         if cspace.collision_free(scenario, nb)
     ]
 

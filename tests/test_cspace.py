@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import pytest
 
+import oracles
 from conftest import cell_rect, grid
 from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
 
@@ -95,6 +98,18 @@ def test_successors_exclude_self(empty8):
         assert q not in [nb for nb, _ in cspace.successors(empty8, q)]
 
 
+def mixed_limit_arm():
+    """A limited joint with a single index next to a wrapping one."""
+    sc = Scenario(
+        kind="arm",
+        arm=ArmModel(link_lengths=(1.0, 0.8), joints_per_rev=8, joint_limits=((0.0, 0.5), None)),
+        s_home=(0, 0),
+        regions=(RegionSpec("r", (-1.8, -1.8, 1.8, 1.8)),),
+    )
+    assert sc.dims == (1, 8)
+    return sc
+
+
 def test_edge_symmetry_exhaustive():
     scenarios = [
         grid(8, obstacles=[cell_rect(3, 3), cell_rect(4, 1), Circle((6.5, 2.5), 0.6)]),
@@ -112,17 +127,8 @@ def test_edge_symmetry_exhaustive():
             s_home=(0, 0),
             regions=(RegionSpec("r", (-1.8, -1.8, 1.8, 1.8)),),
         ),
-        # a limited joint with a single index next to a wrapping one
-        Scenario(
-            kind="arm",
-            arm=ArmModel(
-                link_lengths=(1.0, 0.8), joints_per_rev=8, joint_limits=((0.0, 0.5), None)
-            ),
-            s_home=(0, 0),
-            regions=(RegionSpec("r", (-1.8, -1.8, 1.8, 1.8)),),
-        ),
+        mixed_limit_arm(),
     ]
-    assert scenarios[-1].dims == (1, 8)
     for sc in scenarios:
         for q in cspace.lattice_configs(sc):
             nbs = cspace.lattice_neighbors(sc, q)
@@ -174,6 +180,90 @@ def test_heuristic_consistency_exhaustive(size):
         for nb, cost in cspace.successors(sc, q):
             for goal in goals:
                 assert cspace.heuristic(sc, q, goal) <= cost + cspace.heuristic(sc, nb, goal)
+
+
+def test_neighbor_table_matches_the_oracle():
+    """Every lattice state's table entry is the oracle's neighbour set, in
+    all 23 corpus scenarios and on a lattice with a one-index axis."""
+    scenarios = [sc for _, sc in corpus.corpus()] + [mixed_limit_arm()]
+    for sc in scenarios:
+        table = sc.neighbor_table
+        assert list(table) == list(cspace.lattice_configs(sc))
+        for q, nbs in table.items():
+            assert len(set(nbs)) == len(nbs), (q, nbs)
+            assert sorted(nbs) == sorted(oracles.lattice_neighbors(sc, q)), (q, nbs)
+            assert cspace.lattice_neighbors(sc, q) is nbs
+
+
+def test_neighbors_off_the_lattice_are_not_stored(empty8):
+    """Off the lattice, the +-1 formula answers and the table stays as built."""
+    table = empty8.neighbor_table
+    size = len(table)
+    for q in [(-1, 3), (8, 0), (3, -2)]:
+        nbs = cspace.lattice_neighbors(empty8, q)
+        assert sorted(nbs) == sorted(oracles.lattice_neighbors(empty8, q))
+        assert q not in table
+    assert cspace.lattice_neighbors(empty8, (-1, 3)) == ((0, 3), (-1, 2), (-1, 4))
+    assert len(empty8.neighbor_table) == size == 64
+
+
+def test_replace_gives_fresh_caches(unit_arm):
+    """A replaced scenario computes its own tables and memo."""
+    cspace.region_configs(unit_arm, unit_arm.regions[0])
+    cspace.lattice_neighbors(unit_arm, (0, 0))
+    copy = dataclasses.replace(unit_arm, obstacles=(Circle((2.0, 0.0), 0.1),))
+    assert copy.validity_memo == {} and unit_arm.validity_memo
+    assert copy.neighbor_table is not unit_arm.neighbor_table
+    assert copy.ee_points is not unit_arm.ee_points
+    assert copy.neighbor_table == unit_arm.neighbor_table
+    assert copy.ee_points == unit_arm.ee_points
+    assert not cspace.is_valid(copy, (0, 0)) and cspace.is_valid(unit_arm, (0, 0))
+
+
+def test_concurrent_first_use_matches_a_serial_one(unit_arm):
+    """Threads racing on a fresh scenario's first neighbour and region reads
+    all get the serial answers, and the tables end up the serial ones."""
+    region = unit_arm.regions[0]
+    serial = (dict(unit_arm.neighbor_table), cspace.region_configs(unit_arm, region))
+    shared = dataclasses.replace(unit_arm)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def read(k):
+        barrier.wait()
+        nbs = {q: cspace.lattice_neighbors(shared, q) for q in serial[0]}
+        results[k] = (nbs, cspace.region_configs(shared, region))
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave more
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    assert shared.neighbor_table == serial[0] and shared.ee_points == unit_arm.ee_points
+
+
+def test_region_configs_reads_the_end_effector_table(unit_arm):
+    """Same states, order and counted checks as in_region over the lattice."""
+    wide = RegionSpec("wide", (-1.0, 0.0, 2.0, 2.0))
+    sc = dataclasses.replace(
+        unit_arm, obstacles=(Circle((0.0, 1.2), 0.3),), regions=(*unit_arm.regions, wide)
+    )
+    for region in sc.regions:
+        before = sc.counters.collision_checks
+        states = cspace.region_configs(sc, region)
+        assert sc.counters.collision_checks - before == len(sc.ee_points) == 256
+        expected = [q for q in cspace.lattice_configs(sc) if cspace.in_region(sc, region, q)]
+        assert states == expected
+    x0, y0, x1, y1 = wide.box
+    in_box = [q for q, (x, y) in sc.ee_points.items() if x0 <= x <= x1 and y0 <= y <= y1]
+    assert 0 < len(states) < len(in_box)  # the disc blocks part of the wide box
 
 
 def test_navigation_value(empty8):

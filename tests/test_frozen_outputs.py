@@ -20,6 +20,11 @@ its records and the sha256 of its per-iteration incumbent configs: seed
 paths that revisit states (non-home starts on the ladder), two more
 scenarios, goals whose paths cross the arm's wrap seam, and a simulated
 deadline that stops the schedule midway.
+
+The arm3_s16 library pins and the preprocess check-count pins were
+recorded before descent compared integer squared distances and before the
+scenario kept its neighbour table and end-effector points: they show that
+the offline phase builds the same bytes with the same logical checks.
 """
 
 import hashlib
@@ -29,6 +34,7 @@ import pytest
 
 from conftest import v1_projection
 from coverplan import bench, corpus, cspace, search
+from coverplan.cspace import ArmModel, Circle, RegionSpec, Scenario
 from coverplan import cover as pre
 from coverplan.online import QueryRequest, query
 
@@ -69,6 +75,22 @@ LIBRARY_V2_SHA256 = {
     "grid24_d20": "b54da7ea2c5fe61d2a638e51b5703b27ffaf5cafa627b905dd42b97a8f6be7c9",
     "arm32_o2": "313048bd4c7acf34e97b90fee7a8e042b461b89674aa0198c95ce3316c7fcd17",
     "grid21_ladder": "6ff3ecf4cda9900969a0cebed0e96a5c14d2b101a816cb5037c3f9c045ff77d4",
+}
+
+# preprocess seed -> sha256 of the saved arm3_s16 library (format 2)
+ARM3_S16_LIBRARY_SHA256 = {
+    0: "4cee61ecda11ec3e5572f94982ac1130f9e88b65823e93fd36c374af2c87bb76",
+    1: "1272b187ece0b7054c9c307b0bd1ea40831794c9b5343294842fd5e7a2d83390",
+}
+
+# (scenario, preprocess seed) -> logical collision checks that preprocess spends
+PREPROCESS_CHECKS = {
+    ("grid24_d20", 0): 10447,
+    ("grid24_d20", 1): 10339,
+    ("arm32_o2", 0): 9905,
+    ("arm32_o2", 1): 9988,
+    ("arm3_s16", 0): 62150,
+    ("arm3_s16", 1): 59295,
 }
 
 
@@ -296,3 +318,44 @@ def test_library_bytes_frozen(name, tmp_path):
     v1 = cspace.canonical_json(v1_projection(json.loads(data))) + "\n"
     assert hashlib.sha256(v1.encode()).hexdigest() == LIBRARY_SHA256[name]
     assert hashlib.sha256(data).hexdigest() == LIBRARY_V2_SHA256[name]
+
+
+def arm3_s16() -> Scenario:
+    """The benchmark's 3-link arm: 16 joint steps per revolution, two discs."""
+    reach = 2.4
+    return Scenario(
+        kind="arm",
+        arm=ArmModel(link_lengths=(1.0, 0.8, 0.6), joints_per_rev=16),
+        s_home=(0, 0, 0),
+        regions=(
+            RegionSpec("pick", (0.55 * reach, 0.15 * reach, 1.0 * reach, 0.65 * reach)),
+            RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
+        ),
+        obstacles=(Circle((0.0, 1.7), 0.25), Circle((0.3, -1.5), 0.3)),
+    )
+
+
+@pytest.fixture(scope="module")
+def preprocess_runs():
+    """(scenario, seed) -> (library, logical checks that preprocess spent)."""
+    scenarios = dict(corpus.corpus())
+    scenarios["arm3_s16"] = arm3_s16()
+    runs = {}
+    for name, seed in sorted(PREPROCESS_CHECKS):
+        scenario = scenarios[name]
+        before = scenario.counters.collision_checks
+        library = pre.preprocess(scenario, seed=seed)
+        runs[name, seed] = library, scenario.counters.collision_checks - before
+    return runs
+
+
+@pytest.mark.parametrize("seed", sorted(ARM3_S16_LIBRARY_SHA256))
+def test_arm3_s16_library_bytes_frozen(preprocess_runs, seed, tmp_path):
+    path = tmp_path / "arm3_s16_library.json"
+    pre.save_library(preprocess_runs["arm3_s16", seed][0], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARM3_S16_LIBRARY_SHA256[seed]
+
+
+@pytest.mark.parametrize("name, seed", sorted(PREPROCESS_CHECKS))
+def test_preprocess_checks_frozen(preprocess_runs, name, seed):
+    assert preprocess_runs[name, seed][1] == PREPROCESS_CHECKS[name, seed]

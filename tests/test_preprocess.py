@@ -81,6 +81,15 @@ def test_descend_bound_exceeded():
         pre.descend(sc, (2, 2), (0, 0), step_bound=1)
 
 
+def test_descent_needs_a_lattice_attractor():
+    sc = grid3()
+    for attractor in [(-1, 0), (0, 3), (0,)]:
+        with pytest.raises(ValueError, match="not a lattice state"):
+            pre.descend(sc, (0, 0), attractor)
+        with pytest.raises(ValueError, match="not a lattice state"):
+            pre.greedy_step(sc, (0, 0), attractor)
+
+
 @pytest.fixture(scope="module")
 def corpus_libraries():
     return [(name, sc, pre.preprocess(sc, seed=0)) for name, sc in corpus.corpus()]
