@@ -340,7 +340,7 @@ def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_P
             )
         )
     return Library(
-        fingerprint=cspace.scenario_fingerprint(scenario),
+        fingerprint=scenario.fingerprint,
         dims=scenario.dims,
         s_home=scenario.s_home,
         regions=tuple(region_covers),
@@ -518,7 +518,7 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         if version != LIBRARY_FORMAT_VERSION:
             raise LibraryVersionError(f"unsupported library format_version {version}")
         fingerprint = payload["scenario_fingerprint"]
-        if fingerprint != cspace.scenario_fingerprint(scenario):
+        if fingerprint != scenario.fingerprint:
             raise FingerprintMismatch("library was built for a different scenario")
         dims = tuple(payload["dims"])
         if dims != scenario.dims:

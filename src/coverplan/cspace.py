@@ -11,17 +11,17 @@ A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
 change afterwards. All operations are pure functions of that data and are
 safe for concurrent use. ``counters`` is an ``OpCounters`` instrumentation
 block, which exists so callers can prove how much work (collision checks,
-expansions, elementary steps) an online query performed. Three caches run
-lattice-only work once per scenario: ``validity_memo`` (config ->
-collision-free, behind ``is_valid``), ``neighbor_table`` (each state's
-+-1 neighbours, read by ``lattice_neighbors`` and the offline descent;
-geometry only, so validity still goes through the counted ``is_valid``) and ``ee_points`` (each
-state's end-effector point, read by ``region_configs``). They are safe to
-share: each caches a pure function of the frozen fields, keyed by lattice
-states only (at most prod(dims) entries); the two tables are built whole
-on first use, and two threads racing on the memo write the same value
-twice. ``dataclasses.replace`` builds a new scenario with new, empty
-caches, so an answer never outlives the fields it was computed from.
+expansions, elementary steps) an online query performed. Two tables run
+lattice-only work once per scenario, each built whole on first use and
+keyed by exactly the prod(dims) lattice states: ``state_table`` (each
+state's collision-free flag and end-effector point, from one geometry pass
+per state, read by ``is_valid`` and ``region_configs``) and
+``neighbor_table`` (each state's +-1 neighbours, read by
+``lattice_neighbors`` and the offline descent; geometry only, so validity
+still goes through the counted ``is_valid``). Neither changes once built,
+so they are safe to share. ``dataclasses.replace`` builds a new scenario
+with new counters and tables, so an answer never outlives the fields it was
+computed from.
 """
 
 from __future__ import annotations
@@ -127,10 +127,10 @@ class OpCounters:
     """Instrumentation: work performed against a scenario.
 
     collision_checks counts is_valid() calls (logical checks: one per call,
-    whether the geometry runs or the validity memo answers), expansions
-    counts search-node expansions, elementary_steps counts constant-cost
-    bookkeeping ops (configs assembled into a lookup-built path, descent
-    moves).
+    although the geometry runs once per state, in ``Scenario.state_table``),
+    expansions counts search-node expansions, elementary_steps counts
+    constant-cost bookkeeping ops (configs assembled into a lookup-built
+    path, descent moves).
     """
 
     collision_checks: int = 0
@@ -154,10 +154,9 @@ class Scenario:
     ``axis_squares`` (per axis, each index's squared wrapped distance from
     index 0) are computed once from ``grid_dims`` or ``arm``, and so is
     ``fingerprint``, the content hash that binds libraries to the scenario;
-    freezing keeps them valid. Besides ``counters``, the mutable parts are
-    the caches ``validity_memo``, ``neighbor_table`` and ``ee_points``,
-    each within prod(dims) entries (the module docstring says why they are
-    safe to share).
+    freezing keeps them valid. ``counters`` is the one mutable part; the
+    tables ``state_table`` and ``neighbor_table`` are built whole on first
+    use (the module docstring says why they are safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -168,11 +167,10 @@ class Scenario:
     arm: ArmModel | None = None
     actions: str = ACTION_SET
     cost_model: str = COST_MODEL
-    counters: OpCounters = field(default_factory=OpCounters, compare=False, repr=False)
+    counters: OpCounters = field(default_factory=OpCounters, init=False, compare=False, repr=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
     axis_squares: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    validity_memo: dict[Config, bool] = field(init=False, compare=False, repr=False)
     fingerprint: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -209,7 +207,6 @@ class Scenario:
         object.__setattr__(self, "wraps", wraps)
         rows = (tuple(axis_delta(c, 0, n, w) ** 2 for c in range(n)) for n, w in zip(dims, wraps))
         object.__setattr__(self, "axis_squares", tuple(rows))
-        object.__setattr__(self, "validity_memo", {})
         payload = canonical_json(scenario_to_payload(self))
         object.__setattr__(self, "fingerprint", hashlib.sha256(payload.encode()).hexdigest())
 
@@ -223,9 +220,9 @@ class Scenario:
         return {q: _neighbors(self, q) for q in lattice_configs(self)}
 
     @cached_property
-    def ee_points(self) -> dict[Config, tuple[float, float]]:
-        """Lattice state -> its end-effector point, in lexicographic order."""
-        return {q: ee_position(self, q) for q in lattice_configs(self)}
+    def state_table(self) -> dict[Config, tuple[bool, tuple[float, float]]]:
+        """Lattice state -> (collision-free, end-effector point), in lexicographic order."""
+        return {q: _state_geometry(self, q) for q in lattice_configs(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +299,9 @@ def segment_hits_obstacle(a, b, obstacle: Obstacle) -> bool:
 
 def joint_angles(arm: ArmModel, q: Config) -> tuple[float, ...]:
     """Map lattice indices to joint angles in radians."""
-    out = []
-    for j, idx in enumerate(q):
-        lim = arm.limit(j)
-        lo = 0.0 if lim is None else lim[0]
-        out.append(lo + idx * arm.step)
-    return tuple(out)
+    step = arm.step
+    limits = arm.joint_limits or (None,) * len(q)
+    return tuple((0.0 if lim is None else lim[0]) + idx * step for idx, lim in zip(q, limits))
 
 
 def forward_kinematics(arm: ArmModel, q: Config) -> list[tuple[float, float]]:
@@ -343,34 +337,35 @@ def in_bounds(scenario: Scenario, q: Config) -> bool:
     return all(isinstance(c, int) and 0 <= c < n for c, n in zip(q, dims))
 
 
-def collision_free(scenario: Scenario, q: Config) -> bool:
-    """Obstacle geometry for an in-lattice q: not counted, not memoised."""
+def _state_geometry(scenario: Scenario, q: Config) -> tuple[bool, tuple[float, float]]:
+    """(collision-free, end-effector point) of an in-lattice q; one kinematics pass."""
     if scenario.kind == "grid":
         p = cell_center(q)
-        return not any(point_in_obstacle(p, o) for o in scenario.obstacles)
+        return not any(point_in_obstacle(p, o) for o in scenario.obstacles), p
     points = forward_kinematics(scenario.arm, q)
-    for a, b in zip(points, points[1:]):
-        for obstacle in scenario.obstacles:
-            if segment_hits_obstacle(a, b, obstacle):
-                return False
-    return True
+    segments = zip(points, points[1:])
+    hit = any(segment_hits_obstacle(a, b, o) for a, b in segments for o in scenario.obstacles)
+    return not hit, points[-1]
+
+
+def collision_free(scenario: Scenario, q: Config) -> bool:
+    """Obstacle geometry for an in-lattice q: not counted, not stored."""
+    return _state_geometry(scenario, q)[0]
+
+
+_OFF_LATTICE = (False, None)
 
 
 def is_valid(scenario: Scenario, q: Config) -> bool:
     """Collision / limit check. Counted: one collision check per call.
 
-    The count is logical: a call that the scenario's validity memo answers
-    still adds one. Only in-lattice configurations are stored, so the memo
-    holds at most prod(dims) entries.
+    The count is logical: the answer is one lookup in the scenario's
+    ``state_table``. Input off the lattice finds no entry and is invalid; a
+    key equal to a lattice state, such as (1.0, 0) for (1, 0), answers as
+    that state.
     """
     scenario.counters.collision_checks += 1
-    memo = scenario.validity_memo
-    ok = memo.get(q)
-    if ok is None:
-        if not in_bounds(scenario, q):
-            return False
-        ok = memo[q] = collision_free(scenario, q)
-    return ok
+    return scenario.state_table.get(q, _OFF_LATTICE)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +441,11 @@ def lattice_configs(scenario: Scenario):
 def region_configs(scenario: Scenario, region: RegionSpec) -> list[Config]:
     """The region's valid member states in lexicographic order; one check per state."""
     x0, y0, x1, y1 = region.box
-    points = scenario.ee_points.items()
-    return [q for q, (x, y) in points if is_valid(scenario, q) and x0 <= x <= x1 and y0 <= y <= y1]
+    return [
+        q
+        for q, (_, (x, y)) in scenario.state_table.items()
+        if is_valid(scenario, q) and x0 <= x <= x1 and y0 <= y <= y1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +463,6 @@ def check_config(scenario: Scenario, q) -> Config:
     if not in_bounds(scenario, cfg):
         raise ValueError(f"configuration {cfg} outside lattice dims {scenario.dims}")
     return cfg
-
-
-def check_scenario(scenario: Scenario) -> Scenario:
-    """Check that the home state is collision-free.
-
-    ``Scenario`` itself rejects a home off the lattice and region boxes
-    with no area; collision needs the geometry, so it is checked here.
-    """
-    if not is_valid(scenario, scenario.s_home):
-        raise ValueError("s_home is not collision-free")
-    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +545,6 @@ def scenario_from_payload(payload: dict) -> Scenario:
 
 def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def scenario_fingerprint(scenario: Scenario) -> str:
-    """Content hash binding libraries to the scenario they were built for."""
-    return scenario.fingerprint
 
 
 def save_scenario(scenario: Scenario, path) -> None:

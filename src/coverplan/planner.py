@@ -56,10 +56,12 @@ class CoverPlanner:
     # -- offline -------------------------------------------------------------
 
     def fit(self, scenario: Scenario, y=None) -> "CoverPlanner":
-        """Preprocess the scenario; idempotent for a fixed seed."""
-        cspace.check_scenario(scenario)
-        self.scenario_ = scenario
+        """Preprocess the scenario; idempotent for a fixed seed.
+
+        Raises HomeInvalid when the home state is in collision.
+        """
         self.library_ = preprocess(scenario, seed=self.seed, rep_path_weight=self.rep_path_weight)
+        self.scenario_ = scenario
         self.index_ = PotentialStateIndex(scenario, self.library_)
         return self
 

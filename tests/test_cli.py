@@ -150,7 +150,7 @@ def test_shipped_scenarios_load(tmp_path, capsys):
     root = pathlib.Path(__file__).resolve().parent.parent
     for name in ("grid12_demo.json", "arm16_demo.json"):
         scenario = cspace.load_scenario(root / "scenarios" / name)
-        cspace.check_scenario(scenario)
+        assert cspace.is_valid(scenario, scenario.s_home)
     bench.load_experiment_config(root / "scenarios" / "bench_demo.json")
     spath = str(root / "scenarios" / "grid12_demo.json")
     lpath = str(tmp_path / "demo_lib.json")

@@ -207,16 +207,19 @@ def test_neighbors_off_the_lattice_are_not_stored(empty8):
     assert len(empty8.neighbor_table) == size == 64
 
 
+def ee_points(sc):
+    return {q: p for q, (_, p) in sc.state_table.items()}
+
+
 def test_replace_gives_fresh_caches(unit_arm):
-    """A replaced scenario computes its own tables and memo."""
+    """A replaced scenario computes its own tables."""
     cspace.region_configs(unit_arm, unit_arm.regions[0])
     cspace.lattice_neighbors(unit_arm, (0, 0))
     copy = dataclasses.replace(unit_arm, obstacles=(Circle((2.0, 0.0), 0.1),))
-    assert copy.validity_memo == {} and unit_arm.validity_memo
     assert copy.neighbor_table is not unit_arm.neighbor_table
-    assert copy.ee_points is not unit_arm.ee_points
+    assert copy.state_table is not unit_arm.state_table
     assert copy.neighbor_table == unit_arm.neighbor_table
-    assert copy.ee_points == unit_arm.ee_points
+    assert ee_points(copy) == ee_points(unit_arm)
     assert not cspace.is_valid(copy, (0, 0)) and cspace.is_valid(unit_arm, (0, 0))
 
 
@@ -246,7 +249,7 @@ def test_concurrent_first_use_matches_a_serial_one(unit_arm):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 4
-    assert shared.neighbor_table == serial[0] and shared.ee_points == unit_arm.ee_points
+    assert shared.neighbor_table == serial[0] and shared.state_table == unit_arm.state_table
 
 
 def test_region_configs_reads_the_end_effector_table(unit_arm):
@@ -258,11 +261,11 @@ def test_region_configs_reads_the_end_effector_table(unit_arm):
     for region in sc.regions:
         before = sc.counters.collision_checks
         states = cspace.region_configs(sc, region)
-        assert sc.counters.collision_checks - before == len(sc.ee_points) == 256
+        assert sc.counters.collision_checks - before == len(sc.state_table) == 256
         expected = [q for q in cspace.lattice_configs(sc) if cspace.in_region(sc, region, q)]
         assert states == expected
     x0, y0, x1, y1 = wide.box
-    in_box = [q for q, (x, y) in sc.ee_points.items() if x0 <= x <= x1 and y0 <= y <= y1]
+    in_box = [q for q, (x, y) in ee_points(sc).items() if x0 <= x <= x1 and y0 <= y <= y1]
     assert 0 < len(states) < len(in_box)  # the disc blocks part of the wide box
 
 
@@ -305,7 +308,7 @@ def test_scenario_round_trip(tmp_path, two_region_grid12, unit_arm):
         cspace.save_scenario(sc, path)
         again = cspace.load_scenario(path)
         assert cspace.scenario_to_payload(again) == cspace.scenario_to_payload(sc)
-        assert cspace.scenario_fingerprint(again) == cspace.scenario_fingerprint(sc)
+        assert again.fingerprint == sc.fingerprint
 
 
 def test_fingerprint_tracks_content(two_region_grid12):
@@ -315,7 +318,7 @@ def test_fingerprint_tracks_content(two_region_grid12):
         obstacles=[cell_rect(5, 5)],
         regions=two_region_grid12.regions,
     )
-    assert cspace.scenario_fingerprint(other) != cspace.scenario_fingerprint(two_region_grid12)
+    assert other.fingerprint != two_region_grid12.fingerprint
 
 
 def _content_hash(sc):
@@ -327,7 +330,6 @@ def test_fingerprint_is_the_content_hash_for_the_corpus():
     assert len(scenarios) == 23
     for name, sc in scenarios:
         assert sc.fingerprint == _content_hash(sc), name
-        assert cspace.scenario_fingerprint(sc) == sc.fingerprint, name
 
 
 def test_replace_gets_a_new_fingerprint(two_region_grid12):
@@ -382,12 +384,6 @@ def test_check_config(empty8):
         cspace.check_config(empty8, (1, 2, 3))
     with pytest.raises(ValueError):
         cspace.check_config(empty8, (9, 0))
-
-
-def test_check_scenario_rejects_blocked_home():
-    sc = grid(8, obstacles=[cell_rect(0, 0)])
-    with pytest.raises(ValueError):
-        cspace.check_scenario(sc)
 
 
 def test_arm_joint_limits_dims():

@@ -40,7 +40,7 @@ def test_fit_validates_scenario(two_region_grid12):
     from conftest import cell_rect, grid
 
     bad = grid(12, home=(0, 6), regions=two_region_grid12.regions, obstacles=[cell_rect(0, 6)])
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.HomeInvalid):
         CoverPlanner().fit(bad)
 
 

@@ -1,11 +1,12 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from conftest import cell_rect, grid, v1_projection
-from coverplan import RegionSpec, corpus, cspace, errors
+from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
 from coverplan import cover as pre
 from oracles import bfs_distances, descent_basin, simulate_descent
 
@@ -213,6 +214,32 @@ def test_preprocess_home_invalid():
     sc = grid(8, obstacles=[cell_rect(0, 0)])
     with pytest.raises(errors.HomeInvalid):
         pre.preprocess(sc)
+
+
+def test_cold_preprocess_runs_kinematics_once_per_state(monkeypatch):
+    """A cold build of the benchmark's 3-link arm runs forward kinematics once
+    per lattice state: validity and the end-effector point share one pass."""
+    reach = 2.4
+    sc = Scenario(
+        kind="arm",
+        arm=ArmModel(link_lengths=(1.0, 0.8, 0.6), joints_per_rev=16),
+        s_home=(0, 0, 0),
+        regions=(
+            RegionSpec("pick", (0.55 * reach, 0.15 * reach, 1.0 * reach, 0.65 * reach)),
+            RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
+        ),
+        obstacles=(Circle((0.0, 1.7), 0.25), Circle((0.3, -1.5), 0.3)),
+    )
+    calls = []
+    fk = cspace.forward_kinematics
+
+    def counted(arm, q):
+        calls.append(q)
+        return fk(arm, q)
+
+    monkeypatch.setattr(cspace, "forward_kinematics", counted)
+    pre.preprocess(sc, seed=0)
+    assert len(calls) == len(set(calls)) == math.prod(sc.dims) == 4096
 
 
 def test_cover_completeness_against_bfs(two_region_grid12):
