@@ -150,12 +150,6 @@ class Library:
                     index.setdefault(q, hit)
         object.__setattr__(self, "goal_index", index)
 
-    def region(self, region_id: str) -> RegionCover:
-        for rc in self.regions:
-            if rc.region_id == region_id:
-                return rc
-        raise KeyError(region_id)
-
 
 # ---------------------------------------------------------------------------
 # greedy descent

@@ -390,10 +390,10 @@ def _neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
 def lattice_neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
     """Single-DOF +-1 neighbors by lattice geometry only (no validity).
 
-    Lattice states read the scenario's table; other input is not stored.
+    One read of the scenario's table; a configuration off the lattice has
+    no neighbours, as it is never valid.
     """
-    nbs = scenario.neighbor_table.get(q)
-    return _neighbors(scenario, q) if nbs is None else nbs
+    return scenario.neighbor_table.get(q, ())
 
 
 def successors(scenario: Scenario, q: Config) -> list[tuple[Config, float]]:

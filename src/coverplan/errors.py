@@ -13,10 +13,6 @@ class NoPath(PlanningError):
     """The search exhausted its frontier without reaching the goal."""
 
 
-class DegeneratePath(PlanningError):
-    """A path with a single state cannot seed a refinement schedule."""
-
-
 class DescentStalled(PlanningError):
     """Greedy navigation descent found no strictly improving move."""
 

@@ -8,6 +8,13 @@ home path of the start is concatenated with the home path of the goal.
 The optional refinement stage then spends whatever remains of the time
 budget improving that path.
 
+A start is served the same way from any potential state: home, a state of
+a representative path, a covered goal, or a state of the last executed
+path. The PotentialStateIndex keeps only what the library lacks (rep-path
+positions and the executed path); covered goals go through the library's
+goal index. When a state is both on a rep path and a covered goal, the
+earlier region in library order decides which it is.
+
 The library and scenario are immutable and shareable across concurrent
 queries; the PotentialStateIndex mutates between sequential queries and
 must be serialized per robot (single writer).
@@ -69,78 +76,82 @@ def connect(entry: CoverEntry, q: Config) -> Path:
 # potential states
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Why a configuration is a potential state."""
-
-    kind: str  # "home" | "rep_path" | "goal_region" | "executed"
-    region_id: str | None = None
-    entry_index: int | None = None
-    position: int | None = None
-
-
 class PotentialStateIndex:
     """Start states the planner can serve without searching.
 
-    Static entries come from the library (home, representative-path
-    states, covered goal-region states). Beyond those, only the most
-    recently executed path is registered, which bounds memory and matches
-    a robot sitting at the end of its last motion.
+    A potential state is home, a representative-path state, a covered goal
+    or a state of the most recently executed path. The index stores only
+    what the library does not already hold:
+
+    - ``rep_states``: each representative-path state -> (its first rep
+      path, its position there);
+    - ``executed``: each state of the last registered executed path -> its
+      last position there; ``executed_path`` is that path and ``anchor``
+      the path from home to its end (all empty or None until a path is
+      registered). Only one executed path is kept, which bounds memory and
+      matches a robot sitting at the end of its last motion.
+
+    Covered goals are answered by ``library.goal_index``. Lookups try home,
+    ``rep_states``, the goal index and ``executed``, in that order. Regions
+    take priority in library order, and within a region rep-path states
+    come before covered goals, so a rep-path state that an earlier region
+    covers as a goal is left out of ``rep_states`` and served as that goal.
     """
 
     def __init__(self, scenario: Scenario, library: Library):
         self.scenario = scenario
         self.library = library
-        self._static: dict[Config, Provenance] = {library.s_home: Provenance("home")}
+        self.rep_states: dict[Config, tuple[Path, int]] = {}
+        goal_index = library.goal_index
+        earlier: set[str] = set()  # ids of the regions already walked
         for rc in library.regions:
-            for i, entry in enumerate(rc.entries):
-                for k, q in enumerate(entry.rep_path.configs):
-                    self._static.setdefault(
-                        q, Provenance("rep_path", rc.region_id, i, position=k)
-                    )
-            for i, entry in enumerate(rc.entries):
-                for q in entry.members & rc.covered:
-                    self._static.setdefault(q, Provenance("goal_region", rc.region_id, i))
-        self._executed: dict[Config, int] = {}
-        self._executed_path: Path | None = None
-        self._executed_anchor: Path | None = None  # home -> executed-path end
-
-    def provenance(self, q: Config) -> Provenance | None:
-        prov = self._static.get(q)
-        if prov is not None:
-            return prov
-        pos = self._executed.get(q)
-        if pos is not None:
-            return Provenance("executed", position=pos)
-        return None
+            for entry in rc.entries:
+                rep = entry.rep_path
+                for k, q in enumerate(rep.configs):
+                    if q in self.rep_states:
+                        continue
+                    hit = goal_index.get(q)
+                    if hit is None or hit.region_id not in earlier:
+                        self.rep_states[q] = (rep, k)
+            earlier.add(rc.region_id)
+        self.executed: dict[Config, int] = {}
+        self.executed_path: Path | None = None
+        self.anchor: Path | None = None
 
     def __contains__(self, q: Config) -> bool:
-        return self.provenance(q) is not None
+        return (
+            q == self.library.s_home
+            or q in self.rep_states
+            or q in self.library.goal_index
+            or q in self.executed
+        )
 
 
 def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     """Constant-time path from home to a potential state. Never plans.
 
-    rep_path states take the stored prefix; goal-region states take
-    lookup + pointer chase; executed-path states take the stored anchor
-    plus the reversed executed suffix.
+    Rep-path states take the stored prefix; covered goals take lookup +
+    pointer chase; executed-path states take the stored anchor plus the
+    reversed executed suffix.
     """
-    prov = index.provenance(s)
-    if prov is None:
-        raise StartNotPotential(f"{s} is not a potential state")
-    if prov.kind == "home":
+    library = index.library
+    if s == library.s_home:
         return Path((s,), 0.0)
-    if prov.kind == "rep_path":
-        rc = index.library.region(prov.region_id)
-        rep = rc.entries[prov.entry_index].rep_path
-        return Path.from_configs(rep.configs[: prov.position + 1])
-    if prov.kind == "goal_region":
-        return connect(find_rep_path(index.library, s).entry, s)
-    # executed: home -> end, then back along the executed path to s
-    suffix = Path.from_configs(index._executed_path.configs[prov.position :])
-    if len(suffix.configs) == 1:
-        return index._executed_anchor
-    return concat_paths(index._executed_anchor, suffix.reverse())
+    rep = index.rep_states.get(s)
+    if rep is not None:
+        path, k = rep
+        return Path.from_configs(path.configs[: k + 1])
+    hit = find_rep_path(library, s)
+    if hit is not None:
+        return connect(hit.entry, s)
+    k = index.executed.get(s)
+    if k is None:
+        raise StartNotPotential(f"{s} is not a potential state")
+    # home -> end of the executed path, then back along it to s
+    suffix = index.executed_path.configs[k:]
+    if len(suffix) == 1:
+        return index.anchor
+    return concat_paths(index.anchor, Path.from_configs(suffix).reverse())
 
 
 def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> PotentialStateIndex:
@@ -150,11 +161,10 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     path is dropped, so chains of sequential queries stay constant-time.
     Duplicate states keep their last position (shortest suffix).
     """
-    end = executed_path.configs[-1]
-    anchor = path_home_to(index, end)
-    index._executed = {q: k for k, q in enumerate(executed_path.configs)}
-    index._executed_path = executed_path
-    index._executed_anchor = anchor
+    anchor = path_home_to(index, executed_path.configs[-1])
+    index.executed = {q: k for k, q in enumerate(executed_path.configs)}
+    index.executed_path = executed_path
+    index.anchor = anchor
     return index
 
 

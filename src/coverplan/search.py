@@ -31,7 +31,7 @@ from typing import Callable
 
 from . import cspace
 from .cspace import Config, Scenario
-from .errors import DegeneratePath, NoPath, Timeout
+from .errors import NoPath, Timeout
 
 DEFAULT_DELTA = 1e-6
 
@@ -242,36 +242,16 @@ class _AnytimeSearch:
 
 
 def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA) -> float:
-    """max over ``states`` of (C - g) / (h + delta), with g and h mappings; inf if empty."""
+    """max over ``states`` of (C - g) / (h + delta), with g and h mappings; inf if empty.
+
+    anytime_refine starts at this ratio over the seed path, clamped below
+    at 1: above 1, the maximizing state outranks the goal (whose term is 0)
+    on the open list, so at least one non-goal selection happens. After
+    each pass it takes the min of the incumbent's and the open set's
+    ratios, clamped at 1, which is strictly below the inflation the pass
+    ran at while the open set is non-empty.
+    """
     return max(((incumbent_cost - g[q]) / (h[q] + delta) for q in states), default=math.inf)
-
-
-def initial_epsilon(path_g, path_h, incumbent_cost: float, delta: float = DEFAULT_DELTA) -> float:
-    """Largest inflation that still pulls the search off the seed path.
-
-    Returns max over path states of (C - g) / (h + delta), clamped below
-    at 1; when the result exceeds 1, the maximizing state outranks the
-    goal on the open list, so at least one non-goal selection happens.
-    The goal state contributes 0 and never maximizes. Raises
-    DegeneratePath for single-state paths.
-    """
-    if len(path_g) < 2:
-        raise DegeneratePath("cannot seed a schedule from a single-state path")
-    return max(1.0, _max_ratio(range(len(path_g)), path_g, path_h, incumbent_cost, delta))
-
-
-def next_epsilon(
-    path_g, path_h, open_g, open_h, incumbent_cost: float, delta: float = DEFAULT_DELTA
-) -> float:
-    """Between-iteration inflation update: min of the path and open-list maxima.
-
-    Clamped below at 1; with a non-empty open list the result is strictly
-    below the inflation the completed iteration ran at. An empty open
-    list falls back to the path maximum alone.
-    """
-    path_ratio = _max_ratio(range(len(path_g)), path_g, path_h, incumbent_cost, delta)
-    open_ratio = _max_ratio(range(len(open_g)), open_g, open_h, incumbent_cost, delta)
-    return max(1.0, min(path_ratio, open_ratio))
 
 
 @dataclass

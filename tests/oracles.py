@@ -1,11 +1,12 @@
 """Independent reference implementations used to freeze expected values.
 
 These deliberately avoid the search / preprocess / query code paths they
-are used to check: breadth-first flood fill for unit-cost distances, and
-a literal step-by-step simulation of the navigation-descent rule. They
-test validity with ``cspace.collision_free``, which runs the geometry on
-every call, and find neighbours by their own formula, so they never read
-the validity memo or the neighbour table that the scenario keeps.
+are used to check: breadth-first flood fill for unit-cost distances, a
+literal step-by-step simulation of the navigation-descent rule, and the
+first-match rule that makes a state a potential start. They test
+validity with ``cspace.collision_free``, which runs the geometry on every
+call, and find neighbours by their own formula, so they never read the
+validity memo or the neighbour table that the scenario keeps.
 """
 
 from collections import deque
@@ -165,3 +166,24 @@ def naive_refine(scenario, start, goal, initial_path, delta=1e-6):
         open_set |= incons
         incons.clear()
         open_set.update(incumbent)
+
+
+def potential_provenance(library):
+    """Potential start state -> why it is one, by the literal first-match rule.
+
+    Home comes first. Then, region by region in library order, every state
+    of each entry's representative path (``("rep_path", entry, position)``,
+    at its first position), then every covered goal of each entry
+    (``("goal_region", entry, None)``). A state keeps the first reason
+    found. Built from the regions alone, never from the library's goal
+    index.
+    """
+    provenance = {library.s_home: ("home", None, None)}
+    for rc in library.regions:
+        for entry in rc.entries:
+            for k, q in enumerate(entry.rep_path.configs):
+                provenance.setdefault(q, ("rep_path", entry, k))
+        for entry in rc.entries:
+            for q in entry.members & rc.covered:
+                provenance.setdefault(q, ("goal_region", entry, None))
+    return provenance

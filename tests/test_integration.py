@@ -111,11 +111,7 @@ def test_chained_executed_anchors(two_region_grid12):
     assert res3.final_cost == astar(sc, mid2, pick[-1]).cost
 
     # states of the dropped first path are no longer potential (bounded memory)
-    dropped = [
-        q
-        for q in res1.path.configs
-        if q not in planner.index_._static and q not in set(res2.path.configs)
-    ]
+    dropped = [q for q in res1.path.configs if q not in planner.index_]
     if dropped:
         from coverplan import errors
 

@@ -287,11 +287,7 @@ def test_update_potential_index_enables_sequential_starts(fitted12):
     assert res3.path.configs[0] == mid
 
     # but never from an unvisited config
-    never_visited = [
-        q
-        for q in cspace.lattice_configs(sc)
-        if q not in index._static and q not in set(res.path.configs)
-    ]
+    never_visited = [q for q in cspace.lattice_configs(sc) if q not in index]
     assert never_visited
     with pytest.raises(errors.StartNotPotential):
         onl.query(sc, lib, onl.QueryRequest(start=never_visited[0], goal=goal_b), index=index)
@@ -403,7 +399,7 @@ def test_all_potential_to_all_covered_succeed():
     )
     lib = pre.preprocess(sc, seed=0)
     index = onl.PotentialStateIndex(sc, lib)
-    potentials = sorted(index._static)
+    potentials = [q for q in cspace.lattice_configs(sc) if q in index]
     goals = sorted(set().union(*(rc.covered for rc in lib.regions)))
     for s in potentials:
         for goal in goals:
@@ -423,7 +419,7 @@ def test_constant_time_contract_randomized_sweep():
         sc = dict(corpus.corpus())[name]
         lib = pre.preprocess(sc, seed=0)
         index = onl.PotentialStateIndex(sc, lib)
-        potentials = sorted(index._static)
+        potentials = sorted(q for q in cspace.lattice_configs(sc) if q in index)
         goals = sorted(set().union(*(rc.covered for rc in lib.regions)))
         for _ in range(25):
             s = potentials[rng.randrange(len(potentials))]

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -82,37 +83,40 @@ def test_astar_deterministic(empty8):
 # inflation schedule
 
 
+def max_ratio(g, h, cost, delta=search.DEFAULT_DELTA):
+    """``search._max_ratio`` over states given as parallel g and h lists."""
+    return search._max_ratio(range(len(g)), g, h, cost, delta)
+
+
 def test_initial_epsilon_formula():
-    eps = search.initial_epsilon([0.0, 4.0, 10.0], [6.0, 2.0, 0.0], 10.0, delta=1e-6)
+    eps = max(1.0, max_ratio([0.0, 4.0, 10.0], [6.0, 2.0, 0.0], 10.0, delta=1e-6))
     assert eps == pytest.approx(6.0 / 2.000001)
     assert eps == pytest.approx(3.0, abs=1e-5)
 
 
 def test_initial_epsilon_goal_never_maximizes():
     # goal term is (C - C) / delta = 0, so a tiny delta cannot blow it up
-    eps = search.initial_epsilon([0.0, 10.0], [20.0, 0.0], 10.0, delta=1e-9)
+    eps = max(1.0, max_ratio([0.0, 10.0], [20.0, 0.0], 10.0, delta=1e-9))
     assert eps == 1.0
 
 
 def test_initial_epsilon_clamped_at_one():
-    assert search.initial_epsilon([0.0, 5.0, 10.0], [10.0, 5.0, 0.0], 10.0) == 1.0
-
-
-def test_initial_epsilon_degenerate():
-    with pytest.raises(errors.DegeneratePath):
-        search.initial_epsilon([0.0], [0.0], 0.0)
+    assert max(1.0, max_ratio([0.0, 5.0, 10.0], [10.0, 5.0, 0.0], 10.0)) == 1.0
 
 
 def test_next_epsilon_min_of_maxima():
     # path maximum 2.5, open maximum 5.0
-    eps = search.next_epsilon([0.0, 5.0], [2.0 - 1e-6, 0.0], [0.0], [1.0 - 1e-6], 5.0)
-    assert eps == pytest.approx(2.5)
+    path_ratio = max_ratio([0.0, 5.0], [2.0 - 1e-6, 0.0], 5.0)
+    open_ratio = max_ratio([0.0], [1.0 - 1e-6], 5.0)
+    assert max(1.0, min(path_ratio, open_ratio)) == pytest.approx(2.5)
 
 
 def test_next_epsilon_clamp_and_empty_open():
-    assert search.next_epsilon([0.0, 10.0], [20.0, 0.0], [], [], 10.0) == 1.0  # clamp
+    empty_open = max_ratio([], [], 10.0)
+    assert empty_open == math.inf
+    assert max(1.0, min(max_ratio([0.0, 10.0], [20.0, 0.0], 10.0), empty_open)) == 1.0  # clamp
     # empty open falls back to the path maximum
-    assert search.next_epsilon([0.0, 10.0], [2.0, 0.0], [], [], 10.0) == pytest.approx(
+    assert max(1.0, min(max_ratio([0.0, 10.0], [2.0, 0.0], 10.0), empty_open)) == pytest.approx(
         10.0 / 2.000001
     )
 
@@ -128,17 +132,13 @@ def test_epsilon_sequence_strictly_decreases():
     states = [(rng.uniform(0.0, 9.0), rng.uniform(0.5, 8.0)) for _ in range(40)]
     path = [(0.0, 6.0), (4.0, 2.0), (10.0, 0.0)]
     cost = 10.0
-    eps = search.initial_epsilon([g for g, _ in path], [h for _, h in path], cost)
+    path_ratio = max_ratio([g for g, _ in path], [h for _, h in path], cost)
+    eps = max(1.0, path_ratio)
     seen = [eps]
     while eps > 1.0:
         open_states = [(g, h) for g, h in states if g + eps * h >= cost]
-        eps_next = search.next_epsilon(
-            [g for g, _ in path],
-            [h for _, h in path],
-            [g for g, _ in open_states],
-            [h for _, h in open_states],
-            cost,
-        )
+        open_ratio = max_ratio([g for g, _ in open_states], [h for _, h in open_states], cost)
+        eps_next = max(1.0, min(path_ratio, open_ratio))
         assert eps_next < eps or eps_next == 1.0
         assert eps_next < eps
         eps = eps_next
@@ -154,12 +154,12 @@ def test_update_rule_breaks_stalls():
     with the open-list maximum is what forces progress."""
     path_g, path_h = [0.0, 4.0, 10.0], [6.0, 2.0, 0.0]
     cost = 10.0
-    eps = search.initial_epsilon(path_g, path_h, cost)
-    again = search.initial_epsilon(path_g, path_h, cost)
+    eps = max(1.0, max_ratio(path_g, path_h, cost))
+    again = max(1.0, max_ratio(path_g, path_h, cost))
     assert again == eps  # the stall the update rule must avoid
     open_g, open_h = [1.0, 3.0], [5.0, 4.0]
     assert all(g + eps * h >= cost for g, h in zip(open_g, open_h))
-    nxt = search.next_epsilon(path_g, path_h, open_g, open_h, cost)
+    nxt = max(1.0, min(max_ratio(path_g, path_h, cost), max_ratio(open_g, open_h, cost)))
     assert nxt < eps
 
 
@@ -190,9 +190,7 @@ def test_expansion_guarantee_at_maximizer():
     for _ in range(200):
         pairs = [(rng.uniform(0, 20), rng.uniform(0.1, 10)) for _ in range(6)]
         cost = rng.uniform(5, 40)
-        eps = search.initial_epsilon(
-            [g for g, _ in pairs], [h for _, h in pairs], cost
-        )
+        eps = max(1.0, max_ratio([g for g, _ in pairs], [h for _, h in pairs], cost))
         if eps <= 1.0:
             continue
         best = max(pairs, key=lambda gh: (cost - gh[0]) / (gh[1] + search.DEFAULT_DELTA))
