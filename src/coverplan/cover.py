@@ -367,16 +367,16 @@ def _encode_set(configs, dims) -> list[int]:
     return _deltas(sorted(_ranks(configs, dims)))
 
 
-# A move is axis * 2 + (1 if +1 else 0), stored as one base-36 digit; the
-# attractor, which has no move, is "-". One character per member keeps the
-# JSON parse of the moves string to one token.
+# A move is axis * 2 + (1 if +1 else 0), its slot in a row of the scenario's
+# move_table, stored as one base-36 digit; the attractor, which has no move,
+# is "-". One character per member keeps the JSON parse of the moves string
+# to one token.
 MOVE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 NO_MOVE = "-"
 
 
-def _encode_entry(entry: CoverEntry, dims) -> dict:
-    """An entry's payload. One ranking of its members serves both the
-    member set and the descent moves, one character per member in rank order.
+def _move_of_step(dims) -> dict[int, str]:
+    """Rank step -> move character, for a lattice of these dims.
 
     A move changes the rank by its axis stride, or, across a wrapping
     axis's seam, by n - 1 strides the other way. These steps are distinct:
@@ -389,6 +389,13 @@ def _encode_entry(entry: CoverEntry, dims) -> dict:
         if n >= 4:
             move_of_step.update({(n - 1) * stride: down, -(n - 1) * stride: up})
         move_of_step.update({-stride: down, stride: up})
+    return move_of_step
+
+
+def _encode_entry(entry: CoverEntry, dims, move_of_step) -> dict:
+    """An entry's payload. One ranking of its members serves both the
+    member set and the descent moves, one character per member in rank
+    order, read from ``move_of_step`` (``_move_of_step(dims)``)."""
     members = sorted(entry.members)  # lexicographic order is rank order
     ranks = _ranks(members, dims)
     rank = dict(zip(members, ranks))
@@ -410,76 +417,38 @@ def _decode_ranks(deltas, size: int) -> list[int]:
     return ranks
 
 
-def _move_targets(scenario: Scenario) -> dict[str, list[int]]:
-    """Move character -> the rank each rank moves to, -1 off the lattice.
+def _decode_pointers(members, rows, moves, attractor, slot_of) -> dict[Config, Config]:
+    """Member -> descent successor, from one move character per member.
 
-    The attractor's ``NO_MOVE`` keeps every rank where it is. A move adds
-    its axis stride to the rank, except from the lattice edge it moves
-    toward: there it crosses a wrapping axis's seam, or leaves the lattice.
-    Those edge ranks form one run of ``stride`` ranks per block of
-    ``n * stride``; they are patched by slice, run by run or, when there
-    are fewer offsets in a run than runs, offset by offset across runs.
-    """
-    dims, wraps = scenario.dims, scenario.wraps
-    strides = _rank_strides(dims)
-    size = strides[0] * dims[0]
-    # Every table is cut from one list of rank ints, so no int is made twice;
-    # only a one-stride shift reaches past the lattice.
-    pad = max(strides)
-    ints = list(range(-pad, size + pad))
-
-    def shifted(by: int) -> list[int]:
-        return ints[pad + by : pad + by + size]
-
-    targets = {NO_MOVE: shifted(0)}
-    for axis, (n, stride, wrap) in enumerate(zip(dims, strides, wraps)):
-        block = n * stride
-        for up, step in ((0, -stride), (1, stride)):
-            reach = shifted(step)
-            first = (n - 1) * stride if up else 0  # rank offset of the edge run
-            if stride < size // block:
-                edges = [slice(first + j, None, block) for j in range(stride)]
-            else:
-                edges = [slice(b, b + stride) for b in range(first, size, block)]
-            for where in edges:
-                run = range(size)[where]
-                if wrap:  # the ranks of run, shifted across the seam
-                    at = pad - (n - 1) * step
-                    reach[where] = ints[run.start + at : run.stop + at : run.step]
-                else:
-                    reach[where] = [-1] * len(run)
-            targets[MOVE_DIGITS[2 * axis + up]] = reach
-    return targets
-
-
-def _decode_pointers(ranks, moves, attractor_rank, table, move_targets) -> dict[Config, Config]:
-    """Member -> descent successor, from one move character per member rank.
-
-    Every move must stay on the lattice and land on a member; the
-    attractor's move, and only its move, is ``NO_MOVE``. The work is done
-    by whole-list operations, since a library holds several moves per
+    ``members`` are the entry's states in rank order, ``rows`` their
+    ``move_table`` rows and ``slot_of`` maps each move character to its
+    row slot. Every move must stay on the lattice and land on a member;
+    the attractor's move, and only its move, is ``NO_MOVE``. The work is
+    done by whole-list operations, since a library holds several moves per
     lattice state.
     """
-    if len(moves) != len(ranks):
-        raise CorruptLibrary(f"{len(moves)} descent moves for {len(ranks)} members")
-    if not move_targets.keys() >= set(moves):
+    if len(moves) != len(members):
+        raise CorruptLibrary(f"{len(moves)} descent moves for {len(members)} members")
+    if not slot_of.keys() >= set(moves):
         raise CorruptLibrary("descent moves hold a character that is no move of this lattice")
-    at = bisect.bisect_left(ranks, attractor_rank)
-    if at == len(ranks) or ranks[at] != attractor_rank:
-        raise CorruptLibrary(f"attractor {table[attractor_rank]} is not one of its members")
+    at = bisect.bisect_left(members, attractor)
+    if at == len(members) or members[at] != attractor:
+        raise CorruptLibrary(f"attractor {attractor} is not one of its members")
     if moves.count(NO_MOVE) != 1 or moves[at] != NO_MOVE:
         raise CorruptLibrary(f"the attractor, and no other member, must have move {NO_MOVE!r}")
-    targets = list(map(operator.getitem, map(move_targets.__getitem__, moves), ranks))
-    members = set(ranks)
-    if min(targets) < 0 or not members.issuperset(targets):
-        i = next(i for i, target in enumerate(targets) if target not in members)
-        where = "the lattice" if targets[i] < 0 else "the member set"
-        raise CorruptLibrary(f"descent move {moves[i]} of member {table[ranks[i]]} leaves {where}")
-    return dict(zip(map(table.__getitem__, ranks), map(table.__getitem__, targets)))
+    targets = list(map(operator.getitem, rows, map(slot_of.__getitem__, moves)))
+    targets[at] = attractor
+    next_member = dict(zip(members, targets))
+    if not all(map(next_member.__contains__, targets)):
+        i = next(i for i, target in enumerate(targets) if target not in next_member)
+        where = "the lattice" if targets[i] is None else "the member set"
+        raise CorruptLibrary(f"descent move {moves[i]} of member {members[i]} leaves {where}")
+    return next_member
 
 
 def library_to_payload(library: Library) -> dict:
     dims = library.dims
+    move_of_step = _move_of_step(dims)
     return {
         "format_version": LIBRARY_FORMAT_VERSION,
         "scenario_fingerprint": library.fingerprint,
@@ -488,7 +457,7 @@ def library_to_payload(library: Library) -> dict:
         "regions": [
             {
                 "id": rc.region_id,
-                "entries": [_encode_entry(e, dims) for e in rc.entries],
+                "entries": [_encode_entry(e, dims, move_of_step) for e in rc.entries],
                 "covered": _encode_set(rc.covered, dims),
                 "excluded": _encode_set(rc.excluded, dims),
             }
@@ -520,13 +489,16 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         s_home = tuple(payload["s_home"])
         if s_home != scenario.s_home:
             raise CorruptLibrary(f"library home {s_home} is not the scenario's {scenario.s_home}")
-        table = list(cspace.lattice_configs(scenario))  # row-major: rank r is table[r]
-        size = len(table)
-        strides = _rank_strides(dims)
-        move_targets = _move_targets(scenario)
+        # Rank r's state and move row: the move table's keys and rows are in
+        # row-major (= rank) order. The lists hold references; no state is built.
+        states = list(scenario.move_table)
+        rows = list(scenario.move_table.values())
+        size = len(states)
+        slot_of = {MOVE_DIGITS[m]: m for m in range(2 * scenario.dof)}
+        slot_of[NO_MOVE] = 0  # any slot: the attractor is then pointed at itself
 
         def decode_set(deltas) -> frozenset[Config]:
-            return frozenset(map(table.__getitem__, _decode_ranks(deltas, size)))
+            return frozenset(map(states.__getitem__, _decode_ranks(deltas, size)))
 
         regions = []
         for rc in payload["regions"]:
@@ -535,10 +507,13 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
                 attractor = tuple(e["attractor"])
                 if not cspace.in_bounds(scenario, attractor):
                     raise CorruptLibrary(f"attractor {attractor} is not a lattice state")
-                attractor_rank = sum(map(operator.mul, attractor, strides))
                 ranks = _decode_ranks(e["members"], size)
                 next_member = _decode_pointers(
-                    ranks, e["moves"], attractor_rank, table, move_targets
+                    list(map(states.__getitem__, ranks)),
+                    list(map(rows.__getitem__, ranks)),
+                    e["moves"],
+                    attractor,
+                    slot_of,
                 )
                 entries.append(
                     CoverEntry(

@@ -11,17 +11,20 @@ A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
 change afterwards. All operations are pure functions of that data and are
 safe for concurrent use. ``counters`` is an ``OpCounters`` instrumentation
 block, which exists so callers can prove how much work (collision checks,
-expansions, elementary steps) an online query performed. Two tables run
+expansions, elementary steps) an online query performed. Three tables run
 lattice-only work once per scenario, each built whole on first use and
-keyed by exactly the prod(dims) lattice states: ``state_table`` (each
-state's collision-free flag and end-effector point, from one geometry pass
-per state, read by ``is_valid`` and ``region_configs``) and
-``neighbor_table`` (each state's +-1 neighbours, read by
-``lattice_neighbors`` and the offline descent; geometry only, so validity
-still goes through the counted ``is_valid``). Neither changes once built,
-so they are safe to share. ``dataclasses.replace`` builds a new scenario
-with new counters and tables, so an answer never outlives the fields it was
-computed from.
+keyed by exactly the prod(dims) lattice states, in lexicographic order:
+``state_table`` (each state's collision-free flag and end-effector point,
+from one geometry pass per state, read by ``is_valid``, ``in_region`` and
+``region_configs``), ``move_table`` (each state's state after each move,
+None where the move leaves the lattice; the one place that steps a state,
+read by the library decoder and the shortcut walk) and ``neighbor_table``
+(derived from ``move_table``: each row without its Nones, read by
+``lattice_neighbors`` and the offline descent). The last two are geometry
+only, so validity still goes through the counted ``is_valid``. No table
+changes once built, so they are safe to share. ``dataclasses.replace``
+builds a new scenario with new counters and tables, so an answer never
+outlives the fields it was computed from.
 """
 
 from __future__ import annotations
@@ -154,9 +157,10 @@ class Scenario:
     ``axis_squares`` (per axis, each index's squared wrapped distance from
     index 0) are computed once from ``grid_dims`` or ``arm``, and so is
     ``fingerprint``, the content hash that binds libraries to the scenario;
-    freezing keeps them valid. ``counters`` is the one mutable part; the
-    tables ``state_table`` and ``neighbor_table`` are built whole on first
-    use (the module docstring says why they are safe to share).
+    freezing keeps them valid. ``counters`` is the one mutable part. The
+    tables ``state_table`` and ``move_table`` are built whole on first use,
+    and ``neighbor_table`` from ``move_table`` (the module docstring says
+    why they are safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -215,9 +219,17 @@ class Scenario:
         return len(self.dims)
 
     @cached_property
+    def move_table(self) -> dict[Config, tuple[Config | None, ...]]:
+        """Lattice state -> its state after each move ``2 * axis + up``, None
+        where the move leaves the lattice (geometry only), in lexicographic order."""
+        columns = [_move_column(self, axis, up) for axis in range(self.dof) for up in (0, 1)]
+        return dict(zip(lattice_configs(self), zip(*columns)))
+
+    @cached_property
     def neighbor_table(self) -> dict[Config, tuple[Config, ...]]:
-        """Lattice state -> its single-DOF +-1 neighbours (geometry only)."""
-        return {q: _neighbors(self, q) for q in lattice_configs(self)}
+        """Lattice state -> its single-DOF +-1 neighbours: its ``move_table``
+        row without the Nones, in move order (a state tuple is never empty)."""
+        return {q: tuple(filter(None, row)) for q, row in self.move_table.items()}
 
     @cached_property
     def state_table(self) -> dict[Config, tuple[bool, tuple[float, float]]]:
@@ -322,13 +334,6 @@ def cell_center(q: Config) -> tuple[float, float]:
     return (q[0] + 0.5, q[1] + 0.5)
 
 
-def ee_position(scenario: Scenario, q: Config) -> tuple[float, float]:
-    """End-effector point used for region membership."""
-    if scenario.kind == "grid":
-        return cell_center(q)
-    return forward_kinematics(scenario.arm, q)[-1]
-
-
 def in_bounds(scenario: Scenario, q: Config) -> bool:
     """True iff q is a lattice state: one integer index per DOF, in range."""
     dims = scenario.dims
@@ -372,19 +377,26 @@ def is_valid(scenario: Scenario, q: Config) -> bool:
 # lattice connectivity, metrics, regions
 
 
-def _neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
+def _move_column(scenario: Scenario, axis: int, up: int) -> list[Config | None]:
+    """Each lattice state's state after move ``2 * axis + up``, in
+    lexicographic order: one index down (up = 0) or up (up = 1) on ``axis``,
+    modulo n on a wrapping axis, None where the move leaves any other axis.
+
+    The column is the lattice product with ``axis`` running over the moved
+    indices, so it is in the order of ``lattice_configs``.
+    """
     # Only arm joints without limits wrap, and ArmModel keeps joints_per_rev
     # >= 4, so a wrapping axis's two moves differ from each other and from q.
-    out: list[Config] = []
-    for d, (n, wrap) in enumerate(zip(scenario.dims, scenario.wraps)):
-        for delta in (-1, 1):
-            c = q[d] + delta
-            if wrap:
-                c %= n
-            elif c < 0 or c >= n:
-                continue
-            out.append(q[:d] + (c,) + q[d + 1 :])
-    return tuple(out)
+    n, wrap = scenario.dims[axis], scenario.wraps[axis]
+    moved = [c + (1 if up else -1) for c in range(n)]
+    if wrap:
+        moved = [c % n for c in moved]
+    ranges = [range(k) for k in scenario.dims]
+    ranges[axis] = moved
+    column = itertools.product(*ranges)
+    if wrap:
+        return list(column)
+    return [q if 0 <= q[axis] < n else None for q in column]
 
 
 def lattice_neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
@@ -429,7 +441,7 @@ def in_region(scenario: Scenario, region: RegionSpec, q: Config) -> bool:
     if not is_valid(scenario, q):
         return False
     x0, y0, x1, y1 = region.box
-    x, y = ee_position(scenario, q)
+    x, y = scenario.state_table[q][1]
     return x0 <= x <= x1 and y0 <= y <= y1
 
 

@@ -445,10 +445,14 @@ def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] |
 
     Repeatedly steps the axis with the largest remaining (wrapped) offset,
     ties to the lowest axis, toward the shorter wrap direction (+1 on an
-    exact half-wrap tie). Every interior state must be valid.
+    exact half-wrap tie), by reading the scenario's ``move_table``. Every
+    interior state must be valid; an end off the lattice has no walk.
     """
     dims = scenario.dims
     wraps = scenario.wraps
+    moves = scenario.move_table
+    if a not in moves or b not in moves:
+        return None
     out = [a]
     cur = a
     while cur != b:
@@ -461,11 +465,10 @@ def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] |
         n = dims[d]
         if wraps[d]:
             forward = (b[d] - cur[d]) % n
-            step = 1 if forward <= n - forward else -1
-            c = (cur[d] + step) % n
+            up = 1 if forward <= n - forward else 0
         else:
-            c = cur[d] + (1 if b[d] > cur[d] else -1)
-        cur = cur[:d] + (c,) + cur[d + 1 :]
+            up = 1 if b[d] > cur[d] else 0
+        cur = moves[cur][2 * d + up]
         if cur != b and not cspace.is_valid(scenario, cur):
             return None
         out.append(cur)

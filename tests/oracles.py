@@ -5,8 +5,9 @@ are used to check: breadth-first flood fill for unit-cost distances, a
 literal step-by-step simulation of the navigation-descent rule, and the
 first-match rule that makes a state a potential start. They test
 validity with ``cspace.collision_free``, which runs the geometry on every
-call, and find neighbours by their own formula, so they never read the
-validity memo or the neighbour table that the scenario keeps.
+call, and find moves and neighbours by their own formula, so they never
+read the validity memo or the move and neighbour tables that the scenario
+keeps.
 """
 
 from collections import deque
@@ -26,6 +27,18 @@ def lattice_neighbors(scenario, q):
             if wrap or 0 <= c < n:
                 out.append(q[:d] + (c % n,) + q[d + 1 :])
     return out
+
+
+def lattice_move(scenario, q, axis, delta):
+    """q with coordinate ``axis`` moved by ``delta`` (-1 or +1): modulo n on
+    a wrapping axis, None when it leaves [0, n) on any other."""
+    n = scenario.dims[axis]
+    c = q[axis] + delta
+    if scenario.wraps[axis]:
+        c %= n
+    elif not 0 <= c < n:
+        return None
+    return q[:axis] + (c,) + q[axis + 1 :]
 
 
 def successors(scenario, q):

@@ -195,6 +195,26 @@ def test_neighbor_table_matches_the_oracle():
             assert cspace.lattice_neighbors(sc, q) is nbs
 
 
+def test_move_table_matches_the_oracle():
+    """Row slots 2a and 2a + 1 are the oracle's -1 and +1 moves on axis a,
+    None exactly at a non-wrapping axis's edge, and each neighbour table
+    entry is its row without the Nones, in order; in all 23 corpus
+    scenarios and on a lattice with a one-index axis."""
+    scenarios = [sc for _, sc in corpus.corpus()] + [mixed_limit_arm()]
+    for sc in scenarios:
+        table = sc.move_table
+        assert list(table) == list(cspace.lattice_configs(sc))
+        for q, row in table.items():
+            assert len(row) == 2 * sc.dof, (q, row)
+            for axis, (n, wrap) in enumerate(zip(sc.dims, sc.wraps)):
+                down, up = row[2 * axis], row[2 * axis + 1]
+                assert down == oracles.lattice_move(sc, q, axis, -1), (q, axis, down)
+                assert up == oracles.lattice_move(sc, q, axis, +1), (q, axis, up)
+                assert (down is None) == (not wrap and q[axis] == 0), (q, axis)
+                assert (up is None) == (not wrap and q[axis] == n - 1), (q, axis)
+            assert sc.neighbor_table[q] == tuple(nb for nb in row if nb is not None), q
+
+
 def test_neighbors_off_the_lattice_are_not_stored(empty8):
     """Off the lattice there are no neighbours, as there is no valid state,
     and the table stays as built."""
@@ -217,6 +237,8 @@ def test_replace_gives_fresh_caches(unit_arm):
     cspace.region_configs(unit_arm, unit_arm.regions[0])
     cspace.lattice_neighbors(unit_arm, (0, 0))
     copy = dataclasses.replace(unit_arm, obstacles=(Circle((2.0, 0.0), 0.1),))
+    assert copy.move_table is not unit_arm.move_table
+    assert copy.move_table == unit_arm.move_table
     assert copy.neighbor_table is not unit_arm.neighbor_table
     assert copy.state_table is not unit_arm.state_table
     assert copy.neighbor_table == unit_arm.neighbor_table

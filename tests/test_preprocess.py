@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +10,7 @@ import pytest
 from conftest import cell_rect, grid, v1_projection
 from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
 from coverplan import cover as pre
-from oracles import bfs_distances, descent_basin, simulate_descent
+from oracles import bfs_distances, descent_basin, lattice_move, simulate_descent
 
 
 def grid3(obstacles=()):
@@ -435,6 +437,81 @@ def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
     path.write_text(json.dumps(payload))
     with pytest.raises(errors.CorruptLibrary):
         pre.load_library(path, sc)
+
+
+def wrapping_library(corpus_libraries):
+    """A corpus arm: 32 x 32, both joints wrapping, and the one corpus
+    library with a seam move out of its basin."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "arm32_o2")
+    assert sc.wraps == (True, True)
+    return sc, lib
+
+
+def crosses_seam(sc, q, target):
+    return any(abs(a - b) == n - 1 for a, b, n in zip(q, target, sc.dims))
+
+
+def test_library_codec_across_the_seam(corpus_libraries):
+    """On a wrapping lattice some descent moves cross a seam, and the
+    payload decodes to the built library."""
+    sc, lib = wrapping_library(corpus_libraries)
+    entries = [e for rc in lib.regions for e in rc.entries]
+    pointers = [p for e in entries for p in e.neighborhood.next_member.items()]
+    assert any(crosses_seam(sc, q, target) for q, target in pointers)
+    assert pre.library_from_payload(pre.library_to_payload(lib), sc) == lib
+
+
+def seam_exits(sc, lib):
+    """(region, entry, move index, move) of each seam move that leaves its basin."""
+    for r, rc in enumerate(lib.regions):
+        for k, entry in enumerate(rc.entries):
+            for i, q in enumerate(sorted(entry.members)):  # the order of the moves
+                for m in range(2 * sc.dof):
+                    target = lattice_move(sc, q, m // 2, 1 if m % 2 else -1)
+                    exits = crosses_seam(sc, q, target) and target not in entry.members
+                    if exits and q != entry.attractor:
+                        yield r, k, i, m
+
+
+@pytest.mark.parametrize("case", ["seam move leaves the member set", "move index out of range"])
+def test_library_corrupt_seam_payload_rejected(corpus_libraries, case):
+    """Descent moves are checked on a wrapping lattice too: CorruptLibrary."""
+    sc, lib = wrapping_library(corpus_libraries)
+    payload = pre.library_to_payload(lib)
+    if case == "seam move leaves the member set":
+        r, k, i, m = next(seam_exits(sc, lib))
+        set_move(payload["regions"][r]["entries"][k], i, pre.MOVE_DIGITS[m])
+        match = "member set"
+    else:
+        entry, e_p = lib.regions[0].entries[0], payload["regions"][0]["entries"][0]
+        i = next(i for i, q in enumerate(sorted(entry.members)) if q != entry.attractor)
+        set_move(e_p, i, str(2 * sc.dof))  # a 2-DOF lattice has moves 0..3
+        match = "no move of this lattice"
+    with pytest.raises(errors.CorruptLibrary, match=match):
+        pre.library_from_payload(payload, sc)
+
+
+def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_libraries):
+    """A load reads the scenario's move table: once one load has built it,
+    a second enumerates no lattice state and steps none."""
+    sc, lib = wrapping_library(corpus_libraries)
+    path = tmp_path / "lib.json"
+    pre.save_library(lib, path)
+    warm = dataclasses.replace(sc)
+    pre.load_library(path, warm)
+    calls = collections.Counter()
+    for name in ("lattice_configs", "_move_column"):
+        original = getattr(cspace, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cspace, name, counted)
+    assert pre.load_library(path, warm) == lib
+    assert calls == {}
+    pre.load_library(path, dataclasses.replace(sc))  # a cold load is counted
+    assert calls == {"lattice_configs": 1, "_move_column": 2 * sc.dof}
 
 
 def test_member_encoding_round_trip():
