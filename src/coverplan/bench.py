@@ -17,7 +17,7 @@ import csv
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import cspace
@@ -118,6 +118,19 @@ def save_experiment_config(cfg: ExperimentConfig, path) -> None:
         fh.write("\n")
 
 
+# How a file value becomes its ExperimentConfig field; other fields take it as is.
+_CONFIG_COERCE = {
+    "trials": int,
+    "budget_ms": float,
+    "budget_range_ms": lambda rng: tuple(rng) if rng else None,
+    "planners": tuple,
+    "seed": int,
+    "wastar_weight": float,
+    "ara_w0": float,
+    "ara_dw": float,
+}
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -127,24 +140,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     version = payload.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported experiment config format_version {version}")
-    for key in ("scenario", "library"):
-        if key not in payload:
-            raise ValueError(f"experiment config is missing {key!r}")
-    rng = payload.get("budget_range_ms")
-    return ExperimentConfig(
-        scenario=payload["scenario"],
-        library=payload["library"],
-        mode=payload.get("mode", "single"),
-        trials=int(payload.get("trials", 20)),
-        budget_ms=float(payload.get("budget_ms", 500.0)),
-        budget_range_ms=tuple(rng) if rng else None,
-        planners=tuple(payload.get("planners", ("ctmp", "ctmp+refine"))),
-        seed=int(payload.get("seed", 0)),
-        outdir=payload.get("outdir", "bench_out"),
-        wastar_weight=float(payload.get("wastar_weight", 3.0)),
-        ara_w0=float(payload.get("ara_w0", 50.0)),
-        ara_dw=float(payload.get("ara_dw", 5.0)),
-    )
+    kwargs = {}
+    for f in fields(ExperimentConfig):
+        if f.name in payload:
+            kwargs[f.name] = _CONFIG_COERCE.get(f.name, lambda v: v)(payload[f.name])
+        elif f.default is MISSING:
+            raise ValueError(f"experiment config is missing {f.name!r}")
+    return ExperimentConfig(**kwargs)  # a key the file omits takes the field default
 
 
 @dataclass

@@ -21,7 +21,7 @@ def reachable_from(scenario: Scenario, source: Config) -> set[Config]:
     queue = deque([source])
     while queue:
         q = queue.popleft()
-        for nb, _ in cspace.successors(scenario, q):
+        for nb in cspace.successors(scenario, q):
             if nb not in seen:
                 seen.add(nb)
                 queue.append(nb)

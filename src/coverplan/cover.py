@@ -1,17 +1,18 @@
 """Offline phase: decompose each goal region into attractor neighborhoods.
 
 Every region is enumerated exhaustively up front (the lattices are desk
-scale). Attractor candidates are drawn from the previous neighborhood's
-cached frontier when possible, otherwise uniformly from the remaining
-uncovered states; a representative path from the home state is planned
-for each accepted attractor and the attractor's greedy-descent basin is
-grown around it. In-region states with no path from home land in an
-explicit exclusion set, which is what guarantees termination on a finite
-lattice.
+scale). Attractor candidates are drawn from the previous basin's cached
+frontier when possible, otherwise uniformly from the remaining uncovered
+states; a representative path from the home state is planned for each
+accepted attractor and the attractor's greedy-descent basin is grown
+around it. Each accepted attractor becomes one CoverEntry, which holds
+the basin's descent pointers, its step bound and the path. In-region
+states with no path from home land in an explicit exclusion set, which
+is what guarantees termination on a finite lattice.
 
-A neighborhood's member set is the full descent basin: every valid
-config whose iterated steepest-descent walk of the navigation value
-reaches the attractor. Each member stores a descent pointer, the next
+An entry's member set is the full descent basin: every valid config
+whose iterated steepest-descent walk of the navigation value reaches
+the attractor. Each member stores a descent pointer, the next
 state of its walk (the attractor points to itself), and the pointer lands
 on a member: the tail of a successful walk is a successful walk. Following
 pointers from a member therefore replays the offline walk exactly, in at
@@ -67,34 +68,22 @@ REP_PATH_WEIGHT = 3.0
 
 
 @dataclass(frozen=True)
-class Neighborhood:
-    """An attractor's descent basin: its descent pointers and step bound.
+class CoverEntry:
+    """One cover unit: an attractor, its descent basin and its home path.
 
     ``next_member`` maps each member to the next state of its descent walk,
     which is itself a member; the attractor maps to itself. Its keys are
-    the member set.
+    the member set, and no walk takes more than ``max_descent_steps`` moves.
     """
 
     attractor: Config
     next_member: dict[Config, Config] = field(hash=False)
     max_descent_steps: int
-
-    @property
-    def members(self) -> Set[Config]:
-        return self.next_member.keys()
-
-
-@dataclass(frozen=True)
-class CoverEntry:
-    """One cover unit: attractor, basin, representative path from home."""
-
-    attractor: Config
-    neighborhood: Neighborhood
     rep_path: Path
 
     @property
     def members(self) -> Set[Config]:
-        return self.neighborhood.members
+        return self.next_member.keys()
 
 
 @dataclass(frozen=True)
@@ -120,10 +109,6 @@ class CoverHit:
     region_id: str
     entry_index: int
     entry: CoverEntry
-
-    @property
-    def rep_path(self) -> Path:
-        return self.entry.rep_path
 
 
 @dataclass(frozen=True)
@@ -206,17 +191,18 @@ def descend(scenario: Scenario, q: Config, attractor: Config, step_bound: int | 
             raise DescentStalled(f"descent stalled at {cur} toward {attractor}")
         configs.append(nxt)
         cur = nxt
-    return Path.from_configs(configs)
+    return Path(tuple(configs))
 
 
 def construct_neighborhood(
     scenario: Scenario, attractor: Config
-) -> tuple[Neighborhood, frozenset[Config]]:
+) -> tuple[dict[Config, Config], int, frozenset[Config]]:
     """Grow the attractor's full descent basin by outward expansion.
 
-    Returns the neighborhood, with each member's descent pointer, and its
-    frontier: valid states adjacent to members whose own descent walk does
-    not reach the attractor.
+    Returns (next_member, max_descent_steps, frontier): each member's
+    descent pointer (the attractor's is itself), the longest member walk
+    in moves, and the valid states adjacent to members whose own descent
+    walk does not reach the attractor.
     """
     # Memoized walk results: config -> steps to attractor, or -1 for failure,
     # and config -> the walk's next state.
@@ -261,12 +247,7 @@ def construct_neighborhood(
                 max_steps = max(max_steps, n_steps)
             else:
                 frontier.add(nb)
-    neighborhood = Neighborhood(
-        attractor=attractor,
-        next_member={q: next_state[q] for q in members},
-        max_descent_steps=max_steps,
-    )
-    return neighborhood, frozenset(frontier)
+    return {q: next_state[q] for q in members}, max_steps, frozenset(frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +302,9 @@ def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_P
             except NoPath:
                 excluded.add(cand)
                 continue
-            neighborhood, frontier = construct_neighborhood(scenario, cand)
-            entries.append(CoverEntry(cand, neighborhood, rep))
-            covered |= neighborhood.members & region_states
+            next_member, max_steps, frontier = construct_neighborhood(scenario, cand)
+            entries.append(CoverEntry(cand, next_member, max_steps, rep))
+            covered |= next_member.keys() & region_states
             frontier_cache = frontier
         region_covers.append(
             RegionCover(
@@ -399,12 +380,12 @@ def _encode_entry(entry: CoverEntry, dims, move_of_step) -> dict:
     members = sorted(entry.members)  # lexicographic order is rank order
     ranks = _ranks(members, dims)
     rank = dict(zip(members, ranks))
-    targets = map(rank.__getitem__, map(entry.neighborhood.next_member.__getitem__, members))
+    targets = map(rank.__getitem__, map(entry.next_member.__getitem__, members))
     return {
         "attractor": list(entry.attractor),
         "members": _deltas(ranks),
         "moves": "".join(map(move_of_step.__getitem__, map(operator.sub, targets, ranks))),
-        "max_descent_steps": entry.neighborhood.max_descent_steps,
+        "max_descent_steps": entry.max_descent_steps,
         "rep_path": [list(q) for q in entry.rep_path.configs],
     }
 
@@ -473,8 +454,9 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
     FingerprintMismatch for another scenario's library, and CorruptLibrary
     for a structural defect: dims or a home other than the scenario's, a
     rank set that is not strictly increasing within the lattice, an
-    attractor outside its member set, or descent moves that do not match
-    the members.
+    attractor outside its member set, descent moves that do not match
+    the members, or a ``max_descent_steps`` that is not an int at least 0
+    (at least 1 for an entry with more than one member).
     """
     try:
         version = payload["format_version"]
@@ -515,15 +497,16 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
                     attractor,
                     slot_of,
                 )
+                steps = e["max_descent_steps"]
+                least = 1 if len(ranks) > 1 else 0  # a member besides the attractor moves
+                if type(steps) is not int or steps < least:  # bool is an int subclass
+                    raise CorruptLibrary(f"max_descent_steps {steps!r} is not an integer >= {least}")
                 entries.append(
                     CoverEntry(
                         attractor=attractor,
-                        neighborhood=Neighborhood(
-                            attractor=attractor,
-                            next_member=next_member,
-                            max_descent_steps=int(e["max_descent_steps"]),
-                        ),
-                        rep_path=Path.from_configs(tuple(tuple(q) for q in e["rep_path"])),
+                        next_member=next_member,
+                        max_descent_steps=steps,
+                        rep_path=Path(tuple(tuple(q) for q in e["rep_path"])),
                     )
                 )
             regions.append(

@@ -408,9 +408,9 @@ def lattice_neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
     return scenario.neighbor_table.get(q, ())
 
 
-def successors(scenario: Scenario, q: Config) -> list[tuple[Config, float]]:
-    """Valid single-DOF moves from q with unit edge cost."""
-    return [(nb, UNIT_COST) for nb in lattice_neighbors(scenario, q) if is_valid(scenario, nb)]
+def successors(scenario: Scenario, q: Config) -> list[Config]:
+    """The valid states one single-DOF move from q; each move costs UNIT_COST."""
+    return [nb for nb in lattice_neighbors(scenario, q) if is_valid(scenario, nb)]
 
 
 def axis_delta(a: int, b: int, n: int, wrap: bool) -> int:

@@ -52,11 +52,10 @@ def connect(entry: CoverEntry, q: Config) -> Path:
     pointer is missing or the chase outruns max_descent_steps (stale or
     tampered library).
     """
-    neighborhood = entry.neighborhood
-    next_member = neighborhood.next_member
+    next_member = entry.next_member
     if q not in next_member:
-        raise ValueError(f"{q} is not a member of the entry's neighborhood")
-    bound = neighborhood.max_descent_steps
+        raise ValueError(f"{q} is not a member of the entry's basin")
+    bound = entry.max_descent_steps
     attractor = entry.attractor
     down = [q]
     cur = q
@@ -69,7 +68,7 @@ def connect(entry: CoverEntry, q: Config) -> Path:
         down.append(cur)
     down.reverse()
     configs = entry.rep_path.configs + tuple(down[1:])
-    return Path.from_configs(configs[: configs.index(q) + 1])
+    return Path(configs[: configs.index(q) + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +135,11 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     """
     library = index.library
     if s == library.s_home:
-        return Path((s,), 0.0)
+        return Path((s,))
     rep = index.rep_states.get(s)
     if rep is not None:
         path, k = rep
-        return Path.from_configs(path.configs[: k + 1])
+        return Path(path.configs[: k + 1])
     hit = find_rep_path(library, s)
     if hit is not None:
         return connect(hit.entry, s)
@@ -148,10 +147,7 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     if k is None:
         raise StartNotPotential(f"{s} is not a potential state")
     # home -> end of the executed path, then back along it to s
-    suffix = index.executed_path.configs[k:]
-    if len(suffix) == 1:
-        return index.anchor
-    return concat_paths(index.anchor, Path.from_configs(suffix).reverse())
+    return concat_paths(index.anchor, Path(index.executed_path.configs[k:][::-1]))
 
 
 def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> PotentialStateIndex:
@@ -188,12 +184,15 @@ class QueryRequest:
 class QueryResult:
     path: Path
     initial_cost: float
-    final_cost: float
     lookup_ms: float
     connect_ms: float
     refine_ms: float
     optimal_flag: bool = False
     refine_report: RefineReport | None = None
+
+    @property
+    def final_cost(self) -> float:
+        return self.path.cost
 
 
 def query(
@@ -223,7 +222,7 @@ def query(
 
     try:
         if request.start == request.goal:
-            initial = Path((request.start,), 0.0)
+            initial = Path((request.start,))
         else:
             home_to_goal = connect(hit.entry, request.goal)
             if request.start == library.s_home:
@@ -241,7 +240,6 @@ def query(
     result = QueryResult(
         path=initial,
         initial_cost=initial.cost,
-        final_cost=initial.cost,
         lookup_ms=(t_lookup - t0) * 1000.0,
         connect_ms=(t_connect - t_lookup) * 1000.0,
         refine_ms=0.0,
@@ -252,7 +250,6 @@ def query(
             scenario, request.start, request.goal, initial, deadline=deadline, clock=clock
         )
         result.path = refined
-        result.final_cost = refined.cost
         result.refine_ms = (clock() - t_connect) * 1000.0
         result.optimal_flag = report.optimal_flag
         result.refine_report = report

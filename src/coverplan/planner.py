@@ -12,7 +12,7 @@ import time
 from typing import Callable
 
 from . import cspace
-from .cover import preprocess
+from .cover import REP_PATH_WEIGHT, preprocess
 from .cspace import Scenario
 from .errors import NotFittedError
 from .online import PotentialStateIndex, QueryRequest, QueryResult, query, update_potential_index
@@ -36,7 +36,7 @@ class CoverPlanner:
     ``index_`` (the potential-state index).
     """
 
-    def __init__(self, *, seed: int = 0, rep_path_weight: float = 3.0):
+    def __init__(self, *, seed: int = 0, rep_path_weight: float = REP_PATH_WEIGHT):
         self.seed = seed
         self.rep_path_weight = rep_path_weight
 

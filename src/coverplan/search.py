@@ -18,6 +18,8 @@ immutable scenario. Deadlines are absolute instants on the injected
 clock (monotonic wall clock by default): astar checks it before each
 heap pop, the shared pass before each selection, and shortcut_path
 before each trial.
+
+A Path is its states alone; its cost is its step count (unit-cost moves).
 """
 
 from __future__ import annotations
@@ -38,14 +40,17 @@ DEFAULT_DELTA = 1e-6
 
 @dataclass(frozen=True)
 class Path:
-    """An ordered lattice path with its accumulated edge cost."""
+    """An ordered lattice path; every step is one unit-cost move."""
 
     configs: tuple[Config, ...]
-    cost: float
 
     def __post_init__(self):
         if not self.configs:
             raise ValueError("a path has at least one configuration")
+
+    @property
+    def cost(self) -> float:
+        return float(len(self.configs) - 1)
 
     @property
     def start(self) -> Config:
@@ -56,41 +61,30 @@ class Path:
         return self.configs[-1]
 
     def reverse(self) -> "Path":
-        return Path(tuple(reversed(self.configs)), self.cost)
-
-    @staticmethod
-    def from_configs(configs) -> "Path":
-        configs = tuple(configs)
-        return Path(configs, cspace.UNIT_COST * (len(configs) - 1))
+        return Path(self.configs[::-1])
 
 
 def concat_paths(a: Path, b: Path) -> Path:
     """Join two paths sharing a junction config (kept once)."""
     if a.configs[-1] != b.configs[0]:
         raise ValueError("paths do not share a junction configuration")
-    return Path(a.configs + b.configs[1:], a.cost + b.cost)
+    return Path(a.configs + b.configs[1:])
 
 
 def path_is_valid(scenario: Scenario, path: Path) -> bool:
-    """Re-validate a path edge by edge against the scenario."""
+    """Re-validate a path: a valid first state, then a valid lattice move per step."""
     if not cspace.is_valid(scenario, path.configs[0]):
         return False
-    cost = 0.0
-    for a, b in zip(path.configs, path.configs[1:]):
-        step = dict(cspace.successors(scenario, a))
-        if b not in step:
-            return False
-        cost += step[b]
-    return abs(cost - path.cost) < 1e-9
+    return all(b in cspace.successors(scenario, a) for a, b in zip(path.configs, path.configs[1:]))
 
 
 def _reconstruct(parent: dict, goal: Config) -> Path:
-    """Follow parent pointers; the cost is recomputed from real edges."""
+    """Follow parent pointers back from goal."""
     configs = [goal]
     while parent[configs[-1]] is not None:
         configs.append(parent[configs[-1]])
     configs.reverse()
-    return Path.from_configs(configs)
+    return Path(tuple(configs))
 
 
 def astar(
@@ -131,9 +125,8 @@ def astar(
             return _reconstruct(parent, q)
         closed.add(q)
         scenario.counters.expansions += 1
-        gq = g[q]
-        for nb, cost in cspace.successors(scenario, q):
-            g2 = gq + cost
+        g2 = g[q] + cspace.UNIT_COST
+        for nb in cspace.successors(scenario, q):
             if nb in closed or g2 >= g.get(nb, math.inf):
                 continue
             g[nb] = g2
@@ -222,8 +215,8 @@ class _AnytimeSearch:
             v[q] = gq
             scenario.counters.expansions += 1
             expansions += 1
-            for nb, cost in cspace.successors(scenario, q):
-                g2 = gq + cost
+            g2 = gq + cspace.UNIT_COST
+            for nb in cspace.successors(scenario, q):
                 if g2 >= g.get(nb, math.inf):
                     continue
                 g[nb] = g2
@@ -341,7 +334,7 @@ def anytime_refine(
     # cost, which the inflation schedule requires (h(goal) = 0).
     first_goal = initial_path.configs.index(goal)
     if first_goal < len(initial_path.configs) - 1:
-        initial_path = Path.from_configs(initial_path.configs[: first_goal + 1])
+        initial_path = Path(initial_path.configs[: first_goal + 1])
 
     t0 = clock()
     g, parent = _seed_from_path(initial_path)
@@ -357,8 +350,8 @@ def anytime_refine(
         # The goal was selected (it is open at every pass start); the parent
         # chain from it and the path ratio change only with a chain state's g.
         if search.dirty:
-            # Stale parent links can only overstate g(goal); the edge-cost
-            # sum is an achieved cost, so adopt it.
+            # Stale parent links can only overstate g(goal); the path's step
+            # count is an achieved cost, so adopt it.
             incumbent = _reconstruct(parent, goal)
             g[goal] = min(g[goal], incumbent.cost)
             search.chain = set(incumbent.configs)
@@ -515,4 +508,4 @@ def shortcut_path(
         # splicing the whole segment drops the loop when configs[i] == configs[j]
         configs = configs[:i] + segment + configs[j + 1 :]
         failures = 0
-    return Path.from_configs(configs)
+    return Path(tuple(configs))

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -51,6 +52,16 @@ def test_config_file_round_trip(small_setup, tmp_path):
     bench.save_experiment_config(cfg, path)
     again = bench.load_experiment_config(path)
     assert again == cfg
+
+
+def test_config_file_defaults_are_the_dataclass_defaults(tmp_path):
+    """Every key but the version, scenario and library may be left out."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"format_version": 1, "scenario": "s.json", "library": "l.json"}))
+    assert bench.load_experiment_config(path) == bench.ExperimentConfig("s.json", "l.json")
+    path.write_text(json.dumps({"format_version": 1, "scenario": "s.json"}))
+    with pytest.raises(ValueError, match="'library'"):
+        bench.load_experiment_config(path)
 
 
 def test_single_experiment_invariants(small_setup):

@@ -20,9 +20,9 @@ def oracle_path(library, q, why):
     """The home path the oracle's reason for q gives."""
     kind, entry, position = why
     if kind == "home":
-        return Path((q,), 0.0)
+        return Path((q,))
     if kind == "rep_path":
-        return Path.from_configs(entry.rep_path.configs[: position + 1])
+        return Path(entry.rep_path.configs[: position + 1])
     return onl.connect(library.goal_index[q].entry, q)
 
 

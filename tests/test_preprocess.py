@@ -23,30 +23,30 @@ def grid3(obstacles=()):
 
 def test_neighborhood_empty_3x3_covers_all():
     sc = grid3()
-    nbhd, frontier = pre.construct_neighborhood(sc, (0, 0))
+    pointers, steps, frontier = pre.construct_neighborhood(sc, (0, 0))
     members, oracle_max = descent_basin(sc, (0, 0))
     assert len(members) == 9
-    assert nbhd.members == frozenset(members)
-    assert nbhd.max_descent_steps == oracle_max
-    assert nbhd.max_descent_steps <= 4
+    assert pointers.keys() == frozenset(members)
+    assert steps == oracle_max
+    assert steps <= 4
     assert frontier == frozenset()
 
 
 def test_neighborhood_excludes_stalled_cell():
     # (2,0)'s only valid successor (2,1) has navigation value sqrt(5) > 2
     sc = grid3(obstacles=[cell_rect(1, 0)])
-    nbhd, frontier = pre.construct_neighborhood(sc, (0, 0))
+    pointers, steps, frontier = pre.construct_neighborhood(sc, (0, 0))
     members, _ = descent_basin(sc, (0, 0))
-    assert (2, 0) not in nbhd.members
-    assert nbhd.members == frozenset(members)
+    assert (2, 0) not in pointers
+    assert pointers.keys() == frozenset(members)
     assert (2, 0) in frontier
 
 
 def test_neighborhood_enclosed_attractor():
     sc = grid(5, home=(4, 4), obstacles=[cell_rect(0, 1), cell_rect(1, 0), cell_rect(1, 1)])
-    nbhd, frontier = pre.construct_neighborhood(sc, (0, 0))
-    assert nbhd.members == frozenset({(0, 0)})
-    assert nbhd.max_descent_steps == 0
+    pointers, steps, frontier = pre.construct_neighborhood(sc, (0, 0))
+    assert pointers.keys() == frozenset({(0, 0)})
+    assert steps == 0
     assert frontier == frozenset()
 
 
@@ -56,10 +56,10 @@ def test_neighborhood_matches_per_cell_oracle(seed):
     cells = [(i, j) for i in range(6) for j in range(6) if rng.random() < 0.25]
     sc = grid(6, home=(5, 5), obstacles=[cell_rect(i, j) for i, j in cells if (i, j) != (5, 5)])
     attractor = (0, 0) if cspace.is_valid(sc, (0, 0)) else (5, 5)
-    nbhd, _ = pre.construct_neighborhood(sc, attractor)
+    pointers, steps, _ = pre.construct_neighborhood(sc, attractor)
     members, oracle_max = descent_basin(sc, attractor)
-    assert nbhd.members == frozenset(members)
-    assert nbhd.max_descent_steps == oracle_max
+    assert pointers.keys() == frozenset(members)
+    assert steps == oracle_max
 
 
 def test_descend_trivial_and_monotone():
@@ -108,23 +108,22 @@ def test_descent_pointers_replay_the_walk(corpus_libraries):
     for name, sc, lib in corpus_libraries:
         for rc in lib.regions:
             for entry in rc.entries:
-                nbhd, attractor = entry.neighborhood, entry.attractor
-                pointers = nbhd.next_member
+                attractor, pointers = entry.attractor, entry.next_member
                 assert pointers[attractor] == attractor, name
                 chases = {}
-                for q in nbhd.members - {attractor}:
+                for q in entry.members - {attractor}:
                     nxt = pointers[q]
-                    assert nxt in nbhd.members, (name, q)
+                    assert nxt in entry.members, (name, q)
                     assert pre.greedy_step(sc, q, attractor) == nxt, (name, q)
                     _, _, visited = simulate_descent(sc, q, attractor, max_steps=1)
                     assert visited == [q, nxt], (name, q)
                     chase = [q]
-                    while chase[-1] != attractor and len(chase) <= nbhd.max_descent_steps:
+                    while chase[-1] != attractor and len(chase) <= entry.max_descent_steps:
                         chase.append(pointers[chase[-1]])
                     assert chase[-1] == attractor, (name, q)
                     chases[q] = chase
                 longest = max(chases.values(), key=len, default=[attractor])
-                assert len(longest) - 1 == nbhd.max_descent_steps, name
+                assert len(longest) - 1 == entry.max_descent_steps, name
                 q = longest[0]
                 assert list(pre.descend(sc, q, attractor).configs) == longest, name
                 reached, steps, visited = simulate_descent(sc, q, attractor)
@@ -133,9 +132,9 @@ def test_descent_pointers_replay_the_walk(corpus_libraries):
 
 def test_descent_soundness_within_bound():
     sc = grid(8, obstacles=[cell_rect(4, j) for j in range(6)])
-    nbhd, _ = pre.construct_neighborhood(sc, (7, 7))
-    for q in sorted(nbhd.members):
-        path = pre.descend(sc, q, (7, 7), step_bound=nbhd.max_descent_steps)
+    pointers, steps, _ = pre.construct_neighborhood(sc, (7, 7))
+    for q in sorted(pointers):
+        path = pre.descend(sc, q, (7, 7), step_bound=steps)
         assert all(cspace.is_valid(sc, c) for c in path.configs)
 
 
@@ -439,6 +438,35 @@ def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
         pre.load_library(path, sc)
 
 
+@pytest.mark.parametrize("steps", [2.7, "3", True, -1, 0, None])
+def test_library_max_descent_steps_must_be_a_move_count(corpus_libraries, steps):
+    """An entry with members besides its attractor needs an int bound of at
+    least 1: a float, a string, a bool, a negative or zero is refused on
+    load, not truncated or coerced."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    payload = pre.library_to_payload(lib)
+    e_p = payload["regions"][0]["entries"][0]
+    assert len(lib.regions[0].entries[0].members) > 1
+    assert pre.library_from_payload(payload, sc) == lib
+    e_p["max_descent_steps"] = steps
+    with pytest.raises(errors.CorruptLibrary, match="max_descent_steps"):
+        pre.library_from_payload(payload, sc)
+
+
+def test_library_one_member_entry_may_have_no_moves(corpus_libraries):
+    """An entry whose only member is its attractor loads with bound 0."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    payload = pre.library_to_payload(lib)
+    e_p = payload["regions"][0]["entries"][0]
+    i, j = e_p["attractor"]
+    e_p.update(members=[i * 12 + j], moves=pre.NO_MOVE, max_descent_steps=0)
+    entry = pre.library_from_payload(payload, sc).regions[0].entries[0]
+    assert entry.members == {(i, j)} and entry.max_descent_steps == 0
+    e_p["max_descent_steps"] = -1
+    with pytest.raises(errors.CorruptLibrary, match="max_descent_steps"):
+        pre.library_from_payload(payload, sc)
+
+
 def wrapping_library(corpus_libraries):
     """A corpus arm: 32 x 32, both joints wrapping, and the one corpus
     library with a seam move out of its basin."""
@@ -456,7 +484,7 @@ def test_library_codec_across_the_seam(corpus_libraries):
     payload decodes to the built library."""
     sc, lib = wrapping_library(corpus_libraries)
     entries = [e for rc in lib.regions for e in rc.entries]
-    pointers = [p for e in entries for p in e.neighborhood.next_member.items()]
+    pointers = [p for e in entries for p in e.next_member.items()]
     assert any(crosses_seam(sc, q, target) for q, target in pointers)
     assert pre.library_from_payload(pre.library_to_payload(lib), sc) == lib
 

@@ -22,7 +22,7 @@ def test_find_rep_path_attractor(fitted12):
     hit = onl.find_rep_path(lib, entry.attractor)
     assert hit is not None
     assert hit.entry is entry
-    assert hit.rep_path is entry.rep_path
+    assert hit.entry.rep_path is entry.rep_path
 
 
 def test_find_rep_path_uncovered_and_excluded():
@@ -85,19 +85,18 @@ def test_connect_zero_collision_checks(fitted12):
 
 def tampered(entry, edits):
     """The entry with its descent pointers edited: q -> target, or removed for None."""
-    pointers = dict(entry.neighborhood.next_member)
+    pointers = dict(entry.next_member)
     for q, target in edits.items():
         if target is None:
             del pointers[q]
         else:
             pointers[q] = target
-    neighborhood = dataclasses.replace(entry.neighborhood, next_member=pointers)
-    return dataclasses.replace(entry, neighborhood=neighborhood)
+    return dataclasses.replace(entry, next_member=pointers)
 
 
 def two_step_goal(rc, entry):
     """A covered member whose descent takes at least two moves, and its next state."""
-    pointers = entry.neighborhood.next_member
+    pointers = entry.next_member
     for q in sorted(entry.members & rc.covered, reverse=True):
         if q != entry.attractor and pointers[q] != entry.attractor:
             return q, pointers[q]
@@ -119,13 +118,13 @@ def test_connect_stalled_on_tampered_members(fitted12):
     # the chase may take exactly the recorded bound, and no more
     steps, cur = 0, q
     while cur != entry.attractor:
-        cur = entry.neighborhood.next_member[cur]
+        cur = entry.next_member[cur]
         steps += 1
-    exact = dataclasses.replace(entry.neighborhood, max_descent_steps=steps)
-    assert onl.connect(dataclasses.replace(entry, neighborhood=exact), q) == onl.connect(entry, q)
-    short = dataclasses.replace(entry.neighborhood, max_descent_steps=steps - 1)
+    exact = dataclasses.replace(entry, max_descent_steps=steps)
+    assert onl.connect(exact, q) == onl.connect(entry, q)
+    short = dataclasses.replace(entry, max_descent_steps=steps - 1)
     with pytest.raises(errors.DescentStalled):
-        onl.connect(dataclasses.replace(entry, neighborhood=short), q)
+        onl.connect(short, q)
 
 
 def test_descend_detects_post_hoc_obstacle(fitted12):
@@ -143,7 +142,7 @@ def test_descend_detects_post_hoc_obstacle(fitted12):
         obstacles=list(sc.obstacles) + [cell_rect(*block)],
     )
     with pytest.raises((errors.DescentStalled, errors.BoundExceeded)):
-        pre.descend(changed, q, entry.attractor, step_bound=entry.neighborhood.max_descent_steps)
+        pre.descend(changed, q, entry.attractor, step_bound=entry.max_descent_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +336,10 @@ def test_query_elementary_bound(fitted12):
     hit_goal = onl.find_rep_path(lib, sorted(lib.regions[1].covered)[0])
     hit_start = onl.find_rep_path(lib, sorted(lib.regions[0].covered)[0])
     bound = (
-        len(hit_start.rep_path.configs)
-        + len(hit_goal.rep_path.configs)
-        + hit_start.entry.neighborhood.max_descent_steps
-        + hit_goal.entry.neighborhood.max_descent_steps
+        len(hit_start.entry.rep_path.configs)
+        + len(hit_goal.entry.rep_path.configs)
+        + hit_start.entry.max_descent_steps
+        + hit_goal.entry.max_descent_steps
     )
     sc.counters.reset()
     onl.query(

@@ -281,7 +281,7 @@ def test_refine_never_worse_than_initial():
 
 
 def test_refine_single_state_path(empty8):
-    p = search.Path(((3, 3),), 0.0)
+    p = search.Path(((3, 3),))
     refined, report = search.anytime_refine(empty8, (3, 3), (3, 3), p)
     assert refined.configs == ((3, 3),)
     assert report.optimal_flag
@@ -406,7 +406,7 @@ def test_shortcut_across_wrap_boundary():
         regions=(RegionSpec("r", (-2.0, -2.0, 2.0, 2.0)),),
     )
     # the long way around from index 2 to index 14 (12 steps vs 4 wrapped)
-    the_long_way = search.Path.from_configs([(i,) for i in range(2, 15)])
+    the_long_way = search.Path(tuple((i,) for i in range(2, 15)))
     out = search.shortcut_path(sc, the_long_way, seed=5)
     assert out.cost == 4.0
     assert out.configs[0] == (2,) and out.configs[-1] == (14,)
@@ -415,7 +415,7 @@ def test_shortcut_across_wrap_boundary():
 
 def test_shortcut_drops_loops_through_a_repeated_state(empty8):
     """A span whose endpoints are one state is spliced out, not kept as a self-edge."""
-    looped = search.Path.from_configs([(0, 0), (1, 0), (1, 1), (1, 0), (2, 0)])
+    looped = search.Path(((0, 0), (1, 0), (1, 1), (1, 0), (2, 0)))
     for max_failures in (1, 5):
         for seed in range(200):
             out = search.shortcut_path(empty8, looped, seed=seed, max_failures=max_failures)
@@ -449,5 +449,4 @@ def test_reverse_round_trip(empty8):
 
 
 def test_path_is_valid_rejects_jumps(empty8):
-    assert not search.path_is_valid(empty8, search.Path(((0, 0), (2, 0)), 1.0))
-    assert not search.path_is_valid(empty8, search.Path(((0, 0), (1, 0)), 5.0))
+    assert not search.path_is_valid(empty8, search.Path(((0, 0), (2, 0))))
