@@ -17,7 +17,7 @@ import csv
 import json
 import random
 import statistics
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path as FsPath
 
 from . import cspace
@@ -84,35 +84,29 @@ class ExperimentConfig:
     ara_dw: float = 5.0
 
     def __post_init__(self):
+        for name in ("scenario", "library", "outdir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a path string")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.budget_ms <= 0:
+        if not self.budget_ms > 0:  # also refuses NaN
             raise ValueError("budget_ms must be positive")
-        if self.budget_range_ms is not None and self.budget_range_ms[0] <= 0:
-            raise ValueError("budget range must be positive")
         if self.mode not in ("single", "sequential"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        rng = self.budget_range_ms
+        if rng is not None and self.mode != "sequential":
+            raise ValueError("budget_range_ms applies to sequential mode only")
+        if rng is not None and not (
+            len(rng) == 2 and all(type(x) in (int, float) for x in rng) and 0 < rng[0] <= rng[1]
+        ):
+            raise ValueError(f"budget_range_ms must be two numbers 0 < lo <= hi, got {rng!r}")
         for p in self.planners:
             if p not in KNOWN_PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")
 
 
 def save_experiment_config(cfg: ExperimentConfig, path) -> None:
-    payload = {
-        "format_version": CONFIG_FORMAT_VERSION,
-        "scenario": cfg.scenario,
-        "library": cfg.library,
-        "mode": cfg.mode,
-        "trials": cfg.trials,
-        "budget_ms": cfg.budget_ms,
-        "budget_range_ms": list(cfg.budget_range_ms) if cfg.budget_range_ms else None,
-        "planners": list(cfg.planners),
-        "seed": cfg.seed,
-        "outdir": cfg.outdir,
-        "wastar_weight": cfg.wastar_weight,
-        "ara_w0": cfg.ara_w0,
-        "ara_dw": cfg.ara_dw,
-    }
+    payload = {"format_version": CONFIG_FORMAT_VERSION, **asdict(cfg)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -122,7 +116,7 @@ def save_experiment_config(cfg: ExperimentConfig, path) -> None:
 _CONFIG_COERCE = {
     "trials": int,
     "budget_ms": float,
-    "budget_range_ms": lambda rng: tuple(rng) if rng else None,
+    "budget_range_ms": lambda rng: None if rng is None else tuple(rng),
     "planners": tuple,
     "seed": int,
     "wastar_weight": float,
@@ -137,13 +131,18 @@ def load_experiment_config(path) -> ExperimentConfig:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse experiment config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"experiment config {path} is not a JSON object")
     version = payload.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported experiment config format_version {version}")
     kwargs = {}
     for f in fields(ExperimentConfig):
         if f.name in payload:
-            kwargs[f.name] = _CONFIG_COERCE.get(f.name, lambda v: v)(payload[f.name])
+            try:
+                kwargs[f.name] = _CONFIG_COERCE.get(f.name, lambda v: v)(payload[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"experiment config {f.name!r}: {exc}") from exc
         elif f.default is MISSING:
             raise ValueError(f"experiment config is missing {f.name!r}")
     return ExperimentConfig(**kwargs)  # a key the file omits takes the field default
@@ -157,13 +156,16 @@ class TrialRecord:
     goal: Config
     budget_ms: float
     success: bool
-    cost: float | None
     plan_ms: float
     n_iterations: int
     final_epsilon: float | None
     optimal_flag: bool
     profile: list[tuple[float, float, float | None]] = field(default_factory=list)
     path: Path | None = None
+
+    @property
+    def cost(self) -> float | None:
+        return self.path.cost if self.path is not None else None
 
 
 @dataclass
@@ -202,7 +204,6 @@ def run_trial(
     clock = SimClock(scenario.counters)
     deadline = budget_ms / 1000.0
     success = False
-    cost = None
     n_iterations = 0
     final_epsilon = None
     optimal = False
@@ -228,7 +229,6 @@ def run_trial(
                     clock=clock,
                 )
             success = True
-            cost = path.cost
             base_ms = res.lookup_ms + res.connect_ms
             if refine and res.refine_report is not None:
                 rep = res.refine_report
@@ -239,18 +239,15 @@ def run_trial(
                     (base_ms + it.elapsed_ms, it.cost, it.epsilon) for it in rep.iterations
                 ]
             else:
-                profile = [(clock() * 1000.0, cost, None)]
-                n_iterations = 0
-                optimal = False
+                profile = [(clock() * 1000.0, path.cost, None)]
         elif planner in ("astar", "wastar"):
             weight = 1.0 if planner == "astar" else cfg.wastar_weight
             path = astar(scenario, start, goal, weight=weight, deadline=deadline, clock=clock)
             success = True
-            cost = path.cost
             n_iterations = 1
             final_epsilon = weight
             optimal = weight == 1.0
-            profile = [(clock() * 1000.0, cost, weight)]
+            profile = [(clock() * 1000.0, path.cost, weight)]
         elif planner == "arastar":
             path, iters, optimal = ara_star(
                 scenario,
@@ -262,7 +259,6 @@ def run_trial(
                 clock=clock,
             )
             success = True
-            cost = path.cost
             n_iterations = len(iters)
             final_epsilon = iters[-1].weight if iters else None
             profile = [(it.elapsed_ms, it.cost, it.weight) for it in iters]
@@ -274,7 +270,6 @@ def run_trial(
     if success and path is not None and not path_is_valid(scenario, path):
         # Defensive: a planner bug must surface as a failed trial, not bad stats.
         success = False
-        cost = None
     return TrialRecord(
         trial_id=trial_id,
         planner=planner,
@@ -282,7 +277,6 @@ def run_trial(
         goal=goal,
         budget_ms=budget_ms,
         success=success,
-        cost=cost,
         plan_ms=plan_ms,
         n_iterations=n_iterations,
         final_epsilon=final_epsilon,

@@ -1,23 +1,19 @@
 """Lattice searches.
 
-astar covers plain and weighted A* with deterministic tie-breaking.
-anytime_refine is the path-seeded anytime search: the open list starts
-with every state of an initial solution at its path cost, and the
-heuristic inflation schedule is driven by the incumbent cost so that each
-iteration is guaranteed at least one productive expansion. ara_star is
-the classic fixed-schedule baseline, shortcut_path the random-restart
-smoothing baseline. anytime_refine and ara_star run one weighted-A* pass,
+astar, anytime_refine and ara_star run one weighted-A* pass,
 _AnytimeSearch.improve_path, over g-values and inconsistent states kept
-from pass to pass as in ARA* (Likhachev, Gordon, Thrun, NIPS 2003); only
-their inflation schedules differ. astar keeps its own loop: it never
-reopens a closed state, and the shared pass would change its paths at
-weights above 1.
+from pass to pass as in ARA* (Likhachev, Gordon, Thrun, NIPS 2003).
+astar is one pass from the start at a fixed weight. anytime_refine is
+the path-seeded anytime search: the open list starts with every state of
+an initial solution at its path cost, and the inflation schedule is
+driven by the incumbent cost so that each iteration is guaranteed at
+least one productive expansion. ara_star is the classic fixed-schedule
+baseline, shortcut_path the random-restart smoothing baseline.
 
 All searches own their mutable state; many may run concurrently over one
 immutable scenario. Deadlines are absolute instants on the injected
-clock (monotonic wall clock by default): astar checks it before each
-heap pop, the shared pass before each selection, and shortcut_path
-before each trial.
+clock (monotonic wall clock by default): the shared pass checks it
+before each selection, shortcut_path before each trial.
 
 A Path is its states alone; its cost is its step count (unit-cost moves).
 """
@@ -96,12 +92,13 @@ def astar(
     deadline: float | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> Path:
-    """(Weighted) A* over the lattice.
+    """(Weighted) A* over the lattice: one shared weighted-A* pass at ``weight``.
 
     With weight 1 the result is optimal; with weight w >= 1 the cost is
     within w of optimal. Ties on f are broken by larger g, then
-    lexicographic config order, so runs are fully deterministic. Closed
-    states are never reopened, unlike in the shared anytime pass.
+    lexicographic config order, so runs are fully deterministic. A closed
+    state that gets a cheaper g takes it and the new parent but is not
+    expanded again, so the path read back is at most g(goal) steps long.
 
     Raises Timeout when the deadline passes, NoPath when the frontier
     empties.
@@ -110,33 +107,16 @@ def astar(
         raise ValueError("weight must be >= 1")
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")
-
-    g: dict[Config, float] = {start: 0.0}
-    parent: dict[Config, Config | None] = {start: None}
-    closed: set[Config] = set()
-    heap = [(weight * cspace.heuristic(scenario, start, goal), 0.0, start)]
-    while heap:
-        if deadline is not None and clock() >= deadline:
-            raise Timeout("search deadline expired")
-        f, neg_g, q = heapq.heappop(heap)
-        if q in closed or -neg_g != g[q]:
-            continue  # stale entry
-        if q == goal:
-            return _reconstruct(parent, q)
-        closed.add(q)
-        scenario.counters.expansions += 1
-        g2 = g[q] + cspace.UNIT_COST
-        for nb in cspace.successors(scenario, q):
-            if nb in closed or g2 >= g.get(nb, math.inf):
-                continue
-            g[nb] = g2
-            parent[nb] = q
-            heapq.heappush(heap, (g2 + weight * cspace.heuristic(scenario, nb, goal), -g2, nb))
-    raise NoPath(f"no path from {start}")
+    search = _AnytimeSearch(_HeuristicMemo(scenario, goal), {start: 0.0}, {start: None}, {start})
+    if search.improve_path(weight, deadline, clock)[0] == "deadline":
+        raise Timeout("search deadline expired")
+    if goal not in search.g:
+        raise NoPath(f"no path from {start}")
+    return _reconstruct(search.parent, goal)
 
 
 # ---------------------------------------------------------------------------
-# the weighted-A* pass shared by the anytime searches
+# the weighted-A* pass shared by astar and the anytime searches
 
 
 class _HeuristicMemo(dict):
@@ -258,10 +238,9 @@ class RefineIteration:
 
 @dataclass
 class RefineReport:
-    """Per-run refinement record: schedule, costs, effort, convergence flag."""
+    """Per-run refinement record: completed iterations, their incumbents and
+    the convergence flag. Costs are read from the paths themselves."""
 
-    initial_cost: float
-    final_cost: float
     iterations: list[RefineIteration] = field(default_factory=list)
     incumbents: list["Path"] = field(default_factory=list)  # one per iteration
     optimal_flag: bool = False
@@ -322,7 +301,7 @@ def anytime_refine(
     """
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
-    report = RefineReport(initial_cost=initial_path.cost, final_cost=initial_path.cost)
+    report = RefineReport()
     if len(initial_path.configs) == 1:
         report.optimal_flag = True  # start == goal: cost 0 is already optimal
         return initial_path, report
@@ -373,7 +352,6 @@ def anytime_refine(
         eps = new_eps
         search.open_set.update(incumbent.configs)
 
-    report.final_cost = incumbent.cost
     return incumbent, report
 
 

@@ -103,16 +103,50 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "not a JSON object"),
+        ({"planners": 5}, "'planners'"),
+        ({"trials": None}, "'trials'"),
+        ({"budget_ms": float("nan")}, "budget_ms must be positive"),
+        ({"mode": "sequential", "budget_range_ms": [500]}, "budget_range_ms"),
+        ({"mode": "sequential", "budget_range_ms": [3000, 500]}, "budget_range_ms"),
+        ({"mode": "sequential", "budget_range_ms": [0, 500]}, "budget_range_ms"),
+        ({"mode": "sequential", "budget_range_ms": ["a", "b"]}, "budget_range_ms"),
+        ({"mode": "sequential", "budget_range_ms": 5}, "'budget_range_ms'"),
+        ({"budget_range_ms": [500, 3000]}, "sequential mode only"),
+        ({"scenario": 0}, "scenario must be a path string"),
+        ({"outdir": 5}, "outdir must be a path string"),
+    ],
+)
+def test_bad_config_values_exit_1(scenario_file, tmp_path, capsys, payload, message):
+    """A config the loader or ExperimentConfig refuses is an error line, not a traceback."""
+    d, sc, spath = scenario_file
+    if isinstance(payload, dict):
+        payload = {"format_version": 1, "scenario": spath, "library": "l.json", **payload}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert cli.main(["bench", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cross_process_determinism(scenario_file, tmp_path):
     """Separate interpreter runs (different hash seeds) produce identical bytes."""
     import os
     import subprocess
     import sys
 
+    import coverplan
+
     d, sc, spath = scenario_file
+    # the child imports the package from the source tree this test imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coverplan.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     blobs = {}
     for run, hashseed in ((0, "1"), (1, "31337")):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=pythonpath)
         lib = tmp_path / f"lib_{run}.json"
         out = subprocess.run(
             [sys.executable, "-m", "coverplan", "preprocess", "--scenario", spath,
