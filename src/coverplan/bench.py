@@ -7,17 +7,19 @@ per-expansion cost). Budgets, timeouts, anytime profiles and the
 reported planning times are therefore exactly reproducible: identical
 (config, seed) runs emit byte-identical trials.csv.
 
-Trials may execute concurrently in principle (each owns its search
-state); records are kept order-stable by trial index either way.
+Trials run one at a time: run_trial resets the scenario's shared
+operation counters, which SimClock reads, so two trials on one scenario
+would charge each other's work. Records keep trial-index order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import statistics
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path as FsPath
 
 from . import cspace
@@ -48,6 +50,17 @@ TRIALS_COLUMNS = (
     "n_iterations",
     "final_epsilon",
     "optimal_flag",
+)
+
+SUMMARY_COLUMNS = (
+    "planner",
+    "trials",
+    "solved",
+    "success_rate_pct",
+    "mean_cost_common",
+    "mean_plan_ms",
+    "std_plan_ms",
+    "mean_suboptimality_common",
 )
 
 
@@ -87,6 +100,10 @@ class ExperimentConfig:
         for name in ("scenario", "library", "outdir"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a path string")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name!r} must be an int, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.budget_ms > 0:  # also refuses NaN
@@ -100,6 +117,9 @@ class ExperimentConfig:
             len(rng) == 2 and all(type(x) in (int, float) for x in rng) and 0 < rng[0] <= rng[1]
         ):
             raise ValueError(f"budget_range_ms must be two numbers 0 < lo <= hi, got {rng!r}")
+        for name in ("wastar_weight", "ara_w0", "ara_dw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for p in self.planners:
             if p not in KNOWN_PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")
@@ -114,11 +134,9 @@ def save_experiment_config(cfg: ExperimentConfig, path) -> None:
 
 # How a file value becomes its ExperimentConfig field; other fields take it as is.
 _CONFIG_COERCE = {
-    "trials": int,
     "budget_ms": float,
     "budget_range_ms": lambda rng: None if rng is None else tuple(rng),
     "planners": tuple,
-    "seed": int,
     "wastar_weight": float,
     "ara_w0": float,
     "ara_dw": float,
@@ -150,22 +168,35 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 @dataclass
 class TrialRecord:
+    """One planner on one instance. ``profile`` holds the anytime samples
+    (simulated ms, cost, inflation or None); ``path`` is None on failure."""
+
     trial_id: int
     planner: str
     start: Config
     goal: Config
     budget_ms: float
-    success: bool
     plan_ms: float
-    n_iterations: int
-    final_epsilon: float | None
     optimal_flag: bool
-    profile: list[tuple[float, float, float | None]] = field(default_factory=list)
-    path: Path | None = None
+    profile: list[tuple[float, float, float | None]]
+    path: Path | None
+
+    @property
+    def success(self) -> bool:
+        return self.path is not None
 
     @property
     def cost(self) -> float | None:
         return self.path.cost if self.path is not None else None
+
+    @property
+    def n_iterations(self) -> int:
+        """Samples taken at an inflation: one per completed search iteration."""
+        return sum(eps is not None for _, _, eps in self.profile)
+
+    @property
+    def final_epsilon(self) -> float | None:
+        return self.profile[-1][2] if self.profile else None
 
 
 @dataclass
@@ -173,19 +204,18 @@ class SummaryRow:
     planner: str
     trials: int
     solved: int
-    success_rate_pct: float
     mean_cost_common: float | None
     mean_plan_ms: float
     std_plan_ms: float
     mean_suboptimality_common: float | None
 
+    @property
+    def success_rate_pct(self) -> float:
+        return 100.0 * self.solved / self.trials if self.trials else 0.0
+
 
 # ---------------------------------------------------------------------------
 # trial execution
-
-
-def _fmt_config(q: Config) -> str:
-    return ";".join(str(c) for c in q)
 
 
 def run_trial(
@@ -199,16 +229,18 @@ def run_trial(
     budget_ms: float,
     cfg: ExperimentConfig,
 ) -> TrialRecord:
-    """One planner on one instance under the simulated clock."""
+    """One planner on one instance under the simulated clock.
+
+    Each planner sets the path, its anytime profile and whether it proved
+    the path optimal; a planning error or a path that fails re-validation
+    leaves no path.
+    """
     scenario.counters.reset()
     clock = SimClock(scenario.counters)
     deadline = budget_ms / 1000.0
-    success = False
-    n_iterations = 0
-    final_epsilon = None
-    optimal = False
-    profile: list[tuple[float, float, float | None]] = []
     path = None
+    profile: list[tuple[float, float, float | None]] = []
+    optimal = False
     try:
         if planner in ("ctmp", "ctmp+refine", "ctmp+shortcut"):
             refine = planner == "ctmp+refine"
@@ -228,12 +260,9 @@ def run_trial(
                     seed=cfg.seed * 100000 + trial_id,
                     clock=clock,
                 )
-            success = True
-            base_ms = res.lookup_ms + res.connect_ms
-            if refine and res.refine_report is not None:
-                rep = res.refine_report
-                n_iterations = len(rep.iterations)
-                final_epsilon = rep.epsilon_history[-1] if rep.iterations else None
+            rep = res.refine_report
+            if rep is not None:
+                base_ms = res.lookup_ms + res.connect_ms
                 optimal = rep.optimal_flag
                 profile = [(base_ms, res.initial_cost, None)] + [
                     (base_ms + it.elapsed_ms, it.cost, it.epsilon) for it in rep.iterations
@@ -243,9 +272,6 @@ def run_trial(
         elif planner in ("astar", "wastar"):
             weight = 1.0 if planner == "astar" else cfg.wastar_weight
             path = astar(scenario, start, goal, weight=weight, deadline=deadline, clock=clock)
-            success = True
-            n_iterations = 1
-            final_epsilon = weight
             optimal = weight == 1.0
             profile = [(clock() * 1000.0, path.cost, weight)]
         elif planner == "arastar":
@@ -258,32 +284,16 @@ def run_trial(
                 deadline=deadline,
                 clock=clock,
             )
-            success = True
-            n_iterations = len(iters)
-            final_epsilon = iters[-1].weight if iters else None
             profile = [(it.elapsed_ms, it.cost, it.weight) for it in iters]
         else:
             raise ValueError(f"unknown planner {planner!r}")
     except PlanningError:
-        success = False
+        path = None
     plan_ms = clock() * 1000.0
-    if success and path is not None and not path_is_valid(scenario, path):
+    if path is not None and not path_is_valid(scenario, path):
         # Defensive: a planner bug must surface as a failed trial, not bad stats.
-        success = False
-    return TrialRecord(
-        trial_id=trial_id,
-        planner=planner,
-        start=start,
-        goal=goal,
-        budget_ms=budget_ms,
-        success=success,
-        plan_ms=plan_ms,
-        n_iterations=n_iterations,
-        final_epsilon=final_epsilon,
-        optimal_flag=optimal,
-        profile=profile,
-        path=path if success else None,
-    )
+        path = None
+    return TrialRecord(trial_id, planner, start, goal, budget_ms, plan_ms, optimal, profile, path)
 
 
 def _covered_goals(library: Library, region_id: str | None = None) -> list[Config]:
@@ -401,7 +411,6 @@ def summarize(
                 planner=p,
                 trials=len(recs),
                 solved=len(solved),
-                success_rate_pct=100.0 * len(solved) / len(recs) if recs else 0.0,
                 mean_cost_common=statistics.fmean(r.cost for r in common) if common else None,
                 mean_plan_ms=statistics.fmean(plan_times) if plan_times else 0.0,
                 std_plan_ms=statistics.pstdev(plan_times) if len(plan_times) > 1 else 0.0,
@@ -421,66 +430,39 @@ def _fmt_float(x: float | None) -> str:
     return f"{x:.6f}"
 
 
+def _fmt_config(q: Config) -> str:
+    return ";".join(str(c) for c in q)
+
+
+# How a column's cells are written, by column name; other columns are written as is.
+_CELL_FORMAT = {"start": _fmt_config, "goal": _fmt_config} | dict.fromkeys(
+    ("budget_ms", "cost", "plan_ms", "final_epsilon", "success_rate_pct", "mean_cost_common",
+     "mean_plan_ms", "std_plan_ms", "mean_suboptimality_common"),
+    _fmt_float,
+)
+
+
 def emit_results(records: list[TrialRecord], stats: list[SummaryRow], outdir) -> dict[str, str]:
     """Write trials.csv, summary.csv and anytime_profile.svg into outdir."""
     out = FsPath(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    trials_path = out / "trials.csv"
-    with open(trials_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIALS_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.trial_id,
-                    r.planner,
-                    _fmt_config(r.start),
-                    _fmt_config(r.goal),
-                    _fmt_float(r.budget_ms),
-                    str(r.success),
-                    _fmt_float(r.cost),
-                    _fmt_float(r.plan_ms),
-                    r.n_iterations,
-                    _fmt_float(r.final_epsilon),
-                    str(r.optimal_flag),
-                ]
-            )
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "planner",
-                "trials",
-                "solved",
-                "success_rate_pct",
-                "mean_cost_common",
-                "mean_plan_ms",
-                "std_plan_ms",
-                "mean_suboptimality_common",
-            ]
-        )
-        for s in stats:
-            writer.writerow(
-                [
-                    s.planner,
-                    s.trials,
-                    s.solved,
-                    _fmt_float(s.success_rate_pct),
-                    _fmt_float(s.mean_cost_common),
-                    _fmt_float(s.mean_plan_ms),
-                    _fmt_float(s.std_plan_ms),
-                    _fmt_float(s.mean_suboptimality_common),
-                ]
-            )
-    svg_path = out / "anytime_profile.svg"
-    with open(svg_path, "w") as fh:
+    files = {}
+    for name, columns, rows in (
+        ("trials", TRIALS_COLUMNS, records),
+        ("summary", SUMMARY_COLUMNS, stats),
+    ):
+        files[name] = str(out / f"{name}.csv")
+        with open(files[name], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow(
+                    _CELL_FORMAT.get(c, lambda v: v)(getattr(row, c)) for c in columns
+                )
+    files["profile"] = str(out / "anytime_profile.svg")
+    with open(files["profile"], "w") as fh:
         fh.write(render_profile_svg(records))
-    return {
-        "trials": str(trials_path),
-        "summary": str(summary_path),
-        "profile": str(svg_path),
-    }
+    return files
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")

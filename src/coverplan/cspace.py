@@ -44,7 +44,8 @@ SCENARIO_FORMAT_VERSION = 1
 
 # Single-DOF unit-cost action set: one lattice index up or down per move.
 # Diagonal multi-joint moves are deliberately absent so the Manhattan
-# heuristic stays consistent.
+# heuristic stays consistent. These are the only values a scenario file may
+# name; scenario_to_payload writes them and scenario_from_payload refuses others.
 ACTION_SET = "single_dof"
 COST_MODEL = "unit"
 UNIT_COST = 1.0
@@ -169,8 +170,6 @@ class Scenario:
     obstacles: tuple[Obstacle, ...] = ()
     grid_dims: tuple[int, int] | None = None
     arm: ArmModel | None = None
-    actions: str = ACTION_SET
-    cost_model: str = COST_MODEL
     counters: OpCounters = field(default_factory=OpCounters, init=False, compare=False, repr=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
@@ -199,10 +198,6 @@ class Scenario:
         ids = [r.id for r in self.regions]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate region ids in {ids}")
-        if self.actions != ACTION_SET:
-            raise ValueError(f"unsupported actions {self.actions!r}; only {ACTION_SET!r}")
-        if self.cost_model != COST_MODEL:
-            raise ValueError(f"unsupported cost_model {self.cost_model!r}; only {COST_MODEL!r}")
         if len(self.s_home) != len(dims) or not all(
             0 <= c < n for c, n in zip(self.s_home, dims)
         ):
@@ -502,8 +497,8 @@ def scenario_to_payload(scenario: Scenario) -> dict:
         "obstacles": [_obstacle_payload(o) for o in scenario.obstacles],
         "s_home": list(scenario.s_home),
         "regions": [{"id": r.id, "box": list(r.box)} for r in scenario.regions],
-        "actions": scenario.actions,
-        "cost_model": scenario.cost_model,
+        "actions": ACTION_SET,
+        "cost_model": COST_MODEL,
     }
     if scenario.kind == "grid":
         payload["grid"] = {"dims": list(scenario.grid_dims)}
@@ -525,14 +520,15 @@ def scenario_from_payload(payload: dict) -> Scenario:
         version = payload["format_version"]
         if version != SCENARIO_FORMAT_VERSION:
             raise ScenarioFormatError(f"unsupported scenario format_version {version}")
+        for key, only in (("actions", ACTION_SET), ("cost_model", COST_MODEL)):
+            if payload.get(key, only) != only:
+                raise ScenarioFormatError(f"unsupported {key} {payload[key]!r}; only {only!r}")
         kind = payload["kind"]
         common = dict(
             kind=kind,
             s_home=tuple(int(c) for c in payload["s_home"]),
             regions=tuple(RegionSpec(id=r["id"], box=tuple(r["box"])) for r in payload["regions"]),
             obstacles=tuple(_obstacle_from_payload(o) for o in payload["obstacles"]),
-            actions=payload.get("actions", ACTION_SET),
-            cost_model=payload.get("cost_model", COST_MODEL),
         )
         if kind == "grid":
             return Scenario(grid_dims=tuple(payload["grid"]["dims"]), **common)

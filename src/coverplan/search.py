@@ -103,8 +103,8 @@ def astar(
     Raises Timeout when the deadline passes, NoPath when the frontier
     empties.
     """
-    if weight < 1.0:
-        raise ValueError("weight must be >= 1")
+    if not (math.isfinite(weight) and weight >= 1.0):
+        raise ValueError(f"weight must be finite and >= 1, got {weight!r}")
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")
     search = _AnytimeSearch(_HeuristicMemo(scenario, goal), {start: 0.0}, {start: None}, {start})
@@ -249,14 +249,6 @@ class RefineReport:
     def epsilon_history(self) -> list[float]:
         return [it.epsilon for it in self.iterations]
 
-    @property
-    def iteration_costs(self) -> list[float]:
-        return [it.cost for it in self.iterations]
-
-    @property
-    def expansions(self) -> int:
-        return sum(it.expansions for it in self.iterations)
-
 
 def _seed_from_path(path: Path):
     """Path states with their path g-values and predecessor links.
@@ -383,8 +375,8 @@ def ara_star(
     carry-over. Returns (best path, per-iteration profile, optimal flag);
     raises Timeout if the deadline expires before any solution exists.
     """
-    if w0 < 1.0 or dw <= 0.0:
-        raise ValueError("need w0 >= 1 and dw > 0")
+    if not (math.isfinite(w0) and w0 >= 1.0 and math.isfinite(dw) and dw > 0.0):
+        raise ValueError(f"need finite w0 >= 1 and finite dw > 0, got w0={w0!r}, dw={dw!r}")
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")
     t0 = clock()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,51 @@ def test_reproducible_trials_csv(small_setup):
     a = open(out_a + "/trials.csv", "rb").read()
     b = open(out_b + "/trials.csv", "rb").read()
     assert a == b
+
+
+# sha256 of summary.csv and anytime_profile.svg for the grid21_ladder config
+# whose trials.csv test_frozen_outputs pins, recorded before TrialRecord and
+# SummaryRow derived their columns and one writer emitted both CSVs.
+LADDER_SUMMARY_SHA256 = "7f977712238eb9b8b1cf6651adff095a9c756cf16ace74959381c5670301fe29"
+LADDER_PROFILE_SHA256 = "fea372e9fd47e1a2ffe0a885f1806f9b511268b4088705af67aefab48a468a73"
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    scenario = dict(corpus.corpus())["grid21_ladder"]
+    return scenario, pre.preprocess(scenario, seed=0)
+
+
+def ladder_outputs(ladder, outdir, budget_ms=500.0) -> dict[str, bytes]:
+    """The bytes test_frozen_outputs.test_bench_trials_csv_frozen's config emits."""
+    scenario, library = ladder
+    cfg = bench.ExperimentConfig(
+        scenario="ladder_scenario.json",
+        library="ladder_library.json",
+        mode="single",
+        trials=10,
+        budget_ms=budget_ms,
+        planners=("ctmp", "ctmp+refine", "astar", "wastar", "arastar"),
+        seed=9,
+        outdir=str(outdir),
+    )
+    records, stats = bench.run_single_experiment(scenario, library, cfg)
+    files = bench.emit_results(records, stats, cfg.outdir)
+    return {name: open(path, "rb").read() for name, path in files.items()}
+
+
+def test_bench_summary_and_profile_frozen(ladder, tmp_path):
+    out = ladder_outputs(ladder, tmp_path)
+    assert hashlib.sha256(out["summary"]).hexdigest() == LADDER_SUMMARY_SHA256
+    assert hashlib.sha256(out["profile"]).hexdigest() == LADDER_PROFILE_SHA256
+
+
+def test_integer_budget_writes_the_float_budget_bytes(ladder, tmp_path):
+    """Cells are formatted by column, not by the value's type."""
+    as_float = ladder_outputs(ladder, tmp_path / "float", budget_ms=500.0)
+    as_int = ladder_outputs(ladder, tmp_path / "int", budget_ms=500)
+    assert as_int == as_float
+    assert b",500.000000," in as_int["trials"]
 
 
 def test_sim_clock_is_counter_driven(small_setup):

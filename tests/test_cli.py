@@ -118,6 +118,13 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
         ({"budget_range_ms": [500, 3000]}, "sequential mode only"),
         ({"scenario": 0}, "scenario must be a path string"),
         ({"outdir": 5}, "outdir must be a path string"),
+        ({"trials": 2.7}, "'trials' must be an int"),
+        ({"trials": True}, "'trials' must be an int"),
+        ({"seed": True}, "'seed' must be an int"),
+        ({"seed": 1.5}, "'seed' must be an int"),
+        ({"wastar_weight": float("nan")}, "wastar_weight must be finite"),
+        ({"ara_w0": float("inf")}, "ara_w0 must be finite"),
+        ({"ara_dw": float("nan")}, "ara_dw must be finite"),
     ],
 )
 def test_bad_config_values_exit_1(scenario_file, tmp_path, capsys, payload, message):

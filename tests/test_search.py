@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import cspace, errors, search
+from coverplan import corpus, cspace, errors, search
 from oracles import bfs_distances
 
 
@@ -62,6 +62,27 @@ def test_astar_weighted_bound():
     opt = search.astar(sc, (0, 0), (7, 0)).cost
     for w in (1.5, 3.0, 10.0):
         assert search.astar(sc, (0, 0), (7, 0), weight=w).cost <= w * opt
+
+
+def test_search_weights_must_be_finite_and_at_least_one():
+    """An infinite weight makes inf * h(goal) = inf * 0 NaN, which used to
+    report NoPath for a goal ten steps away; NaN passed every comparison."""
+    sc = dict(corpus.corpus())["grid8_d10"]
+    home, goal = sc.s_home, (7, 7)
+    assert search.astar(sc, home, goal).cost == 10.0
+    for weight in (math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError):
+            search.astar(sc, home, goal, weight=weight)
+    for w0, dw in [
+        (math.inf, 5.0),
+        (math.nan, 5.0),
+        (0.5, 5.0),
+        (50.0, math.inf),
+        (50.0, math.nan),
+        (50.0, 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            search.ara_star(sc, home, goal, w0=w0, dw=dw)
 
 
 def test_astar_optimal_on_random_grids():
@@ -257,7 +278,7 @@ def test_refine_monotone_schedule_and_costs():
         eh = report.epsilon_history
         assert all(b < a for a, b in zip(eh, eh[1:]))
         assert eh[-1] == 1.0
-        costs = report.iteration_costs
+        costs = [it.cost for it in report.iterations]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert refined.cost == dist[goal]
         assert report.optimal_flag
@@ -324,7 +345,7 @@ def test_refine_matches_literal_reference():
         ref_cost, ref_history, ref_costs = naive_refine(sc, start, goal, init)
         assert refined.cost == ref_cost, (start, goal, via)
         assert report.epsilon_history == ref_history, (start, goal, via)
-        assert report.iteration_costs == ref_costs, (start, goal, via)
+        assert [it.cost for it in report.iterations] == ref_costs, (start, goal, via)
         compared += 1
     assert compared >= 8
 
