@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import random
 import statistics
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -32,6 +31,9 @@ from .search import Path, ara_star, astar, path_is_valid, shortcut_path
 CONFIG_FORMAT_VERSION = 1
 
 KNOWN_PLANNERS = ("ctmp", "ctmp+refine", "ctmp+shortcut", "astar", "wastar", "arastar")
+
+# The wastar baseline's inflation; arastar runs search.ara_star's fixed schedule.
+WASTAR_WEIGHT = 3.0
 
 # Simulated-time quanta (seconds per counted operation).
 EXPANSION_SECONDS = 1e-3
@@ -92,9 +94,6 @@ class ExperimentConfig:
     planners: tuple[str, ...] = ("ctmp", "ctmp+refine")
     seed: int = 0
     outdir: str = "bench_out"
-    wastar_weight: float = 3.0
-    ara_w0: float = 50.0
-    ara_dw: float = 5.0
 
     def __post_init__(self):
         for name in ("scenario", "library", "outdir"):
@@ -117,9 +116,6 @@ class ExperimentConfig:
             len(rng) == 2 and all(type(x) in (int, float) for x in rng) and 0 < rng[0] <= rng[1]
         ):
             raise ValueError(f"budget_range_ms must be two numbers 0 < lo <= hi, got {rng!r}")
-        for name in ("wastar_weight", "ara_w0", "ara_dw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         for p in self.planners:
             if p not in KNOWN_PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")
@@ -137,9 +133,6 @@ _CONFIG_COERCE = {
     "budget_ms": float,
     "budget_range_ms": lambda rng: None if rng is None else tuple(rng),
     "planners": tuple,
-    "wastar_weight": float,
-    "ara_w0": float,
-    "ara_dw": float,
 }
 
 
@@ -154,8 +147,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     version = payload.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported experiment config format_version {version}")
+    config_fields = fields(ExperimentConfig)
+    unknown = sorted(payload.keys() - {"format_version"} - {f.name for f in config_fields})
+    if unknown:
+        raise ValueError(f"experiment config has unknown keys {', '.join(map(repr, unknown))}")
     kwargs = {}
-    for f in fields(ExperimentConfig):
+    for f in config_fields:
         if f.name in payload:
             try:
                 kwargs[f.name] = _CONFIG_COERCE.get(f.name, lambda v: v)(payload[f.name])
@@ -233,7 +230,7 @@ def run_trial(
 
     Each planner sets the path, its anytime profile and whether it proved
     the path optimal; a planning error or a path that fails re-validation
-    leaves no path.
+    leaves no path, and so no optimal flag.
     """
     scenario.counters.reset()
     clock = SimClock(scenario.counters)
@@ -270,20 +267,12 @@ def run_trial(
             else:
                 profile = [(clock() * 1000.0, path.cost, None)]
         elif planner in ("astar", "wastar"):
-            weight = 1.0 if planner == "astar" else cfg.wastar_weight
+            weight = 1.0 if planner == "astar" else WASTAR_WEIGHT
             path = astar(scenario, start, goal, weight=weight, deadline=deadline, clock=clock)
             optimal = weight == 1.0
             profile = [(clock() * 1000.0, path.cost, weight)]
         elif planner == "arastar":
-            path, iters, optimal = ara_star(
-                scenario,
-                start,
-                goal,
-                w0=cfg.ara_w0,
-                dw=cfg.ara_dw,
-                deadline=deadline,
-                clock=clock,
-            )
+            path, iters, optimal = ara_star(scenario, start, goal, deadline=deadline, clock=clock)
             profile = [(it.elapsed_ms, it.cost, it.weight) for it in iters]
         else:
             raise ValueError(f"unknown planner {planner!r}")
@@ -292,7 +281,7 @@ def run_trial(
     plan_ms = clock() * 1000.0
     if path is not None and not path_is_valid(scenario, path):
         # Defensive: a planner bug must surface as a failed trial, not bad stats.
-        path = None
+        path, optimal = None, False
     return TrialRecord(trial_id, planner, start, goal, budget_ms, plan_ms, optimal, profile, path)
 
 

@@ -57,7 +57,7 @@ from .errors import (
     LibraryVersionError,
     NoPath,
 )
-from .search import Path, astar
+from .search import Path, astar, path_is_valid
 
 LIBRARY_FORMAT_VERSION = 2
 
@@ -276,7 +276,7 @@ def sample_valid_uncovered(
     return remaining[rng.randrange(len(remaining))]
 
 
-def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_PATH_WEIGHT) -> Library:
+def preprocess(scenario: Scenario, seed: int = 0) -> Library:
     """Build the library: a cover with representative paths per region.
 
     Deterministic for a fixed (scenario, seed). Each region draws from its
@@ -298,7 +298,7 @@ def preprocess(scenario: Scenario, seed: int = 0, rep_path_weight: float = REP_P
             if cand is None:
                 break
             try:
-                rep = astar(scenario, scenario.s_home, cand, weight=rep_path_weight)
+                rep = astar(scenario, scenario.s_home, cand, weight=REP_PATH_WEIGHT)
             except NoPath:
                 excluded.add(cand)
                 continue
@@ -455,8 +455,9 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
     for a structural defect: dims or a home other than the scenario's, a
     rank set that is not strictly increasing within the lattice, an
     attractor outside its member set, descent moves that do not match
-    the members, or a ``max_descent_steps`` that is not an int at least 0
-    (at least 1 for an entry with more than one member).
+    the members, a ``max_descent_steps`` that is not an int at least 0
+    (at least 1 for an entry with more than one member), or a rep path
+    that is not a valid lattice walk from home to its attractor.
     """
     try:
         version = payload["format_version"]
@@ -501,12 +502,19 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
                 least = 1 if len(ranks) > 1 else 0  # a member besides the attractor moves
                 if type(steps) is not int or steps < least:  # bool is an int subclass
                     raise CorruptLibrary(f"max_descent_steps {steps!r} is not an integer >= {least}")
+                rep_path = Path(tuple(tuple(q) for q in e["rep_path"]))
+                if not (
+                    rep_path.start == s_home
+                    and rep_path.goal == attractor
+                    and path_is_valid(scenario, rep_path)
+                ):
+                    raise CorruptLibrary(f"rep path to {attractor} is no valid walk from home")
                 entries.append(
                     CoverEntry(
                         attractor=attractor,
                         next_member=next_member,
                         max_descent_steps=steps,
-                        rep_path=Path(tuple(tuple(q) for q in e["rep_path"])),
+                        rep_path=rep_path,
                     )
                 )
             regions.append(

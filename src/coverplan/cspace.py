@@ -33,6 +33,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -459,11 +460,22 @@ def region_configs(scenario: Scenario, region: RegionSpec) -> list[Config]:
 # validation helpers
 
 
+def _index(c) -> int:
+    """An integer coordinate as an int; a bool, float or string raises TypeError."""
+    if c is True or c is False:
+        raise TypeError(f"{c!r} is a bool")
+    return operator.index(c)
+
+
 def check_config(scenario: Scenario, q) -> Config:
-    """Coerce and bounds-check a user-supplied configuration."""
+    """Check a user-supplied configuration: one integer per DOF, in bounds.
+
+    A coordinate must be an integer for ``operator.index``: a float, a
+    string or a bool is refused with ValueError, not truncated or parsed.
+    """
     try:
-        cfg = tuple(int(c) for c in q)
-    except (TypeError, ValueError) as exc:
+        cfg = tuple(map(_index, q))
+    except TypeError as exc:
         raise ValueError(f"configuration must be a sequence of integers, got {q!r}") from exc
     if len(cfg) != scenario.dof:
         raise ValueError(f"configuration has {len(cfg)} coordinates, scenario has {scenario.dof} DOF")

@@ -12,7 +12,7 @@ import time
 from typing import Callable
 
 from . import cspace
-from .cover import REP_PATH_WEIGHT, preprocess
+from .cover import preprocess
 from .cspace import Scenario
 from .errors import NotFittedError
 from .online import PotentialStateIndex, QueryRequest, QueryResult, query, update_potential_index
@@ -29,21 +29,20 @@ class CoverPlanner:
 
     Parameters
     ----------
-    seed : rng seed for attractor sampling during fit.
-    rep_path_weight : heuristic inflation of the offline path planner.
+    seed : rng seed for attractor sampling during fit, the one parameter;
+        the offline path planner runs at the fixed ``cover.REP_PATH_WEIGHT``.
 
     Fitted attributes: ``scenario_``, ``library_`` (the cover library) and
     ``index_`` (the potential-state index).
     """
 
-    def __init__(self, *, seed: int = 0, rep_path_weight: float = REP_PATH_WEIGHT):
+    def __init__(self, *, seed: int = 0):
         self.seed = seed
-        self.rep_path_weight = rep_path_weight
 
     # -- scikit-learn parameter protocol ------------------------------------
 
     def get_params(self, deep: bool = True) -> dict:
-        return {"seed": self.seed, "rep_path_weight": self.rep_path_weight}
+        return {"seed": self.seed}
 
     def set_params(self, **params) -> "CoverPlanner":
         valid = self.get_params()
@@ -60,7 +59,7 @@ class CoverPlanner:
 
         Raises HomeInvalid when the home state is in collision.
         """
-        self.library_ = preprocess(scenario, seed=self.seed, rep_path_weight=self.rep_path_weight)
+        self.library_ = preprocess(scenario, seed=self.seed)
         self.scenario_ = scenario
         self.index_ = PotentialStateIndex(scenario, self.library_)
         return self

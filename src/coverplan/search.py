@@ -33,6 +33,13 @@ from .errors import NoPath, Timeout
 
 DEFAULT_DELTA = 1e-6
 
+# The ARA* baseline's fixed schedule: weights 50, 45, ..., 5, 1.
+ARA_W0 = 50.0
+ARA_DW = 5.0
+
+# shortcut_path stops after this many consecutive non-improving trials.
+SHORTCUT_PATIENCE = 100
+
 
 @dataclass(frozen=True)
 class Path:
@@ -68,10 +75,18 @@ def concat_paths(a: Path, b: Path) -> Path:
 
 
 def path_is_valid(scenario: Scenario, path: Path) -> bool:
-    """Re-validate a path: a valid first state, then a valid lattice move per step."""
-    if not cspace.is_valid(scenario, path.configs[0]):
+    """Re-validate a path: a valid first state, then a valid lattice move per step.
+
+    Reads the scenario's ``state_table`` and ``neighbor_table``, with the
+    answers of ``is_valid`` and ``successors`` but no counted collision
+    check, so a check made after planning moves no SimClock reading.
+    """
+    states, neighbors = scenario.state_table, scenario.neighbor_table
+    configs = path.configs
+    if configs[0] not in states or not states[configs[0]][0]:
         return False
-    return all(b in cspace.successors(scenario, a) for a, b in zip(path.configs, path.configs[1:]))
+    # each a is valid, so on the lattice: the first by the check above, the rest as a b
+    return all(b in neighbors[a] and states[b][0] for a, b in zip(configs, configs[1:]))
 
 
 def _reconstruct(parent: dict, goal: Config) -> Path:
@@ -364,26 +379,23 @@ def ara_star(
     start: Config,
     goal: Config,
     *,
-    w0: float = 50.0,
-    dw: float = 5.0,
     deadline: float | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> tuple[Path, list[AraIteration], bool]:
     """Classic anytime repairing A* from scratch (no path seeding).
 
-    Runs weighted iterations at w0, w0-dw, ..., 1 with inconsistent-state
-    carry-over. Returns (best path, per-iteration profile, optimal flag);
-    raises Timeout if the deadline expires before any solution exists.
+    Runs weighted iterations at ARA_W0, ARA_W0 - ARA_DW, ..., 1 with
+    inconsistent-state carry-over. Returns (best path, per-iteration
+    profile, optimal flag); raises Timeout if the deadline expires before
+    any solution exists.
     """
-    if not (math.isfinite(w0) and w0 >= 1.0 and math.isfinite(dw) and dw > 0.0):
-        raise ValueError(f"need finite w0 >= 1 and finite dw > 0, got w0={w0!r}, dw={dw!r}")
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")
     t0 = clock()
     search = _AnytimeSearch(_HeuristicMemo(scenario, goal), {start: 0.0}, {start: None}, {start})
     incumbent: Path | None = None
     profile: list[AraIteration] = []
-    w = w0
+    w = ARA_W0
     while True:
         stop, expansions, _ = search.improve_path(w, deadline, clock)
         if stop == "deadline":
@@ -400,7 +412,7 @@ def ara_star(
         profile.append(AraIteration(w, incumbent.cost, expansions, (clock() - t0) * 1000.0))
         if w == 1.0 or not (search.open_set or search.incons):
             return incumbent, profile, True  # weight 1, or stable g-values
-        w = max(1.0, w - dw)
+        w = max(1.0, w - ARA_DW)
 
 
 def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] | None:
@@ -444,19 +456,18 @@ def shortcut_path(
     *,
     deadline: float | None = None,
     seed: int = 0,
-    max_failures: int = 100,
     clock: Callable[[], float] = time.monotonic,
 ) -> Path:
     """Random-segment shortcutting: straighten spans whose detour exceeds
     the lattice distance between their endpoints.
 
-    Deterministic for a fixed seed; stops at the deadline or after
-    ``max_failures`` consecutive non-improving trials.
+    Deterministic for a fixed seed; stops at the deadline, checked before
+    each trial, or after SHORTCUT_PATIENCE consecutive non-improving trials.
     """
     rng = random.Random(seed)
     configs = list(path.configs)
     failures = 0
-    while failures < max_failures:
+    while failures < SHORTCUT_PATIENCE:
         if deadline is not None and clock() >= deadline:
             break
         n = len(configs)

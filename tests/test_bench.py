@@ -6,6 +6,7 @@ import pytest
 
 from coverplan import bench, corpus, cspace
 from coverplan import cover as pre
+from coverplan.online import PotentialStateIndex
 from coverplan.search import astar
 
 
@@ -215,3 +216,19 @@ def test_sim_clock_is_counter_driven(small_setup):
     assert clock() > 0.0
     frozen = clock()
     assert clock() == frozen  # no work, no time
+
+
+def test_trial_failing_revalidation_is_not_optimal(small_setup, monkeypatch):
+    """A path that fails the defensive re-validation takes its optimal flag
+    with it: a failed trial never reads optimal."""
+    d, sc, lib, spath, lpath = small_setup
+    cfg = make_cfg(small_setup)
+    index = PotentialStateIndex(sc, lib)
+    goal = sorted(lib.regions[0].covered)[-1]
+    args = (sc, lib, index, 0, sc.s_home, goal, 500.0, cfg)
+    for planner in ("astar", "ctmp+refine"):
+        assert bench.run_trial(planner, *args).optimal_flag
+    monkeypatch.setattr(bench, "path_is_valid", lambda scenario, path: False)
+    for planner in ("astar", "ctmp+refine"):
+        rec = bench.run_trial(planner, *args)
+        assert not rec.success and not rec.optimal_flag and rec.cost is None

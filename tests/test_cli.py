@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -122,9 +123,11 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
         ({"trials": True}, "'trials' must be an int"),
         ({"seed": True}, "'seed' must be an int"),
         ({"seed": 1.5}, "'seed' must be an int"),
-        ({"wastar_weight": float("nan")}, "wastar_weight must be finite"),
-        ({"ara_w0": float("inf")}, "ara_w0 must be finite"),
-        ({"ara_dw": float("nan")}, "ara_dw must be finite"),
+        ({"wastar_weight": 3.0}, "unknown keys 'wastar_weight'"),
+        ({"ara_w0": 50.0}, "unknown keys 'ara_w0'"),
+        ({"ara_dw": 5.0}, "unknown keys 'ara_dw'"),
+        ({"trails": 3}, "unknown keys 'trails'"),
+        ({"ara_w0": 50.0, "trails": 3, "trials": 3}, "unknown keys 'ara_w0', 'trails'"),
     ],
 )
 def test_bad_config_values_exit_1(scenario_file, tmp_path, capsys, payload, message):
@@ -192,7 +195,11 @@ def test_shipped_scenarios_load(tmp_path, capsys):
     for name in ("grid12_demo.json", "arm16_demo.json"):
         scenario = cspace.load_scenario(root / "scenarios" / name)
         assert cspace.is_valid(scenario, scenario.s_home)
-    bench.load_experiment_config(root / "scenarios" / "bench_demo.json")
+    demo = root / "scenarios" / "bench_demo.json"
+    bench.load_experiment_config(demo)
+    # the shipped example sets every field, and nothing else
+    fields = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
+    assert json.loads(demo.read_text()).keys() == fields | {"format_version"}
     spath = str(root / "scenarios" / "grid12_demo.json")
     lpath = str(tmp_path / "demo_lib.json")
     assert cli.main(["preprocess", "--scenario", spath, "--out", lpath]) == 0

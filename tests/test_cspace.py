@@ -408,6 +408,10 @@ def test_check_config(empty8):
         cspace.check_config(empty8, (1, 2, 3))
     with pytest.raises(ValueError):
         cspace.check_config(empty8, (9, 0))
+    # a coordinate must be an integer: no truncation, no parsing, no bools
+    for q in [(9.7, 0), (3.0, 4), ("9", 0), ("3", "4"), (True, 0), (3, False), "34", 34]:
+        with pytest.raises(ValueError):
+            cspace.check_config(empty8, q)
 
 
 def test_arm_joint_limits_dims():

@@ -4,13 +4,13 @@ from coverplan import CoverPlanner, errors
 
 
 def test_get_set_params_round_trip():
-    p = CoverPlanner(seed=3, rep_path_weight=2.0)
+    p = CoverPlanner(seed=3)
     params = p.get_params()
-    assert params == {"seed": 3, "rep_path_weight": 2.0}
+    assert params == {"seed": 3}
     clone = CoverPlanner(**params)  # the sklearn clone recipe
     assert clone.get_params() == params
-    p.set_params(seed=11, rep_path_weight=4.0)
-    assert p.get_params() == {"seed": 11, "rep_path_weight": 4.0}
+    p.set_params(seed=11)
+    assert p.get_params() == {"seed": 11}
 
 
 def test_set_params_rejects_unknown():
@@ -20,6 +20,10 @@ def test_set_params_rejects_unknown():
         CoverPlanner().set_params(delta=1e-5)  # the refinement guard is not a parameter
     with pytest.raises(TypeError):
         CoverPlanner(delta=1e-5)
+    with pytest.raises(ValueError):
+        CoverPlanner().set_params(rep_path_weight=2.0)  # a fixed constant, not a parameter
+    with pytest.raises(TypeError):
+        CoverPlanner(rep_path_weight=2.0)
 
 
 def test_plan_requires_fit():
@@ -48,6 +52,12 @@ def test_plan_validates_configs(two_region_grid12):
     planner = CoverPlanner().fit(two_region_grid12)
     with pytest.raises(ValueError):
         planner.plan((1, 2, 3))
+    goal = sorted(planner.library_.regions[0].covered)[0]
+    for q in [(9.7, 0), ("9", 0), (True, 0)]:  # once read as (9, 0) or (1, 0)
+        with pytest.raises(ValueError):
+            planner.plan(q)
+        with pytest.raises(ValueError):
+            planner.plan(goal, start=q)
 
 
 def test_sequential_flow_via_register(two_region_grid12):
@@ -73,7 +83,7 @@ def test_refit_resets_state(two_region_grid12):
 
 def test_sklearn_clone_compatibility(two_region_grid12):
     sklearn_base = pytest.importorskip("sklearn.base")
-    planner = CoverPlanner(seed=6, rep_path_weight=4.0)
+    planner = CoverPlanner(seed=6)
     cloned = sklearn_base.clone(planner)
     assert cloned is not planner
     assert cloned.get_params() == planner.get_params()

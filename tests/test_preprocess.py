@@ -467,6 +467,59 @@ def test_library_one_member_entry_may_have_no_moves(corpus_libraries):
         pre.library_from_payload(payload, sc)
 
 
+def straight_line(a, b):
+    """The lattice walk a -> b that moves axis 0 first, blind to obstacles."""
+    walk = [a]
+    for axis in range(len(a)):
+        while walk[-1][axis] != b[axis]:
+            q = list(walk[-1])
+            q[axis] += 1 if b[axis] > q[axis] else -1
+            walk.append(tuple(q))
+    return walk
+
+
+REP_PATH_CORRUPTIONS = (
+    "straight line through obstacles",
+    "empty",
+    "a state off the lattice",
+    "a state that is no integer",
+    "a jump",
+    "starts away from home",
+    "ends away from the attractor",
+)
+
+
+@pytest.mark.parametrize("case", REP_PATH_CORRUPTIONS)
+def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
+    """Each rep path is a valid lattice walk from home to its attractor, or
+    the load fails: a refined query would otherwise splice a colliding rep
+    path into its answer and could flag it optimal."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    payload = pre.library_to_payload(lib)
+    e_p = payload["regions"][0]["entries"][0]
+    rep = [list(q) for q in lib.regions[0].entries[0].rep_path.configs]
+    assert len(rep) > 3 and pre.library_from_payload(payload, sc) == lib
+    if case == "straight line through obstacles":
+        line = straight_line(sc.s_home, tuple(e_p["attractor"]))
+        assert not all(sc.state_table[q][0] for q in line)
+        rep = [list(q) for q in line]
+    elif case == "empty":
+        rep = []
+    elif case == "a state off the lattice":
+        rep[2] = [-1, rep[2][1]]
+    elif case == "a state that is no integer":
+        rep[2] = [rep[2][0] + 0.5, rep[2][1]]
+    elif case == "a jump":
+        del rep[2]
+    elif case == "starts away from home":
+        del rep[0]
+    else:
+        del rep[-1]
+    e_p["rep_path"] = rep
+    with pytest.raises(errors.CorruptLibrary):
+        pre.library_from_payload(payload, sc)
+
+
 def wrapping_library(corpus_libraries):
     """A corpus arm: 32 x 32, both joints wrapping, and the one corpus
     library with a seam move out of its basin."""
@@ -520,8 +573,9 @@ def test_library_corrupt_seam_payload_rejected(corpus_libraries, case):
 
 
 def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_libraries):
-    """A load reads the scenario's move table: once one load has built it,
-    a second enumerates no lattice state and steps none."""
+    """A load reads the scenario's move table, and its state table to check
+    the rep paths: once one load has built them, a second enumerates no
+    lattice state and steps none."""
     sc, lib = wrapping_library(corpus_libraries)
     path = tmp_path / "lib.json"
     pre.save_library(lib, path)
@@ -539,7 +593,8 @@ def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_librari
     assert pre.load_library(path, warm) == lib
     assert calls == {}
     pre.load_library(path, dataclasses.replace(sc))  # a cold load is counted
-    assert calls == {"lattice_configs": 1, "_move_column": 2 * sc.dof}
+    # one enumeration builds the move table, one the state table
+    assert calls == {"lattice_configs": 2, "_move_column": 2 * sc.dof}
 
 
 def test_member_encoding_round_trip():

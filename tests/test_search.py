@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -66,23 +67,16 @@ def test_astar_weighted_bound():
 
 def test_search_weights_must_be_finite_and_at_least_one():
     """An infinite weight makes inf * h(goal) = inf * 0 NaN, which used to
-    report NoPath for a goal ten steps away; NaN passed every comparison."""
+    report NoPath for a goal ten steps away; NaN passed every comparison.
+    ARA*'s schedule is fixed, so it takes no weight."""
     sc = dict(corpus.corpus())["grid8_d10"]
     home, goal = sc.s_home, (7, 7)
     assert search.astar(sc, home, goal).cost == 10.0
     for weight in (math.inf, math.nan, 0.5):
         with pytest.raises(ValueError):
             search.astar(sc, home, goal, weight=weight)
-    for w0, dw in [
-        (math.inf, 5.0),
-        (math.nan, 5.0),
-        (0.5, 5.0),
-        (50.0, math.inf),
-        (50.0, math.nan),
-        (50.0, 0.0),
-    ]:
-        with pytest.raises(ValueError):
-            search.ara_star(sc, home, goal, w0=w0, dw=dw)
+    with pytest.raises(TypeError):
+        search.ara_star(sc, home, goal, w0=50.0)
 
 
 def test_astar_optimal_on_random_grids():
@@ -371,8 +365,9 @@ def test_refine_deadline_compliance():
 def test_ara_star_first_iteration_bound():
     sc = wall_grid()
     opt = search.astar(sc, (0, 0), (7, 0)).cost
-    path, profile, optimal = search.ara_star(sc, (0, 0), (7, 0), w0=50.0, dw=5.0)
-    assert profile[0].cost <= 50.0 * opt
+    path, profile, optimal = search.ara_star(sc, (0, 0), (7, 0))
+    assert profile[0].weight == search.ARA_W0
+    assert profile[0].cost <= search.ARA_W0 * opt
     assert path.cost == opt
     assert optimal
 
@@ -434,12 +429,16 @@ def test_shortcut_across_wrap_boundary():
 
 
 def test_shortcut_drops_loops_through_a_repeated_state(empty8):
-    """A span whose endpoints are one state is spliced out, not kept as a self-edge."""
+    """A span whose endpoints are one state is spliced out, not kept as a self-edge.
+
+    A counting clock reads 0, 1, 2, ... at the checks before each trial, so
+    deadline k stops the run after k trials; None runs to the patience."""
     looped = search.Path(((0, 0), (1, 0), (1, 1), (1, 0), (2, 0)))
-    for max_failures in (1, 5):
+    for deadline in (1, 2, 3, 5, None):
         for seed in range(200):
-            out = search.shortcut_path(empty8, looped, seed=seed, max_failures=max_failures)
-            assert search.path_is_valid(empty8, out), (seed, max_failures)
+            clock = itertools.count().__next__
+            out = search.shortcut_path(empty8, looped, seed=seed, deadline=deadline, clock=clock)
+            assert search.path_is_valid(empty8, out), (seed, deadline)
             assert out.configs[0] == (0, 0) and out.configs[-1] == (2, 0)
 
 
@@ -470,3 +469,12 @@ def test_reverse_round_trip(empty8):
 
 def test_path_is_valid_rejects_jumps(empty8):
     assert not search.path_is_valid(empty8, search.Path(((0, 0), (2, 0))))
+
+
+def test_path_is_valid_makes_no_counted_check(empty8):
+    """Re-validation reads the tables: no collision check reaches a SimClock."""
+    path = search.astar(empty8, (0, 0), (3, 4))
+    before = empty8.counters.snapshot()
+    assert search.path_is_valid(empty8, path)
+    assert not search.path_is_valid(empty8, search.Path(((0, 0), (-1, 0))))
+    assert empty8.counters.snapshot() == before
