@@ -7,8 +7,11 @@ astar is one pass from the start at a fixed weight. anytime_refine is
 the path-seeded anytime search: the open list starts with every state of
 an initial solution at its path cost, and the inflation schedule is
 driven by the incumbent cost so that each iteration is guaranteed at
-least one productive expansion. ara_star is the classic fixed-schedule
-baseline, shortcut_path the random-restart smoothing baseline.
+least one expansion. Between passes only the goal is put back on the
+open list, and open states the next pass cannot select wait in a heap,
+so a pass costs in proportion to what it expands. ara_star is the
+classic fixed-schedule baseline, shortcut_path the random-restart
+smoothing baseline.
 
 All searches own their mutable state; many may run concurrently over one
 immutable scenario. Deadlines are absolute instants on the injected
@@ -153,9 +156,10 @@ class _AnytimeSearch:
     The heuristic memo, which also names the scenario and the goal;
     g-values and parent links; the open set; INCONS, the states improved
     after being closed in the current pass, which reopen in the next one;
-    v-values, each state's g at its most recent successor scan; and the
-    states of the caller's incumbent, ``chain``, with ``dirty`` set once
-    one of them gets a new g and parent.
+    and the states of the caller's incumbent, ``chain``, with ``dirty`` set
+    once one of them gets a new g and parent. A state enters the open set
+    only with a g it has not been expanded at, so every selection scans
+    its successors.
     """
 
     h: _HeuristicMemo
@@ -163,22 +167,21 @@ class _AnytimeSearch:
     parent: dict[Config, Config | None]
     open_set: set[Config]
     incons: set[Config] = field(default_factory=set)
-    v: dict[Config, float] = field(default_factory=dict)
     chain: set[Config] = field(default_factory=set)
     dirty: bool = False
 
     def improve_path(
         self, eps: float, deadline: float | None, clock: Callable[[], float]
-    ) -> tuple[str, int, int]:
+    ) -> tuple[str, int]:
         """One weighted-A* pass at inflation ``eps``; INCONS rejoins the open set.
 
-        Returns (stop reason, expansions, selections). The pass stops when
-        the goal is selected ("goal"), the frontier empties ("empty"), no
-        open key beats g(goal) ("bound"; never while the goal is open, as
-        in anytime_refine, since h > 0 off the goal and f-ties go to the
-        larger g) or the deadline passes ("deadline").
+        Returns (stop reason, expansions). The pass stops when the goal is
+        selected ("goal"), the frontier empties ("empty"), no open key beats
+        g(goal) ("bound"; never while the goal is open, as in
+        anytime_refine, since h > 0 off the goal and f-ties go to the larger
+        g) or the deadline passes ("deadline").
         """
-        h, g, parent, v = self.h, self.g, self.parent, self.v
+        h, g, parent = self.h, self.g, self.parent
         open_set, incons, chain = self.open_set, self.incons, self.chain
         scenario, goal = h.scenario, h.goal
         open_set |= incons
@@ -186,31 +189,26 @@ class _AnytimeSearch:
         heap = [(g[q] + eps * h[q], -g[q], q) for q in open_set]
         heapq.heapify(heap)
         closed: set[Config] = set()
-        expansions = selections = 0
+        expansions = 0
         while True:
             if deadline is not None and clock() >= deadline:
-                return "deadline", expansions, selections
+                return "deadline", expansions
             while heap:
                 f, neg_g, q = heapq.heappop(heap)
                 if q in open_set and -neg_g == g[q]:
                     break
             else:
-                return "empty", expansions, selections
+                return "empty", expansions
             if q == goal:
                 open_set.discard(q)
-                return "goal", expansions, selections
+                return "goal", expansions
             if f >= g.get(goal, math.inf):
-                return "bound", expansions, selections
+                return "bound", expansions
             open_set.discard(q)
             closed.add(q)
-            selections += 1
-            gq = g[q]
-            if v.get(q) == gq:
-                continue  # successor g-values only fell since q's last scan
-            v[q] = gq
             scenario.counters.expansions += 1
             expansions += 1
-            g2 = gq + cspace.UNIT_COST
+            g2 = g[q] + cspace.UNIT_COST
             for nb in cspace.successors(scenario, q):
                 if g2 >= g.get(nb, math.inf):
                     continue
@@ -235,9 +233,10 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
     anytime_refine starts at this ratio over the seed path, clamped below
     at 1: above 1, the maximizing state outranks the goal (whose term is 0)
     on the open list, so at least one non-goal selection happens. After
-    each pass it takes the min of the incumbent's and the open set's
-    ratios, clamped at 1, which is strictly below the inflation the pass
-    ran at while the open set is non-empty.
+    each pass it takes the min of the incumbent path's ratio and the open
+    set's, clamped at 1, which is strictly below the inflation the pass ran
+    at while the open set is non-empty. The open set's ratio is read off
+    the top of a heap keyed by the same term (see anytime_refine).
     """
     return max(((incumbent_cost - g[q]) / (h[q] + delta) for q in states), default=math.inf)
 
@@ -246,9 +245,12 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
 class RefineIteration:
     epsilon: float
     cost: float
-    expansions: int  # successor scans (locally inconsistent selections)
-    selections: int  # states taken off the open list, including no-op re-pops
+    expansions: int  # successor scans
     elapsed_ms: float
+
+    @property
+    def selections(self) -> int:  # states taken off the open list; each is expanded
+        return self.expansions
 
 
 @dataclass
@@ -299,9 +301,19 @@ def anytime_refine(
     decreasing inflation derived from the incumbent cost. Each iteration
     expands a state at most once; states improved after closing move to
     an inconsistent set and re-seed the next iteration together with the
-    incumbent path. After an iteration completes at inflation 1 the
-    result is optimal and the run stops (deadline permitting). Always
-    returns at least the initial path.
+    goal. After an iteration completes at inflation 1 the result is
+    optimal and the run stops (deadline permitting). Always returns at
+    least the initial path.
+
+    Between passes, open states that no pass at the next inflation can
+    select are parked in a max-heap keyed by the ANA* ratio
+    (C - g) / (h + delta) (van den Berg et al., AAAI 2011). A pass at eps
+    selects only states with g + eps * h < C, whose ratio exceeds
+    eps / (1 + delta) as h >= 1 off the goal, so parking those at or below
+    eps * (1 - 2 delta) changes no selection, record or path. A parked
+    state whose g falls rejoins the open set in that pass, which leaves
+    its entry (holding the g it was parked at) stale; the heap is re-keyed
+    only when C falls. So a pass costs in proportion to what it selects.
 
     ``deadline`` is an absolute instant on ``clock``; None means run to
     convergence.
@@ -327,10 +339,15 @@ def anytime_refine(
     h = _HeuristicMemo(scenario, goal)
     # dirty: a seed path that revisits states is longer than its parent chain
     search = _AnytimeSearch(h, g, parent, set(initial_path.configs), dirty=True)
+    parked: list[tuple[float, Config, float]] = []  # (-ratio, state, g when parked)
     incumbent = initial_path
+
+    def key(q: Config, gq: float) -> float:  # minus the ratio at the incumbent cost
+        return -(incumbent.cost - gq) / (h[q] + DEFAULT_DELTA)
+
     eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
     while True:
-        stop, expansions, selections = search.improve_path(eps, deadline, clock)
+        stop, expansions = search.improve_path(eps, deadline, clock)
         if stop == "deadline":
             break  # mid-iteration deadline: report only completed iterations
         # The goal was selected (it is open at every pass start); the parent
@@ -343,21 +360,34 @@ def anytime_refine(
             search.chain = set(incumbent.configs)
             search.dirty = False
             path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
+            # C may have fallen, which lowers every ratio: re-key the live entries
+            parked = [(key(q, gq), q, gq) for _, q, gq in parked if g[q] == gq]
+            heapq.heapify(parked)
         report.iterations.append(
-            RefineIteration(eps, incumbent.cost, expansions, selections, (clock() - t0) * 1000.0)
+            RefineIteration(eps, incumbent.cost, expansions, (clock() - t0) * 1000.0)
         )
         report.incumbents.append(incumbent)
         if eps == 1.0:
             report.optimal_flag = True
             break
 
-        new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))
+        # Park the open set, so the heap's top live entry is its max ratio.
+        for q in search.open_set:
+            heapq.heappush(parked, (key(q, g[q]), q, g[q]))
+        search.open_set.clear()
+        while parked and g[parked[0][1]] != parked[0][2]:
+            heapq.heappop(parked)  # stale: the state's g fell, which reopened it
+        new_eps = max(1.0, min(path_ratio, -parked[0][0] if parked else math.inf))
         if new_eps >= eps:
             # Only reachable when the frontier emptied, i.e. the g-values
             # are Bellman-stable; one inflation-1 pass certifies that.
             new_eps = 1.0
         eps = new_eps
-        search.open_set.update(incumbent.configs)
+        while parked and -parked[0][0] > eps * (1.0 - 2.0 * DEFAULT_DELTA):
+            _, q, gq = heapq.heappop(parked)
+            if g[q] == gq:
+                search.open_set.add(q)
+        search.open_set.add(goal)
 
     return incumbent, report
 
@@ -397,7 +427,7 @@ def ara_star(
     profile: list[AraIteration] = []
     w = ARA_W0
     while True:
-        stop, expansions, _ = search.improve_path(w, deadline, clock)
+        stop, expansions = search.improve_path(w, deadline, clock)
         if stop == "deadline":
             if incumbent is None:
                 raise Timeout("deadline expired before the first ARA* solution")

@@ -2,14 +2,16 @@
 
 These deliberately avoid the search / preprocess / query code paths they
 are used to check: breadth-first flood fill for unit-cost distances, a
-literal step-by-step simulation of the navigation-descent rule, and the
-first-match rule that makes a state a potential start. They test
+literal step-by-step simulation of the navigation-descent rule, a plain
+anytime refinement loop that heapifies its whole open set every pass, and
+the first-match rule that makes a state a potential start. They test
 validity with ``cspace.collision_free``, which runs the geometry on every
 call, and find moves and neighbours by their own formula, so they never
 read the validity memo or the move and neighbour tables that the scenario
 keeps.
 """
 
+import heapq
 from collections import deque
 
 from coverplan import cspace
@@ -103,82 +105,89 @@ def descent_basin(scenario, attractor):
     return members, max_steps
 
 
-def naive_refine(scenario, start, goal, initial_path, delta=1e-6):
-    """Literal path-seeded anytime refinement: linear argmin selection, no
-    priority queue, no re-scan skipping. Runs to convergence and returns
-    (final cost, inflation history, per-iteration incumbent costs).
+def reference_refine(scenario, start, goal, initial_path, *, deadline=None, clock=None):
+    """Plain path-seeded anytime refinement, with no open state held out.
 
-    Semantics mirror the production engine's documented behavior: open
-    list seeded with the cheapest occurrence of each path state, strict
-    tie-break (smaller f, then larger g, then lexicographic config),
-    incumbent cost recomputed from the extracted parent chain, a final
-    inflation-1 iteration, and a jump to 1 if the update fails to
-    decrease.
+    Returns (path configs, records, incumbents, optimal flag): records are
+    the (epsilon, cost, expansions, selections) of each completed pass and
+    incumbents its path configs, as in ``search.RefineReport``.
+
+    The open set starts as the seed path's states (cut at its first goal)
+    at their first path g-values. Each pass heapifies the whole open set
+    and selects by smaller f = g + eps * h, then larger g, then the
+    smaller config, until it takes the goal off; every other selection
+    scans its successors, and a state improved after it was closed in the
+    pass joins the next one. After each pass the incumbent is the parent
+    chain from the goal, and the next inflation is the min of the
+    incumbent's and the open set's max (C - g) / (h + 1e-6), by a full
+    scan of each, clamped below at 1, and 1 when that does not decrease;
+    then only the goal is put back on the open list.
+
+    A successor scan charges the scenario's counters as the planner does
+    (one expansion, one collision check per lattice neighbour), so a
+    ``bench.SimClock`` on them reads the same at every selection. The
+    deadline is checked before each selection; a cut pass is not recorded.
     """
-    configs = list(initial_path.configs)
-    first_goal = configs.index(goal)
-    if first_goal < len(configs) - 1:
-        configs = configs[: first_goal + 1]
-
+    if len(initial_path.configs) == 1:
+        return initial_path.configs, [], [], True
+    if deadline is not None and clock() >= deadline:
+        return initial_path.configs, [], [], False
+    configs = initial_path.configs[: initial_path.configs.index(goal) + 1]
     g, parent = {}, {}
     for k, q in enumerate(configs):
-        acc = float(k)
-        if q not in g or acc < g[q]:
-            g[q] = acc
-            parent[q] = configs[k - 1] if k > 0 else None
+        if q not in g:
+            g[q], parent[q] = float(k), configs[k - 1] if k else None
 
     def h(q):
         return cspace.heuristic(scenario, q, goal)
 
-    def extract():
+    def max_ratio(states, cost):
+        return max(((cost - g[q]) / (h(q) + 1e-6) for q in states), default=float("inf"))
+
+    incumbent = configs
+    eps = max(1.0, max_ratio(incumbent, len(incumbent) - 1.0))
+    open_set, incons = set(configs), set()
+    records, incumbents = [], []
+    while True:
+        open_set |= incons
+        incons.clear()
+        heap = [(g[q] + eps * h(q), -g[q], q) for q in open_set]
+        heapq.heapify(heap)
+        closed, selections = set(), 0
+        while True:
+            if deadline is not None and clock() >= deadline:
+                return incumbent, records, incumbents, False
+            _, neg_g, q = heapq.heappop(heap)
+            if q not in open_set or -neg_g != g[q]:
+                continue  # an entry left by a later improvement or a selection
+            open_set.discard(q)
+            if q == goal:
+                break
+            closed.add(q)
+            selections += 1
+            scenario.counters.expansions += 1
+            scenario.counters.collision_checks += len(lattice_neighbors(scenario, q))
+            for nb, step in successors(scenario, q):
+                if g[q] + step < g.get(nb, float("inf")):
+                    g[nb], parent[nb] = g[q] + step, q
+                    if nb in closed:
+                        incons.add(nb)
+                    else:
+                        open_set.add(nb)
+                        heapq.heappush(heap, (g[nb] + eps * h(nb), -g[nb], nb))
         chain = [goal]
         while parent[chain[-1]] is not None:
             chain.append(parent[chain[-1]])
-        chain.reverse()
-        return chain, float(len(chain) - 1)
-
-    def ratio(q, cost):
-        return (cost - g[q]) / (h(q) + delta)
-
-    incumbent_cost = float(len(configs) - 1)
-    incumbent = configs
-    open_set = set(configs)
-    incons, closed = set(), set()
-    eps = max(1.0, max(ratio(q, incumbent_cost) for q in configs))
-    history, costs = [], []
-
-    while True:
-        while True:
-            q = min(open_set, key=lambda s: (g[s] + eps * h(s), -g[s], s))
-            if q == goal:
-                open_set.discard(q)
-                break
-            open_set.discard(q)
-            closed.add(q)
-            for nb, cost in successors(scenario, q):
-                g2 = g[q] + cost
-                if g2 < g.get(nb, float("inf")):
-                    g[nb] = g2
-                    parent[nb] = q
-                    (incons if nb in closed else open_set).add(nb)
-        incumbent, incumbent_cost = extract()
-        g[goal] = min(g[goal], incumbent_cost)
-        history.append(eps)
-        costs.append(incumbent_cost)
+        incumbent = tuple(reversed(chain))
+        cost = len(incumbent) - 1.0
+        g[goal] = min(g[goal], cost)
+        records.append((eps, cost, selections, selections))  # each selection is one scan
+        incumbents.append(incumbent)
         if eps == 1.0:
-            return incumbent_cost, history, costs
-        closed.clear()
-        path_max = max(ratio(q, incumbent_cost) for q in incumbent)
-        if open_set:
-            new_eps = max(1.0, min(path_max, max(ratio(q, incumbent_cost) for q in open_set)))
-        else:
-            new_eps = max(1.0, path_max)
-        if new_eps >= eps:
-            new_eps = 1.0
-        eps = new_eps
-        open_set |= incons
-        incons.clear()
-        open_set.update(incumbent)
+            return incumbent, records, incumbents, True
+        new_eps = max(1.0, min(max_ratio(incumbent, cost), max_ratio(open_set, cost)))
+        eps = 1.0 if new_eps >= eps else new_eps
+        open_set.add(goal)
 
 
 def potential_provenance(library):

@@ -21,6 +21,20 @@ paths that revisit states (non-home starts on the ladder), two more
 scenarios, goals whose paths cross the arm's wrap seam, and a simulated
 deadline that stops the schedule midway.
 
+The refine-record pins (``REFINE``, ``LADDER_V_REFINE``, ``HOME_REFINE``,
+``SIMCLOCK_REFINE``) and ``TRIALS_SHA256`` were re-recorded once, when
+refinement stopped putting the whole incumbent back on the open list
+after each pass and put back only the goal. Every selection is now an
+expansion, so the selections column moved wherever a pass had re-popped
+an incumbent state (all but the three three-pass ladder runs). A
+re-popped state counted as closed in its pass, so a later improvement of
+it waited for the next pass; now it joins the open set at once, so
+expansions and schedules moved too: on grid24_d30, and one pass fewer
+for the ladder goal (20, 20) and in five ``ctmp+refine`` bench trials,
+whose ``n_iterations`` is the only ``trials.csv`` column that moved.
+Parking unselectable open states between passes, which came in the same
+change, moved none of them.
+
 The arm3_s16 library pins and the preprocess check-count pins were
 recorded before descent compared integer squared distances and before the
 scenario kept its neighbour table and end-effector points: they show that
@@ -40,9 +54,9 @@ from coverplan.online import QueryRequest, query
 
 # goal -> (iterations, total expansions, sha256 of the refine records)
 REFINE = {
-    (18, 0): (163, 358, "4b6872dbbdc87c777cb678a945f3c153b1013189488e78152e3a8271362aca5b"),
-    (19, 18): (158, 314, "fd39ac17944f6277ff2b3906ac1ef2c6f9f8c87530942ec347d28f980b4d036a"),
-    (20, 20): (146, 229, "eda7fa394dac09474a9595060a89eb1ac5c57fdba8ab79109bb2420dbfae254d"),
+    (18, 0): (163, 358, "462209447fa2dae88c37014ea596149faebbae52d6e70ea0a6331f394def81a4"),
+    (19, 18): (158, 314, "67d6acd7342483e2a3fa5b2484325ab66632e71374b0af7332d978697330bbaf"),
+    (20, 20): (145, 229, "91ec4667e4ddc7276f41ea9e807cdf65ad00bf2d08ad9a460679f9c31f1e7af4"),
 }
 
 
@@ -59,7 +73,7 @@ ARA = {
 }
 
 # criterion 8's bench config without ctmp+shortcut
-TRIALS_SHA256 = "9e50e648d1c631b9ef3cd5b91444b2fb8e8ac663ab8f931022745ef4709400aa"
+TRIALS_SHA256 = "759b9a974e92159f22143254853947f96d3807d51efa20bb2c765b17a8040fa4"
 
 # scenario -> sha256 of its saved library at preprocess seed 0, recorded
 # in format 1 before is_valid answered from the scenario's validity memo
@@ -120,57 +134,57 @@ LADDER_V_REFINE = {  # (start, goal): the seed path runs via home
     ((7, 18), (18, 0)): (
         87,
         1042,
-        "dcd32efd4944b2ef833dcc666a2e7a5644b6f1b2786ca79f0f6fb6b1ac79a51b",
+        "a78ff7955b89246aae61409e7a0e7543eb098e981bd4337cf99e8ecbfffddbb7",
         "824e069c1255e70211a003066b2d12eeb149a44e85cae99ee65ebc36b7a0cf2c",
     ),
 }
 HOME_REFINE = {  # (scenario, goal), from home
     ("grid24_d30", (21, 0)): (
-        56,
-        1286,
-        "6c43ca7777ff9ec639d938da1be965e3e99be34fc64ba98c7cb3268455b97f88",
-        "79730475b5f72dfc21aa7d4ce6a5f8d54710f24c3e004c160aaddc940b1619a4",
+        52,
+        1383,
+        "4dc6b65501649283912847d0a73b1dc62b8c22d51f698da6b75a364bc0360235",
+        "f91efa4e8c8877c78118b34a0091be6e9db0dc11d59e8615083cdc183993d97e",
     ),
     ("grid24_d30", (22, 0)): (
-        45,
-        960,
-        "7fe220d0691171c5c7ee3e8d621316de0c7bd1cb33431739738564f3f3f1af96",
-        "46e701561dc270b3611c6bc07d237cdc20b6b099560079ec051b1df66e3f44ff",
+        43,
+        835,
+        "3200663a0d06520aa7a66639534f13599f3fac8cb41b63ccef7e3c667c19d000",
+        "e50c2bb43d13eb0b9bdb13f776e62c0149252a4a4038d853375b20fbb1ac8d5d",
     ),
     ("grid24_d30", (23, 1)): (
         26,
-        719,
-        "b8098868a9a59aa2c5cddb8d829e13d638e8c1eef5a62eb21dac9b3b767071b2",
+        739,
+        "3701e036e638d57a939781d655c2af695a174f4dea8375a54f295d606651cffe",
         "b67fd99abc45667a34bd129a586265f7a872c12c45790dfe0838b7f2a1c63771",
     ),
     ("grid24_d30", (23, 23)): (
         14,
         177,
-        "072f497c179d8d22051e7f41e83ac01359cd178f188cce2432f1dd3bc2e8f7f0",
+        "aead9e55df824b4ede593ef1a7a600fd072f5b47b418c4ecb5716dcdd0d17098",
         "ba968988ec8a2a4d97d1788a80c5ea25ca1888f2df436da0e80d66307262c67e",
     ),
     ("arm32_o2", (12, 3)): (
         52,
         824,
-        "7b44965261df4682705e42c8a31d34ac789aff28ebc024837f3b1c5db40ff90c",
+        "6bfb544fd591c19fea78f46ef1921c4e47bb668d345bfe0d9e62d2dce31422ea",
         "8f3b67964a1ad38c3a04739e71c3774cc81aeba055a93c40954c68b3ea3206c5",
     ),
     ("arm32_o2", (13, 31)): (  # this and the next two cross the wrap seam
         76,
         1248,
-        "588d5456648a50a569962f3659752c74c24ce3f6e1d9548a0a9ec40c6d4e4f87",
+        "f7b923d5af59b997e95d74e402425a074f2639a92368a3d882b415e884cd16e3",
         "3775c6c8edda8185e021bb8437fb7ceb6b0d4dca017a9e6d2b94eb55349d381b",
     ),
     ("arm32_o2", (14, 29)): (
         58,
         1368,
-        "5411b2ff493c8afc9486fac6abbd0437a0c25a9d0d25ce7d6cc8e585d06afa7a",
+        "b433f22ccce767a252ed0ed5dda6c8e1d923dc8481310b536aa8b13f5c78de28",
         "15827de999adf9c8c61be90354930f44e7f28535c4a71bca311f3fd647de0429",
     ),
     ("arm32_o2", (15, 30)): (
         68,
         1452,
-        "377fb259d63835c5c7617d0ec1df37aed916d62f9e998d0ff5f69726a75bff94",
+        "57dc7e37b9fc2e43b37a39e4b197bf14a1756362d9796e3e07c2c8978a77d738",
         "646306ae035ed06d8b37c3eb27792f2785ce2870f963151fc95926b701cb6de2",
     ),
 }
@@ -179,7 +193,7 @@ HOME_REFINE = {  # (scenario, goal), from home
 SIMCLOCK_REFINE = (
     74,
     604,
-    "e610e1e09eee8014c6334b05ede4d4816d96e5e9f2ccd8dd8a5d43e93a2a882e",
+    "59207d910fc576f41465e2bdae73cfa54ad1665f6da19dc4647ccb7a1471a1e1",
     "cd8218c024f68f9be9e0cc079ff1c7d06c9f77c8f60271790aad85dc026da352",
 )
 
