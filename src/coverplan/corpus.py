@@ -9,33 +9,18 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 
 from . import cspace
-from .cspace import ArmModel, Circle, Config, Rect, RegionSpec, Scenario
-
-
-def reachable_from(scenario: Scenario, source: Config) -> set[Config]:
-    """Flood fill over valid lattice moves."""
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        q = queue.popleft()
-        for nb in cspace.successors(scenario, q):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return seen
+from .cspace import ArmModel, Circle, Rect, RegionSpec, Scenario
 
 
 def _regions_served(scenario: Scenario) -> bool:
-    if not cspace.is_valid(scenario, scenario.s_home):
-        return False
-    reach = reachable_from(scenario, scenario.s_home)
-    for region in scenario.regions:
-        if not any(q in reach for q in cspace.region_configs(scenario, region)):
-            return False
-    return True
+    """Every region holds a state reachable from home (so home is valid)."""
+    reach = scenario.home_distance
+    return all(
+        any(q in reach for q in cspace.region_configs(scenario, region))
+        for region in scenario.regions
+    )
 
 
 def make_grid(size: int, density: float, seed: int) -> Scenario:

@@ -3,12 +3,13 @@
 Every region is enumerated exhaustively up front (the lattices are desk
 scale). Attractor candidates are drawn from the previous basin's cached
 frontier when possible, otherwise uniformly from the remaining uncovered
-states; a representative path from the home state is planned for each
-accepted attractor and the attractor's greedy-descent basin is grown
+states. A candidate that the scenario's ``home_distance`` table does not
+hold has no path from home and lands in an explicit exclusion set, which
+is what guarantees termination on a finite lattice. For every other
+candidate, a shortest representative path from home is read off the same
+table, with no search, and the attractor's greedy-descent basin is grown
 around it. Each accepted attractor becomes one CoverEntry, which holds
-the basin's descent pointers, its step bound and the path. In-region
-states with no path from home land in an explicit exclusion set, which
-is what guarantees termination on a finite lattice.
+the basin's descent pointers, its step bound and the path.
 
 An entry's member set is the full descent basin: every valid config
 whose iterated steepest-descent walk of the navigation value reaches
@@ -55,16 +56,10 @@ from .errors import (
     FingerprintMismatch,
     HomeInvalid,
     LibraryVersionError,
-    NoPath,
 )
-from .search import Path, astar, path_is_valid
+from .search import Path, path_is_valid
 
 LIBRARY_FORMAT_VERSION = 2
-
-# Offline representative-path planner: moderately inflated, no deadline.
-# Offline time is cheap; weight 3 keeps preprocessing fast while the
-# stored paths stay reasonable.
-REP_PATH_WEIGHT = 3.0
 
 
 @dataclass(frozen=True)
@@ -276,15 +271,30 @@ def sample_valid_uncovered(
     return remaining[rng.randrange(len(remaining))]
 
 
+def _home_path(scenario: Scenario, q: Config) -> Path:
+    """A shortest path from home to ``q``, read off ``home_distance``: from
+    ``q`` back, each step goes to the first neighbour in move order that is
+    one step closer to home."""
+    dist, neighbors = scenario.home_distance, scenario.neighbor_table
+    configs = [q]
+    for d in range(dist[q] - 1, -1, -1):
+        q = next(nb for nb in neighbors[q] if dist.get(nb) == d)
+        configs.append(q)
+    return Path(tuple(reversed(configs)))
+
+
 def preprocess(scenario: Scenario, seed: int = 0) -> Library:
     """Build the library: a cover with representative paths per region.
 
     Deterministic for a fixed (scenario, seed). Each region draws from its
     own seeded rng, so region builds are independent and could run
-    concurrently. Raises HomeInvalid when the home state fails validation.
+    concurrently. Runs no search: reachability and the rep paths come from
+    ``scenario.home_distance``. Raises HomeInvalid when the home state
+    fails validation.
     """
     if not cspace.is_valid(scenario, scenario.s_home):
         raise HomeInvalid(f"home state {scenario.s_home} is invalid")
+    home_distance = scenario.home_distance
     region_covers = []
     for region in scenario.regions:
         rng = random.Random(f"{seed}:{region.id}")
@@ -297,13 +307,11 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
             cand = sample_valid_uncovered(region_states, covered | excluded, frontier_cache, rng)
             if cand is None:
                 break
-            try:
-                rep = astar(scenario, scenario.s_home, cand, weight=REP_PATH_WEIGHT)
-            except NoPath:
+            if cand not in home_distance:
                 excluded.add(cand)
                 continue
             next_member, max_steps, frontier = construct_neighborhood(scenario, cand)
-            entries.append(CoverEntry(cand, next_member, max_steps, rep))
+            entries.append(CoverEntry(cand, next_member, max_steps, _home_path(scenario, cand)))
             covered |= next_member.keys() & region_states
             frontier_cache = frontier
         region_covers.append(

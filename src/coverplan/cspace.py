@@ -11,20 +11,23 @@ A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
 change afterwards. All operations are pure functions of that data and are
 safe for concurrent use. ``counters`` is an ``OpCounters`` instrumentation
 block, which exists so callers can prove how much work (collision checks,
-expansions, elementary steps) an online query performed. Three tables run
-lattice-only work once per scenario, each built whole on first use and
-keyed by exactly the prod(dims) lattice states, in lexicographic order:
+expansions, elementary steps) an online query performed. Four tables run
+lattice-only work once per scenario, each built whole on first use. Three
+are keyed by exactly the prod(dims) lattice states, in lexicographic order:
 ``state_table`` (each state's collision-free flag and end-effector point,
 from one geometry pass per state, read by ``is_valid``, ``in_region`` and
 ``region_configs``), ``move_table`` (each state's state after each move,
 None where the move leaves the lattice; the one place that steps a state,
 read by the library decoder and the shortcut walk) and ``neighbor_table``
 (derived from ``move_table``: each row without its Nones, read by
-``lattice_neighbors`` and the offline descent). The last two are geometry
-only, so validity still goes through the counted ``is_valid``. No table
-changes once built, so they are safe to share. ``dataclasses.replace``
-builds a new scenario with new counters and tables, so an answer never
-outlives the fields it was computed from.
+``lattice_neighbors`` and the offline descent). These two are geometry
+only, so validity still goes through the counted ``is_valid``.
+``home_distance``, a flood fill of the other three from ``s_home``, holds
+each reachable state's step count from home, for the offline cover, the
+refinement heuristic and the corpus generators. No table changes once
+built, so they are safe to share. ``dataclasses.replace`` builds a new
+scenario with new counters and tables, so an answer never outlives the
+fields it was computed from.
 """
 
 from __future__ import annotations
@@ -161,8 +164,9 @@ class Scenario:
     ``fingerprint``, the content hash that binds libraries to the scenario;
     freezing keeps them valid. ``counters`` is the one mutable part. The
     tables ``state_table`` and ``move_table`` are built whole on first use,
-    and ``neighbor_table`` from ``move_table`` (the module docstring says
-    why they are safe to share).
+    ``neighbor_table`` from ``move_table``, and ``home_distance`` from
+    ``state_table`` and ``neighbor_table`` (the module docstring says why
+    they are safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -231,6 +235,24 @@ class Scenario:
     def state_table(self) -> dict[Config, tuple[bool, tuple[float, float]]]:
         """Lattice state -> (collision-free, end-effector point), in lexicographic order."""
         return {q: _state_geometry(self, q) for q in lattice_configs(self)}
+
+    @cached_property
+    def home_distance(self) -> dict[Config, int]:
+        """Each state reachable from ``s_home`` by valid moves -> its fewest
+        moves from home; empty when home collides. Counts no check."""
+        states, neighbors = self.state_table, self.neighbor_table
+        if not states[self.s_home][0]:
+            return {}
+        dist = {self.s_home: 0}
+        layer, d = [self.s_home], 0
+        while layer:
+            frontier, layer, d = layer, [], d + 1
+            for q in frontier:
+                for nb in neighbors[q]:
+                    if nb not in dist and states[nb][0]:
+                        dist[nb] = d
+                        layer.append(nb)
+        return dist
 
 
 # ---------------------------------------------------------------------------

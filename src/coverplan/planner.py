@@ -30,7 +30,7 @@ class CoverPlanner:
     Parameters
     ----------
     seed : rng seed for attractor sampling during fit, the one parameter;
-        the offline path planner runs at the fixed ``cover.REP_PATH_WEIGHT``.
+        rep paths are shortest paths read off ``Scenario.home_distance``.
 
     Fitted attributes: ``scenario_``, ``library_`` (the cover library) and
     ``index_`` (the potential-state index).

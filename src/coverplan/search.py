@@ -8,10 +8,10 @@ the path-seeded anytime search: the open list starts with every state of
 an initial solution at its path cost, and the inflation schedule is
 driven by the incumbent cost so that each iteration is guaranteed at
 least one expansion. Between passes only the goal is put back on the
-open list, and open states the next pass cannot select wait in a heap,
-so a pass costs in proportion to what it expands. ara_star is the
-classic fixed-schedule baseline, shortcut_path the random-restart
-smoothing baseline.
+open list. ara_star is the classic fixed-schedule baseline,
+shortcut_path the random-restart smoothing baseline. astar and ara_star
+use the wrapped Manhattan heuristic; anytime_refine raises it with a
+landmark, the scenario's distances from home (see _HeuristicMemo).
 
 All searches own their mutable state; many may run concurrently over one
 immutable scenario. Deadlines are absolute instants on the injected
@@ -138,14 +138,22 @@ def astar(
 
 
 class _HeuristicMemo(dict):
-    """Heuristic values to one goal, computed on first lookup."""
+    """Heuristic values to one goal, computed on first lookup: wrapped
+    Manhattan, raised to the differential landmark |d(q) - d(goal)| where
+    the distance table ``landmark`` holds both (Goldberg and Harrelson,
+    SODA 2005). Both terms are consistent, and valid neighbours are both
+    in a flood-filled table or both out of it, so the max is consistent."""
 
-    def __init__(self, scenario: Scenario, goal: Config):
+    def __init__(self, scenario: Scenario, goal: Config, landmark: dict[Config, int] | None = None):
         self.scenario = scenario
         self.goal = goal
+        self.landmark = landmark if landmark and goal in landmark else None
 
     def __missing__(self, q: Config) -> float:
-        v = self[q] = cspace.heuristic(self.scenario, q, self.goal)
+        v = cspace.heuristic(self.scenario, q, self.goal)
+        if self.landmark is not None and q in self.landmark:
+            v = max(v, float(abs(self.landmark[q] - self.landmark[self.goal])))
+        self[q] = v
         return v
 
 
@@ -234,9 +242,8 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
     at 1: above 1, the maximizing state outranks the goal (whose term is 0)
     on the open list, so at least one non-goal selection happens. After
     each pass it takes the min of the incumbent path's ratio and the open
-    set's, clamped at 1, which is strictly below the inflation the pass ran
-    at while the open set is non-empty. The open set's ratio is read off
-    the top of a heap keyed by the same term (see anytime_refine).
+    set's, each by one scan, clamped at 1, which is strictly below the
+    inflation the pass ran at while the open set is non-empty.
     """
     return max(((incumbent_cost - g[q]) / (h[q] + delta) for q in states), default=math.inf)
 
@@ -305,15 +312,9 @@ def anytime_refine(
     optimal and the run stops (deadline permitting). Always returns at
     least the initial path.
 
-    Between passes, open states that no pass at the next inflation can
-    select are parked in a max-heap keyed by the ANA* ratio
-    (C - g) / (h + delta) (van den Berg et al., AAAI 2011). A pass at eps
-    selects only states with g + eps * h < C, whose ratio exceeds
-    eps / (1 + delta) as h >= 1 off the goal, so parking those at or below
-    eps * (1 - 2 delta) changes no selection, record or path. A parked
-    state whose g falls rejoins the open set in that pass, which leaves
-    its entry (holding the g it was parked at) stale; the heap is re-keyed
-    only when C falls. So a pass costs in proportion to what it selects.
+    The heuristic is the max of wrapped Manhattan and |d(q) - d(goal)|,
+    with d the scenario's ``home_distance``; it stays consistent, so the
+    inflation-1 pass still certifies the optimum.
 
     ``deadline`` is an absolute instant on ``clock``; None means run to
     convergence.
@@ -336,15 +337,10 @@ def anytime_refine(
 
     t0 = clock()
     g, parent = _seed_from_path(initial_path)
-    h = _HeuristicMemo(scenario, goal)
+    h = _HeuristicMemo(scenario, goal, scenario.home_distance)
     # dirty: a seed path that revisits states is longer than its parent chain
     search = _AnytimeSearch(h, g, parent, set(initial_path.configs), dirty=True)
-    parked: list[tuple[float, Config, float]] = []  # (-ratio, state, g when parked)
     incumbent = initial_path
-
-    def key(q: Config, gq: float) -> float:  # minus the ratio at the incumbent cost
-        return -(incumbent.cost - gq) / (h[q] + DEFAULT_DELTA)
-
     eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
     while True:
         stop, expansions = search.improve_path(eps, deadline, clock)
@@ -360,9 +356,6 @@ def anytime_refine(
             search.chain = set(incumbent.configs)
             search.dirty = False
             path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
-            # C may have fallen, which lowers every ratio: re-key the live entries
-            parked = [(key(q, gq), q, gq) for _, q, gq in parked if g[q] == gq]
-            heapq.heapify(parked)
         report.iterations.append(
             RefineIteration(eps, incumbent.cost, expansions, (clock() - t0) * 1000.0)
         )
@@ -371,22 +364,12 @@ def anytime_refine(
             report.optimal_flag = True
             break
 
-        # Park the open set, so the heap's top live entry is its max ratio.
-        for q in search.open_set:
-            heapq.heappush(parked, (key(q, g[q]), q, g[q]))
-        search.open_set.clear()
-        while parked and g[parked[0][1]] != parked[0][2]:
-            heapq.heappop(parked)  # stale: the state's g fell, which reopened it
-        new_eps = max(1.0, min(path_ratio, -parked[0][0] if parked else math.inf))
+        new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))
         if new_eps >= eps:
             # Only reachable when the frontier emptied, i.e. the g-values
             # are Bellman-stable; one inflation-1 pass certifies that.
             new_eps = 1.0
         eps = new_eps
-        while parked and -parked[0][0] > eps * (1.0 - 2.0 * DEFAULT_DELTA):
-            _, q, gq = heapq.heappop(parked)
-            if g[q] == gq:
-                search.open_set.add(q)
         search.open_set.add(goal)
 
     return incumbent, report

@@ -1,6 +1,6 @@
 import pytest
 
-from coverplan import ArmModel, RegionSpec, Rect, Scenario
+from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario
 
 
 def cell_rect(i, j):
@@ -17,6 +17,21 @@ def grid(size, obstacles=(), home=(0, 0), regions=None):
         s_home=home,
         regions=tuple(regions),
         obstacles=tuple(obstacles),
+    )
+
+
+def arm3_s16():
+    """The benchmark's 3-link arm: 16 joint steps per revolution, two discs."""
+    reach = 2.4
+    return Scenario(
+        kind="arm",
+        arm=ArmModel(link_lengths=(1.0, 0.8, 0.6), joints_per_rev=16),
+        s_home=(0, 0, 0),
+        regions=(
+            RegionSpec("pick", (0.55 * reach, 0.15 * reach, 1.0 * reach, 0.65 * reach)),
+            RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
+        ),
+        obstacles=(Circle((0.0, 1.7), 0.25), Circle((0.3, -1.5), 0.3)),
     )
 
 

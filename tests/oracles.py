@@ -1,10 +1,11 @@
 """Independent reference implementations used to freeze expected values.
 
 These deliberately avoid the search / preprocess / query code paths they
-are used to check: breadth-first flood fill for unit-cost distances, a
-literal step-by-step simulation of the navigation-descent rule, a plain
-anytime refinement loop that heapifies its whole open set every pass, and
-the first-match rule that makes a state a potential start. They test
+are used to check: breadth-first flood fill for unit-cost distances, the
+home-landmark heuristic built on it, a literal step-by-step simulation of
+the navigation-descent rule, a plain anytime refinement loop that
+heapifies its whole open set every pass, and the first-match rule that
+makes a state a potential start. They test
 validity with ``cspace.collision_free``, which runs the geometry on every
 call, and find moves and neighbours by their own formula, so they never
 read the validity memo or the move and neighbour tables that the scenario
@@ -65,6 +66,24 @@ def bfs_distances(scenario, source):
     return dist
 
 
+def landmark_heuristic(scenario, goal):
+    """h(q) to ``goal``: the wrapped Manhattan distance, raised to
+    |d(q) - d(goal)| where the breadth-first distance d from a valid home
+    is defined for both states."""
+    home = scenario.s_home
+    d = bfs_distances(scenario, home) if cspace.collision_free(scenario, home) else {}
+
+    def h(q):
+        manhattan = 0
+        for a, b, n, wrap in zip(q, goal, scenario.dims, scenario.wraps):
+            manhattan += min(abs(a - b), n - abs(a - b)) if wrap else abs(a - b)
+        if q in d and goal in d:
+            return max(float(manhattan), abs(d[q] - d[goal]))
+        return float(manhattan)
+
+    return h
+
+
 def simulate_descent(scenario, q, attractor, max_steps=10_000):
     """Literal greedy-descent walk: (reached, steps, visited configs).
 
@@ -105,8 +124,9 @@ def descent_basin(scenario, attractor):
     return members, max_steps
 
 
-def reference_refine(scenario, start, goal, initial_path, *, deadline=None, clock=None):
-    """Plain path-seeded anytime refinement, with no open state held out.
+def reference_refine(scenario, start, goal, initial_path, h, *, deadline=None, clock=None):
+    """Plain path-seeded anytime refinement under the heuristic ``h``, a
+    function of the state (``landmark_heuristic`` gives the planner's).
 
     Returns (path configs, records, incumbents, optimal flag): records are
     the (epsilon, cost, expansions, selections) of each completed pass and
@@ -137,9 +157,6 @@ def reference_refine(scenario, start, goal, initial_path, *, deadline=None, cloc
     for k, q in enumerate(configs):
         if q not in g:
             g[q], parent[q] = float(k), configs[k - 1] if k else None
-
-    def h(q):
-        return cspace.heuristic(scenario, q, goal)
 
     def max_ratio(states, cost):
         return max(((cost - g[q]) / (h(q) + 1e-6) for q in states), default=float("inf"))

@@ -164,9 +164,12 @@ def test_reproducible_trials_csv(small_setup):
 
 # sha256 of summary.csv and anytime_profile.svg for the grid21_ladder config
 # whose trials.csv test_frozen_outputs pins, recorded before TrialRecord and
-# SummaryRow derived their columns and one writer emitted both CSVs.
-LADDER_SUMMARY_SHA256 = "7f977712238eb9b8b1cf6651adff095a9c756cf16ace74959381c5670301fe29"
-LADDER_PROFILE_SHA256 = "fea372e9fd47e1a2ffe0a885f1806f9b511268b4088705af67aefab48a468a73"
+# SummaryRow derived their columns and one writer emitted both CSVs, and
+# re-recorded once, with TRIALS_SHA256, when rep paths became shortest paths
+# and refinement took the home-distance landmark: ctmp+refine's plan times
+# and anytime profiles moved, its costs did not.
+LADDER_SUMMARY_SHA256 = "ee08e36aaa2198f4a0684dd5505b7ff61de10c826f496f991fcd0fd93ef7a8b4"
+LADDER_PROFILE_SHA256 = "32990d69480987c127dfbf46fb2865eab48a92f758c41b8c5cde46da9f39991b"
 
 
 @pytest.fixture(scope="module")

@@ -5,13 +5,12 @@ before format 2 existed, are checked through ``conftest.v1_projection``,
 which shows that format 2 changed nothing but the added descent moves and
 the ``rep_path`` field.
 
-The values below were recorded before the anytime searches were folded
-into one shared weighted-A* pass. A refactor of the search core must
-leave them unchanged; a change meant to alter them updates them here and
-says why in CHANGES.md. Refinement schedules run to well over a hundred
-iterations, so each one is pinned by its length, its total expansions
-and the sha256 of the repr of its (epsilon, cost, expansions,
-selections) tuples.
+The ARA* values below were recorded before the anytime searches were
+folded into one shared weighted-A* pass. A refactor of the search core
+must leave them unchanged; a change meant to alter them updates them here
+and says why in CHANGES.md. A refinement schedule is pinned by its
+length, its total expansions and the sha256 of the repr of its (epsilon,
+cost, expansions, selections) tuples.
 
 The wider refine pins below were recorded before the refinement loop
 stopped rebuilding its incumbent and inflation ratios on every pass. Each
@@ -35,6 +34,20 @@ whose ``n_iterations`` is the only ``trials.csv`` column that moved.
 Parking unselectable open states between passes, which came in the same
 change, moved none of them.
 
+These pins were re-recorded once more when preprocessing stopped running
+weighted A* (weight 3) for each rep path and read a shortest one off the
+scenario's home-distance table, and refinement raised its Manhattan
+heuristic with that table as a landmark: the library byte pins (both
+formats, and arm3_s16), ``PREPROCESS_CHECKS`` (no A* runs, so no checks
+for them), the refine-record pins and ``TRIALS_SHA256``, where only
+``ctmp+refine``'s ``plan_ms`` and ``n_iterations`` moved. ``COVER_SHA256``,
+recorded before that change, shows that it moved nothing in the libraries
+but the rep paths. With shortest rep paths, the seed path of a home query
+is often optimal already, so several refine pins are now one pass with no
+expansion; the simulated-deadline pin moved to an arm32_o2 run that still
+has ten passes, and the rep-path start (7, 18), no longer on a rep path,
+was replaced by (6, 18).
+
 The arm3_s16 library pins and the preprocess check-count pins were
 recorded before descent compared integer squared distances and before the
 scenario kept its neighbour table and end-effector points: they show that
@@ -46,17 +59,16 @@ import json
 
 import pytest
 
-from conftest import v1_projection
+from conftest import arm3_s16, v1_projection
 from coverplan import bench, corpus, cspace, search
-from coverplan.cspace import ArmModel, Circle, RegionSpec, Scenario
 from coverplan import cover as pre
 from coverplan.online import QueryRequest, query
 
 # goal -> (iterations, total expansions, sha256 of the refine records)
 REFINE = {
-    (18, 0): (163, 358, "462209447fa2dae88c37014ea596149faebbae52d6e70ea0a6331f394def81a4"),
-    (19, 18): (158, 314, "67d6acd7342483e2a3fa5b2484325ab66632e71374b0af7332d978697330bbaf"),
-    (20, 20): (145, 229, "91ec4667e4ddc7276f41ea9e807cdf65ad00bf2d08ad9a460679f9c31f1e7af4"),
+    (18, 0): (1, 0, "0c228d30bde272294d2b9bc5e7dce2937a6fef266d7ff5ed09f682552dbfd323"),
+    (19, 18): (1, 0, "3a76a38a2a2f8fd6c7b03d01c9d6fa5c68bb2d0f15247bdcf0c93009bf224af0"),
+    (20, 20): (2, 4, "5c20951cd6d262af1cd6af2eac01c46c8868369eab8643bf85b7eb5642f6ecd9"),
 }
 
 
@@ -73,38 +85,51 @@ ARA = {
 }
 
 # criterion 8's bench config without ctmp+shortcut
-TRIALS_SHA256 = "759b9a974e92159f22143254853947f96d3807d51efa20bb2c765b17a8040fa4"
+TRIALS_SHA256 = "cc0aac54775501e522d6b1ae38d4ef11a7956ec02117e969a4acd0f23b20ae6c"
 
 # scenario -> sha256 of its saved library at preprocess seed 0, recorded
 # in format 1 before is_valid answered from the scenario's validity memo
 LIBRARY_SHA256 = {
-    "grid24_d20": "8e87521f6e34a76408ade44fed961c2416f9b70553e33113c8e0f228cb942867",
-    "arm32_o2": "05b6ef9f375e2b80396e418cd4643b85a1e31cd8c2c63f041dd93c3cee7fbbe1",
-    "grid21_ladder": "f906ff3b8cd61668852c4ee36180fcc43eb4ca62343a52f5a1ae2833bc6a2bef",
+    "grid24_d20": "f0077f4c4fc7267251a099cf1a824ce32340f41a30d2336e57762d95b6f1f3b9",
+    "arm32_o2": "c41db223eae0e61580a6569619bee781256c76f2968c47d7367b8efaa932d450",
+    "grid21_ladder": "8be028b1d02889e2e1ebe35958dd55cd688fb10bc8168372dc289ca19faa87e6",
 }
 
 # scenario -> sha256 of the same library saved in format 2, recorded when
 # format 2 was introduced
 LIBRARY_V2_SHA256 = {
-    "grid24_d20": "b54da7ea2c5fe61d2a638e51b5703b27ffaf5cafa627b905dd42b97a8f6be7c9",
-    "arm32_o2": "313048bd4c7acf34e97b90fee7a8e042b461b89674aa0198c95ce3316c7fcd17",
-    "grid21_ladder": "6ff3ecf4cda9900969a0cebed0e96a5c14d2b101a816cb5037c3f9c045ff77d4",
+    "grid24_d20": "aba73cfd7344910302cb0f5ac1a66bdf779985a7a4b364ebb8f6f812267100bc",
+    "arm32_o2": "1b268eb3bacaef1dd6806fa405ff44ea13b21130567086f6d33707b725556b4b",
+    "grid21_ladder": "bdb6e249b03751e501112bd6728ff01e49ac6b5b8b428c7b5629947214e913a0",
 }
+
+# (scenario, preprocess seed) -> sha256 of the canonical library payload
+# with each entry's rep_path removed: the cover alone
+COVER_SHA256 = {
+    ("grid24_d20", 0): "78f9aaae446d1ec83d3f90709d74ca85eda478a2152d99d959e94bbf7d801c65",
+    ("arm32_o2", 0): "a686acc3b81afb083b094a6227034c01a2f371f006c78288b5be8c5eb76127a8",
+    ("grid21_ladder", 0): "ed5f9fa33525699a916d190b3d39bc3169444026cee55b6637febcff11b50027",
+    ("arm3_s16", 0): "f36808e0d8b31fff1fef1e11fcc1ecf0c4e1f68482d66913cddc5315a356b713",
+    ("arm3_s16", 1): "d7a264f984fab843b4db4e11c4b3e34df2a7c74b332a55df14dcfb66c7390e0d",
+}
+
+# sha256 over the corpus's names and fingerprints, in order
+CORPUS_SHA256 = "5d91e749d9bc708719043655898c60ce30cd931ccad283fc36d86cfcc40ef386"
 
 # preprocess seed -> sha256 of the saved arm3_s16 library (format 2)
 ARM3_S16_LIBRARY_SHA256 = {
-    0: "4cee61ecda11ec3e5572f94982ac1130f9e88b65823e93fd36c374af2c87bb76",
-    1: "1272b187ece0b7054c9c307b0bd1ea40831794c9b5343294842fd5e7a2d83390",
+    0: "e357f74682d0f095d20b7dd148ba26a2d6f5f13fb62e7f926e3d0d8068e2e06b",
+    1: "0b690b397282150ed2f1dc0abce1a96bd016cb77feca05b9ed3571b6132d247d",
 }
 
 # (scenario, preprocess seed) -> logical collision checks that preprocess spends
 PREPROCESS_CHECKS = {
-    ("grid24_d20", 0): 10447,
-    ("grid24_d20", 1): 10339,
-    ("arm32_o2", 0): 9905,
-    ("arm32_o2", 1): 9988,
-    ("arm3_s16", 0): 62150,
-    ("arm3_s16", 1): 59295,
+    ("grid24_d20", 0): 4602,
+    ("grid24_d20", 1): 4503,
+    ("arm32_o2", 0): 9027,
+    ("arm32_o2", 1): 9758,
+    ("arm3_s16", 0): 62028,
+    ("arm3_s16", 1): 58987,
 }
 
 
@@ -124,77 +149,77 @@ LADDER_V_REFINE = {  # (start, goal): the seed path runs via home
         "b6dc70ff3eaa9dacd9a022c08bd798a1fa0536103dd936fb26558159406546c3",
     ),
     ((19, 20), (18, 0)): (
-        3,
-        96,
-        "76f510b1b107e2af0ca429b859abd457ceac797363499748b1960690ebcf7788",
-        "feece0d88b993c030e701b6fc478a565b8ba514716f59386472a81e342544427",
+        2,
+        72,
+        "76400c13b7424e75ae38f68bbce2d7298fdb94d6cc3953235ab47042eda8dd39",
+        "832b6d736bf8fdc91c6147bd1c7853ae706fa6a8bcdab7f52044599993e01e58",
     ),
-    # a rep-path start: its first pass improves no state of the seed path,
-    # whose parent chain is still shorter than the path
-    ((7, 18), (18, 0)): (
-        87,
-        1042,
-        "a78ff7955b89246aae61409e7a0e7543eb098e981bd4337cf99e8ecbfffddbb7",
-        "824e069c1255e70211a003066b2d12eeb149a44e85cae99ee65ebc36b7a0cf2c",
+    # a rep-path start: the seed path runs back home down one corridor and
+    # out again along it, so its parent chain is shorter than the path
+    ((6, 18), (18, 0)): (
+        2,
+        266,
+        "f8ceb4ae518eb97a73f6a9b27264cdc5c8d49e92ee6c110e0b252f48aba061c5",
+        "074834013ddf3d4364e61e13614c364f0c535fd4923372b1d3b3d009c650dc3d",
     ),
 }
 HOME_REFINE = {  # (scenario, goal), from home
     ("grid24_d30", (21, 0)): (
-        52,
-        1383,
-        "4dc6b65501649283912847d0a73b1dc62b8c22d51f698da6b75a364bc0360235",
-        "f91efa4e8c8877c78118b34a0091be6e9db0dc11d59e8615083cdc183993d97e",
+        1,
+        0,
+        "e91be787cf3e55d030fb6aece38e62f58f85b18a38ed87e807e7d585c978de5c",
+        "0c472cd3b8f014c7baefc7d00596bf11cc5de44fdd2f2baa3d14b23ab939ea96",
     ),
     ("grid24_d30", (22, 0)): (
-        43,
-        835,
-        "3200663a0d06520aa7a66639534f13599f3fac8cb41b63ccef7e3c667c19d000",
-        "e50c2bb43d13eb0b9bdb13f776e62c0149252a4a4038d853375b20fbb1ac8d5d",
+        1,
+        0,
+        "8e3220cbbccc7d3769b01bedd3c60c9ee117e703ca3e1ccd4d211488e3011481",
+        "e8a33c7b3a46fb787bf6477e34d8dd5a560afebcc1a32a0a4a004870b2adf67a",
     ),
     ("grid24_d30", (23, 1)): (
-        26,
-        739,
-        "3701e036e638d57a939781d655c2af695a174f4dea8375a54f295d606651cffe",
-        "b67fd99abc45667a34bd129a586265f7a872c12c45790dfe0838b7f2a1c63771",
+        1,
+        0,
+        "3e1cc5f141f5414ef89a6b445f88e93395b6f91d7bae73893b8158179420a0e4",
+        "46304b30b3a7907f2b3b7105990914feb217977a3895703ead4d03e5fd1763ed",
     ),
     ("grid24_d30", (23, 23)): (
-        14,
-        177,
-        "aead9e55df824b4ede593ef1a7a600fd072f5b47b418c4ecb5716dcdd0d17098",
-        "ba968988ec8a2a4d97d1788a80c5ea25ca1888f2df436da0e80d66307262c67e",
+        1,
+        0,
+        "0edc12f5b683cb0b417a32d0c9fe271809a4cc7db5e2b8df04df44f405e62245",
+        "ca7df60f196b811070b2faf83bcfc9393fb5f47a0bc3d8563788f5ca66bbd610",
     ),
     ("arm32_o2", (12, 3)): (
-        52,
-        824,
-        "6bfb544fd591c19fea78f46ef1921c4e47bb668d345bfe0d9e62d2dce31422ea",
-        "8f3b67964a1ad38c3a04739e71c3774cc81aeba055a93c40954c68b3ea3206c5",
+        2,
+        8,
+        "c2f0c66a38a4e8b5328de2fd5b203a9bc2d612ae282b18a0bb547735b759e56d",
+        "9118134f0264cd8db5e42205e9b7d459a452b7be0a232b1ae12c8e77de20989c",
     ),
     ("arm32_o2", (13, 31)): (  # this and the next two cross the wrap seam
-        76,
-        1248,
-        "f7b923d5af59b997e95d74e402425a074f2639a92368a3d882b415e884cd16e3",
-        "3775c6c8edda8185e021bb8437fb7ceb6b0d4dca017a9e6d2b94eb55349d381b",
+        1,
+        0,
+        "e85aab21b427a84b8d0a96e0a8e49a900c2755bc3299489fc84387cc523a7ee9",
+        "7572396e51984cf70f007de425d29154a57469609752e899bf656aabfeb194b3",
     ),
     ("arm32_o2", (14, 29)): (
-        58,
-        1368,
-        "b433f22ccce767a252ed0ed5dda6c8e1d923dc8481310b536aa8b13f5c78de28",
-        "15827de999adf9c8c61be90354930f44e7f28535c4a71bca311f3fd647de0429",
+        9,
+        556,
+        "38981a5139d4d51148c6725e6e7848cf83454848d4f4053567db607ee9b4a749",
+        "1c4fc83ada6f2a1a5fb4ccaf7d33a60605684d44445ac970727e1bcc77d29dd9",
     ),
     ("arm32_o2", (15, 30)): (
-        68,
-        1452,
-        "57dc7e37b9fc2e43b37a39e4b197bf14a1756362d9796e3e07c2c8978a77d738",
-        "646306ae035ed06d8b37c3eb27792f2785ce2870f963151fc95926b701cb6de2",
+        10,
+        680,
+        "842964383fc9e0c35c873b3d3873414a864082d17853286ab5ce29d1c74e6186",
+        "7290fcfb96bf9185d2623d78fcb9240a30bb3f8cd9e908236c0a576857ad2408",
     ),
 }
-# ladder, home -> (19, 18) under SimClock with half the simulated time
-# that the full 158-iteration run takes
+# arm32_o2, home -> (15, 30) under SimClock with half the simulated time
+# that the full 10-iteration run takes
 SIMCLOCK_REFINE = (
-    74,
-    604,
-    "59207d910fc576f41465e2bdae73cfa54ad1665f6da19dc4647ccb7a1471a1e1",
-    "cd8218c024f68f9be9e0cc079ff1c7d06c9f77c8f60271790aad85dc026da352",
+    5,
+    340,
+    "179ce2f84dba110f8862ef88d870a537f6e9da6adba04f7b6c6b162eddb6bac4",
+    "5ac10f99a662b9c397d5e0492e0de961314e21a430e96fa17a04cf5cf607f713",
 )
 
 
@@ -282,14 +307,14 @@ def test_refine_records_frozen_from_home(home_refine_setups, name, goal):
     assert report.optimal_flag
 
 
-def test_refine_records_frozen_at_a_simulated_deadline(ladder):
-    scenario, library = ladder
-    goal = (19, 18)
+def test_refine_records_frozen_at_a_simulated_deadline(home_refine_setups):
+    scenario, library = home_refine_setups["arm32_o2"]
+    goal = (15, 30)
     initial = _initial(scenario, library, scenario.s_home, goal)
     clock = bench.SimClock(scenario.counters)
     scenario.counters.reset()
     _, full = _refine_pin(scenario, scenario.s_home, goal, initial, clock=clock)
-    assert len(full.iterations) == REFINE[goal][0]
+    assert len(full.iterations) == HOME_REFINE["arm32_o2", goal][0]
     run_time = clock()
     scenario.counters.reset()
     pin, report = _refine_pin(
@@ -334,19 +359,11 @@ def test_library_bytes_frozen(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == LIBRARY_V2_SHA256[name]
 
 
-def arm3_s16() -> Scenario:
-    """The benchmark's 3-link arm: 16 joint steps per revolution, two discs."""
-    reach = 2.4
-    return Scenario(
-        kind="arm",
-        arm=ArmModel(link_lengths=(1.0, 0.8, 0.6), joints_per_rev=16),
-        s_home=(0, 0, 0),
-        regions=(
-            RegionSpec("pick", (0.55 * reach, 0.15 * reach, 1.0 * reach, 0.65 * reach)),
-            RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
-        ),
-        obstacles=(Circle((0.0, 1.7), 0.25), Circle((0.3, -1.5), 0.3)),
-    )
+def test_corpus_frozen():
+    digest = hashlib.sha256()
+    for name, scenario in corpus.corpus():
+        digest.update((name + scenario.fingerprint).encode())
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +372,7 @@ def preprocess_runs():
     scenarios = dict(corpus.corpus())
     scenarios["arm3_s16"] = arm3_s16()
     runs = {}
-    for name, seed in sorted(PREPROCESS_CHECKS):
+    for name, seed in sorted(PREPROCESS_CHECKS.keys() | COVER_SHA256.keys()):
         scenario = scenarios[name]
         before = scenario.counters.collision_checks
         library = pre.preprocess(scenario, seed=seed)
@@ -373,3 +390,13 @@ def test_arm3_s16_library_bytes_frozen(preprocess_runs, seed, tmp_path):
 @pytest.mark.parametrize("name, seed", sorted(PREPROCESS_CHECKS))
 def test_preprocess_checks_frozen(preprocess_runs, name, seed):
     assert preprocess_runs[name, seed][1] == PREPROCESS_CHECKS[name, seed]
+
+
+@pytest.mark.parametrize("name, seed", sorted(COVER_SHA256))
+def test_cover_frozen(preprocess_runs, name, seed):
+    payload = pre.library_to_payload(preprocess_runs[name, seed][0])
+    for rc in payload["regions"]:
+        for entry in rc["entries"]:
+            del entry["rep_path"]
+    digest = hashlib.sha256(cspace.canonical_json(payload).encode()).hexdigest()
+    assert digest == COVER_SHA256[name, seed]

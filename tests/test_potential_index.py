@@ -13,7 +13,7 @@ from coverplan import corpus, cspace
 from coverplan import cover as pre
 from coverplan import online as onl
 from coverplan.search import Path
-from test_frozen_outputs import arm3_s16
+from conftest import arm3_s16
 
 
 def oracle_path(library, q, why):

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from conftest import cell_rect, grid, v1_projection
-from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
+from conftest import arm3_s16, cell_rect, grid, v1_projection
+from coverplan import RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
+from coverplan.search import path_is_valid
 from oracles import bfs_distances, descent_basin, lattice_move, simulate_descent
 
 
@@ -220,17 +221,7 @@ def test_preprocess_home_invalid():
 def test_cold_preprocess_runs_kinematics_once_per_state(monkeypatch):
     """A cold build of the benchmark's 3-link arm runs forward kinematics once
     per lattice state: validity and the end-effector point share one pass."""
-    reach = 2.4
-    sc = Scenario(
-        kind="arm",
-        arm=ArmModel(link_lengths=(1.0, 0.8, 0.6), joints_per_rev=16),
-        s_home=(0, 0, 0),
-        regions=(
-            RegionSpec("pick", (0.55 * reach, 0.15 * reach, 1.0 * reach, 0.65 * reach)),
-            RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
-        ),
-        obstacles=(Circle((0.0, 1.7), 0.25), Circle((0.3, -1.5), 0.3)),
-    )
+    sc = arm3_s16()
     calls = []
     fk = cspace.forward_kinematics
 
@@ -264,8 +255,6 @@ def test_cover_completeness_against_bfs(two_region_grid12):
 
 def test_rep_paths_start_home_end_attractor(two_region_grid12):
     lib = pre.preprocess(two_region_grid12, seed=2)
-    from coverplan.search import path_is_valid
-
     for rc in lib.regions:
         for e in rc.entries:
             rep = e.rep_path
@@ -278,6 +267,56 @@ def test_preprocess_deterministic(two_region_grid12):
     a = pre.preprocess(two_region_grid12, seed=9)
     b = pre.preprocess(two_region_grid12, seed=9)
     assert pre.library_to_payload(a) == pre.library_to_payload(b)
+
+
+# ---------------------------------------------------------------------------
+# the home-distance table, and the cover read off it
+
+
+@pytest.fixture(scope="module")
+def home_table_libraries():
+    """(name, scenario, seed-0 library, expansions its preprocess made) for
+    the corpus and the benchmark's 3-link arm."""
+    runs = []
+    for name, sc in corpus.corpus() + [("arm3_s16", arm3_s16())]:
+        before = sc.counters.expansions
+        library = pre.preprocess(sc, seed=0)
+        runs.append((name, sc, library, sc.counters.expansions - before))
+    return runs
+
+
+def test_home_distance_is_the_bfs_distance(home_table_libraries):
+    for name, sc, _, _ in home_table_libraries:
+        oracle = bfs_distances(sc, sc.s_home)
+        assert sc.home_distance == {q: int(d) for q, d in oracle.items()}, name
+
+
+def test_home_distance_counts_no_check_and_is_empty_for_a_colliding_home():
+    sc = grid(8, obstacles=[cell_rect(3, j) for j in range(8)])
+    assert len(sc.home_distance) == 3 * 8 and sc.counters.snapshot() == (0, 0, 0)
+    assert grid(8, obstacles=[cell_rect(0, 0)]).home_distance == {}
+
+
+def test_rep_paths_are_shortest_walks_from_home(home_table_libraries):
+    for name, sc, library, _ in home_table_libraries:
+        for rc in library.regions:
+            for e in rc.entries:
+                rep = e.rep_path
+                assert rep.start == sc.s_home and rep.goal == e.attractor, name
+                assert path_is_valid(sc, rep), (name, e.attractor)
+                assert len(rep.configs) - 1 == sc.home_distance[e.attractor], (name, e.attractor)
+
+
+def test_cover_splits_each_region_by_the_home_table(home_table_libraries):
+    for name, sc, library, _ in home_table_libraries:
+        for region, rc in zip(sc.regions, library.regions):
+            states = set(cspace.region_configs(sc, region))
+            assert rc.covered == {q for q in states if q in sc.home_distance}, name
+            assert rc.excluded == states - rc.covered, name
+
+
+def test_preprocess_runs_no_search(home_table_libraries):
+    assert [(name, n) for name, _, _, n in home_table_libraries if n] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Property test: ``search.anytime_refine`` against the plain reference loop.
 
-Between passes anytime_refine parks the open states that the next pass
-cannot select. On random small grids and on 2- and 3-link arms whose
-joints wrap, the seed path leaves home on a random walk, which revisits
-states, and then heads for the goal; a chained start first runs back
-home. From either start the run must give ``oracles.reference_refine``'s
-records, incumbents and path, and reach the breadth-first distance.
-Under a ``bench.SimClock`` deadline drawn inside the full run, both stop
-in the same pass with the same truncated records.
+The reference runs under ``oracles.landmark_heuristic``, the planner's
+heuristic rebuilt from the breadth-first oracle, so the two compare like
+with like. On random small grids and on 2- and 3-link arms whose joints
+wrap, the seed path leaves home on a random walk, which revisits states,
+and then heads for the goal; a chained start first runs back home. From
+either start the run must give ``oracles.reference_refine``'s records,
+incumbents and path, and reach the breadth-first distance. Under a
+``bench.SimClock`` deadline drawn inside the full run, both stop in the
+same pass with the same truncated records.
 """
 
 import pytest
 
-from oracles import bfs_distances, reference_refine
+from oracles import bfs_distances, landmark_heuristic, reference_refine
 from coverplan import RegionSpec, Rect, Scenario, bench, cspace, search
 from test_astar_property import wrapping_arms
 
@@ -74,9 +75,10 @@ def _run(scenario, start, goal, seed, **kwargs):
 @given(refine_cases())
 def test_refine_matches_reference_and_bfs(case):
     scenario, start, goal, seed, fraction = case
+    h = landmark_heuristic(scenario, goal)
     clock = bench.SimClock(scenario.counters)
     scenario.counters.reset()
-    reference = reference_refine(scenario, start, goal, seed, clock=clock)
+    reference = reference_refine(scenario, start, goal, seed, h, clock=clock)
     run_time = clock()
     full = _run(scenario, start, goal, seed, clock=clock)
     assert full == reference
@@ -89,6 +91,6 @@ def test_refine_matches_reference_and_bfs(case):
     deadline = fraction * run_time
     cut = _run(scenario, start, goal, seed, deadline=deadline, clock=clock)
     scenario.counters.reset()
-    assert cut == reference_refine(scenario, start, goal, seed, deadline=deadline, clock=clock)
+    assert cut == reference_refine(scenario, start, goal, seed, h, deadline=deadline, clock=clock)
     assert cut[1] == records[: len(cut[1])] and cut[2] == full[2][: len(cut[2])]
     assert not cut[3] and len(cut[1]) < len(records)

@@ -304,11 +304,12 @@ def test_refine_single_state_path(empty8):
 
 
 def test_refine_matches_literal_reference():
-    """Differential check: the engine (lazy heaps, parked open states)
-    must reproduce the plain reference loop's records, incumbents and
-    path exactly."""
+    """Differential check: the engine (lazy heaps, memoized heuristic,
+    incumbent kept between passes) must reproduce the plain reference
+    loop's records, incumbents and path exactly, under the same landmark
+    heuristic."""
     from coverplan import ArmModel, RegionSpec, Scenario
-    from oracles import reference_refine
+    from oracles import landmark_heuristic, reference_refine
 
     cases = []
     for seed in range(10):
@@ -339,7 +340,7 @@ def test_refine_matches_literal_reference():
         refined, report = search.anytime_refine(sc, start, goal, init)
         records = [(it.epsilon, it.cost, it.expansions, it.selections) for it in report.iterations]
         incumbents = [p.configs for p in report.incumbents]
-        ref = reference_refine(sc, start, goal, init)
+        ref = reference_refine(sc, start, goal, init, landmark_heuristic(sc, goal))
         assert (refined.configs, records, incumbents, report.optimal_flag) == ref, (goal, via)
         compared += 1
     assert compared >= 8
