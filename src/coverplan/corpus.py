@@ -10,17 +10,12 @@ from __future__ import annotations
 import math
 import random
 
-from . import cspace
 from .cspace import ArmModel, Circle, Rect, RegionSpec, Scenario
 
 
 def _regions_served(scenario: Scenario) -> bool:
     """Every region holds a state reachable from home (so home is valid)."""
-    reach = scenario.home_distance
-    return all(
-        any(q in reach for q in cspace.region_configs(scenario, region))
-        for region in scenario.regions
-    )
+    return all(reached for reached, _ in scenario.region_reach.values())
 
 
 def make_grid(size: int, density: float, seed: int) -> Scenario:

@@ -32,6 +32,16 @@ tie-break order (it would have been the walk's next state, and so a
 member). So an argmin restricted to the stored members would also
 reproduce the walk; the stored pointers make that argmin unnecessary.
 
+A region's covered goals are its valid states that ``home_distance``
+holds, and the rest of its valid states are excluded: every reachable
+state lies in some basin, since the sampler draws until none is left.
+Preprocessing and the loader both read this split from the scenario's
+``region_reach`` table, so a library file (format 3) stores the cover
+alone: per region its id and entries, per entry its attractor, members,
+descent moves and step bound. The covered and excluded sets and the rep
+paths are read off the scenario at load, and what the file does store is
+checked against it.
+
 Regions are independent; builders may run concurrently. The merged
 library is immutable afterward.
 """
@@ -57,9 +67,9 @@ from .errors import (
     HomeInvalid,
     LibraryVersionError,
 )
-from .search import Path, path_is_valid
+from .search import Path
 
-LIBRARY_FORMAT_VERSION = 2
+LIBRARY_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -85,10 +95,12 @@ class CoverEntry:
 class RegionCover:
     """A region's cover entries plus its reachability bookkeeping.
 
-    ``covered`` is the set of in-region valid states inside some entry's
-    basin; ``excluded`` the in-region valid states proven unreachable
-    from home. Their union is the region's full enumerated state set, so
-    goal lookups never need geometry online.
+    ``covered`` is the set of the region's valid states that home reaches,
+    each inside some entry's basin; ``excluded`` the rest of its valid
+    states, which no path from home reaches. Both are read from the
+    scenario's ``region_reach`` table, never from a library file. Their
+    union is the region's full enumerated state set, so goal lookups never
+    need geometry online.
     """
 
     region_id: str
@@ -274,17 +286,21 @@ def sample_valid_uncovered(
 def _home_path(scenario: Scenario, q: Config) -> Path:
     """A shortest path from home to ``q``, read off ``home_distance``: from
     ``q`` back, each step goes to the first neighbour in move order that is
-    one step closer to home."""
+    one step closer to home. The loader calls it for every entry."""
     dist, neighbors = scenario.home_distance, scenario.neighbor_table
     configs = [q]
     for d in range(dist[q] - 1, -1, -1):
-        q = next(nb for nb in neighbors[q] if dist.get(nb) == d)
+        for nb in neighbors[q]:
+            if dist.get(nb) == d:
+                q = nb
+                break
         configs.append(q)
-    return Path(tuple(reversed(configs)))
+    configs.reverse()
+    return Path(tuple(configs))
 
 
 def preprocess(scenario: Scenario, seed: int = 0) -> Library:
-    """Build the library: a cover with representative paths per region.
+    """Build the library: a cover of each region with attractor basins.
 
     Deterministic for a fixed (scenario, seed). Each region draws from its
     own seeded rng, so region builds are independent and could run
@@ -314,14 +330,7 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
             entries.append(CoverEntry(cand, next_member, max_steps, _home_path(scenario, cand)))
             covered |= next_member.keys() & region_states
             frontier_cache = frontier
-        region_covers.append(
-            RegionCover(
-                region_id=region.id,
-                entries=tuple(entries),
-                covered=frozenset(covered),
-                excluded=frozenset(excluded),
-            )
-        )
+        region_covers.append(RegionCover(region.id, tuple(entries), *scenario.region_reach[region]))
     return Library(
         fingerprint=scenario.fingerprint,
         dims=scenario.dims,
@@ -350,10 +359,6 @@ def _ranks(configs, dims) -> list[int]:
 def _deltas(ranks: list[int]) -> list[int]:
     """Sorted lattice ranks, delta encoded: [first, diff, diff, ...]."""
     return list(map(operator.sub, ranks, [0] + ranks[:-1]))
-
-
-def _encode_set(configs, dims) -> list[int]:
-    return _deltas(sorted(_ranks(configs, dims)))
 
 
 # A move is axis * 2 + (1 if +1 else 0), its slot in a row of the scenario's
@@ -394,7 +399,6 @@ def _encode_entry(entry: CoverEntry, dims, move_of_step) -> dict:
         "members": _deltas(ranks),
         "moves": "".join(map(move_of_step.__getitem__, map(operator.sub, targets, ranks))),
         "max_descent_steps": entry.max_descent_steps,
-        "rep_path": [list(q) for q in entry.rep_path.configs],
     }
 
 
@@ -447,8 +451,6 @@ def library_to_payload(library: Library) -> dict:
             {
                 "id": rc.region_id,
                 "entries": [_encode_entry(e, dims, move_of_step) for e in rc.entries],
-                "covered": _encode_set(rc.covered, dims),
-                "excluded": _encode_set(rc.excluded, dims),
             }
             for rc in library.regions
         ],
@@ -456,16 +458,23 @@ def library_to_payload(library: Library) -> dict:
 
 
 def library_from_payload(payload: dict, scenario: Scenario) -> Library:
-    """Decode and check a library payload against the scenario it must match.
+    """Decode a library payload, and derive the rest from its scenario.
 
-    Raises LibraryVersionError for any format version but the current one,
+    Payload regions pair with the scenario's regions by position. Each
+    region's covered and excluded sets come from ``Scenario.region_reach``
+    and each entry's rep path from ``_home_path``, so none of them can be
+    claimed by the file. Raises LibraryVersionError for any format version but the
+    current one (format 2, which stored those fields, included),
     FingerprintMismatch for another scenario's library, and CorruptLibrary
-    for a structural defect: dims or a home other than the scenario's, a
-    rank set that is not strictly increasing within the lattice, an
-    attractor outside its member set, descent moves that do not match
-    the members, a ``max_descent_steps`` that is not an int at least 0
-    (at least 1 for an entry with more than one member), or a rep path
-    that is not a valid lattice walk from home to its attractor.
+    for a structural defect: dims, a home or region ids (in order) other
+    than the scenario's, a rank set that is not strictly increasing within
+    the lattice, a member that home cannot reach, an attractor outside its
+    member set, descent moves that do not match the members, a
+    ``max_descent_steps`` that is not an int at least 0 (at least 1 for an
+    entry with more than one member), or a covered goal in none of its
+    region's entries. A member that home reaches is a valid state, so
+    every pointer is a valid move; a pointer cycle, or a chase longer than
+    ``max_descent_steps``, is found only when a query follows it.
     """
     try:
         version = payload["format_version"]
@@ -480,59 +489,42 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         s_home = tuple(payload["s_home"])
         if s_home != scenario.s_home:
             raise CorruptLibrary(f"library home {s_home} is not the scenario's {scenario.s_home}")
-        # Rank r's state and move row: the move table's keys and rows are in
-        # row-major (= rank) order. The lists hold references; no state is built.
-        states = list(scenario.move_table)
+        ids = [rc["id"] for rc in payload["regions"]]
+        if ids != [region.id for region in scenario.regions]:
+            raise CorruptLibrary(f"library regions {ids} are not the scenario's, in its order")
+        # Rank r's state (None where home cannot reach it) and move row: both
+        # tables are in row-major (= rank) order. The lists hold references;
+        # no state is built.
+        reachable = scenario.reachable_by_rank
         rows = list(scenario.move_table.values())
-        size = len(states)
+        size = len(reachable)
         slot_of = {MOVE_DIGITS[m]: m for m in range(2 * scenario.dof)}
         slot_of[NO_MOVE] = 0  # any slot: the attractor is then pointed at itself
 
-        def decode_set(deltas) -> frozenset[Config]:
-            return frozenset(map(states.__getitem__, _decode_ranks(deltas, size)))
-
         regions = []
-        for rc in payload["regions"]:
+        for region, rc in zip(scenario.regions, payload["regions"]):
             entries = []
             for e in rc["entries"]:
                 attractor = tuple(e["attractor"])
                 if not cspace.in_bounds(scenario, attractor):
                     raise CorruptLibrary(f"attractor {attractor} is not a lattice state")
                 ranks = _decode_ranks(e["members"], size)
+                members = list(map(reachable.__getitem__, ranks))
+                if not all(members):  # states are non-empty tuples, so only a None fails
+                    raise CorruptLibrary(f"entry {attractor} has a member home cannot reach")
                 next_member = _decode_pointers(
-                    list(map(states.__getitem__, ranks)),
-                    list(map(rows.__getitem__, ranks)),
-                    e["moves"],
-                    attractor,
-                    slot_of,
+                    members, list(map(rows.__getitem__, ranks)), e["moves"], attractor, slot_of
                 )
                 steps = e["max_descent_steps"]
                 least = 1 if len(ranks) > 1 else 0  # a member besides the attractor moves
                 if type(steps) is not int or steps < least:  # bool is an int subclass
                     raise CorruptLibrary(f"max_descent_steps {steps!r} is not an integer >= {least}")
-                rep_path = Path(tuple(tuple(q) for q in e["rep_path"]))
-                if not (
-                    rep_path.start == s_home
-                    and rep_path.goal == attractor
-                    and path_is_valid(scenario, rep_path)
-                ):
-                    raise CorruptLibrary(f"rep path to {attractor} is no valid walk from home")
-                entries.append(
-                    CoverEntry(
-                        attractor=attractor,
-                        next_member=next_member,
-                        max_descent_steps=steps,
-                        rep_path=rep_path,
-                    )
-                )
-            regions.append(
-                RegionCover(
-                    region_id=rc["id"],
-                    entries=tuple(entries),
-                    covered=decode_set(rc["covered"]),
-                    excluded=decode_set(rc["excluded"]),
-                )
-            )
+                rep_path = _home_path(scenario, attractor)
+                entries.append(CoverEntry(attractor, next_member, steps, rep_path))
+            cover = RegionCover(region.id, tuple(entries), *scenario.region_reach[region])
+            if set().union(*(e.members & cover.covered for e in entries)) != cover.covered:
+                raise CorruptLibrary(f"a covered goal of region {region.id!r} is in no entry")
+            regions.append(cover)
         return Library(
             fingerprint=fingerprint,
             dims=dims,
@@ -541,7 +533,7 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
         )
     except (FingerprintMismatch, LibraryVersionError, CorruptLibrary):
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise CorruptLibrary(f"malformed library payload: {exc}") from exc
 
 

@@ -7,16 +7,17 @@ fixed angular step of 2*pi / joints_per_rev. Continuous joints wrap;
 joints with limits do not.
 
 A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
-``axis_squares``) are derived once, at construction, from fields that cannot
-change afterwards. All operations are pure functions of that data and are
-safe for concurrent use. ``counters`` is an ``OpCounters`` instrumentation
-block, which exists so callers can prove how much work (collision checks,
-expansions, elementary steps) an online query performed. Four tables run
-lattice-only work once per scenario, each built whole on first use. Three
-are keyed by exactly the prod(dims) lattice states, in lexicographic order:
-``state_table`` (each state's collision-free flag and end-effector point,
-from one geometry pass per state, read by ``is_valid``, ``in_region`` and
-``region_configs``), ``move_table`` (each state's state after each move,
+``axis_squares``) are derived once, at construction, from fields that
+cannot change afterwards. All operations are pure functions of that data
+and are safe for concurrent use. ``counters`` is an ``OpCounters``
+instrumentation block, which exists so callers can prove how much work
+(collision checks, expansions, elementary steps) an online query
+performed. Four tables run lattice-only work once per scenario, each built
+whole on first use. Three are keyed by exactly the prod(dims) lattice
+states, in lexicographic order: ``state_table`` (each state's
+collision-free flag and end-effector point, from one geometry pass per
+state, read by ``is_valid``, ``in_region``, ``region_configs`` and
+``region_reach``), ``move_table`` (each state's state after each move,
 None where the move leaves the lattice; the one place that steps a state,
 read by the library decoder and the shortcut walk) and ``neighbor_table``
 (derived from ``move_table``: each row without its Nones, read by
@@ -24,10 +25,17 @@ read by the library decoder and the shortcut walk) and ``neighbor_table``
 only, so validity still goes through the counted ``is_valid``.
 ``home_distance``, a flood fill of the other three from ``s_home``, holds
 each reachable state's step count from home, for the offline cover, the
-refinement heuristic and the corpus generators. No table changes once
-built, so they are safe to share. ``dataclasses.replace`` builds a new
-scenario with new counters and tables, so an answer never outlives the
-fields it was computed from.
+library loader, the refinement heuristic and the corpus generators. Two
+more are derived from these, also with no counted check: ``region_reach``
+(each region's valid states, as ``region_configs`` finds them with its
+counted checks, split into those that ``home_distance`` holds and the
+rest; the covered and excluded states of the offline cover and the library
+loader) and ``reachable_by_rank`` (each state in rank order, None where
+home cannot reach it, with which the loader decodes member ranks and
+refuses a member that home cannot reach). No table changes once built, so
+they are safe to share. ``dataclasses.replace`` builds a new scenario with
+new counters and tables, so an answer never outlives the fields it was
+computed from.
 """
 
 from __future__ import annotations
@@ -164,9 +172,10 @@ class Scenario:
     ``fingerprint``, the content hash that binds libraries to the scenario;
     freezing keeps them valid. ``counters`` is the one mutable part. The
     tables ``state_table`` and ``move_table`` are built whole on first use,
-    ``neighbor_table`` from ``move_table``, and ``home_distance`` from
-    ``state_table`` and ``neighbor_table`` (the module docstring says why
-    they are safe to share).
+    ``neighbor_table`` from ``move_table``, ``home_distance`` from
+    ``state_table`` and ``neighbor_table``, and ``region_reach`` and
+    ``reachable_by_rank`` from ``state_table`` and ``home_distance`` (the
+    module docstring says why they are safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -253,6 +262,31 @@ class Scenario:
                         dist[nb] = d
                         layer.append(nb)
         return dist
+
+    @cached_property
+    def reachable_by_rank(self) -> list[Config | None]:
+        """Each lattice state in rank (= lexicographic) order, None where
+        ``home_distance`` does not hold it. Counts no check. A list, not a
+        tuple: ``list.__getitem__`` maps over ranks twice as fast."""
+        dist = self.home_distance
+        return [q if q in dist else None for q in self.state_table]
+
+    @cached_property
+    def region_reach(self) -> dict[RegionSpec, tuple[frozenset[Config], frozenset[Config]]]:
+        """Each region -> (its valid states that ``home_distance`` holds, its
+        other valid states). Counts no check."""
+        dist = self.home_distance
+        table = {}
+        for region in self.regions:
+            x0, y0, x1, y1 = region.box
+            states = [
+                q
+                for q, (free, (x, y)) in self.state_table.items()
+                if free and x0 <= x <= x1 and y0 <= y <= y1
+            ]
+            reached = frozenset(filter(dist.__contains__, states))
+            table[region] = reached, frozenset(states) - reached
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +503,12 @@ def lattice_configs(scenario: Scenario):
 
 
 def region_configs(scenario: Scenario, region: RegionSpec) -> list[Config]:
-    """The region's valid member states in lexicographic order; one check per state."""
+    """The region's valid member states in lexicographic order; one check per state.
+
+    Every lattice state goes through the counted ``is_valid``, so the
+    charged checks are real calls that a tracer of ``is_valid`` sees. The
+    uncounted ``region_reach`` table holds the same states.
+    """
     x0, y0, x1, y1 = region.box
     return [
         q

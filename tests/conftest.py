@@ -1,6 +1,7 @@
 import pytest
 
 from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario
+from coverplan import cover
 
 
 def cell_rect(i, j):
@@ -77,3 +78,29 @@ def v1_projection(payload):
             entries.append(dict(v1, rep_paths=[e["rep_path"]]))
         regions.append(dict(rc, entries=entries))
     return dict(payload, format_version=1, regions=regions)
+
+
+def v2_projection(payload, scenario):
+    """A format-3 library payload in format 2: the derived fields put back.
+
+    Format 3 stores the cover alone and derives each region's ``covered``
+    and ``excluded`` sets and each entry's ``rep_path`` from the scenario
+    at load. The projection loads the payload and writes those fields as
+    format 2 did (sorted lattice ranks, delta encoded; the path's states),
+    so a library whose projection serializes to the format-2 bytes lost
+    nothing but fields that the loader derives back unchanged.
+    """
+    library = cover.library_from_payload(payload, scenario)
+
+    def ranks(configs):
+        return cover._deltas(sorted(cover._ranks(configs, library.dims)))
+
+    regions = []
+    for rc, loaded in zip(payload["regions"], library.regions):
+        entries = [
+            dict(e, rep_path=[list(q) for q in entry.rep_path.configs])
+            for e, entry in zip(rc["entries"], loaded.entries)
+        ]
+        covered, excluded = ranks(loaded.covered), ranks(loaded.excluded)
+        regions.append(dict(rc, entries=entries, covered=covered, excluded=excluded))
+    return dict(payload, format_version=2, regions=regions)

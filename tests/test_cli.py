@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from coverplan import bench, cli, corpus, cspace
+from coverplan import bench, cli, corpus, cover, cspace
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,14 @@ def test_preprocess_then_query_smoke(scenario_file, capsys):
     lpath = str(d / "library.json")
     assert cli.main(["preprocess", "--scenario", spath, "--out", lpath, "--seed", "2"]) == 0
     out = capsys.readouterr().out
-    assert "library written" in out
+    library = cover.load_library(lpath, sc)
+    entries = sum(len(rc.entries) for rc in library.regions)
+    covered = sum(len(rc.covered) for rc in library.regions)
+    states = sum(len(cspace.region_configs(sc, region)) for region in sc.regions)
+    assert out == (
+        f"library written to {lpath}: 2 regions, {entries} entries, "
+        f"{covered} covered states, {states - covered} excluded states\n"
+    )
 
     goal = "6,1"
     code = cli.main(
@@ -67,7 +74,7 @@ def test_version_prints_format_versions(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "scenario format 1" in out
-    assert "library format 2" in out
+    assert "library format 3" in out
 
 
 def test_bench_subcommand(scenario_file, capsys):

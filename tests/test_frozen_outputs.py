@@ -1,9 +1,13 @@
 """Frozen outputs: exact search records, bench bytes and library bytes.
 
-Library files are pinned in both formats: the format-1 pins, recorded
+Library files are pinned in three formats. The format-1 pins, recorded
 before format 2 existed, are checked through ``conftest.v1_projection``,
 which shows that format 2 changed nothing but the added descent moves and
-the ``rep_path`` field.
+the ``rep_path`` field. The format-2 pins and ``COVER_SHA256``, recorded
+before format 3 existed, are checked through ``conftest.v2_projection``,
+which puts back the covered and excluded sets and the rep paths that the
+format-3 loader derives from the scenario: format 3 dropped those fields
+and changed nothing else. ``LIBRARY_V3_SHA256`` pins the format-3 bytes.
 
 The ARA* values below were recorded before the anytime searches were
 folded into one shared weighted-A* pass. A refactor of the search core
@@ -59,7 +63,7 @@ import json
 
 import pytest
 
-from conftest import arm3_s16, v1_projection
+from conftest import arm3_s16, v1_projection, v2_projection
 from coverplan import bench, corpus, cspace, search
 from coverplan import cover as pre
 from coverplan.online import QueryRequest, query
@@ -103,8 +107,18 @@ LIBRARY_V2_SHA256 = {
     "grid21_ladder": "bdb6e249b03751e501112bd6728ff01e49ac6b5b8b428c7b5629947214e913a0",
 }
 
-# (scenario, preprocess seed) -> sha256 of the canonical library payload
-# with each entry's rep_path removed: the cover alone
+# (scenario, preprocess seed) -> sha256 of the saved library in format 3,
+# recorded when format 3 was introduced
+LIBRARY_V3_SHA256 = {
+    ("grid24_d20", 0): "eb5fca5f35df5af6191ce0f2f1c5be4754fcf290e174b7278e16809b4567eb13",
+    ("arm32_o2", 0): "d6f109c4b60f3ae81f7ba1803b623ac525394ac788bcfb16d6187033d53aebb3",
+    ("grid21_ladder", 0): "6a9b4df0281643a066e51dc263f016c3df086943c39b0c6b7723e73e16e449ac",
+    ("arm3_s16", 0): "50f60d5f942de96f584a158c3d1d84434a78bf02bf5dffa967d5d4c9b8a6c78f",
+    ("arm3_s16", 1): "4ce2501e8a09e342113fbe6fb2cdf40c1ec8bff7dbfad8872e43f469e7015bcd",
+}
+
+# (scenario, preprocess seed) -> sha256 of the canonical format-2 library
+# payload with each entry's rep_path removed
 COVER_SHA256 = {
     ("grid24_d20", 0): "78f9aaae446d1ec83d3f90709d74ca85eda478a2152d99d959e94bbf7d801c65",
     ("arm32_o2", 0): "a686acc3b81afb083b094a6227034c01a2f371f006c78288b5be8c5eb76127a8",
@@ -354,9 +368,12 @@ def test_library_bytes_frozen(name, tmp_path):
     path = tmp_path / f"{name}_library.json"
     pre.save_library(pre.preprocess(scenario, seed=0), path)
     data = path.read_bytes()
-    v1 = cspace.canonical_json(v1_projection(json.loads(data))) + "\n"
+    v2 = v2_projection(json.loads(data), scenario)
+    v1 = cspace.canonical_json(v1_projection(v2)) + "\n"
     assert hashlib.sha256(v1.encode()).hexdigest() == LIBRARY_SHA256[name]
-    assert hashlib.sha256(data).hexdigest() == LIBRARY_V2_SHA256[name]
+    v2 = cspace.canonical_json(v2) + "\n"
+    assert hashlib.sha256(v2.encode()).hexdigest() == LIBRARY_V2_SHA256[name]
+    assert hashlib.sha256(data).hexdigest() == LIBRARY_V3_SHA256[name, 0]
 
 
 def test_corpus_frozen():
@@ -368,7 +385,7 @@ def test_corpus_frozen():
 
 @pytest.fixture(scope="module")
 def preprocess_runs():
-    """(scenario, seed) -> (library, logical checks that preprocess spent)."""
+    """(scenario, seed) -> (library, logical checks that preprocess spent, scenario)."""
     scenarios = dict(corpus.corpus())
     scenarios["arm3_s16"] = arm3_s16()
     runs = {}
@@ -376,15 +393,19 @@ def preprocess_runs():
         scenario = scenarios[name]
         before = scenario.counters.collision_checks
         library = pre.preprocess(scenario, seed=seed)
-        runs[name, seed] = library, scenario.counters.collision_checks - before
+        runs[name, seed] = library, scenario.counters.collision_checks - before, scenario
     return runs
 
 
 @pytest.mark.parametrize("seed", sorted(ARM3_S16_LIBRARY_SHA256))
 def test_arm3_s16_library_bytes_frozen(preprocess_runs, seed, tmp_path):
+    library, _, scenario = preprocess_runs["arm3_s16", seed]
     path = tmp_path / "arm3_s16_library.json"
-    pre.save_library(preprocess_runs["arm3_s16", seed][0], path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARM3_S16_LIBRARY_SHA256[seed]
+    pre.save_library(library, path)
+    data = path.read_bytes()
+    v2 = cspace.canonical_json(v2_projection(json.loads(data), scenario)) + "\n"
+    assert hashlib.sha256(v2.encode()).hexdigest() == ARM3_S16_LIBRARY_SHA256[seed]
+    assert hashlib.sha256(data).hexdigest() == LIBRARY_V3_SHA256["arm3_s16", seed]
 
 
 @pytest.mark.parametrize("name, seed", sorted(PREPROCESS_CHECKS))
@@ -394,7 +415,8 @@ def test_preprocess_checks_frozen(preprocess_runs, name, seed):
 
 @pytest.mark.parametrize("name, seed", sorted(COVER_SHA256))
 def test_cover_frozen(preprocess_runs, name, seed):
-    payload = pre.library_to_payload(preprocess_runs[name, seed][0])
+    library, _, scenario = preprocess_runs[name, seed]
+    payload = v2_projection(pre.library_to_payload(library), scenario)
     for rc in payload["regions"]:
         for entry in rc["entries"]:
             del entry["rep_path"]

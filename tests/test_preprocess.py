@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import arm3_s16, cell_rect, grid, v1_projection
+from conftest import arm3_s16, cell_rect, grid, v1_projection, v2_projection
 from coverplan import RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from coverplan.search import path_is_valid
@@ -382,11 +382,13 @@ def test_library_truncated_file(tmp_path, two_region_grid12):
 
 
 def test_library_version_error(tmp_path, two_region_grid12):
-    """Unknown versions and format-1 files (there is no format-1 reader)."""
+    """Unknown versions, and format-2 and format-1 files: there is no reader
+    for a file that stores the fields format 3 derives."""
     lib = pre.preprocess(two_region_grid12, seed=1)
     payload = pre.library_to_payload(lib)
+    v2 = v2_projection(payload, two_region_grid12)
     path = tmp_path / "lib.json"
-    for old in (dict(payload, format_version=99), v1_projection(payload)):
+    for old in (dict(payload, format_version=99), v2, v1_projection(v2)):
         path.write_text(json.dumps(old))
         with pytest.raises(errors.LibraryVersionError):
             pre.load_library(path, two_region_grid12)
@@ -407,10 +409,9 @@ def set_move(entry_payload, i, move):
 
 
 CORRUPTIONS = (
-    "covered [-5, 1000]",
-    "covered repeats a rank",
-    "covered steps back",
-    "covered rank past the lattice",
+    "members [-5, 1000]",
+    "members repeat a rank",
+    "members step back",
     "members rank past the lattice",
     "dims differ from the scenario",
     "attractor not a member",
@@ -426,24 +427,21 @@ CORRUPTIONS = (
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
-    """Rank sets and descent moves are checked on load: CorruptLibrary."""
+    """Member rank sets and descent moves are checked on load: CorruptLibrary."""
     # 12 x 12, with basins smaller than the lattice
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
     entry = lib.regions[0].entries[0]
-    rc_p = payload["regions"][0]
-    e_p = rc_p["entries"][0]
+    e_p = payload["regions"][0]["entries"][0]
     order = sorted(entry.members)  # the order of e_p["moves"]
     movers = [(i, q) for i, q in enumerate(order) if q != entry.attractor]
     assert movers
-    if case == "covered [-5, 1000]":
-        rc_p["covered"] = [-5, 1000]
-    elif case == "covered repeats a rank":
-        rc_p["covered"] = [3, 0]
-    elif case == "covered steps back":
-        rc_p["covered"] = [3, -1]
-    elif case == "covered rank past the lattice":
-        rc_p["covered"] = [0, 144]
+    if case == "members [-5, 1000]":
+        e_p["members"] = [-5, 1000]
+    elif case == "members repeat a rank":
+        e_p["members"][1] = 0
+    elif case == "members step back":
+        e_p["members"][1] = -1
     elif case == "members rank past the lattice":
         e_p["members"][-1] += 144
     elif case == "dims differ from the scenario":
@@ -496,13 +494,18 @@ def test_library_one_member_entry_may_have_no_moves(corpus_libraries):
     """An entry whose only member is its attractor loads with bound 0."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
-    e_p = payload["regions"][0]["entries"][0]
-    i, j = e_p["attractor"]
-    e_p.update(members=[i * 12 + j], moves=pre.NO_MOVE, max_descent_steps=0)
-    entry = pre.library_from_payload(payload, sc).regions[0].entries[0]
+    i, j = payload["regions"][0]["entries"][0]["attractor"]
+    e_p = dict(attractor=[i, j], members=[i * 12 + j], moves=pre.NO_MOVE, max_descent_steps=0)
+    payload["regions"][0]["entries"].append(e_p)
+    entry = pre.library_from_payload(payload, sc).regions[0].entries[-1]
     assert entry.members == {(i, j)} and entry.max_descent_steps == 0
     e_p["max_descent_steps"] = -1
     with pytest.raises(errors.CorruptLibrary, match="max_descent_steps"):
+        pre.library_from_payload(payload, sc)
+    # moves as a JSON object whose one key is the attractor's move: the
+    # decoder's string methods fail on it, and that is a corrupt file too
+    e_p.update(moves={pre.NO_MOVE: 0}, max_descent_steps=0)
+    with pytest.raises(errors.CorruptLibrary, match="malformed"):
         pre.library_from_payload(payload, sc)
 
 
@@ -517,45 +520,81 @@ def straight_line(a, b):
     return walk
 
 
-REP_PATH_CORRUPTIONS = (
-    "straight line through obstacles",
-    "empty",
-    "a state off the lattice",
-    "a state that is no integer",
-    "a jump",
-    "starts away from home",
-    "ends away from the attractor",
-)
-
-
-@pytest.mark.parametrize("case", REP_PATH_CORRUPTIONS)
-def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
-    """Each rep path is a valid lattice walk from home to its attractor, or
-    the load fails: a refined query would otherwise splice a colliding rep
-    path into its answer and could flag it optimal."""
+def test_library_rep_path_must_be_a_valid_walk(corpus_libraries):
+    """A payload cannot give an entry its rep path: the loader reads each
+    one off the scenario's home table, and a ``rep_path`` in the file, here
+    a straight line through obstacles, is not read. A refined query would
+    otherwise splice a colliding rep path into its answer and could flag it
+    optimal."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
     e_p = payload["regions"][0]["entries"][0]
-    rep = [list(q) for q in lib.regions[0].entries[0].rep_path.configs]
-    assert len(rep) > 3 and pre.library_from_payload(payload, sc) == lib
-    if case == "straight line through obstacles":
-        line = straight_line(sc.s_home, tuple(e_p["attractor"]))
-        assert not all(sc.state_table[q][0] for q in line)
-        rep = [list(q) for q in line]
-    elif case == "empty":
-        rep = []
-    elif case == "a state off the lattice":
-        rep[2] = [-1, rep[2][1]]
-    elif case == "a state that is no integer":
-        rep[2] = [rep[2][0] + 0.5, rep[2][1]]
-    elif case == "a jump":
-        del rep[2]
-    elif case == "starts away from home":
-        del rep[0]
+    assert "rep_path" not in e_p
+    line = straight_line(sc.s_home, tuple(e_p["attractor"]))
+    assert not all(sc.state_table[q][0] for q in line)
+    e_p["rep_path"] = [list(q) for q in line]
+    loaded = pre.library_from_payload(payload, sc)
+    assert loaded == lib
+    for rc in loaded.regions:
+        for entry in rc.entries:
+            rep = entry.rep_path
+            assert rep.start == sc.s_home and rep.goal == entry.attractor
+            assert path_is_valid(sc, rep)
+
+
+def test_library_member_home_cannot_reach_rejected(corpus_libraries):
+    """A member must be a state home reaches. Here a member's pointer is
+    sent through the colliding (8, 0), added with a pointer to (8, 1), and
+    the step bound allows the detour: taken on trust, a query to (9, 0)
+    would return a path through the obstacle."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    entry = lib.regions[0].entries[0]
+    assert (9, 0) in entry.members and (8, 1) in entry.members
+    assert not sc.state_table[8, 0][0]
+    pointers = dict(entry.next_member)
+    pointers[9, 0], pointers[8, 0] = (8, 0), (8, 1)
+    tampered = dataclasses.replace(
+        entry, next_member=pointers, max_descent_steps=entry.max_descent_steps + 2
+    )
+    payload = pre.library_to_payload(lib)
+    payload["regions"][0]["entries"][0] = pre._encode_entry(
+        tampered, sc.dims, pre._move_of_step(sc.dims)
+    )
+    with pytest.raises(errors.CorruptLibrary, match="home cannot reach"):
+        pre.library_from_payload(payload, sc)
+
+
+@pytest.mark.parametrize("case", ["one region too few", "one region too many", "regions swapped"])
+def test_library_regions_must_be_the_scenarios(corpus_libraries, case):
+    """Payload regions pair with the scenario's by position: their count
+    and ids must match, or the load fails."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    payload = pre.library_to_payload(lib)
+    regions = payload["regions"]
+    if case == "one region too few":
+        del regions[-1]
+    elif case == "one region too many":
+        regions.append(dict(regions[0]))
     else:
-        del rep[-1]
-    e_p["rep_path"] = rep
-    with pytest.raises(errors.CorruptLibrary):
+        regions.reverse()
+    with pytest.raises(errors.CorruptLibrary, match="region"):
+        pre.library_from_payload(payload, sc)
+
+
+def test_library_covered_goal_in_no_entry_rejected(corpus_libraries):
+    """Every goal that home reaches in a region lies in one of the region's
+    entries: a file that drops an entry, and with it the only basin that
+    holds some goal, is refused rather than loaded with that goal uncovered."""
+    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
+    rc = lib.regions[0]
+    only = [
+        k
+        for k, e in enumerate(rc.entries)
+        if e.members & rc.covered - set().union(*(o.members for o in rc.entries if o is not e))
+    ]
+    payload = pre.library_to_payload(lib)
+    del payload["regions"][0]["entries"][only[0]]
+    with pytest.raises(errors.CorruptLibrary, match="covered goal of region .* is in no entry"):
         pre.library_from_payload(payload, sc)
 
 
@@ -612,9 +651,9 @@ def test_library_corrupt_seam_payload_rejected(corpus_libraries, case):
 
 
 def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_libraries):
-    """A load reads the scenario's move table, and its state table to check
-    the rep paths: once one load has built them, a second enumerates no
-    lattice state and steps none."""
+    """A load reads the scenario's move table, and the tables built from its
+    state table (home distances, reachable ranks, region states): once one
+    load has built them, a second enumerates no lattice state and steps none."""
     sc, lib = wrapping_library(corpus_libraries)
     path = tmp_path / "lib.json"
     pre.save_library(lib, path)
@@ -640,5 +679,6 @@ def test_member_encoding_round_trip():
     dims = (5, 7, 3)
     configs = {(0, 0, 0), (4, 6, 2), (2, 3, 1), (1, 0, 2)}
     table = list(itertools.product(*(range(n) for n in dims)))  # rank r is table[r]
-    ranks = pre._decode_ranks(pre._encode_set(configs, dims), len(table))
+    deltas = pre._deltas(pre._ranks(sorted(configs), dims))
+    ranks = pre._decode_ranks(deltas, len(table))
     assert {table[r] for r in ranks} == configs
