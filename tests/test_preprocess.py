@@ -412,6 +412,7 @@ CORRUPTIONS = (
     "members [-5, 1000]",
     "members repeat a rank",
     "members step back",
+    "covered rank past the lattice",
     "members rank past the lattice",
     "dims differ from the scenario",
     "attractor not a member",
@@ -442,6 +443,9 @@ def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
         e_p["members"][1] = 0
     elif case == "members step back":
         e_p["members"][1] = -1
+    elif case == "covered rank past the lattice":
+        # the entry's last member is rank 144, the first past a 12 x 12 lattice
+        e_p["members"][-1] += 144 - sum(e_p["members"])
     elif case == "members rank past the lattice":
         e_p["members"][-1] += 144
     elif case == "dims differ from the scenario":
@@ -520,26 +524,54 @@ def straight_line(a, b):
     return walk
 
 
-def test_library_rep_path_must_be_a_valid_walk(corpus_libraries):
+REP_PATH_CORRUPTIONS = (
+    "straight line through obstacles",
+    "empty",
+    "a state off the lattice",
+    "a state that is no integer",
+    "a jump",
+    "starts away from home",
+    "ends away from the attractor",
+)
+
+
+@pytest.mark.parametrize("case", REP_PATH_CORRUPTIONS)
+def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
     """A payload cannot give an entry its rep path: the loader reads each
     one off the scenario's home table, and a ``rep_path`` in the file, here
-    a straight line through obstacles, is not read. A refined query would
-    otherwise splice a colliding rep path into its answer and could flag it
-    optimal."""
+    one that is no valid walk from home to the attractor, is not read. A
+    refined query would otherwise splice a colliding rep path into its
+    answer and could flag it optimal."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
     e_p = payload["regions"][0]["entries"][0]
     assert "rep_path" not in e_p
-    line = straight_line(sc.s_home, tuple(e_p["attractor"]))
-    assert not all(sc.state_table[q][0] for q in line)
-    e_p["rep_path"] = [list(q) for q in line]
+    rep = [list(q) for q in lib.regions[0].entries[0].rep_path.configs]
+    assert len(rep) > 3
+    if case == "straight line through obstacles":
+        line = straight_line(sc.s_home, tuple(e_p["attractor"]))
+        assert not all(sc.state_table[q][0] for q in line)
+        rep = [list(q) for q in line]
+    elif case == "empty":
+        rep = []
+    elif case == "a state off the lattice":
+        rep[2] = [-1, rep[2][1]]
+    elif case == "a state that is no integer":
+        rep[2] = [rep[2][0] + 0.5, rep[2][1]]
+    elif case == "a jump":
+        del rep[2]
+    elif case == "starts away from home":
+        del rep[0]
+    else:
+        del rep[-1]
+    e_p["rep_path"] = rep
     loaded = pre.library_from_payload(payload, sc)
     assert loaded == lib
     for rc in loaded.regions:
         for entry in rc.entries:
-            rep = entry.rep_path
-            assert rep.start == sc.s_home and rep.goal == entry.attractor
-            assert path_is_valid(sc, rep)
+            path = entry.rep_path
+            assert path.start == sc.s_home and path.goal == entry.attractor
+            assert path_is_valid(sc, path)
 
 
 def test_library_member_home_cannot_reach_rejected(corpus_libraries):
