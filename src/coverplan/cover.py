@@ -6,19 +6,24 @@ frontier when possible, otherwise uniformly from the remaining uncovered
 states. A candidate that the scenario's ``home_distance`` table does not
 hold has no path from home and lands in an explicit exclusion set, which
 is what guarantees termination on a finite lattice. For every other
-candidate, a shortest representative path from home is read off the same
-table, with no search, and the attractor's greedy-descent basin is grown
-around it. Each accepted attractor becomes one CoverEntry, which holds
-the basin's descent pointers, its step bound and the path.
+candidate, the attractor's greedy-descent basin is grown around it: every
+valid config whose iterated steepest-descent walk of the navigation value
+reaches the attractor. The basin marks states covered and gives the next
+candidates; it is not kept.
 
-An entry's member set is the full descent basin: every valid config
-whose iterated steepest-descent walk of the navigation value reaches
-the attractor. Each member stores a descent pointer, the next
-state of its walk (the attractor points to itself), and the pointer lands
-on a member: the tail of a successful walk is a successful walk. Following
-pointers from a member therefore replays the offline walk exactly, in at
-most ``max_descent_steps`` moves, with no collision check and no
-navigation value; that is the whole of the online connect.
+A region's covered goals are its valid states that ``home_distance``
+holds, and the rest of its valid states are excluded: every reachable
+state lies in some basin, since the sampler draws until none is left.
+Each attractor becomes one CoverEntry, built by ``_region_cover`` from the
+attractor and the scenario alone. It keeps what a query follows: the
+descent walk of each covered goal that reaches the attractor, as one
+pointer per state (the next state of its walk; the attractor points to
+itself), the longest such walk as its step bound, and a shortest path
+from home, read off ``home_distance`` with no search. The tail of a
+successful walk is a successful walk, so every pointer lands on a member.
+Following pointers from a covered goal therefore replays the offline walk
+exactly, in at most ``max_descent_steps`` moves, with no collision check
+and no navigation value; that is the whole of the online connect.
 
 Descent compares squared navigation values, as integers: the sum over
 axes of the squared wrapped index distance, read from a per-attractor
@@ -26,21 +31,12 @@ table that each walk builds once. The walk is the one the float value
 gives: ``math.sqrt`` is correctly rounded and strictly monotone on these
 integers, so every argmin, every strict decrease and every tie is the same.
 
-Remark (offline only): the same basin property means no valid non-member
-neighbour of a member q can beat q's pointer on navigation value or
-tie-break order (it would have been the walk's next state, and so a
-member). So an argmin restricted to the stored members would also
-reproduce the walk; the stored pointers make that argmin unnecessary.
-
-A region's covered goals are its valid states that ``home_distance``
-holds, and the rest of its valid states are excluded: every reachable
-state lies in some basin, since the sampler draws until none is left.
-Preprocessing and the loader both read this split from the scenario's
-``region_reach`` table, so a library file (format 3) stores the cover
-alone: per region its id and entries, per entry its attractor, members,
-descent moves and step bound. The covered and excluded sets and the rep
-paths are read off the scenario at load, and what the file does store is
-checked against it.
+A library file (format 4) stores only the attractors, per region, with
+the region ids and the scenario fingerprint. ``preprocess`` and the
+loader both derive each region's cover from its attractors with
+``_region_cover``, and the covered and excluded split from the scenario's
+``region_reach`` table, so a built library equals its loaded copy, and a
+file can claim no member, pointer, step bound, rep path or goal.
 
 Regions are independent; builders may run concurrently. The merged
 library is immutable afterward.
@@ -48,8 +44,6 @@ library is immutable afterward.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import operator
 import random
@@ -58,9 +52,8 @@ from collections.abc import Collection, Set
 from dataclasses import dataclass, field
 
 from . import cspace
-from .cspace import Config, Scenario
+from .cspace import Config, RegionSpec, Scenario
 from .errors import (
-    BoundExceeded,
     CorruptLibrary,
     DescentStalled,
     FingerprintMismatch,
@@ -69,16 +62,18 @@ from .errors import (
 )
 from .search import Path
 
-LIBRARY_FORMAT_VERSION = 3
+LIBRARY_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
 class CoverEntry:
-    """One cover unit: an attractor, its descent basin and its home path.
+    """One cover unit: an attractor, the descent chains to it and its home path.
 
-    ``next_member`` maps each member to the next state of its descent walk,
-    which is itself a member; the attractor maps to itself. Its keys are
-    the member set, and no walk takes more than ``max_descent_steps`` moves.
+    ``next_member`` maps each state on the descent walk of a covered goal
+    that reaches the attractor to the next state of that walk, which is
+    itself a member; the attractor maps to itself. Its keys are the member
+    set, and no walk takes more than ``max_descent_steps`` moves, the
+    longest of them.
     """
 
     attractor: Config
@@ -96,7 +91,7 @@ class RegionCover:
     """A region's cover entries plus its reachability bookkeeping.
 
     ``covered`` is the set of the region's valid states that home reaches,
-    each inside some entry's basin; ``excluded`` the rest of its valid
+    each a member of some entry; ``excluded`` the rest of its valid
     states, which no path from home reaches. Both are read from the
     scenario's ``region_reach`` table, never from a library file. Their
     union is the region's full enumerated state set, so goal lookups never
@@ -128,7 +123,6 @@ class Library:
     """
 
     fingerprint: str
-    dims: tuple[int, ...]
     s_home: Config
     regions: tuple[RegionCover, ...]
     goal_index: dict[Config, CoverHit] = field(init=False, compare=False, repr=False)
@@ -178,27 +172,60 @@ def greedy_step(scenario: Scenario, q: Config, attractor: Config, squares=None) 
     return best
 
 
-def descend(scenario: Scenario, q: Config, attractor: Config, step_bound: int | None = None) -> Path:
+def descend(scenario: Scenario, q: Config, attractor: Config) -> Path:
     """Run greedy descent q -> attractor. No search, only successor evaluation.
 
     This is the offline walk, with collision checks; online, connect
-    follows the pointers that construct_neighborhood recorded from the same
-    walk. Raises ValueError for an attractor off the lattice, DescentStalled
-    when no strictly improving move exists and BoundExceeded when the walk
-    outruns ``step_bound``.
+    follows the pointers that the loader derived from the same walk.
+    Raises ValueError for an attractor off the lattice and DescentStalled
+    when no strictly improving move exists.
     """
     squares = _squared_deltas(scenario, attractor)
     configs = [q]
     cur = q
     while cur != attractor:
-        if step_bound is not None and len(configs) - 1 >= step_bound:
-            raise BoundExceeded(f"descent from {q} exceeded {step_bound} steps")
         nxt = greedy_step(scenario, cur, attractor, squares)
         if nxt is None:
             raise DescentStalled(f"descent stalled at {cur} toward {attractor}")
         configs.append(nxt)
         cur = nxt
     return Path(tuple(configs))
+
+
+class _Descent:
+    """Memoized greedy-descent walks toward one attractor.
+
+    ``steps`` maps each walked state to its moves to the attractor, or -1
+    where its walk stalls; ``next_state`` maps each walked state that
+    moves to the next state of its walk (the attractor to itself).
+    """
+
+    def __init__(self, scenario: Scenario, attractor: Config):
+        self.scenario = scenario
+        self.attractor = attractor
+        self.squares = _squared_deltas(scenario, attractor)
+        self.steps: dict[Config, int] = {attractor: 0}
+        self.next_state: dict[Config, Config] = {attractor: attractor}
+
+    def walk(self, q: Config) -> int:
+        """Moves from q to the attractor, or -1 for a walk that stalls."""
+        # Strict descent means no cycles: the walk ends at the attractor,
+        # a stall, or a previously memoized state.
+        steps, next_state = self.steps, self.next_state
+        chain: list[Config] = []
+        cur = q
+        while cur not in steps:
+            chain.append(cur)
+            nxt = greedy_step(self.scenario, cur, self.attractor, self.squares)
+            if nxt is None:
+                steps[cur] = -1
+                break
+            next_state[cur] = nxt
+            cur = nxt
+        base = steps[cur]
+        for dist, state in enumerate(reversed(chain), start=1):
+            steps[state] = -1 if base < 0 else base + dist
+        return steps[q]
 
 
 def construct_neighborhood(
@@ -211,30 +238,7 @@ def construct_neighborhood(
     in moves, and the valid states adjacent to members whose own descent
     walk does not reach the attractor.
     """
-    # Memoized walk results: config -> steps to attractor, or -1 for failure,
-    # and config -> the walk's next state.
-    steps: dict[Config, int] = {attractor: 0}
-    next_state: dict[Config, Config] = {attractor: attractor}
-    squares = _squared_deltas(scenario, attractor)
-
-    def walk(q: Config) -> int:
-        # Strict descent means no cycles: the walk ends at the attractor,
-        # a stall, or a previously memoized state.
-        chain: list[Config] = []
-        cur = q
-        while cur not in steps:
-            chain.append(cur)
-            nxt = greedy_step(scenario, cur, attractor, squares)
-            if nxt is None:
-                steps[cur] = -1
-                break
-            next_state[cur] = nxt
-            cur = nxt
-        base = steps[cur]
-        for dist, state in enumerate(reversed(chain), start=1):
-            steps[state] = -1 if base < 0 else base + dist
-        return steps[q]
-
+    descent = _Descent(scenario, attractor)
     members = {attractor}
     frontier: set[Config] = set()
     queue = deque([attractor])
@@ -247,14 +251,14 @@ def construct_neighborhood(
             if nb in seen or not cspace.is_valid(scenario, nb):
                 continue
             seen.add(nb)
-            n_steps = walk(nb)
+            n_steps = descent.walk(nb)
             if n_steps >= 0:
                 members.add(nb)
                 queue.append(nb)
                 max_steps = max(max_steps, n_steps)
             else:
                 frontier.add(nb)
-    return {q: next_state[q] for q in members}, max_steps, frozenset(frontier)
+    return {q: descent.next_state[q] for q in members}, max_steps, frozenset(frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,7 @@ def sample_valid_uncovered(
 def _home_path(scenario: Scenario, q: Config) -> Path:
     """A shortest path from home to ``q``, read off ``home_distance``: from
     ``q`` back, each step goes to the first neighbour in move order that is
-    one step closer to home. The loader calls it for every entry."""
+    one step closer to home. ``_region_cover`` calls it for every entry."""
     dist, neighbors = scenario.home_distance, scenario.neighbor_table
     configs = [q]
     for d in range(dist[q] - 1, -1, -1):
@@ -299,14 +303,44 @@ def _home_path(scenario: Scenario, q: Config) -> Path:
     return Path(tuple(configs))
 
 
+def _region_cover(scenario: Scenario, region: RegionSpec, attractors) -> RegionCover:
+    """A region's cover, derived from its attractors and the scenario.
+
+    Every covered goal of the region is walked toward each attractor. An
+    entry keeps the pointers of the walks that reach its attractor, so its
+    members are those walks' states; its step bound is the longest kept
+    walk, and its rep path is read off ``home_distance``. ``preprocess``
+    and the loader both build their covers here. Raises CorruptLibrary
+    when a covered goal reaches none of the attractors.
+    """
+    covered, excluded = scenario.region_reach[region]
+    unreached = set(covered)
+    entries = []
+    for attractor in attractors:
+        descent = _Descent(scenario, attractor)
+        unreached -= {q for q in covered if descent.walk(q) >= 0}
+        steps = descent.steps
+        next_member = {q: descent.next_state[q] for q, n in steps.items() if n >= 0}
+        rep_path = _home_path(scenario, attractor)
+        entries.append(CoverEntry(attractor, next_member, max(steps.values()), rep_path))
+    if unreached:
+        goal = min(unreached)
+        raise CorruptLibrary(
+            f"covered goal {goal} of region {region.id!r} is in no entry: "
+            "it reaches none of the region's attractors"
+        )
+    return RegionCover(region.id, tuple(entries), covered, excluded)
+
+
 def preprocess(scenario: Scenario, seed: int = 0) -> Library:
     """Build the library: a cover of each region with attractor basins.
 
     Deterministic for a fixed (scenario, seed). Each region draws from its
     own seeded rng, so region builds are independent and could run
     concurrently. Runs no search: reachability and the rep paths come from
-    ``scenario.home_distance``. Raises HomeInvalid when the home state
-    fails validation.
+    ``scenario.home_distance``. The sampled attractors then go through
+    ``_region_cover``, as a loaded file's do. Raises HomeInvalid when the
+    home state fails validation.
     """
     if not cspace.is_valid(scenario, scenario.s_home):
         raise HomeInvalid(f"home state {scenario.s_home} is invalid")
@@ -317,7 +351,7 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
         region_states = dict.fromkeys(cspace.region_configs(scenario, region))
         covered: set[Config] = set()
         excluded: set[Config] = set()
-        entries: list[CoverEntry] = []
+        attractors: list[Config] = []
         frontier_cache: frozenset[Config] = frozenset()
         while True:
             cand = sample_valid_uncovered(region_states, covered | excluded, frontier_cache, rng)
@@ -326,132 +360,24 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
             if cand not in home_distance:
                 excluded.add(cand)
                 continue
-            next_member, max_steps, frontier = construct_neighborhood(scenario, cand)
-            entries.append(CoverEntry(cand, next_member, max_steps, _home_path(scenario, cand)))
-            covered |= next_member.keys() & region_states
+            basin, _, frontier = construct_neighborhood(scenario, cand)
+            attractors.append(cand)
+            covered |= basin.keys() & region_states
             frontier_cache = frontier
-        region_covers.append(RegionCover(region.id, tuple(entries), *scenario.region_reach[region]))
-    return Library(
-        fingerprint=scenario.fingerprint,
-        dims=scenario.dims,
-        s_home=scenario.s_home,
-        regions=tuple(region_covers),
-    )
+        region_covers.append(_region_cover(scenario, region, attractors))
+    return Library(scenario.fingerprint, scenario.s_home, tuple(region_covers))
 
 
 # ---------------------------------------------------------------------------
-# persistence: versioned container, delta-encoded member sets, descent moves
-
-
-def _rank_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
-    strides = [1] * len(dims)
-    for d in range(len(dims) - 2, -1, -1):
-        strides[d] = strides[d + 1] * dims[d + 1]
-    return tuple(strides)
-
-
-def _ranks(configs, dims) -> list[int]:
-    """Row-major lattice rank of each configuration, in order."""
-    strides = _rank_strides(dims)
-    return [sum(map(operator.mul, q, strides)) for q in configs]
-
-
-def _deltas(ranks: list[int]) -> list[int]:
-    """Sorted lattice ranks, delta encoded: [first, diff, diff, ...]."""
-    return list(map(operator.sub, ranks, [0] + ranks[:-1]))
-
-
-# A move is axis * 2 + (1 if +1 else 0), its slot in a row of the scenario's
-# move_table, stored as one base-36 digit; the attractor, which has no move,
-# is "-". One character per member keeps the JSON parse of the moves string
-# to one token.
-MOVE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-NO_MOVE = "-"
-
-
-def _move_of_step(dims) -> dict[int, str]:
-    """Rank step -> move character, for a lattice of these dims.
-
-    A move changes the rank by its axis stride, or, across a wrapping
-    axis's seam, by n - 1 strides the other way. These steps are distinct:
-    a wrapping axis has n >= 4, and n - 1 strides of one axis lie strictly
-    between one stride of it and one stride of the next axis out.
-    """
-    move_of_step = {0: NO_MOVE}
-    for axis, (n, stride) in enumerate(zip(dims, _rank_strides(dims))):
-        down, up = MOVE_DIGITS[2 * axis], MOVE_DIGITS[2 * axis + 1]
-        if n >= 4:
-            move_of_step.update({(n - 1) * stride: down, -(n - 1) * stride: up})
-        move_of_step.update({-stride: down, stride: up})
-    return move_of_step
-
-
-def _encode_entry(entry: CoverEntry, dims, move_of_step) -> dict:
-    """An entry's payload. One ranking of its members serves both the
-    member set and the descent moves, one character per member in rank
-    order, read from ``move_of_step`` (``_move_of_step(dims)``)."""
-    members = sorted(entry.members)  # lexicographic order is rank order
-    ranks = _ranks(members, dims)
-    rank = dict(zip(members, ranks))
-    targets = map(rank.__getitem__, map(entry.next_member.__getitem__, members))
-    return {
-        "attractor": list(entry.attractor),
-        "members": _deltas(ranks),
-        "moves": "".join(map(move_of_step.__getitem__, map(operator.sub, targets, ranks))),
-        "max_descent_steps": entry.max_descent_steps,
-    }
-
-
-def _decode_ranks(deltas, size: int) -> list[int]:
-    """Lattice ranks of a delta-encoded set, strictly increasing in [0, size)."""
-    ranks = list(itertools.accumulate(deltas))
-    if ranks and (ranks[0] < 0 or ranks[-1] >= size or min(deltas[1:], default=1) <= 0):
-        raise CorruptLibrary(f"rank list is not strictly increasing within [0, {size})")
-    return ranks
-
-
-def _decode_pointers(members, rows, moves, attractor, slot_of) -> dict[Config, Config]:
-    """Member -> descent successor, from one move character per member.
-
-    ``members`` are the entry's states in rank order, ``rows`` their
-    ``move_table`` rows and ``slot_of`` maps each move character to its
-    row slot. Every move must stay on the lattice and land on a member;
-    the attractor's move, and only its move, is ``NO_MOVE``. The work is
-    done by whole-list operations, since a library holds several moves per
-    lattice state.
-    """
-    if len(moves) != len(members):
-        raise CorruptLibrary(f"{len(moves)} descent moves for {len(members)} members")
-    if not slot_of.keys() >= set(moves):
-        raise CorruptLibrary("descent moves hold a character that is no move of this lattice")
-    at = bisect.bisect_left(members, attractor)
-    if at == len(members) or members[at] != attractor:
-        raise CorruptLibrary(f"attractor {attractor} is not one of its members")
-    if moves.count(NO_MOVE) != 1 or moves[at] != NO_MOVE:
-        raise CorruptLibrary(f"the attractor, and no other member, must have move {NO_MOVE!r}")
-    targets = list(map(operator.getitem, rows, map(slot_of.__getitem__, moves)))
-    targets[at] = attractor
-    next_member = dict(zip(members, targets))
-    if not all(map(next_member.__contains__, targets)):
-        i = next(i for i, target in enumerate(targets) if target not in next_member)
-        where = "the lattice" if targets[i] is None else "the member set"
-        raise CorruptLibrary(f"descent move {moves[i]} of member {members[i]} leaves {where}")
-    return next_member
+# persistence: versioned container of each region's attractors
 
 
 def library_to_payload(library: Library) -> dict:
-    dims = library.dims
-    move_of_step = _move_of_step(dims)
     return {
         "format_version": LIBRARY_FORMAT_VERSION,
         "scenario_fingerprint": library.fingerprint,
-        "dims": list(dims),
-        "s_home": list(library.s_home),
         "regions": [
-            {
-                "id": rc.region_id,
-                "entries": [_encode_entry(e, dims, move_of_step) for e in rc.entries],
-            }
+            {"id": rc.region_id, "attractors": [list(e.attractor) for e in rc.entries]}
             for rc in library.regions
         ],
     }
@@ -460,77 +386,43 @@ def library_to_payload(library: Library) -> dict:
 def library_from_payload(payload: dict, scenario: Scenario) -> Library:
     """Decode a library payload, and derive the rest from its scenario.
 
-    Payload regions pair with the scenario's regions by position. Each
-    region's covered and excluded sets come from ``Scenario.region_reach``
-    and each entry's rep path from ``_home_path``, so none of them can be
-    claimed by the file. Raises LibraryVersionError for any format version but the
-    current one (format 2, which stored those fields, included),
-    FingerprintMismatch for another scenario's library, and CorruptLibrary
-    for a structural defect: dims, a home or region ids (in order) other
-    than the scenario's, a rank set that is not strictly increasing within
-    the lattice, a member that home cannot reach, an attractor outside its
-    member set, descent moves that do not match the members, a
-    ``max_descent_steps`` that is not an int at least 0 (at least 1 for an
-    entry with more than one member), or a covered goal in none of its
-    region's entries. A member that home reaches is a valid state, so
-    every pointer is a valid move; a pointer cycle, or a chase longer than
-    ``max_descent_steps``, is found only when a query follows it.
+    Payload regions pair with the scenario's regions by position, and
+    ``_region_cover`` builds each region's cover from its stored
+    attractors, so no member, pointer, step bound, rep path, covered or
+    excluded set can be claimed by the file. Raises LibraryVersionError
+    for any format version but the current one (an older file's message
+    names the command that rebuilds it), FingerprintMismatch for another
+    scenario's library, and CorruptLibrary for a structural defect: region
+    ids (in order) other than the scenario's, an attractor that is not a
+    list of ints naming a covered state of its region, or a covered goal
+    that reaches none of its region's attractors.
     """
     try:
         version = payload["format_version"]
         if version != LIBRARY_FORMAT_VERSION:
-            raise LibraryVersionError(f"unsupported library format_version {version}")
-        fingerprint = payload["scenario_fingerprint"]
-        if fingerprint != scenario.fingerprint:
+            message = f"unsupported library format_version {version!r}"
+            if type(version) is int and version < LIBRARY_FORMAT_VERSION:
+                message += "; rebuild it with: coverplan preprocess --scenario ... --out ..."
+            raise LibraryVersionError(message)
+        if payload["scenario_fingerprint"] != scenario.fingerprint:
             raise FingerprintMismatch("library was built for a different scenario")
-        dims = tuple(payload["dims"])
-        if dims != scenario.dims:
-            raise CorruptLibrary(f"library dims {dims} differ from the scenario's {scenario.dims}")
-        s_home = tuple(payload["s_home"])
-        if s_home != scenario.s_home:
-            raise CorruptLibrary(f"library home {s_home} is not the scenario's {scenario.s_home}")
         ids = [rc["id"] for rc in payload["regions"]]
         if ids != [region.id for region in scenario.regions]:
             raise CorruptLibrary(f"library regions {ids} are not the scenario's, in its order")
-        # Rank r's state (None where home cannot reach it) and move row: both
-        # tables are in row-major (= rank) order. The lists hold references;
-        # no state is built.
-        reachable = scenario.reachable_by_rank
-        rows = list(scenario.move_table.values())
-        size = len(reachable)
-        slot_of = {MOVE_DIGITS[m]: m for m in range(2 * scenario.dof)}
-        slot_of[NO_MOVE] = 0  # any slot: the attractor is then pointed at itself
-
         regions = []
         for region, rc in zip(scenario.regions, payload["regions"]):
-            entries = []
-            for e in rc["entries"]:
-                attractor = tuple(e["attractor"])
-                if not cspace.in_bounds(scenario, attractor):
-                    raise CorruptLibrary(f"attractor {attractor} is not a lattice state")
-                ranks = _decode_ranks(e["members"], size)
-                members = list(map(reachable.__getitem__, ranks))
-                if not all(members):  # states are non-empty tuples, so only a None fails
-                    raise CorruptLibrary(f"entry {attractor} has a member home cannot reach")
-                next_member = _decode_pointers(
-                    members, list(map(rows.__getitem__, ranks)), e["moves"], attractor, slot_of
-                )
-                steps = e["max_descent_steps"]
-                least = 1 if len(ranks) > 1 else 0  # a member besides the attractor moves
-                if type(steps) is not int or steps < least:  # bool is an int subclass
-                    raise CorruptLibrary(f"max_descent_steps {steps!r} is not an integer >= {least}")
-                rep_path = _home_path(scenario, attractor)
-                entries.append(CoverEntry(attractor, next_member, steps, rep_path))
-            cover = RegionCover(region.id, tuple(entries), *scenario.region_reach[region])
-            if set().union(*(e.members & cover.covered for e in entries)) != cover.covered:
-                raise CorruptLibrary(f"a covered goal of region {region.id!r} is in no entry")
-            regions.append(cover)
-        return Library(
-            fingerprint=fingerprint,
-            dims=dims,
-            s_home=s_home,
-            regions=tuple(regions),
-        )
+            covered = scenario.region_reach[region][0]
+            attractors = []
+            for a in rc["attractors"]:
+                # bool is an int subclass, so the type is compared exactly
+                q = tuple(a) if type(a) is list and all(type(c) is int for c in a) else None
+                if q not in covered:
+                    raise CorruptLibrary(
+                        f"attractor {a!r} is not a covered state of region {region.id!r}"
+                    )
+                attractors.append(q)
+            regions.append(_region_cover(scenario, region, attractors))
+        return Library(scenario.fingerprint, scenario.s_home, tuple(regions))
     except (FingerprintMismatch, LibraryVersionError, CorruptLibrary):
         raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:

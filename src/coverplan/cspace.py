@@ -19,23 +19,20 @@ collision-free flag and end-effector point, from one geometry pass per
 state, read by ``is_valid``, ``in_region``, ``region_configs`` and
 ``region_reach``), ``move_table`` (each state's state after each move,
 None where the move leaves the lattice; the one place that steps a state,
-read by the library decoder and the shortcut walk) and ``neighbor_table``
-(derived from ``move_table``: each row without its Nones, read by
-``lattice_neighbors`` and the offline descent). These two are geometry
-only, so validity still goes through the counted ``is_valid``.
+read by the shortcut walk) and ``neighbor_table`` (derived from
+``move_table``: each row without its Nones, read by ``lattice_neighbors``
+and the descent walks of preprocessing and the library loader). These two
+are geometry only, so validity still goes through the counted ``is_valid``.
 ``home_distance``, a flood fill of the other three from ``s_home``, holds
 each reachable state's step count from home, for the offline cover, the
-library loader, the refinement heuristic and the corpus generators. Two
-more are derived from these, also with no counted check: ``region_reach``
+library loader, the refinement heuristic and the corpus generators. One
+more is derived from these, also with no counted check: ``region_reach``
 (each region's valid states, as ``region_configs`` finds them with its
 counted checks, split into those that ``home_distance`` holds and the
 rest; the covered and excluded states of the offline cover and the library
-loader) and ``reachable_by_rank`` (each state in rank order, None where
-home cannot reach it, with which the loader decodes member ranks and
-refuses a member that home cannot reach). No table changes once built, so
-they are safe to share. ``dataclasses.replace`` builds a new scenario with
-new counters and tables, so an answer never outlives the fields it was
-computed from.
+loader). No table changes once built, so they are safe to share.
+``dataclasses.replace`` builds a new scenario with new counters and
+tables, so an answer never outlives the fields it was computed from.
 """
 
 from __future__ import annotations
@@ -173,9 +170,9 @@ class Scenario:
     freezing keeps them valid. ``counters`` is the one mutable part. The
     tables ``state_table`` and ``move_table`` are built whole on first use,
     ``neighbor_table`` from ``move_table``, ``home_distance`` from
-    ``state_table`` and ``neighbor_table``, and ``region_reach`` and
-    ``reachable_by_rank`` from ``state_table`` and ``home_distance`` (the
-    module docstring says why they are safe to share).
+    ``state_table`` and ``neighbor_table``, and ``region_reach`` from
+    ``state_table`` and ``home_distance`` (the module docstring says why
+    they are safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -262,14 +259,6 @@ class Scenario:
                         dist[nb] = d
                         layer.append(nb)
         return dist
-
-    @cached_property
-    def reachable_by_rank(self) -> list[Config | None]:
-        """Each lattice state in rank (= lexicographic) order, None where
-        ``home_distance`` does not hold it. Counts no check. A list, not a
-        tuple: ``list.__getitem__`` maps over ranks twice as fast."""
-        dist = self.home_distance
-        return [q if q in dist else None for q in self.state_table]
 
     @cached_property
     def region_reach(self) -> dict[RegionSpec, tuple[frozenset[Config], frozenset[Config]]]:

@@ -17,10 +17,6 @@ class DescentStalled(PlanningError):
     """Greedy navigation descent found no strictly improving move."""
 
 
-class BoundExceeded(PlanningError):
-    """Greedy descent ran past its recorded step bound."""
-
-
 class HomeInvalid(PlanningError):
     """The scenario's home configuration is invalid."""
 

@@ -1,10 +1,11 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
 A query is a pointer chase. The goal resolves to its cover entry with one
-dict lookup in the library's goal index; the stored descent pointers lead
-from the goal to the entry's attractor in at most max_descent_steps moves
-(no collision checks, no navigation values, no search); and the reversed
-home path of the start is concatenated with the home path of the goal.
+dict lookup in the library's goal index; the entry's descent pointers,
+derived when the library was built or loaded, lead from the goal to its
+attractor in at most max_descent_steps moves (no collision checks, no
+navigation values, no search); and the reversed home path of the start
+is concatenated with the home path of the goal.
 The optional refinement stage then spends whatever remains of the time
 budget improving that path.
 
@@ -44,13 +45,14 @@ def find_rep_path(library: Library, q: Config) -> CoverHit | None:
 def connect(entry: CoverEntry, q: Config) -> Path:
     """Extend the entry's representative path from its attractor out to q.
 
-    Follows the stored descent pointers from q to the attractor, so the
-    step count is bounded by the recorded max_descent_steps and no
-    collision checks run. A representative path may pass through q on its
-    way to the attractor; the result is truncated at its first arrival at
-    q so q appears exactly once, at the end. Raises DescentStalled when a
-    pointer is missing or the chase outruns max_descent_steps (stale or
-    tampered library).
+    Follows the entry's descent pointers from q to the attractor, so the
+    step count is bounded by its max_descent_steps and no collision
+    checks run. A representative path may pass through q on its way to the
+    attractor; the result is truncated at its first arrival at q so q
+    appears exactly once, at the end. An entry that ``preprocess`` or the
+    loader built derives its pointers and bound from the same walks, so
+    DescentStalled (a missing pointer, or a chase that outruns
+    max_descent_steps) comes only from a hand-built or stale entry.
     """
     next_member = entry.next_member
     if q not in next_member:

@@ -1,3 +1,6 @@
+import math
+import operator
+
 import pytest
 
 from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario
@@ -80,27 +83,97 @@ def v1_projection(payload):
     return dict(payload, format_version=1, regions=regions)
 
 
+def lattice_ranks(configs, dims):
+    """Row-major lattice rank of each configuration, in order."""
+    strides = [math.prod(dims[d + 1 :]) for d in range(len(dims))]
+    return [sum(map(operator.mul, q, strides)) for q in configs]
+
+
+def rank_set(configs, dims):
+    """Sorted lattice ranks, delta encoded: [first, diff, diff, ...]."""
+    ranks = sorted(lattice_ranks(configs, dims))
+    return list(map(operator.sub, ranks, [0] + ranks[:-1]))
+
+
+# Format 3 wrote a descent move as its slot in a move_table row, axis * 2 +
+# (1 if +1 else 0), in one base-36 digit, and the attractor's as "-".
+MOVE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+NO_MOVE = "-"
+
+
+def move_of_step(dims):
+    """Rank step -> format-3 move character, for a lattice of these dims.
+
+    A move changes the rank by its axis stride, or, across a wrapping
+    axis's seam, by n - 1 strides the other way.
+    """
+    move = {0: NO_MOVE}
+    for axis, n in enumerate(dims):
+        stride = math.prod(dims[axis + 1 :])
+        down, up = MOVE_DIGITS[2 * axis], MOVE_DIGITS[2 * axis + 1]
+        if n >= 4:
+            move.update({(n - 1) * stride: down, -(n - 1) * stride: up})
+        move.update({-stride: down, stride: up})
+    return move
+
+
+def v3_projection(payload, scenario):
+    """A format-4 library payload in format 3: each attractor's basin put back.
+
+    Format 4 stores per region its attractors alone. Format 3 stored per
+    entry the attractor's whole descent basin (sorted lattice ranks, delta
+    encoded), one descent move per member in rank order, and the longest
+    member walk, with the lattice ``dims`` and ``s_home`` in the header.
+    The projection grows each basin with ``construct_neighborhood`` and
+    writes it as the format-3 writer did, so a library whose projection
+    serializes to the format-3 bytes lost nothing but fields that the
+    attractors and the scenario determine.
+    """
+    dims = scenario.dims
+    move = move_of_step(dims)
+    regions = []
+    for rc in payload["regions"]:
+        entries = []
+        for attractor in rc["attractors"]:
+            pointers, max_steps, _ = cover.construct_neighborhood(scenario, tuple(attractor))
+            members = sorted(pointers)  # lexicographic order is rank order
+            rank = dict(zip(members, lattice_ranks(members, dims)))
+            steps = (rank[pointers[q]] - rank[q] for q in members)
+            entry = {
+                "attractor": attractor,
+                "members": rank_set(members, dims),
+                "moves": "".join(map(move.__getitem__, steps)),
+                "max_descent_steps": max_steps,
+            }
+            entries.append(entry)
+        regions.append({"id": rc["id"], "entries": entries})
+    return {
+        "format_version": 3,
+        "scenario_fingerprint": payload["scenario_fingerprint"],
+        "dims": list(dims),
+        "s_home": list(scenario.s_home),
+        "regions": regions,
+    }
+
+
 def v2_projection(payload, scenario):
     """A format-3 library payload in format 2: the derived fields put back.
 
     Format 3 stores the cover alone and derives each region's ``covered``
     and ``excluded`` sets and each entry's ``rep_path`` from the scenario
-    at load. The projection loads the payload and writes those fields as
-    format 2 did (sorted lattice ranks, delta encoded; the path's states),
-    so a library whose projection serializes to the format-2 bytes lost
-    nothing but fields that the loader derives back unchanged.
+    at load. The projection writes those fields as format 2 did (sorted
+    lattice ranks, delta encoded; the path's states), read off the
+    scenario's ``region_reach`` table and ``cover._home_path``, so a
+    library whose projection serializes to the format-2 bytes lost nothing
+    but fields that the loader derives back unchanged.
     """
-    library = cover.library_from_payload(payload, scenario)
-
-    def ranks(configs):
-        return cover._deltas(sorted(cover._ranks(configs, library.dims)))
-
+    dims = scenario.dims
     regions = []
-    for rc, loaded in zip(payload["regions"], library.regions):
-        entries = [
-            dict(e, rep_path=[list(q) for q in entry.rep_path.configs])
-            for e, entry in zip(rc["entries"], loaded.entries)
-        ]
-        covered, excluded = ranks(loaded.covered), ranks(loaded.excluded)
+    for region, rc in zip(scenario.regions, payload["regions"]):
+        entries = []
+        for e in rc["entries"]:
+            rep_path = cover._home_path(scenario, tuple(e["attractor"]))
+            entries.append(dict(e, rep_path=[list(q) for q in rep_path.configs]))
+        covered, excluded = (rank_set(states, dims) for states in scenario.region_reach[region])
         regions.append(dict(rc, entries=entries, covered=covered, excluded=excluded))
     return dict(payload, format_version=2, regions=regions)

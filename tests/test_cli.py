@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import v3_projection
 from coverplan import bench, cli, corpus, cover, cspace
 
 
@@ -74,7 +75,21 @@ def test_version_prints_format_versions(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "scenario format 1" in out
-    assert "library format 3" in out
+    assert "library format 4" in out
+
+
+def test_query_on_an_older_library_names_the_rebuild(scenario_file, capsys):
+    """A format-3 library file is refused: exit 1, with the command that
+    rebuilds it in the error."""
+    d, sc, spath = scenario_file
+    lpath = d / "library_v3.json"
+    payload = cover.library_to_payload(cover.preprocess(sc, seed=0))
+    lpath.write_text(json.dumps(v3_projection(payload, sc)))
+    code = cli.main(["query", "--scenario", spath, "--library", str(lpath), "--goal", "6,1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "LibraryVersionError" in err and "format_version 3" in err
+    assert "coverplan preprocess --scenario" in err and "--out" in err
 
 
 def test_bench_subcommand(scenario_file, capsys):

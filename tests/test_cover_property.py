@@ -1,0 +1,98 @@
+"""Property test: the cover, its file and its queries against the BFS oracle.
+
+On random small grids and on 2- and 3-link arms whose joints wrap, each
+with one or two goal boxes drawn at random, ``preprocess`` at a drawn seed
+must give a library in which
+
+- each region's covered goals are its valid states that
+  ``oracles.bfs_distances`` reaches from home, and its excluded states the
+  rest of its valid states;
+- the saved payload, read back, loads to the built library;
+- every covered goal's no-refine query from home is a valid path from
+  home to the goal that makes zero collision checks and zero expansions,
+  and the goal's pointer chase reaches its attractor in at most the
+  entry's ``max_descent_steps`` moves;
+- refinement from home to a few drawn goals ends with ``optimal_flag``
+  set and the breadth-first distance as its cost.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from oracles import bfs_distances
+from coverplan import RegionSpec, cover, cspace
+from coverplan.online import QueryRequest, query
+from coverplan.search import path_is_valid
+from test_astar_property import wrapping_arms
+from test_refine_property import grids
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def boxes(draw, lo, hi):
+    """An axis-aligned box with corners in [lo, hi] and positive area."""
+    x0, x1 = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
+    return (x0, y0, x1, y1)
+
+
+@st.composite
+def covers(draw):
+    """(scenario, preprocess seed): a grid or wrapping arm with one or two
+    drawn goal boxes and a valid home."""
+    scenario = draw(st.one_of(grids(), wrapping_arms()))
+    if scenario.kind == "grid":
+        lo, hi = 0.0, float(max(scenario.dims))
+    else:
+        hi = sum(scenario.arm.link_lengths)
+        lo = -hi
+    n = draw(st.integers(1, 2))
+    regions = tuple(RegionSpec(f"r{k}", draw(boxes(lo, hi))) for k in range(n))
+    scenario = dataclasses.replace(scenario, regions=regions)
+    assume(cspace.collision_free(scenario, scenario.s_home))
+    return scenario, draw(st.integers(0, 3))
+
+
+@PROPERTY
+@given(covers(), st.data())
+def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
+    scenario, seed = case
+    library = cover.preprocess(scenario, seed=seed)
+    reach = bfs_distances(scenario, scenario.s_home)
+    for region, rc in zip(scenario.regions, library.regions):
+        states = set(cspace.region_configs(scenario, region))
+        assert rc.covered == {q for q in states if q in reach}
+        assert rc.excluded == states - rc.covered
+
+    text = cspace.canonical_json(cover.library_to_payload(library))
+    assert cover.library_from_payload(json.loads(text), scenario) == library
+
+    goals = sorted(set().union(*(rc.covered for rc in library.regions)))
+    home = scenario.s_home
+    for goal in goals:
+        entry = library.goal_index[goal].entry
+        chase = [goal]
+        while chase[-1] != entry.attractor and len(chase) <= entry.max_descent_steps:
+            chase.append(entry.next_member[chase[-1]])
+        assert chase[-1] == entry.attractor, goal
+        scenario.counters.reset()
+        path = query(scenario, library, QueryRequest(start=home, goal=goal, refine=False)).path
+        assert (scenario.counters.collision_checks, scenario.counters.expansions) == (0, 0)
+        assert path.start == home and path.goal == goal
+        assert path_is_valid(scenario, path), goal
+
+    if goals:
+        drawn = data.draw(st.lists(st.sampled_from(goals), min_size=1, max_size=3, unique=True))
+        for goal in drawn:
+            request = QueryRequest(start=home, goal=goal, budget_ms=1e7)
+            result = query(scenario, library, request)
+            assert result.optimal_flag, goal
+            assert result.path.cost == reach[goal], goal
+            assert path_is_valid(scenario, result.path), goal

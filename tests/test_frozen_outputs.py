@@ -1,13 +1,19 @@
 """Frozen outputs: exact search records, bench bytes and library bytes.
 
-Library files are pinned in three formats. The format-1 pins, recorded
+Library files are pinned in four formats. The format-1 pins, recorded
 before format 2 existed, are checked through ``conftest.v1_projection``,
 which shows that format 2 changed nothing but the added descent moves and
 the ``rep_path`` field. The format-2 pins and ``COVER_SHA256``, recorded
 before format 3 existed, are checked through ``conftest.v2_projection``,
 which puts back the covered and excluded sets and the rep paths that the
 format-3 loader derives from the scenario: format 3 dropped those fields
-and changed nothing else. ``LIBRARY_V3_SHA256`` pins the format-3 bytes.
+and changed nothing else. The format-3 pins (``LIBRARY_V3_SHA256``,
+recorded before format 4 existed) are checked through
+``conftest.v3_projection``, which grows each stored attractor's basin
+with ``construct_neighborhood`` and writes members, moves and step bound
+as the format-3 writer did: format 4 stores only the attractors, and each
+older pin is rebuilt exactly from them. ``LIBRARY_V4_SHA256`` pins the
+format-4 bytes.
 
 The ARA* values below were recorded before the anytime searches were
 folded into one shared weighted-A* pass. A refactor of the search core
@@ -56,6 +62,13 @@ The arm3_s16 library pins and the preprocess check-count pins were
 recorded before descent compared integer squared distances and before the
 scenario kept its neighbour table and end-effector points: they show that
 the offline phase builds the same bytes with the same logical checks.
+
+``PREPROCESS_CHECKS`` was re-recorded when format 4 came in. ``preprocess``
+now builds each entry the way the loader does, by walking every covered
+goal of the region toward each sampled attractor once more, and the
+checks of those walks are new: +30 on both grid24_d20 seeds, +508 and
++688 on arm32_o2, +2,484 and +2,868 on arm3_s16. The basin growth that
+samples the attractors spends the same checks as before.
 """
 
 import hashlib
@@ -63,7 +76,7 @@ import json
 
 import pytest
 
-from conftest import arm3_s16, v1_projection, v2_projection
+from conftest import arm3_s16, v1_projection, v2_projection, v3_projection
 from coverplan import bench, corpus, cspace, search
 from coverplan import cover as pre
 from coverplan.online import QueryRequest, query
@@ -117,6 +130,16 @@ LIBRARY_V3_SHA256 = {
     ("arm3_s16", 1): "4ce2501e8a09e342113fbe6fb2cdf40c1ec8bff7dbfad8872e43f469e7015bcd",
 }
 
+# (scenario, preprocess seed) -> sha256 of the saved library in format 4,
+# recorded when format 4 was introduced
+LIBRARY_V4_SHA256 = {
+    ("grid24_d20", 0): "3c4806fc9fa0331ecac9ca7be66147cb21b3f92b15c00cb9f8450b64c955af8f",
+    ("arm32_o2", 0): "5614c07a017f1da650ccd5de0671c7fb5bb7d7c8292ce6abd31e446463f4d6ff",
+    ("grid21_ladder", 0): "86faf14283a6a35da4f0591ec75bae0f541618fa70e33cbe13a21836da0cbef7",
+    ("arm3_s16", 0): "e6ac444d7b3f53351e64089e0db2fd0ac0c559c5f5048e4b70b801c28b09eaa3",
+    ("arm3_s16", 1): "326d401aa8a6463de582b3a0b4ede988973baa2b9b91a7057262a37e75eb6b31",
+}
+
 # (scenario, preprocess seed) -> sha256 of the canonical format-2 library
 # payload with each entry's rep_path removed
 COVER_SHA256 = {
@@ -138,12 +161,12 @@ ARM3_S16_LIBRARY_SHA256 = {
 
 # (scenario, preprocess seed) -> logical collision checks that preprocess spends
 PREPROCESS_CHECKS = {
-    ("grid24_d20", 0): 4602,
-    ("grid24_d20", 1): 4503,
-    ("arm32_o2", 0): 9027,
-    ("arm32_o2", 1): 9758,
-    ("arm3_s16", 0): 62028,
-    ("arm3_s16", 1): 58987,
+    ("grid24_d20", 0): 4632,
+    ("grid24_d20", 1): 4533,
+    ("arm32_o2", 0): 9535,
+    ("arm32_o2", 1): 10446,
+    ("arm3_s16", 0): 64512,
+    ("arm3_s16", 1): 61855,
 }
 
 
@@ -368,12 +391,15 @@ def test_library_bytes_frozen(name, tmp_path):
     path = tmp_path / f"{name}_library.json"
     pre.save_library(pre.preprocess(scenario, seed=0), path)
     data = path.read_bytes()
-    v2 = v2_projection(json.loads(data), scenario)
+    v3 = v3_projection(json.loads(data), scenario)
+    v2 = v2_projection(v3, scenario)
     v1 = cspace.canonical_json(v1_projection(v2)) + "\n"
     assert hashlib.sha256(v1.encode()).hexdigest() == LIBRARY_SHA256[name]
     v2 = cspace.canonical_json(v2) + "\n"
     assert hashlib.sha256(v2.encode()).hexdigest() == LIBRARY_V2_SHA256[name]
-    assert hashlib.sha256(data).hexdigest() == LIBRARY_V3_SHA256[name, 0]
+    v3 = cspace.canonical_json(v3) + "\n"
+    assert hashlib.sha256(v3.encode()).hexdigest() == LIBRARY_V3_SHA256[name, 0]
+    assert hashlib.sha256(data).hexdigest() == LIBRARY_V4_SHA256[name, 0]
 
 
 def test_corpus_frozen():
@@ -403,9 +429,12 @@ def test_arm3_s16_library_bytes_frozen(preprocess_runs, seed, tmp_path):
     path = tmp_path / "arm3_s16_library.json"
     pre.save_library(library, path)
     data = path.read_bytes()
-    v2 = cspace.canonical_json(v2_projection(json.loads(data), scenario)) + "\n"
+    v3 = v3_projection(json.loads(data), scenario)
+    v2 = cspace.canonical_json(v2_projection(v3, scenario)) + "\n"
     assert hashlib.sha256(v2.encode()).hexdigest() == ARM3_S16_LIBRARY_SHA256[seed]
-    assert hashlib.sha256(data).hexdigest() == LIBRARY_V3_SHA256["arm3_s16", seed]
+    v3 = cspace.canonical_json(v3) + "\n"
+    assert hashlib.sha256(v3.encode()).hexdigest() == LIBRARY_V3_SHA256["arm3_s16", seed]
+    assert hashlib.sha256(data).hexdigest() == LIBRARY_V4_SHA256["arm3_s16", seed]
 
 
 @pytest.mark.parametrize("name, seed", sorted(PREPROCESS_CHECKS))
@@ -416,7 +445,8 @@ def test_preprocess_checks_frozen(preprocess_runs, name, seed):
 @pytest.mark.parametrize("name, seed", sorted(COVER_SHA256))
 def test_cover_frozen(preprocess_runs, name, seed):
     library, _, scenario = preprocess_runs[name, seed]
-    payload = v2_projection(pre.library_to_payload(library), scenario)
+    v3 = v3_projection(pre.library_to_payload(library), scenario)
+    payload = v2_projection(v3, scenario)
     for rc in payload["regions"]:
         for entry in rc["entries"]:
             del entry["rep_path"]

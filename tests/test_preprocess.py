@@ -7,11 +7,19 @@ import random
 
 import pytest
 
-from conftest import arm3_s16, cell_rect, grid, v1_projection, v2_projection
+from conftest import (
+    arm3_s16,
+    cell_rect,
+    grid,
+    rank_set,
+    v1_projection,
+    v2_projection,
+    v3_projection,
+)
 from coverplan import RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from coverplan.search import path_is_valid
-from oracles import bfs_distances, descent_basin, lattice_move, simulate_descent
+from oracles import bfs_distances, descent_basin, simulate_descent
 
 
 def grid3(obstacles=()):
@@ -80,9 +88,10 @@ def test_descend_stalls_where_oracle_stalls():
 
 
 def test_descend_bound_exceeded():
+    """The walk (2, 2) -> (0, 0) takes four moves, more than a bound of one:
+    ``descend`` runs it out; only ``connect``'s pointer chase is bounded."""
     sc = grid3()
-    with pytest.raises(errors.BoundExceeded):
-        pre.descend(sc, (2, 2), (0, 0), step_bound=1)
+    assert len(pre.descend(sc, (2, 2), (0, 0)).configs) - 1 == 4
 
 
 def test_descent_needs_a_lattice_attractor():
@@ -135,7 +144,8 @@ def test_descent_soundness_within_bound():
     sc = grid(8, obstacles=[cell_rect(4, j) for j in range(6)])
     pointers, steps, _ = pre.construct_neighborhood(sc, (7, 7))
     for q in sorted(pointers):
-        path = pre.descend(sc, q, (7, 7), step_bound=steps)
+        path = pre.descend(sc, q, (7, 7))
+        assert len(path.configs) - 1 <= steps
         assert all(cspace.is_valid(sc, c) for c in path.configs)
 
 
@@ -325,8 +335,11 @@ def test_preprocess_runs_no_search(home_table_libraries):
 
 def test_library_round_trip(tmp_path, two_region_grid12, corpus_libraries):
     """Save then load gives the built library back, descent pointers and
-    goal index included (arms exercise moves across a wrapping axis)."""
+    goal index included (arms exercise pointers across a wrapping axis)."""
     built = [("grid12", two_region_grid12, pre.preprocess(two_region_grid12, seed=1))]
+    for seed in (0, 1):
+        sc = arm3_s16()
+        built.append((f"arm3_s16-{seed}", sc, pre.preprocess(sc, seed=seed)))
     for name, sc, lib in built + corpus_libraries:
         path = tmp_path / f"{name}.json"
         pre.save_library(lib, path)
@@ -334,6 +347,20 @@ def test_library_round_trip(tmp_path, two_region_grid12, corpus_libraries):
         assert again == lib, name
         assert {q: (h.region_id, h.entry_index) for q, h in again.goal_index.items()} == {
             q: (h.region_id, h.entry_index) for q, h in lib.goal_index.items()
+        }, name
+
+
+def test_library_payload_stores_only_the_attractors(corpus_libraries):
+    """A format-4 file holds the format version, the scenario fingerprint
+    and, per region, its id and its attractors in entry order."""
+    for name, _, lib in corpus_libraries:
+        assert pre.library_to_payload(lib) == {
+            "format_version": 4,
+            "scenario_fingerprint": lib.fingerprint,
+            "regions": [
+                {"id": rc.region_id, "attractors": [list(e.attractor) for e in rc.entries]}
+                for rc in lib.regions
+            ],
         }, name
 
 
@@ -359,16 +386,17 @@ def test_library_fingerprint_mismatch(tmp_path, two_region_grid12):
         pre.load_library(path, edited)
 
 
-def test_library_home_must_be_the_scenarios(tmp_path, two_region_grid12):
-    """A home naming a goal state is rejected on load: taken on trust, a
-    query from that state would return a path from the real home."""
+def test_library_home_must_be_the_scenarios(two_region_grid12):
+    """A format-4 file stores no home: the library's home is the
+    scenario's. A home naming a goal state, as format 3 could store it, is
+    not read; taken on trust, a query from that state would return a path
+    from the real home."""
     lib = pre.preprocess(two_region_grid12, seed=1)
     payload = pre.library_to_payload(lib)
+    assert "s_home" not in payload
     payload["s_home"] = list(min(lib.regions[0].covered))
-    path = tmp_path / "lib.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(errors.CorruptLibrary, match="home"):
-        pre.load_library(path, two_region_grid12)
+    loaded = pre.library_from_payload(payload, two_region_grid12)
+    assert loaded == lib and loaded.s_home == two_region_grid12.s_home
 
 
 def test_library_truncated_file(tmp_path, two_region_grid12):
@@ -382,97 +410,82 @@ def test_library_truncated_file(tmp_path, two_region_grid12):
 
 
 def test_library_version_error(tmp_path, two_region_grid12):
-    """Unknown versions, and format-2 and format-1 files: there is no reader
-    for a file that stores the fields format 3 derives."""
+    """Unknown versions, and format-3, format-2 and format-1 files: there
+    is no reader for a file that stores the fields format 4 derives. An
+    older file's error names the command that rebuilds it."""
     lib = pre.preprocess(two_region_grid12, seed=1)
     payload = pre.library_to_payload(lib)
-    v2 = v2_projection(payload, two_region_grid12)
+    v3 = v3_projection(payload, two_region_grid12)
+    v2 = v2_projection(v3, two_region_grid12)
     path = tmp_path / "lib.json"
-    for old in (dict(payload, format_version=99), v2, v1_projection(v2)):
+    cases = [(dict(payload, format_version=99), False), (v3, True), (v2, True)]
+    for old, older in cases + [(v1_projection(v2), True)]:
         path.write_text(json.dumps(old))
-        with pytest.raises(errors.LibraryVersionError):
+        with pytest.raises(errors.LibraryVersionError) as info:
             pre.load_library(path, two_region_grid12)
+        assert ("coverplan preprocess --scenario" in str(info.value)) == older
 
 
-def lattice_step(q, move, n):
-    """The state one ``move`` (axis * 2 + (1 if +1 else 0)) from q on an
-    n x n grid, or None off the lattice."""
-    axis, up = divmod(move, 2)
-    c = q[axis] + (1 if up else -1)
-    return q[:axis] + (c,) + q[axis + 1 :] if 0 <= c < n else None
+# grid12_d20 at seed 0: region "pick" has the one attractor (10, 2), six
+# covered goals, the excluded (11, 0) and the colliding (10, 0) and (11, 1);
+# region "place" has the attractors (9, 10) and (11, 10).
+ATTRACTORS = [[[10, 2]], [[9, 10], [11, 10]]]
 
 
-def set_move(entry_payload, i, move):
-    """Replace the i-th character of an entry's descent moves."""
-    moves = entry_payload["moves"]
-    entry_payload["moves"] = moves[:i] + move + moves[i + 1 :]
+def _set(region, *attractors):
+    """Set a region's attractor list."""
+    return lambda payload: payload["regions"][region].update(attractors=list(attractors))
 
 
-CORRUPTIONS = (
-    "members [-5, 1000]",
-    "members repeat a rank",
-    "members step back",
-    "covered rank past the lattice",
-    "members rank past the lattice",
-    "dims differ from the scenario",
-    "attractor not a member",
-    "one move too few",
-    "one move too many",
-    "member without a move",
-    "move index out of range",
-    "attractor with a move",
-    "move leaves the lattice",
-    "move leaves the member set",
-)
+# Each case keeps the name of the format-3 corruption it replaced, where
+# there was one. Format 4 stores one field per entry, its attractor, so
+# every case now attacks a region's attractor list. Each attractor must be
+# a list of plain ints naming a covered state of its region, and each
+# covered goal must reach some attractor.
+CORRUPTIONS = {
+    # the old member list, read as one attractor: off the lattice
+    "members [-5, 1000]": _set(0, [-5, 1000]),
+    # an attractor repeated in place of the other, whose goals reach neither
+    "members repeat a rank": _set(1, [9, 10], [9, 10]),
+    "members step back": _set(0, [10, -1]),
+    # rank 144, the first rank past a 12 x 12 lattice
+    "covered rank past the lattice": _set(0, [12, 0]),
+    "members rank past the lattice": _set(0, [10, 2 + 144]),
+    # a state of a 3-axis lattice
+    "dims differ from the scenario": _set(0, [10, 2, 0]),
+    # home: valid, reached from home, outside the region
+    "attractor not a member": _set(0, [0, 6]),
+    "one move too few": _set(0, [10]),
+    # one attractor too many: the goals are all reached, and the extra is
+    # the excluded (11, 0), which home cannot reach
+    "one move too many": _set(0, [10, 2], [11, 0]),
+    "member without a move": lambda payload: payload["regions"][0].pop("attractors"),
+    "move index out of range": _set(0, ["10", 2]),
+    # one move from the covered (10, 1) onto the colliding (10, 0)
+    "attractor with a move": _set(0, [10, 0]),
+    # one move from the covered (11, 2) off the lattice
+    "move leaves the lattice": _set(0, [12, 2]),
+    # another region's attractor
+    "move leaves the member set": _set(0, [9, 10]),
+    # the covered (10, 1) written with a bool and with a float
+    "written [10, true]": _set(0, [10, True]),
+    "written [10.0, 1]": _set(0, [10.0, 1]),
+    "not a list": _set(0, "10,2"),
+    "attractors not a list": lambda payload: payload["regions"][0].update(attractors=10),
+}
 
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
-    """Member rank sets and descent moves are checked on load: CorruptLibrary."""
-    # 12 x 12, with basins smaller than the lattice
+    """A bad attractor list is refused on load: CorruptLibrary."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
-    entry = lib.regions[0].entries[0]
-    e_p = payload["regions"][0]["entries"][0]
-    order = sorted(entry.members)  # the order of e_p["moves"]
-    movers = [(i, q) for i, q in enumerate(order) if q != entry.attractor]
-    assert movers
-    if case == "members [-5, 1000]":
-        e_p["members"] = [-5, 1000]
-    elif case == "members repeat a rank":
-        e_p["members"][1] = 0
-    elif case == "members step back":
-        e_p["members"][1] = -1
-    elif case == "covered rank past the lattice":
-        # the entry's last member is rank 144, the first past a 12 x 12 lattice
-        e_p["members"][-1] += 144 - sum(e_p["members"])
-    elif case == "members rank past the lattice":
-        e_p["members"][-1] += 144
-    elif case == "dims differ from the scenario":
-        payload["dims"] = [12, 13]
-    elif case == "attractor not a member":
-        e_p["attractor"] = list(next(q for q in cspace.lattice_configs(sc) if q not in entry.members))
-    elif case == "one move too few":
-        e_p["moves"] = e_p["moves"][:-1]
-    elif case == "one move too many":
-        e_p["moves"] += "0"
-    elif case == "member without a move":
-        set_move(e_p, movers[0][0], pre.NO_MOVE)
-    elif case == "move index out of range":
-        set_move(e_p, movers[0][0], "4")  # a 2-DOF lattice has moves 0..3
-    elif case == "attractor with a move":
-        set_move(e_p, order.index(entry.attractor), "0")
-    elif case == "move leaves the lattice":
-        i, m = next((i, m) for i, q in movers for m in range(4) if lattice_step(q, m, 12) is None)
-        set_move(e_p, i, str(m))
-    else:
-        i, m = next(
-            (i, m)
-            for i, q in movers
-            for m in range(4)
-            if lattice_step(q, m, 12) not in entry.members | {None}
-        )
-        set_move(e_p, i, str(m))
+    assert [rc["attractors"] for rc in payload["regions"]] == ATTRACTORS
+    assert [rc.covered for rc in lib.regions] == [
+        {(9, 0), (9, 1), (9, 2), (10, 1), (10, 2), (11, 2)},
+        {(9, 9), (9, 10), (9, 11), (10, 9), (11, 9), (11, 10), (11, 11)},
+    ]
+    CORRUPTIONS[case](payload)
     path = tmp_path / "lib.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(errors.CorruptLibrary):
@@ -481,36 +494,31 @@ def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
 
 @pytest.mark.parametrize("steps", [2.7, "3", True, -1, 0, None])
 def test_library_max_descent_steps_must_be_a_move_count(corpus_libraries, steps):
-    """An entry with members besides its attractor needs an int bound of at
-    least 1: a float, a string, a bool, a negative or zero is refused on
-    load, not truncated or coerced."""
+    """A format-4 file stores no step bound: each entry's bound is the
+    longest walk of its covered goals, an int move count. One written into
+    the file, as format 3 stored it, is not read, whatever its value."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
-    e_p = payload["regions"][0]["entries"][0]
-    assert len(lib.regions[0].entries[0].members) > 1
-    assert pre.library_from_payload(payload, sc) == lib
-    e_p["max_descent_steps"] = steps
-    with pytest.raises(errors.CorruptLibrary, match="max_descent_steps"):
-        pre.library_from_payload(payload, sc)
+    payload["regions"][0]["max_descent_steps"] = steps
+    loaded = pre.library_from_payload(payload, sc)
+    assert loaded == lib
+    for rc in loaded.regions:
+        for entry in rc.entries:
+            walks = [len(pre.descend(sc, q, entry.attractor).configs) - 1 for q in entry.members]
+            assert type(entry.max_descent_steps) is int
+            assert entry.max_descent_steps == max(walks) >= 1
 
 
-def test_library_one_member_entry_may_have_no_moves(corpus_libraries):
-    """An entry whose only member is its attractor loads with bound 0."""
-    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
-    payload = pre.library_to_payload(lib)
-    i, j = payload["regions"][0]["entries"][0]["attractor"]
-    e_p = dict(attractor=[i, j], members=[i * 12 + j], moves=pre.NO_MOVE, max_descent_steps=0)
-    payload["regions"][0]["entries"].append(e_p)
-    entry = pre.library_from_payload(payload, sc).regions[0].entries[-1]
-    assert entry.members == {(i, j)} and entry.max_descent_steps == 0
-    e_p["max_descent_steps"] = -1
-    with pytest.raises(errors.CorruptLibrary, match="max_descent_steps"):
-        pre.library_from_payload(payload, sc)
-    # moves as a JSON object whose one key is the attractor's move: the
-    # decoder's string methods fail on it, and that is a corrupt file too
-    e_p.update(moves={pre.NO_MOVE: 0}, max_descent_steps=0)
-    with pytest.raises(errors.CorruptLibrary, match="malformed"):
-        pre.library_from_payload(payload, sc)
+def test_library_one_member_entry_may_have_no_moves(tmp_path):
+    """An entry whose only covered goal is its attractor has no pointer but
+    the attractor's own and step bound 0, and loads back the same."""
+    sc = grid(8, regions=(RegionSpec("one", (5.0, 5.0, 6.0, 6.0)),))
+    lib = pre.preprocess(sc)
+    (entry,) = lib.regions[0].entries
+    assert entry.next_member == {(5, 5): (5, 5)} and entry.max_descent_steps == 0
+    path = tmp_path / "lib.json"
+    pre.save_library(lib, path)
+    assert pre.load_library(path, sc) == lib
 
 
 def straight_line(a, b):
@@ -544,12 +552,11 @@ def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
     answer and could flag it optimal."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
-    e_p = payload["regions"][0]["entries"][0]
-    assert "rep_path" not in e_p
+    rc_p = payload["regions"][0]
     rep = [list(q) for q in lib.regions[0].entries[0].rep_path.configs]
     assert len(rep) > 3
     if case == "straight line through obstacles":
-        line = straight_line(sc.s_home, tuple(e_p["attractor"]))
+        line = straight_line(sc.s_home, tuple(rc_p["attractors"][0]))
         assert not all(sc.state_table[q][0] for q in line)
         rep = [list(q) for q in line]
     elif case == "empty":
@@ -564,7 +571,7 @@ def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
         del rep[0]
     else:
         del rep[-1]
-    e_p["rep_path"] = rep
+    rc_p["rep_path"] = rep
     loaded = pre.library_from_payload(payload, sc)
     assert loaded == lib
     for rc in loaded.regions:
@@ -575,25 +582,17 @@ def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
 
 
 def test_library_member_home_cannot_reach_rejected(corpus_libraries):
-    """A member must be a state home reaches. Here a member's pointer is
-    sent through the colliding (8, 0), added with a pointer to (8, 1), and
-    the step bound allows the detour: taken on trust, a query to (9, 0)
-    would return a path through the obstacle."""
+    """An attractor must be a state home reaches. Here region pick's
+    attractor is the excluded (11, 0), a valid state that no path from home
+    reaches, and then the colliding (8, 0) next to it: each is refused."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
-    entry = lib.regions[0].entries[0]
-    assert (9, 0) in entry.members and (8, 1) in entry.members
+    assert sc.state_table[11, 0][0] and (11, 0) not in sc.home_distance
     assert not sc.state_table[8, 0][0]
-    pointers = dict(entry.next_member)
-    pointers[9, 0], pointers[8, 0] = (8, 0), (8, 1)
-    tampered = dataclasses.replace(
-        entry, next_member=pointers, max_descent_steps=entry.max_descent_steps + 2
-    )
-    payload = pre.library_to_payload(lib)
-    payload["regions"][0]["entries"][0] = pre._encode_entry(
-        tampered, sc.dims, pre._move_of_step(sc.dims)
-    )
-    with pytest.raises(errors.CorruptLibrary, match="home cannot reach"):
-        pre.library_from_payload(payload, sc)
+    for attractor in ([11, 0], [8, 0]):
+        payload = pre.library_to_payload(lib)
+        payload["regions"][0]["attractors"] = [attractor]
+        with pytest.raises(errors.CorruptLibrary, match="not a covered state"):
+            pre.library_from_payload(payload, sc)
 
 
 @pytest.mark.parametrize("case", ["one region too few", "one region too many", "regions swapped"])
@@ -614,25 +613,26 @@ def test_library_regions_must_be_the_scenarios(corpus_libraries, case):
 
 
 def test_library_covered_goal_in_no_entry_rejected(corpus_libraries):
-    """Every goal that home reaches in a region lies in one of the region's
-    entries: a file that drops an entry, and with it the only basin that
-    holds some goal, is refused rather than loaded with that goal uncovered."""
+    """Every goal that home reaches in a region reaches one of the region's
+    attractors: a file that drops an attractor, and with it the only walk
+    target of some goal, is refused rather than loaded with that goal
+    uncovered."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
-    rc = lib.regions[0]
+    rc = lib.regions[1]
     only = [
         k
         for k, e in enumerate(rc.entries)
         if e.members & rc.covered - set().union(*(o.members for o in rc.entries if o is not e))
     ]
     payload = pre.library_to_payload(lib)
-    del payload["regions"][0]["entries"][only[0]]
-    with pytest.raises(errors.CorruptLibrary, match="covered goal of region .* is in no entry"):
+    del payload["regions"][1]["attractors"][only[0]]
+    with pytest.raises(errors.CorruptLibrary, match="covered goal .* of region .* is in no entry"):
         pre.library_from_payload(payload, sc)
 
 
 def wrapping_library(corpus_libraries):
-    """A corpus arm: 32 x 32, both joints wrapping, and the one corpus
-    library with a seam move out of its basin."""
+    """A corpus arm: 32 x 32, both joints wrapping, with descent pointers
+    and covered goals next to the seam."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "arm32_o2")
     assert sc.wraps == (True, True)
     return sc, lib
@@ -643,7 +643,7 @@ def crosses_seam(sc, q, target):
 
 
 def test_library_codec_across_the_seam(corpus_libraries):
-    """On a wrapping lattice some descent moves cross a seam, and the
+    """On a wrapping lattice some descent pointers cross a seam, and the
     payload decodes to the built library."""
     sc, lib = wrapping_library(corpus_libraries)
     entries = [e for rc in lib.regions for e in rc.entries]
@@ -652,40 +652,34 @@ def test_library_codec_across_the_seam(corpus_libraries):
     assert pre.library_from_payload(pre.library_to_payload(lib), sc) == lib
 
 
-def seam_exits(sc, lib):
-    """(region, entry, move index, move) of each seam move that leaves its basin."""
-    for r, rc in enumerate(lib.regions):
-        for k, entry in enumerate(rc.entries):
-            for i, q in enumerate(sorted(entry.members)):  # the order of the moves
-                for m in range(2 * sc.dof):
-                    target = lattice_move(sc, q, m // 2, 1 if m % 2 else -1)
-                    exits = crosses_seam(sc, q, target) and target not in entry.members
-                    if exits and q != entry.attractor:
-                        yield r, k, i, m
-
-
 @pytest.mark.parametrize("case", ["seam move leaves the member set", "move index out of range"])
 def test_library_corrupt_seam_payload_rejected(corpus_libraries, case):
-    """Descent moves are checked on a wrapping lattice too: CorruptLibrary."""
+    """Attractors are checked on a wrapping lattice too: CorruptLibrary for
+    a covered goal's neighbour across the seam that is no covered state of
+    the region, and for an index one past a wrapping axis, which is
+    refused, not wrapped."""
     sc, lib = wrapping_library(corpus_libraries)
     payload = pre.library_to_payload(lib)
+    covered = lib.regions[0].covered
     if case == "seam move leaves the member set":
-        r, k, i, m = next(seam_exits(sc, lib))
-        set_move(payload["regions"][r]["entries"][k], i, pre.MOVE_DIGITS[m])
-        match = "member set"
+        q, target = next(
+            (q, t)
+            for q in sorted(covered)
+            for t in sc.neighbor_table[q]
+            if crosses_seam(sc, q, t) and t not in covered
+        )
+        attractor = list(target)
     else:
-        entry, e_p = lib.regions[0].entries[0], payload["regions"][0]["entries"][0]
-        i = next(i for i, q in enumerate(sorted(entry.members)) if q != entry.attractor)
-        set_move(e_p, i, str(2 * sc.dof))  # a 2-DOF lattice has moves 0..3
-        match = "no move of this lattice"
-    with pytest.raises(errors.CorruptLibrary, match=match):
+        attractor = [payload["regions"][0]["attractors"][0][0], sc.dims[1]]
+    payload["regions"][0]["attractors"] = [attractor]
+    with pytest.raises(errors.CorruptLibrary, match="not a covered state"):
         pre.library_from_payload(payload, sc)
 
 
 def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_libraries):
-    """A load reads the scenario's move table, and the tables built from its
-    state table (home distances, reachable ranks, region states): once one
-    load has built them, a second enumerates no lattice state and steps none."""
+    """A load reads the scenario's neighbour table, and the tables built
+    from its state table (home distances, region states): once one load
+    has built them, a second enumerates no lattice state and steps none."""
     sc, lib = wrapping_library(corpus_libraries)
     path = tmp_path / "lib.json"
     pre.save_library(lib, path)
@@ -708,9 +702,10 @@ def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_librari
 
 
 def test_member_encoding_round_trip():
+    """The format-3 member encoding that ``conftest.v3_projection`` writes
+    for the frozen-output pins decodes back to the member set."""
     dims = (5, 7, 3)
     configs = {(0, 0, 0), (4, 6, 2), (2, 3, 1), (1, 0, 2)}
     table = list(itertools.product(*(range(n) for n in dims)))  # rank r is table[r]
-    deltas = pre._deltas(pre._ranks(sorted(configs), dims))
-    ranks = pre._decode_ranks(deltas, len(table))
-    assert {table[r] for r in ranks} == configs
+    ranks = list(itertools.accumulate(rank_set(configs, dims)))
+    assert ranks == sorted(ranks) and {table[r] for r in ranks} == configs

@@ -43,9 +43,7 @@ def test_find_rep_path_overlap_prefers_lowest_entry(fitted12):
         covered=rc.covered,
         excluded=rc.excluded,
     )
-    lib2 = pre.Library(
-        fingerprint=lib.fingerprint, dims=lib.dims, s_home=lib.s_home, regions=(doubled,)
-    )
+    lib2 = pre.Library(fingerprint=lib.fingerprint, s_home=lib.s_home, regions=(doubled,))
     hit = onl.find_rep_path(lib2, rc.entries[0].attractor)
     assert hit.entry_index == 0
 
@@ -128,7 +126,8 @@ def test_connect_stalled_on_tampered_members(fitted12):
 
 
 def test_descend_detects_post_hoc_obstacle(fitted12):
-    """Validity-mode descent sees an obstacle added after preprocessing."""
+    """Validity-mode descent sees an obstacle added after preprocessing: the
+    walk stalls, or runs longer than the entry's step bound."""
     sc, lib = fitted12
     entry = lib.regions[0].entries[0]
     goals = [q for q in sorted(entry.members & lib.regions[0].covered) if q != entry.attractor]
@@ -141,8 +140,11 @@ def test_descend_detects_post_hoc_obstacle(fitted12):
         regions=sc.regions,
         obstacles=list(sc.obstacles) + [cell_rect(*block)],
     )
-    with pytest.raises((errors.DescentStalled, errors.BoundExceeded)):
-        pre.descend(changed, q, entry.attractor, step_bound=entry.max_descent_steps)
+    try:
+        walk = pre.descend(changed, q, entry.attractor)
+    except errors.DescentStalled:
+        return
+    assert len(walk.configs) - 1 > entry.max_descent_steps
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,6 @@ def test_query_stale_library_propagation(fitted12):
     for edits in ({nxt: None}, {nxt: q}):
         lib2 = pre.Library(
             fingerprint=lib.fingerprint,
-            dims=lib.dims,
             s_home=lib.s_home,
             regions=(
                 pre.RegionCover(
