@@ -142,11 +142,11 @@ class Library:
 
 
 def _squared_deltas(scenario: Scenario, attractor: Config) -> tuple[tuple[int, ...], ...]:
-    """Per axis, each index c's squared wrapped distance to the attractor's
-    a: ``axis_squares`` at |c - a|, which is symmetric on a wrapping axis."""
+    """Per axis, each index's squared wrapped distance to the attractor's
+    index: the scenario's ``axis_squares`` re-centred by ``cspace.axis_rows``."""
     if not cspace.in_bounds(scenario, attractor):
         raise ValueError(f"attractor {attractor} is not a lattice state")
-    return tuple(sq[a:0:-1] + sq[: len(sq) - a] for sq, a in zip(scenario.axis_squares, attractor))
+    return cspace.axis_rows(scenario.axis_squares, attractor)
 
 
 def greedy_step(scenario: Scenario, q: Config, attractor: Config, squares=None) -> Config | None:
@@ -394,7 +394,8 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
     names the command that rebuilds it), FingerprintMismatch for another
     scenario's library, and CorruptLibrary for a structural defect: region
     ids (in order) other than the scenario's, an attractor that is not a
-    list of ints naming a covered state of its region, or a covered goal
+    list of ints naming a covered state of its region, an attractor listed
+    twice in a region (``preprocess`` never repeats one), or a covered goal
     that reaches none of its region's attractors.
     """
     try:
@@ -420,6 +421,8 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
                     raise CorruptLibrary(
                         f"attractor {a!r} is not a covered state of region {region.id!r}"
                     )
+                if q in attractors:
+                    raise CorruptLibrary(f"attractor {a!r} is listed twice in region {region.id!r}")
                 attractors.append(q)
             regions.append(_region_cover(scenario, region, attractors))
         return Library(scenario.fingerprint, scenario.s_home, tuple(regions))

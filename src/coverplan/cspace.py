@@ -7,9 +7,13 @@ fixed angular step of 2*pi / joints_per_rev. Continuous joints wrap;
 joints with limits do not.
 
 A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
-``axis_squares``) are derived once, at construction, from fields that
-cannot change afterwards. All operations are pure functions of that data
-and are safe for concurrent use. ``counters`` is an ``OpCounters``
+``axis_offsets``, ``axis_squares``) are derived once, at construction,
+from fields that cannot change afterwards. ``axis_rows`` re-centres a
+per-axis constant on a state, giving each index's value at its wrapped
+offset from that state: the search heuristic's rows (``axis_offsets``)
+and the descent's integer squares (``axis_squares``) to one goal. All
+operations are pure functions of that data and are safe for concurrent
+use. ``counters`` is an ``OpCounters``
 instrumentation block, which exists so callers can prove how much work
 (collision checks, expansions, elementary steps) an online query
 performed. Four tables run lattice-only work once per scenario, each built
@@ -163,9 +167,10 @@ class OpCounters:
 class Scenario:
     """A planning world: domain, obstacles, home state and goal regions.
 
-    ``dims`` (lattice size per DOF), ``wraps`` (which axes wrap) and
-    ``axis_squares`` (per axis, each index's squared wrapped distance from
-    index 0) are computed once from ``grid_dims`` or ``arm``, and so is
+    ``dims`` (lattice size per DOF), ``wraps`` (which axes wrap),
+    ``axis_offsets`` (per axis, each index's wrapped distance from index 0,
+    as a float) and ``axis_squares`` (the same distances squared, as ints)
+    are computed once from ``grid_dims`` or ``arm``, and so is
     ``fingerprint``, the content hash that binds libraries to the scenario;
     freezing keeps them valid. ``counters`` is the one mutable part. The
     tables ``state_table`` and ``move_table`` are built whole on first use,
@@ -184,6 +189,7 @@ class Scenario:
     counters: OpCounters = field(default_factory=OpCounters, init=False, compare=False, repr=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+    axis_offsets: tuple[tuple[float, ...], ...] = field(init=False, compare=False, repr=False)
     axis_squares: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     fingerprint: str = field(init=False, compare=False, repr=False)
 
@@ -215,8 +221,9 @@ class Scenario:
             raise ValueError(f"s_home {self.s_home} is not a state of a lattice with dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "wraps", wraps)
-        rows = (tuple(axis_delta(c, 0, n, w) ** 2 for c in range(n)) for n, w in zip(dims, wraps))
-        object.__setattr__(self, "axis_squares", tuple(rows))
+        offsets = [[axis_delta(c, 0, n, w) for c in range(n)] for n, w in zip(dims, wraps)]
+        object.__setattr__(self, "axis_offsets", tuple(tuple(map(float, r)) for r in offsets))
+        object.__setattr__(self, "axis_squares", tuple(tuple(d * d for d in r) for r in offsets))
         payload = canonical_json(scenario_to_payload(self))
         object.__setattr__(self, "fingerprint", hashlib.sha256(payload.encode()).hexdigest())
 
@@ -461,8 +468,20 @@ def axis_delta(a: int, b: int, n: int, wrap: bool) -> int:
     return d
 
 
+def axis_rows(per_axis: tuple[tuple, ...], q: Config) -> tuple[tuple, ...]:
+    """``per_axis`` re-centred on the lattice state q: per axis, row[c] is
+    the axis's value at |c - q[axis]|. With values indexed by the wrapped
+    offset from index 0 (``Scenario.axis_offsets``, ``axis_squares``), that
+    is the value at c's wrapped offset from q's index, since the wrapped
+    distance depends on |c - q[axis]| alone."""
+    return tuple(row[a:0:-1] + row[: len(row) - a] for row, a in zip(per_axis, q))
+
+
 def heuristic(scenario: Scenario, q: Config, goal: Config) -> float:
-    """Wrapped Manhattan lattice distance; consistent for the unit action set."""
+    """Wrapped Manhattan lattice distance; consistent for the unit action set.
+
+    The per-call definition; a search reads the same values off the goal's
+    ``axis_rows`` of ``axis_offsets`` (``search._HeuristicMemo``)."""
     dims = scenario.dims
     wraps = scenario.wraps
     return float(sum(axis_delta(a, b, n, w) for a, b, n, w in zip(q, goal, dims, wraps)))

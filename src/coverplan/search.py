@@ -11,7 +11,11 @@ least one expansion. Between passes only the goal is put back on the
 open list. ara_star is the classic fixed-schedule baseline,
 shortcut_path the random-restart smoothing baseline. astar and ara_star
 use the wrapped Manhattan heuristic; anytime_refine raises it with a
-landmark, the scenario's distances from home (see _HeuristicMemo).
+landmark, the scenario's distances from home. Every search reads its
+heuristic from a _HeuristicMemo, which builds what depends on the goal
+once: per axis, each index's wrapped distance to the goal's. A state's
+value is then one row entry per axis, summed, and one landmark read;
+shortcut_path calls cspace.heuristic, the per-call definition.
 
 All searches own their mutable state; many may run concurrently over one
 immutable scenario. Deadlines are absolute instants on the injected
@@ -28,6 +32,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable
 
 from . import cspace
@@ -119,7 +124,7 @@ def astar(
     expanded again, so the path read back is at most g(goal) steps long.
 
     Raises Timeout when the deadline passes, NoPath when the frontier
-    empties.
+    empties or the goal is off the lattice.
     """
     if not (math.isfinite(weight) and weight >= 1.0):
         raise ValueError(f"weight must be finite and >= 1, got {weight!r}")
@@ -142,17 +147,32 @@ class _HeuristicMemo(dict):
     Manhattan, raised to the differential landmark |d(q) - d(goal)| where
     the distance table ``landmark`` holds both (Goldberg and Harrelson,
     SODA 2005). Both terms are consistent, and valid neighbours are both
-    in a flood-filled table or both out of it, so the max is consistent."""
+    in a flood-filled table or both out of it, so the max is consistent.
+
+    What depends on the goal alone is computed here, once: ``rows``, per
+    axis each index's wrapped distance to the goal's index as a float (the
+    scenario's ``axis_offsets`` through ``cspace.axis_rows``), and d(goal).
+    A lookup then sums one row entry per axis, the value of
+    ``cspace.heuristic``, and reads the landmark once. A goal off the
+    lattice has no path, so it raises NoPath here.
+    """
 
     def __init__(self, scenario: Scenario, goal: Config, landmark: dict[Config, int] | None = None):
+        if not cspace.in_bounds(scenario, goal):
+            raise NoPath(f"goal {goal} is not a lattice state")
         self.scenario = scenario
         self.goal = goal
-        self.landmark = landmark if landmark and goal in landmark else None
+        self.rows = cspace.axis_rows(scenario.axis_offsets, goal)
+        self.landmark = landmark if landmark and goal in landmark else {}
+        self.goal_distance = self.landmark.get(goal)
 
     def __missing__(self, q: Config) -> float:
-        v = cspace.heuristic(self.scenario, q, self.goal)
-        if self.landmark is not None and q in self.landmark:
-            v = max(v, float(abs(self.landmark[q] - self.landmark[self.goal])))
+        v = sum(map(getitem, self.rows, q))
+        d = self.landmark.get(q)
+        if d is not None:
+            d = abs(d - self.goal_distance)
+            if d > v:
+                v = float(d)
         self[q] = v
         return v
 
@@ -317,7 +337,8 @@ def anytime_refine(
     inflation-1 pass still certifies the optimum.
 
     ``deadline`` is an absolute instant on ``clock``; None means run to
-    convergence.
+    convergence. Raises ValueError for a seed path with a state off the
+    lattice.
     """
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
@@ -327,6 +348,9 @@ def anytime_refine(
         return initial_path, report
     if deadline is not None and clock() >= deadline:
         return initial_path, report
+    # the heuristic reads a row entry per axis for each state it is asked about
+    if not all(map(scenario.move_table.__contains__, initial_path.configs)):
+        raise ValueError("initial path leaves the lattice")
 
     # A seed path that revisits the goal carries a strictly cheaper prefix
     # solution; adopt it. This also keeps g(goal) equal to the incumbent
@@ -400,7 +424,7 @@ def ara_star(
     Runs weighted iterations at ARA_W0, ARA_W0 - ARA_DW, ..., 1 with
     inconsistent-state carry-over. Returns (best path, per-iteration
     profile, optimal flag); raises Timeout if the deadline expires before
-    any solution exists.
+    any solution exists, NoPath when none does.
     """
     if not cspace.is_valid(scenario, start):
         raise NoPath(f"start {start} is invalid")

@@ -472,6 +472,8 @@ CORRUPTIONS = {
     "written [10.0, 1]": _set(0, [10.0, 1]),
     "not a list": _set(0, "10,2"),
     "attractors not a list": lambda payload: payload["regions"][0].update(attractors=10),
+    # a repeat would build a second, identical entry that no goal is served by
+    "attractor listed twice": _set(1, [9, 10], [11, 10], [9, 10]),
 }
 
 

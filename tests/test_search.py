@@ -6,8 +6,8 @@ import time
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import corpus, cspace, errors, search
-from oracles import bfs_distances
+from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors, search
+from oracles import bfs_distances, landmark_heuristic
 
 
 def wall_grid(size=8, col=4, gap=7):
@@ -92,6 +92,74 @@ def test_astar_deterministic(empty8):
     a = search.astar(empty8, (0, 0), (5, 6))
     b = search.astar(empty8, (0, 0), (5, 6))
     assert a.configs == b.configs
+
+
+@pytest.mark.parametrize("goal", [(-1, 0), (12, 0), (0,)])
+def test_searches_find_no_path_to_a_goal_off_the_lattice(goal):
+    """A goal off the lattice has no heuristic row to read: NoPath, not an
+    IndexError or a row sliced to the wrong length."""
+    sc = corpus.make_grid(12, 0.2, seed=12 * 31 + 20)
+    with pytest.raises(errors.NoPath):
+        search.astar(sc, sc.s_home, goal)
+    with pytest.raises(errors.NoPath):
+        search.ara_star(sc, sc.s_home, goal)
+
+
+@pytest.mark.parametrize("off", [(-1, 0), (8, 0), (0, 0, 0)])
+def test_refine_refuses_a_seed_state_off_the_lattice(empty8, off):
+    """The heuristic has no row entry for a state off the lattice, so a
+    seed path through one is refused, not read at a wrapped-around or
+    missing index."""
+    with pytest.raises(ValueError, match="leaves the lattice"):
+        search.anytime_refine(empty8, (0, 0), (1, 0), search.Path(((0, 0), off, (1, 0))))
+
+
+# ---------------------------------------------------------------------------
+# the heuristic memo
+
+
+def two_link_arm(limits=None):
+    return Scenario(
+        kind="arm",
+        arm=ArmModel(link_lengths=(1.0, 0.8), joints_per_rev=16, joint_limits=limits),
+        s_home=(0, 0),
+        regions=(RegionSpec("r", (0.5, 0.5, 1.8, 1.8)),),
+        obstacles=(Circle((-1.2, -0.6), 0.3), Circle((0.4, -1.4), 0.25)),
+    )
+
+
+# name -> (scenario, goals beyond the spread over the lattice)
+MEMO_SCENARIOS = {
+    "grid12_d20": lambda: (corpus.make_grid(12, 0.2, seed=12 * 31 + 20), []),
+    "grid21_ladder": lambda: (corpus.make_ladder_grid(21, (5, 10, 15)), []),
+    # goals on both sides of the seam between indices 15 and 0
+    "arm16 wrapping": lambda: (two_link_arm(), [(0, 15), (15, 0), (1, 15), (15, 1), (8, 15)]),
+    # the first joint is limited to [0, pi), 8 indices; the second wraps
+    "arm16 joint-limited": lambda: (two_link_arm(((0.0, math.pi), None)), [(7, 15), (0, 8)]),
+    # home collides, so the home-distance table is empty
+    "grid8 home collides": lambda: (grid(8, obstacles=[cell_rect(0, 0), cell_rect(3, 3)]), []),
+}
+
+
+@pytest.mark.parametrize("name", MEMO_SCENARIOS)
+def test_heuristic_memo_matches_its_definitions(name):
+    """Every lattice state against a spread of goals: with the home table,
+    the memo equals the landmark oracle; without it, ``cspace.heuristic``.
+    Every value is a float, so heap keys and inflations do not change."""
+    sc, extra = MEMO_SCENARIOS[name]()
+    states = list(cspace.lattice_configs(sc))
+    goals = states[:: len(states) // 9] + [states[-1], sc.s_home] + extra
+    assert all(cspace.in_bounds(sc, goal) for goal in goals)
+    assert (sc.home_distance == {}) == (name == "grid8 home collides")
+    for goal in goals:
+        oracle = landmark_heuristic(sc, goal)
+        with_landmark = search._HeuristicMemo(sc, goal, sc.home_distance)
+        manhattan = search._HeuristicMemo(sc, goal)
+        for q in states:
+            h = with_landmark[q]
+            assert type(h) is float and h == oracle(q), (goal, q)
+            h = manhattan[q]
+            assert type(h) is float and h == cspace.heuristic(sc, q, goal), (goal, q)
 
 
 # ---------------------------------------------------------------------------
