@@ -1,20 +1,20 @@
 """Offline phase: decompose each goal region into attractor neighborhoods.
 
-Every region is enumerated exhaustively up front (the lattices are desk
-scale). Attractor candidates are drawn from the previous basin's cached
-frontier when possible, otherwise uniformly from the remaining uncovered
-states. A candidate that the scenario's ``home_distance`` table does not
-hold has no path from home and lands in an explicit exclusion set, which
-is what guarantees termination on a finite lattice. For every other
-candidate, the attractor's greedy-descent basin is grown around it: every
-valid config whose iterated steepest-descent walk of the navigation value
-reaches the attractor. The basin marks states covered and gives the next
-candidates; it is not kept.
+A region's covered goals (its valid states that the scenario's
+``home_distance`` table holds) and excluded states (its other valid
+states) are read off the scenario's ``region_reach`` table. Attractor
+candidates are drawn from the last attractor's frontier when possible,
+otherwise uniformly from the remaining uncovered states. An excluded
+candidate has no path from home and joins the exclusion set, which is
+what guarantees termination on a finite lattice. Every other candidate
+becomes an attractor. Its greedy-descent basin (every valid config whose
+iterated steepest-descent walk of the navigation value reaches it) is
+never grown: each step of such a walk lands on a basin state next to the
+one before, so the basin's goals are the covered goals whose walks reach
+it, and its frontier (the next candidates) the uncovered goals next to a
+valid state whose walk does. Sampling ends with every covered goal in a basin.
 
-A region's covered goals are its valid states that ``home_distance``
-holds, and the rest of its valid states are excluded: every reachable
-state lies in some basin, since the sampler draws until none is left.
-Each attractor becomes one CoverEntry, built by ``_region_cover`` from the
+Each attractor becomes one CoverEntry, built by ``_cover_entry`` from the
 attractor and the scenario alone. It keeps what a query follows: the
 descent walk of each covered goal that reaches the attractor, as one
 pointer per state (the next state of its walk; the attractor points to
@@ -33,10 +33,10 @@ integers, so every argmin, every strict decrease and every tie is the same.
 
 A library file (format 4) stores only the attractors, per region, with
 the region ids and the scenario fingerprint. ``preprocess`` and the
-loader both derive each region's cover from its attractors with
-``_region_cover``, and the covered and excluded split from the scenario's
-``region_reach`` table, so a built library equals its loaded copy, and a
-file can claim no member, pointer, step bound, rep path or goal.
+loader both build each entry with ``_cover_entry`` and read the covered
+and excluded split off ``region_reach``, so a built library equals its
+loaded copy, and a file can claim no member, pointer, step bound, rep
+path or goal.
 
 Regions are independent; builders may run concurrently. The merged
 library is immutable afterward.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import operator
 import random
-from collections import deque
 from collections.abc import Collection, Set
 from dataclasses import dataclass, field
 
@@ -231,34 +230,19 @@ class _Descent:
 def construct_neighborhood(
     scenario: Scenario, attractor: Config
 ) -> tuple[dict[Config, Config], int, frozenset[Config]]:
-    """Grow the attractor's full descent basin by outward expansion.
+    """The attractor's full descent basin, by walking every valid state.
 
     Returns (next_member, max_descent_steps, frontier): each member's
     descent pointer (the attractor's is itself), the longest member walk
     in moves, and the valid states adjacent to members whose own descent
-    walk does not reach the attractor.
+    walk does not reach the attractor. ``preprocess`` needs only the
+    region's part of the basin and never calls this.
     """
     descent = _Descent(scenario, attractor)
-    members = {attractor}
-    frontier: set[Config] = set()
-    queue = deque([attractor])
-    seen = {attractor}
-    max_steps = 0
-    neighbors = scenario.neighbor_table
-    while queue:
-        q = queue.popleft()
-        for nb in neighbors[q]:
-            if nb in seen or not cspace.is_valid(scenario, nb):
-                continue
-            seen.add(nb)
-            n_steps = descent.walk(nb)
-            if n_steps >= 0:
-                members.add(nb)
-                queue.append(nb)
-                max_steps = max(max_steps, n_steps)
-            else:
-                frontier.add(nb)
-    return {q: descent.next_state[q] for q in members}, max_steps, frozenset(frontier)
+    valid = [q for q in scenario.state_table if cspace.is_valid(scenario, q)]
+    members = {q: descent.next_state[q] for q in valid if descent.walk(q) >= 0}
+    frontier = _frontier(descent, [q for q in valid if q not in members])
+    return members, max(descent.steps.values()), frontier
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +257,9 @@ def sample_valid_uncovered(
 ) -> Config | None:
     """Next attractor candidate: frontier states first, else uniform.
 
-    ``region_states`` iterates in lexicographic order (preprocess passes a
-    dict, for one-lookup membership); ``done`` holds states already covered
-    or excluded. Candidates are drawn from a sorted list, so the pick is
+    Both draws take only ``region_states`` (the region's valid states in
+    lexicographic order; preprocess passes a dict) that ``done`` (covered
+    or excluded states) lacks, from a sorted list, so the pick is
     deterministic for a seeded rng. Returns None when the region is exhausted.
     """
     from_frontier = sorted(q for q in frontier_cache if q in region_states and q not in done)
@@ -290,7 +274,7 @@ def sample_valid_uncovered(
 def _home_path(scenario: Scenario, q: Config) -> Path:
     """A shortest path from home to ``q``, read off ``home_distance``: from
     ``q`` back, each step goes to the first neighbour in move order that is
-    one step closer to home. ``_region_cover`` calls it for every entry."""
+    one step closer to home. ``_cover_entry`` calls it for every entry."""
     dist, neighbors = scenario.home_distance, scenario.neighbor_table
     configs = [q]
     for d in range(dist[q] - 1, -1, -1):
@@ -303,30 +287,46 @@ def _home_path(scenario: Scenario, q: Config) -> Path:
     return Path(tuple(configs))
 
 
-def _region_cover(scenario: Scenario, region: RegionSpec, attractors) -> RegionCover:
-    """A region's cover, derived from its attractors and the scenario.
+def _cover_entry(descent: _Descent, covered: Collection[Config]) -> CoverEntry:
+    """The CoverEntry of the descent's attractor, built on its memo.
 
-    Every covered goal of the region is walked toward each attractor. An
-    entry keeps the pointers of the walks that reach its attractor, so its
-    members are those walks' states; its step bound is the longest kept
-    walk, and its rep path is read off ``home_distance``. ``preprocess``
-    and the loader both build their covers here. Raises CorruptLibrary
-    when a covered goal reaches none of the attractors.
+    Every covered goal is walked toward the attractor, and the entry keeps
+    the pointers of the walks that reach it: its members are those walks'
+    states, its step bound the longest of them. The rep path is read off
+    ``home_distance``. ``preprocess`` and the loader both build entries here.
     """
+    for q in covered:
+        descent.walk(q)
+    steps, attractor = descent.steps, descent.attractor
+    next_member = {q: descent.next_state[q] for q, n in steps.items() if n >= 0}
+    rep_path = _home_path(descent.scenario, attractor)
+    return CoverEntry(attractor, next_member, max(steps.values()), rep_path)
+
+
+def _frontier(descent: _Descent, goals: Collection[Config]) -> frozenset[Config]:
+    """The goals next to a basin state (a valid state whose walk reaches the
+    attractor), walked on the attractor's memo: ``preprocess``'s next candidates."""
+
+    def in_basin(q: Config) -> bool:
+        # Validity first: a walk from a state in collision can still
+        # reach the attractor, but such a state is in no basin.
+        return cspace.is_valid(descent.scenario, q) and descent.walk(q) >= 0
+
+    neighbors = descent.scenario.neighbor_table
+    return frozenset(q for q in goals if any(map(in_basin, neighbors[q])))
+
+
+def _region_cover(scenario: Scenario, region: RegionSpec, attractors) -> RegionCover:
+    """A loaded region's cover: each attractor's entry from ``_cover_entry``
+    on a fresh memo, as in ``preprocess``, and the covered and excluded
+    split from ``region_reach``. Raises CorruptLibrary when a covered goal
+    reaches none of the attractors."""
     covered, excluded = scenario.region_reach[region]
-    unreached = set(covered)
-    entries = []
-    for attractor in attractors:
-        descent = _Descent(scenario, attractor)
-        unreached -= {q for q in covered if descent.walk(q) >= 0}
-        steps = descent.steps
-        next_member = {q: descent.next_state[q] for q, n in steps.items() if n >= 0}
-        rep_path = _home_path(scenario, attractor)
-        entries.append(CoverEntry(attractor, next_member, max(steps.values()), rep_path))
+    entries = [_cover_entry(_Descent(scenario, a), covered) for a in attractors]
+    unreached = covered.difference(*(entry.members for entry in entries))
     if unreached:
-        goal = min(unreached)
         raise CorruptLibrary(
-            f"covered goal {goal} of region {region.id!r} is in no entry: "
+            f"covered goal {min(unreached)} of region {region.id!r} is in no entry: "
             "it reaches none of the region's attractors"
         )
     return RegionCover(region.id, tuple(entries), covered, excluded)
@@ -337,34 +337,34 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
 
     Deterministic for a fixed (scenario, seed). Each region draws from its
     own seeded rng, so region builds are independent and could run
-    concurrently. Runs no search: reachability and the rep paths come from
-    ``scenario.home_distance``. The sampled attractors then go through
-    ``_region_cover``, as a loaded file's do. Raises HomeInvalid when the
-    home state fails validation.
+    concurrently. Runs no search and walks only from the region, whose
+    states come from ``scenario.region_reach``. One memo per attractor
+    builds its entry with ``_cover_entry``, as the loader does, and then
+    finds the next candidates with ``_frontier``. Raises HomeInvalid when
+    the home state fails validation.
     """
     if not cspace.is_valid(scenario, scenario.s_home):
         raise HomeInvalid(f"home state {scenario.s_home} is invalid")
-    home_distance = scenario.home_distance
     region_covers = []
     for region in scenario.regions:
         rng = random.Random(f"{seed}:{region.id}")
-        region_states = dict.fromkeys(cspace.region_configs(scenario, region))
-        covered: set[Config] = set()
-        excluded: set[Config] = set()
-        attractors: list[Config] = []
-        frontier_cache: frozenset[Config] = frozenset()
+        covered, excluded = scenario.region_reach[region]
+        region_states = dict.fromkeys(sorted(covered | excluded))
+        done: set[Config] = set()
+        entries: list[CoverEntry] = []
+        frontier: frozenset[Config] = frozenset()
         while True:
-            cand = sample_valid_uncovered(region_states, covered | excluded, frontier_cache, rng)
+            cand = sample_valid_uncovered(region_states, done, frontier, rng)
             if cand is None:
                 break
-            if cand not in home_distance:
-                excluded.add(cand)
+            if cand in excluded:
+                done.add(cand)
                 continue
-            basin, _, frontier = construct_neighborhood(scenario, cand)
-            attractors.append(cand)
-            covered |= basin.keys() & region_states
-            frontier_cache = frontier
-        region_covers.append(_region_cover(scenario, region, attractors))
+            descent = _Descent(scenario, cand)
+            entries.append(_cover_entry(descent, covered))
+            done |= entries[-1].members & covered
+            frontier = _frontier(descent, covered - done)
+        region_covers.append(RegionCover(region.id, tuple(entries), covered, excluded))
     return Library(scenario.fingerprint, scenario.s_home, tuple(region_covers))
 
 

@@ -31,10 +31,12 @@ are geometry only, so validity still goes through the counted ``is_valid``.
 each reachable state's step count from home, for the offline cover, the
 library loader, the refinement heuristic and the corpus generators. One
 more is derived from these, also with no counted check: ``region_reach``
-(each region's valid states, as ``region_configs`` finds them with its
-counted checks, split into those that ``home_distance`` holds and the
-rest; the covered and excluded states of the offline cover and the library
-loader). No table changes once built, so they are safe to share.
+(each region's valid states, the same ones that ``region_configs`` finds
+with a counted check per lattice state, split into those that
+``home_distance`` holds and the rest). It is the one source of a region's
+states, covered goals and excluded states for ``preprocess``, the library
+loader and the corpus generators, so none of them sweeps the lattice. No
+table changes once built, so they are safe to share.
 ``dataclasses.replace`` builds a new scenario with new counters and
 tables, so an answer never outlives the fields it was computed from.
 """
@@ -515,7 +517,8 @@ def region_configs(scenario: Scenario, region: RegionSpec) -> list[Config]:
 
     Every lattice state goes through the counted ``is_valid``, so the
     charged checks are real calls that a tracer of ``is_valid`` sees. The
-    uncounted ``region_reach`` table holds the same states.
+    uncounted ``region_reach`` table holds the same states; ``preprocess``
+    and the library loader read that table and never call this.
     """
     x0, y0, x1, y1 = region.box
     return [
@@ -557,6 +560,22 @@ def check_config(scenario: Scenario, q) -> Config:
 # file format
 
 
+def _reals(values, n: int | None = None) -> tuple:
+    """Finite JSON numbers, as given, and ``n`` of them when ``n`` is set.
+
+    A bool, a string, NaN or an infinity raises ValueError (a value that
+    is not a sequence, TypeError): such a file is refused, never converted.
+    """
+    out = tuple(values)
+    for x in out:
+        # bool is an int subclass, so the type is compared exactly
+        if type(x) not in (int, float) or not math.isfinite(x):
+            raise ValueError(f"{x!r} is not a finite number")
+    if n is not None and len(out) != n:
+        raise ValueError(f"{list(out)!r} is not {n} numbers")
+    return out
+
+
 def _obstacle_payload(o: Obstacle) -> dict:
     if isinstance(o, Circle):
         return {"shape": "circle", "center": list(o.center), "radius": o.radius}
@@ -565,9 +584,12 @@ def _obstacle_payload(o: Obstacle) -> dict:
 
 def _obstacle_from_payload(p: dict) -> Obstacle:
     if p["shape"] == "circle":
-        return Circle(center=tuple(p["center"]), radius=float(p["radius"]))
+        radius = float(_reals([p["radius"]])[0])
+        if radius < 0:
+            raise ScenarioFormatError(f"circle radius {radius!r} is negative")
+        return Circle(center=_reals(p["center"], 2), radius=radius)
     if p["shape"] == "rect":
-        return Rect(bounds=tuple(p["bounds"]))
+        return Rect(bounds=_reals(p["bounds"], 4))
     raise ScenarioFormatError(f"unknown obstacle shape {p.get('shape')!r}")
 
 
@@ -597,6 +619,14 @@ def scenario_to_payload(scenario: Scenario) -> dict:
 
 
 def scenario_from_payload(payload: dict) -> Scenario:
+    """Decode a scenario document, refusing what it cannot hold exactly.
+
+    Lattice indices and counts (``s_home``, grid ``dims``,
+    ``joints_per_rev``) must be ints, as ``check_config`` requires; every
+    workspace coordinate, length and radius a finite number, with the
+    count its field has; region ids strings. Raises ScenarioFormatError
+    otherwise, and for a defect that ``Scenario`` or ``ArmModel`` refuses.
+    """
     try:
         version = payload["format_version"]
         if version != SCENARIO_FORMAT_VERSION:
@@ -605,30 +635,34 @@ def scenario_from_payload(payload: dict) -> Scenario:
             if payload.get(key, only) != only:
                 raise ScenarioFormatError(f"unsupported {key} {payload[key]!r}; only {only!r}")
         kind = payload["kind"]
+        regions = payload["regions"]
+        for r in regions:
+            if type(r["id"]) is not str:
+                raise ScenarioFormatError(f"region id {r['id']!r} is not a string")
         common = dict(
             kind=kind,
-            s_home=tuple(int(c) for c in payload["s_home"]),
-            regions=tuple(RegionSpec(id=r["id"], box=tuple(r["box"])) for r in payload["regions"]),
+            s_home=tuple(map(_index, payload["s_home"])),
+            regions=tuple(RegionSpec(id=r["id"], box=_reals(r["box"], 4)) for r in regions),
             obstacles=tuple(_obstacle_from_payload(o) for o in payload["obstacles"]),
         )
         if kind == "grid":
-            return Scenario(grid_dims=tuple(payload["grid"]["dims"]), **common)
+            return Scenario(grid_dims=tuple(map(_index, payload["grid"]["dims"])), **common)
         arm = payload["arm"]
         limits = arm.get("joint_limits")
         return Scenario(
             arm=ArmModel(
-                link_lengths=tuple(arm["link_lengths"]),
-                base=tuple(arm["base"]),
-                joints_per_rev=int(arm["joints_per_rev"]),
+                link_lengths=_reals(arm["link_lengths"]),
+                base=_reals(arm["base"], 2),
+                joints_per_rev=_index(arm["joints_per_rev"]),
                 joint_limits=None
                 if limits is None
-                else tuple(None if lim is None else tuple(lim) for lim in limits),
+                else tuple(None if lim is None else _reals(lim, 2) for lim in limits),
             ),
             **common,
         )
     except ScenarioFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario payload: {exc}") from exc
 
 

@@ -3,16 +3,17 @@
 These deliberately avoid the search / preprocess / query code paths they
 are used to check: breadth-first flood fill for unit-cost distances, the
 home-landmark heuristic built on it, a literal step-by-step simulation of
-the navigation-descent rule, a plain anytime refinement loop that
-heapifies its whole open set every pass, and the first-match rule that
-makes a state a potential start. They test
-validity with ``cspace.collision_free``, which runs the geometry on every
-call, and find moves and neighbours by their own formula, so they never
-read the validity memo or the move and neighbour tables that the scenario
-keeps.
+the navigation-descent rule, the offline sampling loop over whole basins,
+a plain anytime refinement loop that heapifies its whole open set every
+pass, and the first-match rule that makes a state a potential start. They
+test validity with ``cspace.collision_free``, which runs the geometry on
+every call, and find moves and neighbours by their own formula, so they
+never read the validity memo or the move and neighbour tables that the
+scenario keeps.
 """
 
 import heapq
+import random
 from collections import deque
 
 from coverplan import cspace
@@ -84,44 +85,119 @@ def landmark_heuristic(scenario, goal):
     return h
 
 
-def simulate_descent(scenario, q, attractor, max_steps=10_000):
-    """Literal greedy-descent walk: (reached, steps, visited configs).
+def descent_move(scenario, q, attractor):
+    """The greedy-descent move from q, or None at a stall.
 
-    Each move goes to the valid successor with the smallest navigation
+    The move goes to the valid successor with the smallest navigation
     value (lexicographic smallest on ties) and must strictly decrease it.
     """
+    nav_cur = cspace.navigation_value(scenario, q, attractor)
+    candidates = [nb for nb, _ in successors(scenario, q)]
+    if not candidates:
+        return None
+    best = min(
+        candidates,
+        key=lambda nb: (cspace.navigation_value(scenario, nb, attractor), nb),
+    )
+    if cspace.navigation_value(scenario, best, attractor) >= nav_cur:
+        return None
+    return best
+
+
+def simulate_descent(scenario, q, attractor, max_steps=10_000):
+    """Literal greedy-descent walk: (reached, steps, visited configs),
+    one ``descent_move`` at a time."""
     visited = [q]
     cur = q
     steps = 0
     while cur != attractor and steps < max_steps:
-        nav_cur = cspace.navigation_value(scenario, cur, attractor)
-        candidates = [nb for nb, _ in successors(scenario, cur)]
-        if not candidates:
+        cur = descent_move(scenario, cur, attractor)
+        if cur is None:
             return False, steps, visited
-        best = min(
-            candidates,
-            key=lambda nb: (cspace.navigation_value(scenario, nb, attractor), nb),
-        )
-        if cspace.navigation_value(scenario, best, attractor) >= nav_cur:
-            return False, steps, visited
-        cur = best
         visited.append(cur)
         steps += 1
     return cur == attractor, steps, visited
 
 
 def descent_basin(scenario, attractor):
-    """All valid configs whose simulated walk reaches the attractor."""
+    """All valid configs whose simulated walk reaches the attractor, and
+    the longest such walk in moves.
+
+    ``descent_move`` runs once per valid state; each state's walk then
+    follows those moves. A move strictly decreases the navigation value,
+    so no walk cycles.
+    """
+    move = {
+        q: descent_move(scenario, q, attractor)
+        for q in cspace.lattice_configs(scenario)
+        if cspace.collision_free(scenario, q)
+    }
     members = set()
     max_steps = 0
-    for q in cspace.lattice_configs(scenario):
-        if not cspace.collision_free(scenario, q):
-            continue
-        reached, steps, _ = simulate_descent(scenario, q, attractor)
-        if reached:
+    for q in move:
+        cur, steps = q, 0
+        while cur is not None and cur != attractor:
+            cur, steps = move[cur], steps + 1
+        if cur == attractor:
             members.add(q)
             max_steps = max(max_steps, steps)
     return members, max_steps
+
+
+def region_states(scenario, region):
+    """The region's valid states, in lexicographic order: the box test on
+    each state's end-effector point (a grid cell's centre), computed anew."""
+    x0, y0, x1, y1 = region.box
+    states = []
+    for q in cspace.lattice_configs(scenario):
+        if scenario.kind == "grid":
+            x, y = cspace.cell_center(q)
+        else:
+            x, y = cspace.forward_kinematics(scenario.arm, q)[-1]
+        if x0 <= x <= x1 and y0 <= y <= y1 and cspace.collision_free(scenario, q):
+            states.append(q)
+    return states
+
+
+def reference_attractors(scenario, seed):
+    """Each region's attractors, in the order the offline loop samples them.
+
+    The loop grows each attractor's whole basin (``descent_basin``) and
+    takes its frontier, the valid states next to a member that are not
+    members, by adjacency. Per region, with the rng seeded by
+    ``f"{seed}:{region id}"``, each candidate is drawn uniformly from the
+    sorted region states of the last frontier that are not yet done, or,
+    when there are none, from all region states not yet done. A candidate
+    that ``bfs_distances`` from home does not reach is done and excluded;
+    any other is an attractor, and its basin's region states are done.
+    """
+    reach = bfs_distances(scenario, scenario.s_home)
+    out = []
+    for region in scenario.regions:
+        rng = random.Random(f"{seed}:{region.id}")
+        states = region_states(scenario, region)
+        in_region = set(states)
+        done, frontier, attractors = set(), set(), []
+        while True:
+            pool = sorted(q for q in frontier if q in in_region and q not in done)
+            pool = pool or [q for q in states if q not in done]
+            if not pool:
+                break
+            cand = pool[rng.randrange(len(pool))]
+            done.add(cand)
+            if cand not in reach:
+                continue
+            attractors.append(cand)
+            basin, _ = descent_basin(scenario, cand)
+            done |= basin & in_region
+            frontier = {
+                nb
+                for q in basin
+                for nb in lattice_neighbors(scenario, q)
+                if nb not in basin and cspace.collision_free(scenario, nb)
+            }
+        out.append(attractors)
+    return out
 
 
 def reference_refine(scenario, start, goal, initial_path, h, *, deadline=None, clock=None):

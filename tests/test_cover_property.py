@@ -4,6 +4,8 @@ On random small grids and on 2- and 3-link arms whose joints wrap, each
 with one or two goal boxes drawn at random, ``preprocess`` at a drawn seed
 must give a library in which
 
+- each region's attractors are those that ``oracles.reference_attractors``
+  samples, in order, with whole basins and their frontiers;
 - each region's covered goals are its valid states that
   ``oracles.bfs_distances`` reaches from home, and its excluded states the
   rest of its valid states;
@@ -14,6 +16,9 @@ must give a library in which
   entry's ``max_descent_steps`` moves;
 - refinement from home to a few drawn goals ends with ``optimal_flag``
   set and the breadth-first distance as its cost.
+
+The attractors are also checked on every corpus scenario at seed 0, and
+on one grid whose second attractor comes from the first one's frontier.
 """
 
 import dataclasses
@@ -21,8 +26,9 @@ import json
 
 import pytest
 
-from oracles import bfs_distances
-from coverplan import RegionSpec, cover, cspace
+from conftest import cell_rect, grid
+from oracles import bfs_distances, reference_attractors
+from coverplan import RegionSpec, corpus, cover, cspace
 from coverplan.online import QueryRequest, query
 from coverplan.search import path_is_valid
 from test_astar_property import wrapping_arms
@@ -60,11 +66,16 @@ def covers(draw):
     return scenario, draw(st.integers(0, 3))
 
 
+def attractors(library):
+    return [[entry.attractor for entry in rc.entries] for rc in library.regions]
+
+
 @PROPERTY
 @given(covers(), st.data())
 def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
     scenario, seed = case
     library = cover.preprocess(scenario, seed=seed)
+    assert attractors(library) == reference_attractors(scenario, seed)
     reach = bfs_distances(scenario, scenario.s_home)
     for region, rc in zip(scenario.regions, library.regions):
         states = set(cspace.region_configs(scenario, region))
@@ -96,3 +107,24 @@ def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
             assert result.optimal_flag, goal
             assert result.path.cost == reach[goal], goal
             assert path_is_valid(scenario, result.path), goal
+
+
+CORPUS = dict(corpus.corpus())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_attractors_match_the_reference(name):
+    scenario = CORPUS[name]
+    assert attractors(cover.preprocess(scenario)) == reference_attractors(scenario, 0)
+
+
+def test_frontier_draw_matches_the_reference():
+    """The second attractor is drawn from the first one's frontier. The
+    draw differs if the frontier is left out, if only states that the
+    entry's walks already met count as basin states, or if a state in
+    collision next to a goal counts when its walk reaches the attractor."""
+    obstacles = [cell_rect(2, 3), cell_rect(3, 4), cell_rect(5, 2)]
+    scenario = grid(8, obstacles=obstacles, regions=(RegionSpec("r", (1.0, 0.0, 8.0, 5.0)),))
+    expected = [[(7, 2), (1, 4)]]
+    assert reference_attractors(scenario, 0) == expected
+    assert attractors(cover.preprocess(scenario)) == expected

@@ -387,8 +387,45 @@ def test_bad_scenario_files(tmp_path, unit_arm):
         ("s_home", [8, 0]),
         ("s_home", [0, -1]),
     ]
+    # Refused, not converted: ints only for indices and counts, finite
+    # numbers (no bool, string, NaN or infinity) for coordinates and sizes.
+    nan, inf = float("nan"), float("inf")
+    box = [6.0, 6.0, 8.0, 8.0]
+    bad_fields += [
+        ("s_home", [0.9, 4]),
+        ("s_home", ["0", "4"]),
+        ("s_home", [False, 4]),
+        ("grid", {"dims": [True, 8]}),
+        ("regions", [{"id": "r", "box": ["0", "0", "1", "1"]}]),
+        ("regions", [{"id": "r", "box": [nan, 0.0, 1.0, 1.0]}]),
+        ("regions", [{"id": "r", "box": [0.0, 0.0, 1.0, inf]}]),
+        ("regions", [{"id": "r", "box": [0, 0, 1, True]}]),
+        ("regions", [{"id": 5, "box": box}]),
+    ]
+    circle = {"shape": "circle", "center": [3.0, 3.0], "radius": 0.5}
+    for bad in [
+        {"radius": "0.5"},
+        {"radius": True},
+        {"radius": nan},
+        {"radius": -0.5},
+        {"center": ["3", "3"]},
+        {"center": [3.0, 3.0, 3.0]},
+    ]:
+        bad_fields.append(("obstacles", [dict(circle, **bad)]))
+    for bounds in [["0", "0", "1", "1"], [0.0, 0.0, 1.0], [0.0, 0.0, nan, 1.0]]:
+        bad_fields.append(("obstacles", [{"shape": "rect", "bounds": bounds}]))
     payloads = [dict(good, **{key: value}) for key, value in bad_fields]
-    payloads.append(dict(cspace.scenario_to_payload(unit_arm), s_home=[16, 0]))
+    arm = cspace.scenario_to_payload(unit_arm)
+    payloads.append(dict(arm, s_home=[16, 0]))
+    for bad in [
+        {"joints_per_rev": 16.7},
+        {"joints_per_rev": "16"},
+        {"link_lengths": [nan, 1.0]},
+        {"base": ["0", 0.0]},
+        {"base": [0.0, 0.0, 0.0]},
+        {"joint_limits": [[0.0, inf], None]},
+    ]:
+        payloads.append(dict(arm, arm=dict(arm["arm"], **bad)))
     for payload in payloads:
         path.write_text(json.dumps(payload))
         with pytest.raises(errors.ScenarioFormatError):
