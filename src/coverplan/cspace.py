@@ -19,13 +19,16 @@ instrumentation block, which exists so callers can prove how much work
 performed. Four tables run lattice-only work once per scenario, each built
 whole on first use. Three are keyed by exactly the prod(dims) lattice
 states, in lexicographic order: ``state_table`` (each state's
-collision-free flag and end-effector point, from one geometry pass per
-state, read by ``is_valid``, ``in_region``, ``region_configs`` and
-``region_reach``), ``move_table`` (each state's state after each move,
-None where the move leaves the lattice; the one place that steps a state,
-read by the shortcut walk) and ``neighbor_table`` (derived from
-``move_table``: each row without its Nones, read by ``lattice_neighbors``
-and the descent walks of preprocessing and the library loader). These two
+collision-free flag and end-effector point, read by ``is_valid``,
+``in_region``, ``region_configs`` and ``region_reach``; an arm's is built
+by walking the joint lattice as a tree, with each link segment computed
+and tested at most once per joint prefix, and a grid's by rastering each
+obstacle over the cells of its bounding box), ``move_table`` (each
+state's state after each move, None where the move leaves the lattice;
+the one place that steps a state, read by the shortcut walk) and
+``neighbor_table`` (derived from ``move_table``: each row without its
+Nones, read by ``lattice_neighbors`` and the descent walks of
+preprocessing and the library loader). These two
 are geometry only, so validity still goes through the counted ``is_valid``.
 ``home_distance``, a flood fill of the other three from ``s_home``, holds
 each reachable state's step count from home, for the offline cover, the
@@ -146,7 +149,9 @@ class OpCounters:
     """Instrumentation: work performed against a scenario.
 
     collision_checks counts is_valid() calls (logical checks: one per call,
-    although the geometry runs once per state, in ``Scenario.state_table``),
+    although the geometry runs once per scenario, when
+    ``Scenario.state_table`` is built: per joint prefix on an arm, per
+    obstacle footprint on a grid),
     expansions counts search-node expansions, elementary_steps counts
     constant-cost bookkeeping ops (configs assembled into a lookup-built
     path, descent moves).
@@ -248,8 +253,16 @@ class Scenario:
 
     @cached_property
     def state_table(self) -> dict[Config, tuple[bool, tuple[float, float]]]:
-        """Lattice state -> (collision-free, end-effector point), in lexicographic order."""
-        return {q: _state_geometry(self, q) for q in lattice_configs(self)}
+        """Lattice state -> (collision-free, end-effector point), in lexicographic order.
+
+        Equal to ``collision_free`` and the end-effector point of each state,
+        built with geometry work in proportion to the distinct geometry: an
+        arm's link segments once per joint prefix (``_arm_states``), a grid's
+        obstacles over the cells of their bounding boxes (``_grid_states``).
+        """
+        if self.kind == "grid":
+            return _grid_states(self)
+        return _arm_states(self)
 
     @cached_property
     def home_distance(self) -> dict[Config, int]:
@@ -392,20 +405,112 @@ def in_bounds(scenario: Scenario, q: Config) -> bool:
     return all(isinstance(c, int) and 0 <= c < n for c, n in zip(q, dims))
 
 
-def _state_geometry(scenario: Scenario, q: Config) -> tuple[bool, tuple[float, float]]:
-    """(collision-free, end-effector point) of an in-lattice q; one kinematics pass."""
+def collision_free(scenario: Scenario, q: Config) -> bool:
+    """Obstacle geometry for an in-lattice q: not counted, not stored.
+
+    The per-state reference that ``Scenario.state_table`` equals: the cell
+    centre against every obstacle, or every link segment of the arm's
+    forward kinematics against every obstacle.
+    """
     if scenario.kind == "grid":
         p = cell_center(q)
-        return not any(point_in_obstacle(p, o) for o in scenario.obstacles), p
+        return not any(point_in_obstacle(p, o) for o in scenario.obstacles)
     points = forward_kinematics(scenario.arm, q)
     segments = zip(points, points[1:])
-    hit = any(segment_hits_obstacle(a, b, o) for a, b in segments for o in scenario.obstacles)
-    return not hit, points[-1]
+    return not any(segment_hits_obstacle(a, b, o) for a, b in segments for o in scenario.obstacles)
 
 
-def collision_free(scenario: Scenario, q: Config) -> bool:
-    """Obstacle geometry for an in-lattice q: not counted, not stored."""
-    return _state_geometry(scenario, q)[0]
+def _arm_states(scenario: Scenario) -> dict[Config, tuple[bool, tuple[float, float]]]:
+    """An arm's ``state_table``, built by walking the joint lattice as a tree.
+
+    Link k's segment depends only on joints 0..k, so each joint prefix
+    computes its heading, endpoint and segment once, and tests the segment
+    against each obstacle at most once; a prefix whose segments hit an
+    obstacle marks its whole subtree invalid with no further test. The
+    float operations are those of ``joint_angles`` and
+    ``forward_kinematics``, in the same order, so every point equals
+    theirs. Expanding the prefixes level by level in index order keeps
+    lexicographic order.
+
+    A segment of length L from a stays within L of a, so it can reach an
+    obstacle only when a lies in the obstacle's bounding box grown by L.
+    Each parent prefix compares its endpoint with those boxes once and
+    tests its children's segments only against the obstacles whose box
+    it lies in. The boxes are grown by a further ``slack``, far above the
+    rounding error of the points and of the segment tests, so a skipped
+    test is one that would have answered False.
+    """
+    arm = scenario.arm
+    step = arm.step
+    limits = arm.joint_limits or (None,) * len(arm.link_lengths)
+    boxes = [
+        (_bounding_box(o), segment_hits_circle if isinstance(o, Circle) else segment_hits_rect, o)
+        for o in scenario.obstacles
+    ]
+    extent = [abs(v) for box, _, _ in boxes for v in box if math.isfinite(v)]
+    slack = 1e-9 * (1.0 + max(extent, default=0.0) + sum(map(abs, arm.base)) + sum(arm.link_lengths))
+    # one node per joint prefix: (indices, heading, endpoint, collision-free so far)
+    level = [((), 0.0, arm.base, True)]
+    for n, length, lim in zip(scenario.dims, arm.link_lengths, limits):
+        lo = 0.0 if lim is None else lim[0]
+        angles = [(idx, lo + idx * step) for idx in range(n)]
+        d = length + slack
+        grown = [((x0 - d, y0 - d, x1 + d, y1 + d), hit, o) for (x0, y0, x1, y1), hit, o in boxes]
+        nodes = []
+        for prefix, heading, a, free in level:
+            x, y = a
+            near = [
+                (hit, o) for (x0, y0, x1, y1), hit, o in grown if x0 <= x <= x1 and y0 <= y <= y1
+            ]
+            for idx, angle in angles:
+                h = heading + angle
+                b = (x + length * math.cos(h), y + length * math.sin(h))
+                ok = free and not (near and any(hit(a, b, o) for hit, o in near))
+                nodes.append((prefix + (idx,), h, b, ok))
+        level = nodes
+    return {q: (free, p) for q, _, p, free in level}
+
+
+def _grid_states(scenario: Scenario) -> dict[Config, tuple[bool, tuple[float, float]]]:
+    """A grid's ``state_table``: every cell free, then each obstacle rastered.
+
+    An obstacle tests the closed ``point_in_obstacle`` predicate only on
+    the cells whose centres can lie in its bounding box: the index range
+    of the box's centre coordinates, widened by one cell against rounding
+    and clipped to the lattice.
+    """
+    blocked = set()
+    for o in scenario.obstacles:
+        inside = _point_in_circle if isinstance(o, Circle) else _point_in_rect
+        box = _bounding_box(o)
+        (i0, i1), (j0, j1) = (
+            _center_range(lo, hi, n) for lo, hi, n in zip(box[:2], box[2:], scenario.dims)
+        )
+        for q in itertools.product(range(i0, i1 + 1), range(j0, j1 + 1)):
+            if q not in blocked and inside(cell_center(q), o):
+                blocked.add(q)
+    return {q: (q not in blocked, cell_center(q)) for q in lattice_configs(scenario)}
+
+
+def _bounding_box(o: Obstacle) -> tuple[float, float, float, float]:
+    """The obstacle's closed (xmin, ymin, xmax, ymax) box; the whole plane
+    when a bound is NaN, where no comparison can exclude a point."""
+    if isinstance(o, Circle):
+        (cx, cy), r = o.center, abs(o.radius)
+        box = (cx - r, cy - r, cx + r, cy + r)
+    else:
+        box = o.bounds
+    if any(map(math.isnan, box)):
+        return (-math.inf, -math.inf, math.inf, math.inf)
+    return box
+
+
+def _center_range(lo: float, hi: float, n: int) -> tuple[int, int]:
+    """First and last index in range(n) whose cell centre c + 0.5 can lie in
+    [lo, hi], widened by one index on each side; empty when first > last."""
+    first = math.floor(min(max(0.0, lo - 1.5), float(n)))
+    last = math.ceil(max(-1.0, min(n - 1.0, hi + 0.5)))
+    return first, last
 
 
 _OFF_LATTICE = (False, None)

@@ -49,5 +49,11 @@ class ScenarioFormatError(PlanningError):
     """Scenario file is unreadable or structurally broken."""
 
 
+class InvalidPath(PlanningError, ValueError):
+    """A path handed to the planner is not a walk of valid lattice states.
+
+    Also a ValueError, as the argument's value is what is refused."""
+
+
 class NotFittedError(PlanningError):
     """Estimator method called before fit()."""

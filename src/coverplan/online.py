@@ -17,7 +17,8 @@ goal index. When a state is both on a rep path and a covered goal, the
 earlier region in library order decides which it is.
 
 The library and scenario are immutable and shareable across concurrent
-queries; the PotentialStateIndex mutates between sequential queries and
+queries; the PotentialStateIndex mutates between sequential queries (a
+query records the path it returned, a registration the executed path) and
 must be serialized per robot (single writer).
 """
 
@@ -30,7 +31,7 @@ from typing import Callable
 from .cover import CoverEntry, CoverHit, Library
 from .cspace import Config, Scenario
 from .errors import DescentStalled, GoalUncovered, StaleLibrary, StartNotPotential
-from .search import Path, RefineReport, anytime_refine, concat_paths
+from .search import Path, RefineReport, _refine, check_path, concat_paths
 
 
 def find_rep_path(library: Library, q: Config) -> CoverHit | None:
@@ -90,7 +91,10 @@ class PotentialStateIndex:
       last position there; ``executed_path`` is that path and ``anchor``
       the path from home to its end (all empty or None until a path is
       registered). Only one executed path is kept, which bounds memory and
-      matches a robot sitting at the end of its last motion.
+      matches a robot sitting at the end of its last motion;
+    - ``planned``: the path object that the last ``query`` given this index
+      returned (None before the first), which ``update_potential_index``
+      registers without re-checking it.
 
     Covered goals are answered by ``library.goal_index``. Lookups try home,
     ``rep_states``, the goal index and ``executed``, in that order. Regions
@@ -118,6 +122,7 @@ class PotentialStateIndex:
         self.executed: dict[Config, int] = {}
         self.executed_path: Path | None = None
         self.anchor: Path | None = None
+        self.planned: Path | None = None
 
     def __contains__(self, q: Config) -> bool:
         return (
@@ -158,7 +163,15 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     The anchor path home -> end is resolved before the previous executed
     path is dropped, so chains of sequential queries stay constant-time.
     Duplicate states keep their last position (shortest suffix).
+
+    The path the last query on this index returned (``index.planned``, the
+    same object) is a valid walk by construction and is taken as it is.
+    Any other path must pass ``path_is_valid``, or InvalidPath is raised
+    and the index is left unchanged, since later queries would hand its
+    steps out as plans.
     """
+    if executed_path is not index.planned:
+        check_path(index.scenario, executed_path)
     anchor = path_home_to(index, executed_path.configs[-1])
     index.executed = {q: k for k, q in enumerate(executed_path.configs)}
     index.executed_path = executed_path
@@ -212,7 +225,8 @@ def query(
     steps (starts registered from an executed path substitute their stored
     anchor length for the rep-path term). The budget clock starts at
     request receipt; lookup and connect time are deducted from the
-    refinement budget.
+    refinement budget. A given ``index`` records the returned path as its
+    ``planned`` path.
     """
     t0 = clock()
     deadline = t0 + request.budget_ms / 1000.0
@@ -230,9 +244,8 @@ def query(
             if request.start == library.s_home:
                 initial = home_to_goal
             else:
-                if index is None:
-                    index = PotentialStateIndex(scenario, library)
-                home_to_start = path_home_to(index, request.start)
+                starts = index if index is not None else PotentialStateIndex(scenario, library)
+                home_to_start = path_home_to(starts, request.start)
                 initial = concat_paths(home_to_start.reverse(), home_to_goal)
     except DescentStalled as exc:
         raise StaleLibrary(str(exc)) from exc
@@ -248,11 +261,12 @@ def query(
         optimal_flag=initial.cost == 0.0,
     )
     if request.refine and initial.cost > 0.0:
-        refined, report = anytime_refine(
-            scenario, request.start, request.goal, initial, deadline=deadline, clock=clock
-        )
+        # the seed is built from library pointers, so it skips the seed check
+        refined, report = _refine(scenario, request.start, request.goal, initial, deadline, clock)
         result.path = refined
         result.refine_ms = (clock() - t_connect) * 1000.0
         result.optimal_flag = report.optimal_flag
         result.refine_report = report
+    if index is not None:
+        index.planned = result.path
     return result

@@ -89,6 +89,11 @@ class CoverPlanner:
         return query(self.scenario_, self.library_, request, index=self.index_, clock=clock)
 
     def register_executed(self, path: Path) -> None:
-        """Mark a returned path as executed; its states become valid starts."""
+        """Mark a path as executed; its states become valid starts.
+
+        The path the last ``plan`` returned (that object) is registered as
+        it is; any other must pass ``path_is_valid``, or InvalidPath is
+        raised and nothing is registered.
+        """
         self._check_fitted()
         update_potential_index(self.index_, path)

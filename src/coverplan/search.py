@@ -37,7 +37,7 @@ from typing import Callable
 
 from . import cspace
 from .cspace import Config, Scenario
-from .errors import NoPath, Timeout
+from .errors import InvalidPath, NoPath, Timeout
 
 DEFAULT_DELTA = 1e-6
 
@@ -95,6 +95,24 @@ def path_is_valid(scenario: Scenario, path: Path) -> bool:
         return False
     # each a is valid, so on the lattice: the first by the check above, the rest as a b
     return all(b in neighbors[a] and states[b][0] for a, b in zip(configs, configs[1:]))
+
+
+def check_path(scenario: Scenario, path: Path) -> None:
+    """Refuse a path that fails ``path_is_valid``: raise InvalidPath naming
+    its first state off the lattice or in collision, or its first step
+    that is not one lattice move."""
+    if path_is_valid(scenario, path):
+        return
+    states, neighbors = scenario.state_table, scenario.neighbor_table
+    prev = None
+    for q in path.configs:
+        if q not in states:
+            raise InvalidPath(f"path state {q} leaves the lattice")
+        if not states[q][0]:
+            raise InvalidPath(f"path state {q} is in collision")
+        if prev is not None and q not in neighbors[prev]:
+            raise InvalidPath(f"path step {prev} -> {q} is not one lattice move")
+        prev = q
 
 
 def _reconstruct(parent: dict, goal: Config) -> Path:
@@ -337,9 +355,25 @@ def anytime_refine(
     inflation-1 pass still certifies the optimum.
 
     ``deadline`` is an absolute instant on ``clock``; None means run to
-    convergence. Raises ValueError for a seed path with a state off the
-    lattice.
+    convergence. Raises InvalidPath for a seed path that fails
+    ``path_is_valid`` (a state off the lattice or in collision, or a step
+    that is not one lattice move), and ValueError for one whose endpoints
+    are not start and goal.
     """
+    check_path(scenario, initial_path)
+    return _refine(scenario, start, goal, initial_path, deadline, clock)
+
+
+def _refine(
+    scenario: Scenario,
+    start: Config,
+    goal: Config,
+    initial_path: Path,
+    deadline: float | None,
+    clock: Callable[[], float],
+) -> tuple[Path, RefineReport]:
+    """``anytime_refine`` without the seed check, for a seed that is valid by
+    construction: ``online.query`` builds its seed from library pointers."""
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
     report = RefineReport()
@@ -348,9 +382,6 @@ def anytime_refine(
         return initial_path, report
     if deadline is not None and clock() >= deadline:
         return initial_path, report
-    # the heuristic reads a row entry per axis for each state it is asked about
-    if not all(map(scenario.move_table.__contains__, initial_path.configs)):
-        raise ValueError("initial path leaves the lattice")
 
     # A seed path that revisits the goal carries a strictly cheaper prefix
     # solution; adopt it. This also keeps g(goal) equal to the incumbent

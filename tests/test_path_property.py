@@ -8,7 +8,9 @@ oracle's ``lattice_neighbors`` of the one before and collision free. On
 random small grids and 2-link arms, each random walk is compared intact
 and under each of four mutations: an interior state dropped, a state
 repeated, a state moved off the lattice, or the walk cut at a step into a
-state in collision.
+state in collision. ``search.check_path`` and the public
+``search.anytime_refine`` refuse exactly the paths the oracle rejects,
+with InvalidPath.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import math
 import pytest
 
 from oracles import lattice_neighbors
-from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario, cspace, search
+from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario, cspace, errors, search
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -128,7 +130,15 @@ def check(data, scenario):
     for mutation in MUTATIONS:
         configs = mutate(data, scenario, walk, mutation)
         expected = oracle_is_walk(scenario, configs)
-        assert search.path_is_valid(scenario, search.Path(tuple(configs))) == expected, configs
+        path = search.Path(tuple(configs))
+        assert search.path_is_valid(scenario, path) == expected, configs
+        if expected:
+            search.check_path(scenario, path)
+        else:
+            with pytest.raises(errors.InvalidPath):
+                search.check_path(scenario, path)
+            with pytest.raises(errors.InvalidPath):
+                search.anytime_refine(scenario, path.start, path.goal, path)
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from coverplan import CoverPlanner, errors
+from coverplan import CoverPlanner, corpus, errors, online, search
 
 
 def test_get_set_params_round_trip():
@@ -72,6 +74,66 @@ def test_sequential_flow_via_register(two_region_grid12):
     mid = res.path.configs[len(res.path.configs) // 2]
     res3 = planner.plan(goal_b, start=mid, budget_ms=300.0)
     assert res3.path.configs[0] == mid
+
+
+def test_register_refuses_a_path_that_jumps():
+    """grid12_d20 (seed 0): registering g0 -> (0, 0) -> g0, a jump there and
+    back, once made a later plan from (0, 0) start (0, 0), (9, 0), which is
+    no lattice move. Now the path is refused and nothing is registered."""
+    planner = CoverPlanner(seed=0).fit(dict(corpus.corpus())["grid12_d20"])
+    g0 = sorted(planner.library_.regions[0].covered)[0]
+    assert g0 == (9, 0)
+    with pytest.raises(errors.InvalidPath, match=r"\(9, 0\) -> \(0, 0\) is not one lattice move"):
+        planner.register_executed(search.Path((g0, (0, 0), g0)))
+    assert planner.index_.executed == {} and planner.index_.executed_path is None
+    with pytest.raises(errors.StartNotPotential):
+        planner.plan(g0, start=(0, 0), refine=False)
+
+
+def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monkeypatch):
+    """The path object the last plan returned registers with no check; an
+    equal copy of it, or an earlier plan's path, is checked first."""
+    planner = CoverPlanner(seed=0).fit(two_region_grid12)
+    goal_a, goal_b = (sorted(rc.covered)[0] for rc in planner.library_.regions)
+    first = planner.plan(goal_a, refine=False).path
+    checked = []
+    path_is_valid = search.path_is_valid
+
+    def counted(scenario, path):
+        checked.append(path)
+        return path_is_valid(scenario, path)
+
+    monkeypatch.setattr(search, "path_is_valid", counted)
+    last = planner.plan(goal_b, refine=False).path
+    planner.register_executed(last)
+    assert checked == []
+    copy = search.Path(last.configs)
+    planner.register_executed(copy)
+    planner.register_executed(first)
+    assert checked == [copy, first] and checked[0] is copy
+    assert planner.index_.executed_path is first
+
+
+def test_update_potential_index_refuses_an_invalid_path(two_region_grid12):
+    """The public entry has the same rule: a path off the lattice, through an
+    obstacle or with a jump raises InvalidPath and leaves the index as it was."""
+    from conftest import cell_rect, grid
+
+    sc = grid(12, home=(0, 6), regions=two_region_grid12.regions, obstacles=[cell_rect(1, 6)])
+    planner = CoverPlanner(seed=0).fit(sc)
+    index = planner.index_
+    goal = sorted(planner.library_.regions[0].covered)[0]
+    online.update_potential_index(index, planner.plan(goal, refine=False).path)
+    before = (index.executed, index.executed_path, index.anchor)
+    faults = {
+        "(-1, 6) leaves the lattice": ((0, 6), (-1, 6)),
+        "(1, 6) is in collision": ((0, 6), (1, 6)),
+        "(0, 6) -> (0, 8) is not one lattice move": ((0, 6), (0, 7), (0, 6), (0, 8)),
+    }
+    for fault, configs in faults.items():
+        with pytest.raises(errors.InvalidPath, match=re.escape(fault)):
+            online.update_potential_index(index, search.Path(configs))
+    assert (index.executed, index.executed_path, index.anchor) == before
 
 
 def test_refit_resets_state(two_region_grid12):

@@ -228,20 +228,32 @@ def test_preprocess_home_invalid():
         pre.preprocess(sc)
 
 
-def test_cold_preprocess_runs_kinematics_once_per_state(monkeypatch):
-    """A cold build of the benchmark's 3-link arm runs forward kinematics once
-    per lattice state: validity and the end-effector point share one pass."""
+def test_cold_preprocess_tests_each_link_prefix_once(monkeypatch):
+    """A cold build of the benchmark's 3-link arm builds the state table once
+    and tests each (joint prefix, obstacle) pair at most once: at most
+    sum_k prod(dims[:k+1]) * len(obstacles) segment tests, where a test per
+    state and link would make up to 4,096 * 3 * 2."""
     sc = arm3_s16()
-    calls = []
-    fk = cspace.forward_kinematics
+    tests, builds = collections.Counter(), []
+    for name in ("segment_hits_circle", "segment_hits_rect"):
 
-    def counted(arm, q):
-        calls.append(q)
-        return fk(arm, q)
+        def counted(a, b, o, original=getattr(cspace, name)):
+            tests[a, b, o] += 1
+            return original(a, b, o)
 
-    monkeypatch.setattr(cspace, "forward_kinematics", counted)
+        monkeypatch.setattr(cspace, name, counted)
+    arm_states = cspace._arm_states
+
+    def counted_build(scenario):
+        builds.append(scenario)
+        return arm_states(scenario)
+
+    monkeypatch.setattr(cspace, "_arm_states", counted_build)
     pre.preprocess(sc, seed=0)
-    assert len(calls) == len(set(calls)) == math.prod(sc.dims) == 4096
+    bound = sum(math.prod(sc.dims[: k + 1]) for k in range(sc.dof)) * len(sc.obstacles)
+    assert len(builds) == 1 and builds[0] is sc
+    assert max(tests.values()) == 1
+    assert sum(tests.values()) <= bound == (16 + 256 + 4096) * 2
 
 
 def test_cover_completeness_against_bfs(two_region_grid12):
@@ -699,8 +711,9 @@ def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_librari
     assert pre.load_library(path, warm) == lib
     assert calls == {}
     pre.load_library(path, dataclasses.replace(sc))  # a cold load is counted
-    # one enumeration builds the move table, one the state table
-    assert calls == {"lattice_configs": 2, "_move_column": 2 * sc.dof}
+    # one enumeration builds the move table; the arm's state table walks
+    # the joint prefixes and enumerates none
+    assert calls == {"lattice_configs": 1, "_move_column": 2 * sc.dof}
 
 
 def test_member_encoding_round_trip():

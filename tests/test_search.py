@@ -114,6 +114,16 @@ def test_refine_refuses_a_seed_state_off_the_lattice(empty8, off):
         search.anytime_refine(empty8, (0, 0), (1, 0), search.Path(((0, 0), off, (1, 0))))
 
 
+def test_refine_refuses_a_seed_that_jumps(empty8):
+    """An empty 8x8 grid: the seed (0, 0) -> (3, 0) once came back as the
+    result, flagged optimal; so did a seed through a blocked cell."""
+    with pytest.raises(errors.InvalidPath, match=r"\(0, 0\) -> \(3, 0\) is not one lattice move"):
+        search.anytime_refine(empty8, (0, 0), (3, 0), search.Path(((0, 0), (3, 0))))
+    blocked = grid(8, obstacles=[cell_rect(1, 0)])
+    with pytest.raises(errors.InvalidPath, match=r"\(1, 0\) is in collision"):
+        search.anytime_refine(blocked, (0, 0), (2, 0), search.Path(((0, 0), (1, 0), (2, 0))))
+
+
 # ---------------------------------------------------------------------------
 # the heuristic memo
 
