@@ -116,9 +116,13 @@ class ExperimentConfig:
             len(rng) == 2 and all(type(x) in (int, float) for x in rng) and 0 < rng[0] <= rng[1]
         ):
             raise ValueError(f"budget_range_ms must be two numbers 0 < lo <= hi, got {rng!r}")
-        for p in self.planners:
+        if not self.planners:
+            raise ValueError("planners must name at least one planner")
+        for i, p in enumerate(self.planners):
             if p not in KNOWN_PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")
+            if p in self.planners[:i]:
+                raise ValueError(f"planner {p!r} is listed twice")
 
 
 def save_experiment_config(cfg: ExperimentConfig, path) -> None:

@@ -174,20 +174,18 @@ def greedy_step(scenario: Scenario, q: Config, attractor: Config, squares=None) 
 def descend(scenario: Scenario, q: Config, attractor: Config) -> Path:
     """Run greedy descent q -> attractor. No search, only successor evaluation.
 
-    This is the offline walk, with collision checks; online, connect
-    follows the pointers that the loader derived from the same walk.
-    Raises ValueError for an attractor off the lattice and DescentStalled
-    when no strictly improving move exists.
+    This is the offline walk of ``_Descent``, with collision checks, read
+    back along its pointers; online, connect follows the pointers that the
+    loader derived from the same walk. Raises ValueError for an attractor
+    off the lattice and DescentStalled when no strictly improving move exists.
     """
-    squares = _squared_deltas(scenario, attractor)
+    descent = _Descent(scenario, attractor)
+    descent.walk(q)
     configs = [q]
-    cur = q
-    while cur != attractor:
-        nxt = greedy_step(scenario, cur, attractor, squares)
-        if nxt is None:
-            raise DescentStalled(f"descent stalled at {cur} toward {attractor}")
-        configs.append(nxt)
-        cur = nxt
+    while configs[-1] != attractor:
+        if configs[-1] not in descent.next_state:
+            raise DescentStalled(f"descent stalled at {configs[-1]} toward {attractor}")
+        configs.append(descent.next_state[configs[-1]])
     return Path(tuple(configs))
 
 

@@ -17,21 +17,19 @@ use. ``counters`` is an ``OpCounters``
 instrumentation block, which exists so callers can prove how much work
 (collision checks, expansions, elementary steps) an online query
 performed. Four tables run lattice-only work once per scenario, each built
-whole on first use. Three are keyed by exactly the prod(dims) lattice
+whole on first use. Two are keyed by exactly the prod(dims) lattice
 states, in lexicographic order: ``state_table`` (each state's
 collision-free flag and end-effector point, read by ``is_valid``,
-``in_region``, ``region_configs`` and ``region_reach``; an arm's is built
-by walking the joint lattice as a tree, with each link segment computed
-and tested at most once per joint prefix, and a grid's by rastering each
-obstacle over the cells of its bounding box), ``move_table`` (each
-state's state after each move, None where the move leaves the lattice;
-the one place that steps a state, read by the shortcut walk) and
-``neighbor_table`` (derived from ``move_table``: each row without its
-Nones, read by ``lattice_neighbors`` and the descent walks of
-preprocessing and the library loader). These two
-are geometry only, so validity still goes through the counted ``is_valid``.
-``home_distance``, a flood fill of the other three from ``s_home``, holds
-each reachable state's step count from home, for the offline cover, the
+``region_configs`` and ``region_reach``; an arm's is built by walking the
+joint lattice as a tree, with each link segment computed and tested at
+most once per joint prefix, and a grid's by rastering each obstacle over
+the cells of its bounding box) and ``neighbor_table`` (each state's
+single-DOF neighbours, built one move column at a time by
+``_move_column``, read by ``lattice_neighbors`` and the descent walks of
+preprocessing and the library loader). These two are geometry only, so
+validity still goes through the counted ``is_valid``.
+``home_distance``, a flood fill of the two from ``s_home``, holds each
+reachable state's step count from home, for the offline cover, the
 library loader, the refinement heuristic and the corpus generators. One
 more is derived from these, also with no counted check: ``region_reach``
 (each region's valid states, the same ones that ``region_configs`` finds
@@ -180,9 +178,8 @@ class Scenario:
     are computed once from ``grid_dims`` or ``arm``, and so is
     ``fingerprint``, the content hash that binds libraries to the scenario;
     freezing keeps them valid. ``counters`` is the one mutable part. The
-    tables ``state_table`` and ``move_table`` are built whole on first use,
-    ``neighbor_table`` from ``move_table``, ``home_distance`` from
-    ``state_table`` and ``neighbor_table``, and ``region_reach`` from
+    tables ``state_table`` and ``neighbor_table`` are built whole on first
+    use, ``home_distance`` from those two, and ``region_reach`` from
     ``state_table`` and ``home_distance`` (the module docstring says why
     they are safe to share).
     """
@@ -239,17 +236,11 @@ class Scenario:
         return len(self.dims)
 
     @cached_property
-    def move_table(self) -> dict[Config, tuple[Config | None, ...]]:
-        """Lattice state -> its state after each move ``2 * axis + up``, None
-        where the move leaves the lattice (geometry only), in lexicographic order."""
-        columns = [_move_column(self, axis, up) for axis in range(self.dof) for up in (0, 1)]
-        return dict(zip(lattice_configs(self), zip(*columns)))
-
-    @cached_property
     def neighbor_table(self) -> dict[Config, tuple[Config, ...]]:
-        """Lattice state -> its single-DOF +-1 neighbours: its ``move_table``
-        row without the Nones, in move order (a state tuple is never empty)."""
-        return {q: tuple(filter(None, row)) for q, row in self.move_table.items()}
+        """Lattice state -> its single-DOF +-1 neighbours (geometry only), in
+        lexicographic order; a row runs axis by axis, -1 before +1."""
+        columns = [_move_column(self, axis, up) for axis in range(self.dof) for up in (0, 1)]
+        return {q: tuple(filter(None, row)) for q, row in zip(lattice_configs(self), zip(*columns))}
 
     @cached_property
     def state_table(self) -> dict[Config, tuple[bool, tuple[float, float]]]:
@@ -533,9 +524,9 @@ def is_valid(scenario: Scenario, q: Config) -> bool:
 
 
 def _move_column(scenario: Scenario, axis: int, up: int) -> list[Config | None]:
-    """Each lattice state's state after move ``2 * axis + up``, in
-    lexicographic order: one index down (up = 0) or up (up = 1) on ``axis``,
-    modulo n on a wrapping axis, None where the move leaves any other axis.
+    """Each lattice state's state one index down (up = 0) or up (up = 1) on
+    ``axis``, in lexicographic order: modulo n on a wrapping axis, None
+    where the move leaves the lattice.
 
     The column is the lattice product with ``axis`` running over the moved
     indices, so it is in the order of ``lattice_configs``.
@@ -601,15 +592,6 @@ def navigation_value(scenario: Scenario, q: Config, attractor: Config) -> float:
     return math.sqrt(
         sum(axis_delta(a, b, n, w) ** 2 for a, b, n, w in zip(q, attractor, dims, wraps))
     )
-
-
-def in_region(scenario: Scenario, region: RegionSpec, q: Config) -> bool:
-    """True iff q is valid and its end-effector point lies in the region box."""
-    if not is_valid(scenario, q):
-        return False
-    x0, y0, x1, y1 = region.box
-    x, y = scenario.state_table[q][1]
-    return x0 <= x <= x1 and y0 <= y <= y1
 
 
 def lattice_configs(scenario: Scenario):

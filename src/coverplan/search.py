@@ -487,14 +487,15 @@ def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] |
     """Deterministic straight lattice walk a -> b, or None if it hits anything.
 
     Repeatedly steps the axis with the largest remaining (wrapped) offset,
-    ties to the lowest axis, toward the shorter wrap direction (+1 on an
-    exact half-wrap tie), by reading the scenario's ``move_table``. Every
-    interior state must be valid; an end off the lattice has no walk.
+    ties to the lowest axis, by one index toward the shorter wrap direction
+    (+1 on an exact half-wrap tie), modulo n on a wrapping axis. Every
+    interior state must be valid; an end with no ``state_table`` entry is
+    off the lattice and has no walk.
     """
     dims = scenario.dims
     wraps = scenario.wraps
-    moves = scenario.move_table
-    if a not in moves or b not in moves:
+    states = scenario.state_table
+    if a not in states or b not in states:
         return None
     out = [a]
     cur = a
@@ -508,10 +509,10 @@ def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] |
         n = dims[d]
         if wraps[d]:
             forward = (b[d] - cur[d]) % n
-            up = 1 if forward <= n - forward else 0
+            step = 1 if forward <= n - forward else -1
         else:
-            up = 1 if b[d] > cur[d] else 0
-        cur = moves[cur][2 * d + up]
+            step = 1 if b[d] > cur[d] else -1
+        cur = cur[:d] + ((cur[d] + step) % n,) + cur[d + 1 :]
         if cur != b and not cspace.is_valid(scenario, cur):
             return None
         out.append(cur)

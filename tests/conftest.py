@@ -95,7 +95,7 @@ def rank_set(configs, dims):
     return list(map(operator.sub, ranks, [0] + ranks[:-1]))
 
 
-# Format 3 wrote a descent move as its slot in a move_table row, axis * 2 +
+# Format 3 wrote a descent move as its slot among a state's moves, axis * 2 +
 # (1 if +1 else 0), in one base-36 digit, and the attractor's as "-".
 MOVE_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 NO_MOVE = "-"

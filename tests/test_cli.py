@@ -150,6 +150,8 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
         ({"ara_dw": 5.0}, "unknown keys 'ara_dw'"),
         ({"trails": 3}, "unknown keys 'trails'"),
         ({"ara_w0": 50.0, "trails": 3, "trials": 3}, "unknown keys 'ara_w0', 'trails'"),
+        ({"planners": []}, "planners must name at least one planner"),
+        ({"planners": ["ctmp", "ctmp"]}, "planner 'ctmp' is listed twice"),
     ],
 )
 def test_bad_config_values_exit_1(scenario_file, tmp_path, capsys, payload, message):

@@ -184,36 +184,22 @@ def test_heuristic_consistency_exhaustive(size):
 
 
 def test_neighbor_table_matches_the_oracle():
-    """Every lattice state's table entry is the oracle's neighbour set, in
-    all 23 corpus scenarios and on a lattice with a one-index axis."""
+    """Every lattice state's table entry is the oracle's moves, axis by axis,
+    -1 before +1, with those off the lattice left out, in all 23 corpus
+    scenarios and on a lattice with a one-index axis. ``cover._home_path``
+    breaks ties by this order."""
     scenarios = [sc for _, sc in corpus.corpus()] + [mixed_limit_arm()]
     for sc in scenarios:
         table = sc.neighbor_table
         assert list(table) == list(cspace.lattice_configs(sc))
         for q, nbs in table.items():
+            moves = [
+                oracles.lattice_move(sc, q, axis, d) for axis in range(sc.dof) for d in (-1, +1)
+            ]
+            assert nbs == tuple(nb for nb in moves if nb is not None), (q, nbs)
             assert len(set(nbs)) == len(nbs), (q, nbs)
             assert sorted(nbs) == sorted(oracles.lattice_neighbors(sc, q)), (q, nbs)
             assert cspace.lattice_neighbors(sc, q) is nbs
-
-
-def test_move_table_matches_the_oracle():
-    """Row slots 2a and 2a + 1 are the oracle's -1 and +1 moves on axis a,
-    None exactly at a non-wrapping axis's edge, and each neighbour table
-    entry is its row without the Nones, in order; in all 23 corpus
-    scenarios and on a lattice with a one-index axis."""
-    scenarios = [sc for _, sc in corpus.corpus()] + [mixed_limit_arm()]
-    for sc in scenarios:
-        table = sc.move_table
-        assert list(table) == list(cspace.lattice_configs(sc))
-        for q, row in table.items():
-            assert len(row) == 2 * sc.dof, (q, row)
-            for axis, (n, wrap) in enumerate(zip(sc.dims, sc.wraps)):
-                down, up = row[2 * axis], row[2 * axis + 1]
-                assert down == oracles.lattice_move(sc, q, axis, -1), (q, axis, down)
-                assert up == oracles.lattice_move(sc, q, axis, +1), (q, axis, up)
-                assert (down is None) == (not wrap and q[axis] == 0), (q, axis)
-                assert (up is None) == (not wrap and q[axis] == n - 1), (q, axis)
-            assert sc.neighbor_table[q] == tuple(nb for nb in row if nb is not None), q
 
 
 def test_neighbors_off_the_lattice_are_not_stored(empty8):
@@ -238,8 +224,6 @@ def test_replace_gives_fresh_caches(unit_arm):
     cspace.region_configs(unit_arm, unit_arm.regions[0])
     cspace.lattice_neighbors(unit_arm, (0, 0))
     copy = dataclasses.replace(unit_arm, obstacles=(Circle((2.0, 0.0), 0.1),))
-    assert copy.move_table is not unit_arm.move_table
-    assert copy.move_table == unit_arm.move_table
     assert copy.neighbor_table is not unit_arm.neighbor_table
     assert copy.state_table is not unit_arm.state_table
     assert copy.neighbor_table == unit_arm.neighbor_table
@@ -277,19 +261,33 @@ def test_concurrent_first_use_matches_a_serial_one(unit_arm):
 
 
 def test_region_configs_reads_the_end_effector_table(unit_arm):
-    """Same states, order and counted checks as in_region over the lattice."""
+    """The oracle's region states, in its order, for one counted check per
+    lattice state, and the states that ``region_reach`` splits. The cases
+    include a free cell in a grid box, a blocked cell in it and the arm's
+    end-effector box."""
     wide = RegionSpec("wide", (-1.0, 0.0, 2.0, 2.0))
-    sc = dataclasses.replace(
+    disc = dataclasses.replace(
         unit_arm, obstacles=(Circle((0.0, 1.2), 0.3),), regions=(*unit_arm.regions, wide)
     )
-    for region in sc.regions:
+    box = RegionSpec("goal", (6.0, 6.0, 8.0, 8.0))
+    blocked = grid(8, regions=(box,), obstacles=[cell_rect(6, 7)])
+    # (scenario, region, states in the region, states not in it)
+    cases = [
+        (grid(8, regions=(box,)), box, [(6, 7)], [(0, 0)]),
+        (blocked, box, [(6, 6)], [(6, 7)]),
+        (unit_arm, unit_arm.regions[0], [(0, 0)], [(4, 0)]),  # end effector at (2, 0), (0, 2)
+        (disc, disc.regions[0], [(0, 0)], [(4, 0)]),
+        (disc, wide, [], []),  # last: its states are checked below
+    ]
+    for sc, region, inside, outside in cases:
         before = sc.counters.collision_checks
         states = cspace.region_configs(sc, region)
-        assert sc.counters.collision_checks - before == len(sc.state_table) == 256
-        expected = [q for q in cspace.lattice_configs(sc) if cspace.in_region(sc, region, q)]
-        assert states == expected
+        assert sc.counters.collision_checks - before == len(sc.state_table)
+        assert states == oracles.region_states(sc, region)
+        assert set(states) == set().union(*sc.region_reach[region])
+        assert set(inside) <= set(states) and not set(outside) & set(states)
     x0, y0, x1, y1 = wide.box
-    in_box = [q for q, (x, y) in ee_points(sc).items() if x0 <= x <= x1 and y0 <= y <= y1]
+    in_box = [q for q, (x, y) in ee_points(disc).items() if x0 <= x <= x1 and y0 <= y <= y1]
     assert 0 < len(states) < len(in_box)  # the disc blocks part of the wide box
 
 
@@ -306,24 +304,6 @@ def test_navigation_value_wrapped():
         regions=(RegionSpec("r", (-2.0, -2.0, 2.0, 2.0)),),
     )
     assert cspace.navigation_value(arm, (15,), (0,)) == 1.0
-
-
-def test_in_region_grid():
-    region = RegionSpec("goal", (6.0, 6.0, 8.0, 8.0))
-    sc = grid(8, regions=(region,))
-    assert cspace.in_region(sc, region, (6, 7))
-    assert not cspace.in_region(sc, region, (0, 0))
-
-
-def test_in_region_requires_validity():
-    region = RegionSpec("goal", (6.0, 6.0, 8.0, 8.0))
-    sc = grid(8, regions=(region,), obstacles=[cell_rect(6, 7)])
-    assert not cspace.in_region(sc, region, (6, 7))
-
-
-def test_in_region_arm_ee_box(unit_arm):
-    assert cspace.in_region(unit_arm, unit_arm.regions[0], (0, 0))  # EE at (2, 0)
-    assert not cspace.in_region(unit_arm, unit_arm.regions[0], (4, 0))
 
 
 def test_scenario_round_trip(tmp_path, two_region_grid12, unit_arm):

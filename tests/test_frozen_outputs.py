@@ -78,6 +78,12 @@ and walks of the neighbours of uncovered goals that find the next
 candidates. The counted sweep of every lattice state that enumerated the
 region, and the basin growth over the whole lattice, are gone. The
 attractors and every library byte did not move.
+
+``SHORTCUT_SHA256`` pins ``shortcut_path`` (the ``ctmp+shortcut``
+planner), which ``TRIALS_SHA256`` leaves out: no-refine plans chained
+through every covered goal, each shortcut with seeds 0-2, on the ladder
+and on the wrapping arm32_o2. It was recorded while the shortcut walk
+still stepped a state by reading a per-scenario move table.
 """
 
 import hashlib
@@ -157,6 +163,14 @@ COVER_SHA256 = {
     ("grid21_ladder", 0): "ed5f9fa33525699a916d190b3d39bc3169444026cee55b6637febcff11b50027",
     ("arm3_s16", 0): "f36808e0d8b31fff1fef1e11fcc1ecf0c4e1f68482d66913cddc5315a356b713",
     ("arm3_s16", 1): "d7a264f984fab843b4db4e11c4b3e34df2a7c74b332a55df14dcfb66c7390e0d",
+}
+
+# scenario -> sha256 of shortcut_path's outputs (seeds 0-2) on no-refine
+# plans from home to the first covered goal, then from each covered goal
+# to the next, with the library of preprocess seed 0
+SHORTCUT_SHA256 = {
+    "grid21_ladder": "99d0224f9c56415227aca67f2209f3803ee059d099b6e7f0e867c5bd396da708",
+    "arm32_o2": "ad7642e684585b03737c26b174c5c17d37b0bc3953479ded0d4aae9c8dc47099",
 }
 
 # sha256 over the corpus's names and fingerprints, in order
@@ -392,6 +406,18 @@ def test_bench_trials_csv_frozen(ladder, tmp_path):
     files = bench.emit_results(records, stats, cfg.outdir)
     with open(files["trials"], "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == TRIALS_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_SHA256))
+def test_shortcut_paths_frozen(name):
+    scenario = dict(corpus.corpus())[name]
+    library = pre.preprocess(scenario, seed=0)
+    outputs, start = [], scenario.s_home
+    for goal in sorted(q for rc in library.regions for q in rc.covered):
+        initial = _initial(scenario, library, start, goal)
+        outputs += [search.shortcut_path(scenario, initial, seed=s).configs for s in range(3)]
+        start = goal
+    assert _sha256(outputs) == SHORTCUT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_SHA256))

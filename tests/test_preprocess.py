@@ -19,7 +19,7 @@ from conftest import (
 from coverplan import RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from coverplan.search import path_is_valid
-from oracles import bfs_distances, descent_basin, simulate_descent
+from oracles import bfs_distances, descent_basin, region_states, simulate_descent
 
 
 def grid3(obstacles=()):
@@ -198,16 +198,16 @@ def test_preprocess_split_region_covers_both_components():
         regions=(region,),
         obstacles=[cell_rect(4, 4), cell_rect(5, 3)],  # block region diagonal
     )
-    region_states = [q for q in cspace.lattice_configs(sc) if cspace.in_region(sc, region, q)]
-    assert set(region_states) == {(4, 3), (5, 4)}
+    states = region_states(sc, region)
+    assert set(states) == {(4, 3), (5, 4)}
     lib = pre.preprocess(sc)
     rc = lib.regions[0]
-    assert rc.covered == set(region_states)
+    assert rc.covered == set(states)
     assert rc.excluded == frozenset()
     covered_by_entries = set()
     for e in rc.entries:
-        covered_by_entries |= e.members & set(region_states)
-    assert covered_by_entries == set(region_states)
+        covered_by_entries |= e.members & set(states)
+    assert covered_by_entries == set(states)
 
 
 def test_preprocess_unreachable_region_excluded():
@@ -266,9 +266,7 @@ def test_cover_completeness_against_bfs(two_region_grid12):
     lib = pre.preprocess(sc, seed=5)
     reach = set(bfs_distances(sc, sc.s_home))
     for region, rc in zip(sc.regions, lib.regions):
-        for q in cspace.lattice_configs(sc):
-            if not cspace.in_region(sc, region, q):
-                continue
+        for q in region_states(sc, region):
             if q in reach:
                 assert q in rc.covered, q
             else:

@@ -13,7 +13,7 @@ same pass with the same truncated records.
 
 import pytest
 
-from oracles import bfs_distances, landmark_heuristic, reference_refine
+from oracles import bfs_distances, landmark_heuristic, lattice_move, reference_refine
 from coverplan import RegionSpec, Rect, Scenario, bench, cspace, search
 from test_astar_property import wrapping_arms
 
@@ -54,7 +54,7 @@ def refine_cases(draw):
     goal = draw(st.sampled_from(reach[1:]))
     walk = [home]  # a random walk from home, which revisits states
     for move in draw(st.lists(st.integers(0, 2 * len(home) - 1), max_size=60)):
-        nb = scenario.move_table[walk[-1]][move]
+        nb = lattice_move(scenario, walk[-1], move // 2, (-1, +1)[move % 2])
         if nb is not None and cspace.collision_free(scenario, nb):
             walk.append(nb)
     seed = search.Path(tuple(walk))
