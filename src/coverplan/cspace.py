@@ -631,15 +631,21 @@ def check_config(scenario: Scenario, q) -> Config:
 
     A coordinate must be an integer for ``operator.index``: a float, a
     string or a bool is refused with ValueError, not truncated or parsed.
+    Each test runs over the whole tuple at C level and reads no table, so
+    the check costs the same on a scenario whose tables are not built.
     """
     try:
-        cfg = tuple(map(_index, q))
+        items = tuple(q)
+        cfg = tuple(map(operator.index, items))
+        if bool in map(type, items):
+            raise TypeError("a coordinate is a bool")
     except TypeError as exc:
         raise ValueError(f"configuration must be a sequence of integers, got {q!r}") from exc
-    if len(cfg) != scenario.dof:
-        raise ValueError(f"configuration has {len(cfg)} coordinates, scenario has {scenario.dof} DOF")
-    if not in_bounds(scenario, cfg):
-        raise ValueError(f"configuration {cfg} outside lattice dims {scenario.dims}")
+    dims = scenario.dims
+    if len(cfg) != len(dims):
+        raise ValueError(f"configuration has {len(cfg)} coordinates, scenario has {len(dims)} DOF")
+    if min(cfg) < 0 or not all(map(operator.lt, cfg, dims)):
+        raise ValueError(f"configuration {cfg} outside lattice dims {dims}")
     return cfg
 
 

@@ -5,7 +5,7 @@ dict lookup in the library's goal index; the entry's descent pointers,
 derived when the library was built or loaded, lead from the goal to its
 attractor in at most max_descent_steps moves (no collision checks, no
 navigation values, no search); and the reversed home path of the start
-is concatenated with the home path of the goal.
+is joined to the home path of the goal in one tuple concatenation.
 The optional refinement stage then spends whatever remains of the time
 budget improving that path.
 
@@ -14,12 +14,17 @@ a representative path, a covered goal, or a state of the last executed
 path. The PotentialStateIndex keeps only what the library lacks (rep-path
 positions and the executed path); covered goals go through the library's
 goal index. When a state is both on a rep path and a covered goal, the
-earlier region in library order decides which it is.
+earlier region in library order decides which it is. A chained start, the
+end of the last executed path, reads the home path stored for it when the
+path was registered, so it costs no pointer chase.
 
-The library and scenario are immutable and shareable across concurrent
-queries; the PotentialStateIndex mutates between sequential queries (a
-query records the path it returned, a registration the executed path) and
-must be serialized per robot (single writer).
+The library is immutable and shareable across concurrent queries. A query
+only reads the scenario's fields and tables, but it adds its operation
+counts to ``scenario.counters``, so concurrent queries on one scenario mix
+their counts; the paths they return do not depend on the counters. The
+PotentialStateIndex mutates between sequential queries (a query records
+the path it returned, a registration the executed path) and must be
+serialized per robot (single writer).
 """
 
 from __future__ import annotations
@@ -90,7 +95,9 @@ class PotentialStateIndex:
     - ``executed``: each state of the last registered executed path -> its
       last position there; ``executed_path`` is that path and ``anchor``
       the path from home to its end (all empty or None until a path is
-      registered). Only one executed path is kept, which bounds memory and
+      registered). The anchor is what the lookup order gives for the end,
+      resolved once at registration; ``path_home_to`` returns it for the
+      end itself. Only one executed path is kept, which bounds memory and
       matches a robot sitting at the end of its last motion;
     - ``planned``: the path object that the last ``query`` given this index
       returned (None before the first), which ``update_potential_index``
@@ -136,13 +143,20 @@ class PotentialStateIndex:
 def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     """Constant-time path from home to a potential state. Never plans.
 
-    Rep-path states take the stored prefix; covered goals take lookup +
+    Home comes first. The end of the last executed path (a chained start)
+    then returns ``index.anchor`` itself. Otherwise, in the lookup order:
+    rep-path states take the stored prefix; covered goals take lookup +
     pointer chase; executed-path states take the stored anchor plus the
-    reversed executed suffix.
+    reversed executed suffix. The anchor was resolved at registration
+    from lookups that never change, and for the end the executed branch
+    adds nothing to it, so the shortcut gives what the order gives.
     """
     library = index.library
     if s == library.s_home:
         return Path((s,))
+    executed_path = index.executed_path
+    if executed_path is not None and s == executed_path.configs[-1]:
+        return index.anchor
     rep = index.rep_states.get(s)
     if rep is not None:
         path, k = rep
@@ -162,7 +176,10 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 
     The anchor path home -> end is resolved before the previous executed
     path is dropped, so chains of sequential queries stay constant-time.
-    Duplicate states keep their last position (shortest suffix).
+    When the end is not a potential state but the start is, the anchor is
+    the start's home path followed by the executed path. When neither end
+    is, StartNotPotential is raised naming both and the index is left
+    unchanged. Duplicate states keep their last position (shortest suffix).
 
     The path the last query on this index returned (``index.planned``, the
     same object) is a valid walk by construction and is taken as it is.
@@ -172,7 +189,16 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     """
     if executed_path is not index.planned:
         check_path(index.scenario, executed_path)
-    anchor = path_home_to(index, executed_path.configs[-1])
+    start, end = executed_path.configs[0], executed_path.configs[-1]
+    try:
+        anchor = path_home_to(index, end)
+    except StartNotPotential:
+        try:
+            anchor = concat_paths(path_home_to(index, start), executed_path)
+        except StartNotPotential:
+            raise StartNotPotential(
+                f"neither end of the executed path, {start} or {end}, is a potential state"
+            ) from None
     index.executed = {q: k for k, q in enumerate(executed_path.configs)}
     index.executed_path = executed_path
     index.anchor = anchor
@@ -246,7 +272,8 @@ def query(
             else:
                 starts = index if index is not None else PotentialStateIndex(scenario, library)
                 home_to_start = path_home_to(starts, request.start)
-                initial = concat_paths(home_to_start.reverse(), home_to_goal)
+                # both paths leave home: back along the first, out along the second
+                initial = Path(home_to_start.configs[::-1] + home_to_goal.configs[1:])
     except DescentStalled as exc:
         raise StaleLibrary(str(exc)) from exc
     scenario.counters.elementary_steps += len(initial.configs)

@@ -93,7 +93,9 @@ class CoverPlanner:
 
         The path the last ``plan`` returned (that object) is registered as
         it is; any other must pass ``path_is_valid``, or InvalidPath is
-        raised and nothing is registered.
+        raised and nothing is registered. One end must be a potential
+        state; when neither is, StartNotPotential is raised and nothing is
+        registered.
         """
         self._check_fitted()
         update_potential_index(self.index_, path)

@@ -5,11 +5,11 @@ are used to check: breadth-first flood fill for unit-cost distances, the
 home-landmark heuristic built on it, a literal step-by-step simulation of
 the navigation-descent rule, the offline sampling loop over whole basins,
 a plain anytime refinement loop that heapifies its whole open set every
-pass, and the first-match rule that makes a state a potential start. They
-test validity with ``cspace.collision_free``, which runs the geometry on
-every call, and find moves and neighbours by their own formula, so they
-never read the validity memo or the move and neighbour tables that the
-scenario keeps.
+pass, and the first-match rule that makes a state a potential start and
+the home path that rule gives it. They test validity with
+``cspace.collision_free``, which runs the geometry on every call, and find
+moves and neighbours by their own formula, so they never read the
+validity memo or the move and neighbour tables that the scenario keeps.
 """
 
 import heapq
@@ -302,3 +302,38 @@ def potential_provenance(library):
             for q in entry.members & rc.covered:
                 provenance.setdefault(q, ("goal_region", entry, None))
     return provenance
+
+
+def home_path_by_lookup(index, s, provenance=None):
+    """The home path of s by the documented lookup order, with no shortcut.
+
+    Home, then the first-match reason of ``potential_provenance``: a
+    rep-path state takes its rep path up to its position, a covered goal
+    its entry's rep path followed by the reversed chase of descent
+    pointers from s, cut at the first arrival at s. Any other state of the
+    index's executed path takes the anchor, then the executed path from
+    its end back to s's last position there. Returns the configurations,
+    or None when s is not a potential state. ``provenance`` is
+    ``potential_provenance(index.library)``, computed when not given.
+    """
+    if provenance is None:
+        provenance = potential_provenance(index.library)
+    why = provenance.get(s)
+    if why is not None:
+        kind, entry, position = why
+        if kind == "home":
+            return (s,)
+        if kind == "rep_path":
+            return entry.rep_path.configs[: position + 1]
+        chase = [s]
+        while chase[-1] != entry.attractor:
+            chase.append(entry.next_member[chase[-1]])
+        configs = entry.rep_path.configs + tuple(reversed(chase[:-1]))
+        return configs[: configs.index(s) + 1]
+    if index.executed_path is None:
+        return None
+    executed = index.executed_path.configs
+    last = [k for k, q in enumerate(executed) if q == s]
+    if not last:
+        return None
+    return index.anchor.configs + executed[last[-1] :][::-1][1:]

@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 
 import pytest
 
 import oracles
-from conftest import cell_rect, grid
+from conftest import arm3_s16, cell_rect, grid
 from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
 
 
@@ -429,6 +430,44 @@ def test_check_config(empty8):
     for q in [(9.7, 0), (3.0, 4), ("9", 0), ("3", "4"), (True, 0), (3, False), "34", 34]:
         with pytest.raises(ValueError):
             cspace.check_config(empty8, q)
+
+
+def test_check_config_takes_any_iterable_of_integers(empty8):
+    assert cspace.check_config(empty8, (c for c in (3, 4))) == (3, 4)
+    assert cspace.check_config(empty8, range(2, 4)) == (2, 3)
+
+
+def test_check_config_reads_numpy_integers_as_ints(empty8):
+    np = pytest.importorskip("numpy")
+    for q in [np.array([3, 4], dtype=np.int64), [np.int64(3), np.int64(4)]]:
+        cfg = cspace.check_config(empty8, q)
+        assert cfg == (3, 4) and [type(c) for c in cfg] == [int, int]
+
+
+def test_check_config_refusal_messages(empty8):
+    refusals = {
+        (1, 2, 3): "configuration has 3 coordinates, scenario has 2 DOF",
+        (): "configuration has 0 coordinates, scenario has 2 DOF",
+        (9, 0): "configuration (9, 0) outside lattice dims (8, 8)",
+        (0, 8): "configuration (0, 8) outside lattice dims (8, 8)",
+        (-1, 0): "configuration (-1, 0) outside lattice dims (8, 8)",
+        (9.7, 0): "configuration must be a sequence of integers, got (9.7, 0)",
+        ("3", "4"): "configuration must be a sequence of integers, got ('3', '4')",
+        (3, False): "configuration must be a sequence of integers, got (3, False)",
+        (True, 0, 0): "configuration must be a sequence of integers, got (True, 0, 0)",
+        "34": "configuration must be a sequence of integers, got '34'",
+        34: "configuration must be a sequence of integers, got 34",
+    }
+    for q, message in refusals.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cspace.check_config(empty8, q)
+
+
+def test_check_config_builds_no_table():
+    for sc in (grid(8), arm3_s16()):
+        fresh = dataclasses.replace(sc)
+        cspace.check_config(fresh, fresh.s_home)
+        assert "state_table" not in vars(fresh) and "neighbor_table" not in vars(fresh)
 
 
 def test_arm_joint_limits_dims():

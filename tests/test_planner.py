@@ -90,6 +90,35 @@ def test_register_refuses_a_path_that_jumps():
         planner.plan(g0, start=(0, 0), refine=False)
 
 
+def test_register_a_path_that_leaves_the_potential_set():
+    """grid8_d00 (seed 0): after home -> (5, 0), the walk (5, 0), (4, 0),
+    (4, 1) ends at a state with no home path of its own, and registering it
+    once raised StartNotPotential for (4, 1). Its anchor is now the home
+    path of its start followed by the walk. A walk with neither end
+    potential is refused, naming both, and nothing is registered."""
+    planner = CoverPlanner(seed=0).fit(dict(corpus.corpus())["grid8_d00"])
+    index = planner.index_
+    first = planner.plan((5, 0), refine=False).path
+    planner.register_executed(first)
+    walk = search.Path(((5, 0), (4, 0), (4, 1)))
+    assert (4, 1) not in index
+    planner.register_executed(walk)
+    assert index.executed_path is walk
+    assert index.anchor.configs == first.configs + walk.configs[1:]
+    assert online.path_home_to(index, (4, 1)) is index.anchor
+    goal = sorted(planner.library_.regions[1].covered)[0]
+    res = planner.plan(goal, start=(4, 1), refine=False)
+    assert res.path.start == (4, 1) and res.path.goal == goal
+    assert search.path_is_valid(planner.scenario_, res.path)
+
+    outside = search.Path(((4, 3), (4, 4)))
+    assert not any(q in index for q in outside.configs)
+    before = (index.executed, index.executed_path, index.anchor)
+    with pytest.raises(errors.StartNotPotential, match=re.escape("(4, 3) or (4, 4)")):
+        planner.register_executed(outside)
+    assert (index.executed, index.executed_path, index.anchor) == before
+
+
 def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monkeypatch):
     """The path object the last plan returned registers with no check; an
     equal copy of it, or an earlier plan's path, is checked first."""

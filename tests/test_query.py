@@ -293,6 +293,30 @@ def test_update_potential_index_enables_sequential_starts(fitted12):
         onl.query(sc, lib, onl.QueryRequest(start=never_visited[0], goal=goal_b), index=index)
 
 
+def test_chained_start_reads_the_anchor(two_region_grid12, monkeypatch):
+    """A no-refine query from the end of the last executed path takes its
+    home path from the stored anchor: ``connect`` runs once, for the goal,
+    though the start is a covered goal off every rep path, which the
+    lookup order would chase again."""
+    from coverplan import CoverPlanner
+
+    planner = CoverPlanner(seed=0).fit(two_region_grid12)
+    rep_states = planner.index_.rep_states
+    pick, place = (min(rc.covered - rep_states.keys()) for rc in planner.library_.regions)
+    planner.register_executed(planner.plan(pick, refine=False).path)
+    calls = []
+    connect = onl.connect
+
+    def counted(entry, q):
+        calls.append(q)
+        return connect(entry, q)
+
+    monkeypatch.setattr(onl, "connect", counted)
+    res = planner.plan(place, start=pick, refine=False)
+    assert calls == [place]
+    assert res.path.start == pick and res.path.goal == place
+
+
 def test_executed_mid_path_home_route_is_valid(fitted12):
     from coverplan.search import path_is_valid
 
