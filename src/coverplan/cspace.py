@@ -11,13 +11,16 @@ A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
 from fields that cannot change afterwards. ``axis_rows`` re-centres a
 per-axis constant on a state, giving each index's value at its wrapped
 offset from that state: the search heuristic's rows (``axis_offsets``)
-and the descent's integer squares (``axis_squares``) to one goal. All
-operations are pure functions of that data and are safe for concurrent
-use. ``counters`` is an ``OpCounters``
+and the descent's integer squares (``axis_squares``) to one goal. Every
+result is a pure function of that data. ``counters`` is an ``OpCounters``
 instrumentation block, which exists so callers can prove how much work
 (collision checks, expansions, elementary steps) an online query
-performed. Four tables run lattice-only work once per scenario, each built
-whole on first use. Two are keyed by exactly the prod(dims) lattice
+performed. It is the one mutable part, and it is shared: queries and
+builds on a scenario add their counts to it (each ``is_valid`` adds a
+collision check), so concurrent queries or builds on one scenario mix
+their counts. No result depends on the counters. Four tables run
+lattice-only work once per scenario, each built whole on first use.
+Two are keyed by exactly the prod(dims) lattice
 states, in lexicographic order: ``state_table`` (each state's
 collision-free flag and end-effector point, read by ``is_valid``,
 ``region_configs`` and ``region_reach``; an arm's is built by walking the

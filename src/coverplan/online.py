@@ -18,13 +18,21 @@ earlier region in library order decides which it is. A chained start, the
 end of the last executed path, reads the home path stored for it when the
 path was registered, so it costs no pointer chase.
 
+The index also keeps the last query's goal with its home path (the
+pointer chase ``connect`` gave), one slot that the next query replaces.
+Registering the path that the last query returned therefore costs O(1)
+in its length: it is taken without a check, and its end, that goal, is
+looked up in the slot instead of being chased again. The executed path
+itself is the only record of its states; looking up a state in the
+middle of it scans the path.
+
 The library is immutable and shareable across concurrent queries. A query
 only reads the scenario's fields and tables, but it adds its operation
 counts to ``scenario.counters``, so concurrent queries on one scenario mix
 their counts; the paths they return do not depend on the counters. The
 PotentialStateIndex mutates between sequential queries (a query records
-the path it returned, a registration the executed path) and must be
-serialized per robot (single writer).
+the path it returned and its goal's home path, a registration records
+the executed path) and must be serialized per robot (single writer).
 """
 
 from __future__ import annotations
@@ -92,22 +100,30 @@ class PotentialStateIndex:
 
     - ``rep_states``: each representative-path state -> (its first rep
       path, its position there);
-    - ``executed``: each state of the last registered executed path -> its
-      last position there; ``executed_path`` is that path and ``anchor``
-      the path from home to its end (all empty or None until a path is
-      registered). The anchor is what the lookup order gives for the end,
-      resolved once at registration; ``path_home_to`` returns it for the
-      end itself. Only one executed path is kept, which bounds memory and
-      matches a robot sitting at the end of its last motion;
+    - ``goal_path``: the goal of the last ``query`` given this index and
+      its home path, ``(goal, connect(hit.entry, goal))`` (None before the
+      first; a query whose start is its goal leaves it as it was). Only
+      ``query`` writes it and ``path_home_to`` reads it, so it holds one
+      goal whatever the number of queries;
+    - ``executed_path``: the last registered executed path, the only
+      record of its states (a mid-path lookup scans it and takes a state's
+      last position), and ``anchor``, the path from home to its end (both
+      None until a path is registered). The anchor is what the lookup order
+      gives for the end, resolved once at registration; ``path_home_to``
+      returns it for the end itself. Only one executed path is kept, which
+      bounds memory and matches a robot sitting at the end of its last
+      motion;
     - ``planned``: the path object that the last ``query`` given this index
       returned (None before the first), which ``update_potential_index``
       registers without re-checking it.
 
     Covered goals are answered by ``library.goal_index``. Lookups try home,
-    ``rep_states``, the goal index and ``executed``, in that order. Regions
-    take priority in library order, and within a region rep-path states
-    come before covered goals, so a rep-path state that an earlier region
-    covers as a goal is left out of ``rep_states`` and served as that goal.
+    ``rep_states``, the goal index and the executed path, in that order.
+    Regions take priority in library order, and within a region rep-path
+    states come before covered goals, so a rep-path state that an earlier
+    region covers as a goal is left out of ``rep_states`` and served as
+    that goal. The index is single-writer: queries and registrations that
+    share one must be serialized.
     """
 
     def __init__(self, scenario: Scenario, library: Library):
@@ -126,7 +142,7 @@ class PotentialStateIndex:
                     if hit is None or hit.region_id not in earlier:
                         self.rep_states[q] = (rep, k)
             earlier.add(rc.region_id)
-        self.executed: dict[Config, int] = {}
+        self.goal_path: tuple[Config, Path] | None = None
         self.executed_path: Path | None = None
         self.anchor: Path | None = None
         self.planned: Path | None = None
@@ -136,7 +152,7 @@ class PotentialStateIndex:
             q == self.library.s_home
             or q in self.rep_states
             or q in self.library.goal_index
-            or q in self.executed
+            or (self.executed_path is not None and q in self.executed_path.configs)
         )
 
 
@@ -146,10 +162,12 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     Home comes first. The end of the last executed path (a chained start)
     then returns ``index.anchor`` itself. Otherwise, in the lookup order:
     rep-path states take the stored prefix; covered goals take lookup +
-    pointer chase; executed-path states take the stored anchor plus the
-    reversed executed suffix. The anchor was resolved at registration
-    from lookups that never change, and for the end the executed branch
-    adds nothing to it, so the shortcut gives what the order gives.
+    pointer chase, unless the goal is the one in ``index.goal_path``, whose
+    stored path is returned; executed-path states take the stored anchor
+    plus the executed path from its end back to the state's last position
+    there. The anchor was resolved at registration from lookups that never
+    change, and for the end the executed branch adds nothing to it, so the
+    shortcut gives what the order gives.
     """
     library = index.library
     if s == library.s_home:
@@ -163,12 +181,16 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
         return Path(path.configs[: k + 1])
     hit = find_rep_path(library, s)
     if hit is not None:
+        slot = index.goal_path
+        if slot is not None and slot[0] == s:
+            return slot[1]
         return connect(hit.entry, s)
-    k = index.executed.get(s)
-    if k is None:
-        raise StartNotPotential(f"{s} is not a potential state")
-    # home -> end of the executed path, then back along it to s
-    return concat_paths(index.anchor, Path(index.executed_path.configs[k:][::-1]))
+    if executed_path is not None:
+        back = executed_path.configs[::-1]
+        if s in back:
+            # home -> end of the executed path, then back along it to s
+            return concat_paths(index.anchor, Path(back[: back.index(s) + 1]))
+    raise StartNotPotential(f"{s} is not a potential state")
 
 
 def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> PotentialStateIndex:
@@ -183,9 +205,11 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 
     The path the last query on this index returned (``index.planned``, the
     same object) is a valid walk by construction and is taken as it is.
-    Any other path must pass ``path_is_valid``, or InvalidPath is raised
-    and the index is left unchanged, since later queries would hand its
-    steps out as plans.
+    Its end is that query's goal, whose home path is the anchor, a stored
+    rep-path prefix or the ``goal_path`` the query stored, so registering
+    it does no work that grows with the path's length. Any other path must
+    pass ``path_is_valid``, or InvalidPath is raised and the index is left
+    unchanged, since later queries would hand its steps out as plans.
     """
     if executed_path is not index.planned:
         check_path(index.scenario, executed_path)
@@ -199,7 +223,6 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
             raise StartNotPotential(
                 f"neither end of the executed path, {start} or {end}, is a potential state"
             ) from None
-    index.executed = {q: k for k, q in enumerate(executed_path.configs)}
     index.executed_path = executed_path
     index.anchor = anchor
     return index
@@ -251,9 +274,13 @@ def query(
     steps (starts registered from an executed path substitute their stored
     anchor length for the rep-path term). The budget clock starts at
     request receipt; lookup and connect time are deducted from the
-    refinement budget. A given ``index`` records the returned path as its
-    ``planned`` path.
+    refinement budget. A given ``index`` must be one built for this
+    ``library`` (that object), since its lookups answer for that library,
+    or ValueError is raised; it records the returned path as its ``planned``
+    path and the goal's home path as its ``goal_path``.
     """
+    if index is not None and index.library is not library:
+        raise ValueError("the index was built for another library")
     t0 = clock()
     deadline = t0 + request.budget_ms / 1000.0
 
@@ -267,6 +294,8 @@ def query(
             initial = Path((request.start,))
         else:
             home_to_goal = connect(hit.entry, request.goal)
+            if index is not None:
+                index.goal_path = (request.goal, home_to_goal)
             if request.start == library.s_home:
                 initial = home_to_goal
             else:

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import oracles
 from coverplan import CoverPlanner, corpus, errors, online, search
 
 
@@ -85,7 +86,7 @@ def test_register_refuses_a_path_that_jumps():
     assert g0 == (9, 0)
     with pytest.raises(errors.InvalidPath, match=r"\(9, 0\) -> \(0, 0\) is not one lattice move"):
         planner.register_executed(search.Path((g0, (0, 0), g0)))
-    assert planner.index_.executed == {} and planner.index_.executed_path is None
+    assert planner.index_.executed_path is None
     with pytest.raises(errors.StartNotPotential):
         planner.plan(g0, start=(0, 0), refine=False)
 
@@ -113,10 +114,10 @@ def test_register_a_path_that_leaves_the_potential_set():
 
     outside = search.Path(((4, 3), (4, 4)))
     assert not any(q in index for q in outside.configs)
-    before = (index.executed, index.executed_path, index.anchor)
+    before = (index.executed_path, index.anchor)
     with pytest.raises(errors.StartNotPotential, match=re.escape("(4, 3) or (4, 4)")):
         planner.register_executed(outside)
-    assert (index.executed, index.executed_path, index.anchor) == before
+    assert (index.executed_path, index.anchor) == before
 
 
 def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monkeypatch):
@@ -143,6 +144,66 @@ def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monk
     assert planner.index_.executed_path is first
 
 
+def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, monkeypatch):
+    """Registering the path the last plan returned calls neither connect
+    nor path_is_valid, whether that plan started at home, at the end of the
+    last executed path, or was refined: the end's home path is the one
+    that the plan stored in ``index.goal_path``. The goals are on no rep
+    path, so without it the end would be chased again."""
+    planner = CoverPlanner(seed=0).fit(two_region_grid12)
+    index = planner.index_
+    pick, place = (
+        [q for q in sorted(rc.covered) if q not in index.rep_states]
+        for rc in planner.library_.regions
+    )
+    calls = []
+    connect, path_is_valid = online.connect, search.path_is_valid
+
+    def counted_connect(entry, q):
+        calls.append("connect")
+        return connect(entry, q)
+
+    def counted_path_is_valid(scenario, path):
+        calls.append("path_is_valid")
+        return path_is_valid(scenario, path)
+
+    monkeypatch.setattr(online, "connect", counted_connect)
+    monkeypatch.setattr(search, "path_is_valid", counted_path_is_valid)
+    plans = {
+        "home": lambda: planner.plan(pick[0], refine=False),
+        "chained": lambda: planner.plan(place[0], start=pick[0], refine=False),
+        "refined": lambda: planner.plan(pick[1], start=place[0], budget_ms=1e4),
+    }
+    for kind, plan in plans.items():
+        calls.clear()
+        res = plan()
+        assert "connect" in calls, kind  # the plan chases its goal
+        calls.clear()
+        planner.register_executed(res.path)
+        assert calls == [], kind
+        assert index.executed_path is res.path
+    assert res.refine_report is not None and res.final_cost < res.initial_cost
+
+
+def test_a_state_visited_twice_is_served_from_its_last_visit():
+    """grid8_d00 (seed 0): the walk (5, 0), (4, 0), (4, 1), (4, 2), (4, 1),
+    (3, 1) visits (4, 1) twice. Its home path is the anchor followed by the
+    walk back from the end to the last visit, as the oracle's last position
+    gives, not to the first."""
+    planner = CoverPlanner(seed=0).fit(dict(corpus.corpus())["grid8_d00"])
+    index = planner.index_
+    planner.register_executed(planner.plan((5, 0), refine=False).path)
+    walk = search.Path(((5, 0), (4, 0), (4, 1), (4, 2), (4, 1), (3, 1)))
+    assert not any(q in index for q in walk.configs[2:])
+    planner.register_executed(walk)
+    assert all(q in index for q in walk.configs)
+    assert (4, 3) not in index
+    got = online.path_home_to(index, (4, 1))
+    assert got.configs == index.anchor.configs + ((4, 1),)
+    assert got.configs == oracles.home_path_by_lookup(index, (4, 1))
+    assert online.path_home_to(index, (4, 2)).configs == index.anchor.configs + ((4, 1), (4, 2))
+
+
 def test_update_potential_index_refuses_an_invalid_path(two_region_grid12):
     """The public entry has the same rule: a path off the lattice, through an
     obstacle or with a jump raises InvalidPath and leaves the index as it was."""
@@ -153,7 +214,7 @@ def test_update_potential_index_refuses_an_invalid_path(two_region_grid12):
     index = planner.index_
     goal = sorted(planner.library_.regions[0].covered)[0]
     online.update_potential_index(index, planner.plan(goal, refine=False).path)
-    before = (index.executed, index.executed_path, index.anchor)
+    before = (index.executed_path, index.anchor)
     faults = {
         "(-1, 6) leaves the lattice": ((0, 6), (-1, 6)),
         "(1, 6) is in collision": ((0, 6), (1, 6)),
@@ -162,7 +223,7 @@ def test_update_potential_index_refuses_an_invalid_path(two_region_grid12):
     for fault, configs in faults.items():
         with pytest.raises(errors.InvalidPath, match=re.escape(fault)):
             online.update_potential_index(index, search.Path(configs))
-    assert (index.executed, index.executed_path, index.anchor) == before
+    assert (index.executed_path, index.anchor) == before
 
 
 def test_refit_resets_state(two_region_grid12):

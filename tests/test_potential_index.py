@@ -127,10 +127,10 @@ def test_chained_registrations_match_the_lookup_oracle(name, chain):
             path = random_walk(sc, start, extra)
         head, tail = lookup(path.configs[0]), lookup(path.configs[-1])
         if tail is None and head is None:
-            before = (index.executed, index.executed_path, index.anchor)
+            before = (index.executed_path, index.anchor)
             with pytest.raises(errors.StartNotPotential, match="neither end"):
                 planner.register_executed(path)
-            assert (index.executed, index.executed_path, index.anchor) == before
+            assert (index.executed_path, index.anchor) == before
             continue
         planner.register_executed(path)
         assert index.anchor.configs == (tail if tail is not None else head + path.configs[1:])
@@ -142,3 +142,49 @@ def test_chained_registrations_match_the_lookup_oracle(name, chain):
             assert path_is_valid(sc, got), (name, q)
         if path.goal != sc.s_home:
             assert onl.path_home_to(index, path.goal) is index.anchor
+
+
+# ---------------------------------------------------------------------------
+# the last goal's home path against an index that has not seen the plans
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(CHAIN_SCENARIOS), chain=st.lists(steps, min_size=1, max_size=8))
+def test_last_goal_path_changes_no_plan(name, chain):
+    """Plans and registrations on one index, with goals drawn from a few so
+    that later starts and ends meet the stored goal: each plan equals the
+    same request on a fresh index that has seen only the same
+    registrations, and ``goal_path`` holds the last plan's goal with its
+    pointer chase."""
+    sc = dict(corpus.corpus())[name]
+    planner = CoverPlanner(seed=0).fit(sc)
+    lib, index = planner.library_, planner.index_
+    goals = sorted(lib.goal_index)
+    few = goals[:: max(1, len(goals) // 4)]
+    potential = sorted(oracles.potential_provenance(lib))
+    valid = [q for q in cspace.lattice_configs(sc) if cspace.collision_free(sc, q)]
+    registered = []
+
+    for kind, pick, draw, extra in chain:
+        executed = index.executed_path.configs if index.executed_path else (sc.s_home,)
+        pools = [(sc.s_home,), executed[-1:], executed, few, potential if kind == "plan" else valid]
+        start = pools[pick][draw % len(pools[pick])]
+        if kind == "plan":
+            if start not in index:
+                continue
+            request = onl.QueryRequest(start, few[extra % len(few)], refine=False)
+            path = planner.plan(request.goal, start, refine=False).path
+            fresh = onl.PotentialStateIndex(sc, lib)
+            for executed_path in registered:
+                onl.update_potential_index(fresh, executed_path)
+            assert onl.query(sc, lib, request, index=fresh).path.configs == path.configs
+            if start != request.goal:
+                goal = request.goal
+                assert index.goal_path == (goal, onl.connect(lib.goal_index[goal].entry, goal))
+        else:
+            path = random_walk(sc, start, extra)
+        try:
+            planner.register_executed(path)
+        except errors.StartNotPotential:
+            continue
+        registered.append(path)

@@ -4,10 +4,10 @@ import time
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import Circle, RegionSpec, cspace, errors
+from coverplan import Circle, RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from coverplan import online as onl
-from coverplan.search import astar
+from coverplan.search import astar, path_is_valid
 
 
 @pytest.fixture
@@ -188,6 +188,47 @@ def test_query_refine_reaches_oracle(fitted12):
     assert res.final_cost == oracle
     assert res.final_cost < res.initial_cost
     assert res.optimal_flag
+
+
+def test_home_start_without_an_index_builds_none(fitted12, monkeypatch):
+    """The CLI's query, from home with no index, builds no
+    PotentialStateIndex; a start elsewhere builds one to look it up."""
+    sc, lib = fitted12
+    built = []
+
+    class Counted(onl.PotentialStateIndex):
+        def __init__(self, scenario, library):
+            built.append(library)
+            super().__init__(scenario, library)
+
+    monkeypatch.setattr(onl, "PotentialStateIndex", Counted)
+    goal = sorted(lib.regions[1].covered)[0]
+    onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=goal, refine=False))
+    assert built == []
+    start = sorted(lib.regions[0].covered)[0]
+    onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False))
+    assert built == [lib]
+
+
+def test_query_refuses_an_index_of_another_library():
+    """grid8_d00 and grid8_d10 share their lattice and home and both cover
+    (5, 2) and (5, 6). With an index of the first that has registered a
+    plan to (5, 2), a query on the second from there to (5, 6) went back
+    along the first's path, which crosses an obstacle of the second; an
+    index of another library is now refused."""
+    scenarios = dict(corpus.corpus())
+    sc_a, sc_b = scenarios["grid8_d00"], scenarios["grid8_d10"]
+    lib_a, lib_b = pre.preprocess(sc_a, seed=0), pre.preprocess(sc_b, seed=0)
+    index = onl.PotentialStateIndex(sc_a, lib_a)
+    first = onl.query(sc_a, lib_a, onl.QueryRequest(sc_a.s_home, (5, 2), refine=False), index=index)
+    onl.update_potential_index(index, first.path)
+    assert not path_is_valid(sc_b, first.path)
+    request = onl.QueryRequest(start=(5, 2), goal=(5, 6), refine=False)
+    with pytest.raises(ValueError, match="another library"):
+        onl.query(sc_b, lib_b, request, index=index)
+    with pytest.raises(ValueError, match="another library"):
+        onl.query(sc_a, pre.preprocess(sc_a, seed=0), request, index=index)
+    assert path_is_valid(sc_b, onl.query(sc_b, lib_b, request).path)
 
 
 def test_query_goal_uncovered(fitted12):
