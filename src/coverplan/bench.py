@@ -360,8 +360,16 @@ def _run_instances(scenario, library, cfg, instances, sequential=False):
 
 
 def oracle_costs(scenario: Scenario, records: list[TrialRecord]) -> dict[tuple, float | None]:
-    """Per-instance optimal cost from a weight-1 A* oracle (no deadline)."""
-    out: dict[tuple, float | None] = {}
+    """Per-instance optimal cost from a weight-1 A* oracle (no deadline).
+
+    A successful ``astar`` trial made that same call, cut short by no
+    deadline, so its cost is taken as is; A* runs only for the pairs that
+    have no such record. No other planner's result or optimal flag is
+    read, so the oracle stays independent of the planners it grades.
+    """
+    out: dict[tuple, float | None] = {
+        (rec.start, rec.goal): rec.cost for rec in records if rec.planner == "astar" and rec.success
+    }
     for rec in records:
         key = (rec.start, rec.goal)
         if key in out:

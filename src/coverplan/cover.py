@@ -38,8 +38,12 @@ and excluded split off ``region_reach``, so a built library equals its
 loaded copy, and a file can claim no member, pointer, step bound, rep
 path or goal.
 
-Regions are independent; builders may run concurrently. The merged
-library is immutable afterward.
+Regions are independent: a region's cover depends on the scenario, the
+region and the seed alone. A build only reads the scenario's fields and
+tables, but it adds its collision checks to the shared
+``scenario.counters``, so concurrent builds on one scenario mix their
+counts; the library they build does not depend on the counters. The
+merged library is immutable afterward.
 """
 
 from __future__ import annotations
@@ -334,12 +338,13 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
     """Build the library: a cover of each region with attractor basins.
 
     Deterministic for a fixed (scenario, seed). Each region draws from its
-    own seeded rng, so region builds are independent and could run
-    concurrently. Runs no search and walks only from the region, whose
-    states come from ``scenario.region_reach``. One memo per attractor
-    builds its entry with ``_cover_entry``, as the loader does, and then
-    finds the next candidates with ``_frontier``. Raises HomeInvalid when
-    the home state fails validation.
+    own seeded rng, so region builds are independent (their counts go to
+    the shared ``scenario.counters``; see the module docstring). Runs no
+    search and walks only from the region, whose states come from
+    ``scenario.region_reach``. One memo per attractor builds its entry
+    with ``_cover_entry``, as the loader does, and then finds the next
+    candidates with ``_frontier``. Raises HomeInvalid when the home state
+    fails validation.
     """
     if not cspace.is_valid(scenario, scenario.s_home):
         raise HomeInvalid(f"home state {scenario.s_home} is invalid")

@@ -15,10 +15,16 @@ landmark, the scenario's distances from home. Every search reads its
 heuristic from a _HeuristicMemo, which builds what depends on the goal
 once: per axis, each index's wrapped distance to the goal's. A state's
 value is then one row entry per axis, summed, and one landmark read;
-shortcut_path calls cspace.heuristic, the per-call definition.
+shortcut_path calls cspace.heuristic, the per-call definition. In the
+same way the pass reads the scenario's neighbor_table and calls
+cspace.is_valid once per neighbour; cspace.successors remains the
+per-call definition of a state's successors.
 
-All searches own their mutable state; many may run concurrently over one
-immutable scenario. Deadlines are absolute instants on the injected
+All searches own their g-values, parents and open lists and only read
+the scenario's fields and tables, but they add their counts (collision
+checks, expansions) to the shared ``scenario.counters``, so concurrent
+searches on one scenario mix their counts; the paths they return do not
+depend on the counters. Deadlines are absolute instants on the injected
 clock (monotonic wall clock by default): the shared pass checks it
 before each selection, shortcut_path before each trial.
 
@@ -230,6 +236,8 @@ class _AnytimeSearch:
         h, g, parent = self.h, self.g, self.parent
         open_set, incons, chain = self.open_set, self.incons, self.chain
         scenario, goal = h.scenario, h.goal
+        neighbors, is_valid, counters = scenario.neighbor_table, cspace.is_valid, scenario.counters
+        heappush, heappop, g_get, inf = heapq.heappush, heapq.heappop, g.get, math.inf
         open_set |= incons
         incons.clear()
         heap = [(g[q] + eps * h[q], -g[q], q) for q in open_set]
@@ -240,7 +248,7 @@ class _AnytimeSearch:
             if deadline is not None and clock() >= deadline:
                 return "deadline", expansions
             while heap:
-                f, neg_g, q = heapq.heappop(heap)
+                f, neg_g, q = heappop(heap)
                 if q in open_set and -neg_g == g[q]:
                     break
             else:
@@ -248,15 +256,16 @@ class _AnytimeSearch:
             if q == goal:
                 open_set.discard(q)
                 return "goal", expansions
-            if f >= g.get(goal, math.inf):
+            if f >= g_get(goal, inf):
                 return "bound", expansions
             open_set.discard(q)
             closed.add(q)
-            scenario.counters.expansions += 1
+            counters.expansions += 1
             expansions += 1
             g2 = g[q] + cspace.UNIT_COST
-            for nb in cspace.successors(scenario, q):
-                if g2 >= g.get(nb, math.inf):
+            # cspace.successors inline: is_valid comes first, so every neighbour is checked
+            for nb in neighbors.get(q, ()):
+                if not is_valid(scenario, nb) or g2 >= g_get(nb, inf):
                     continue
                 g[nb] = g2
                 parent[nb] = q
@@ -266,7 +275,7 @@ class _AnytimeSearch:
                     incons.add(nb)
                 else:
                     open_set.add(nb)
-                    heapq.heappush(heap, (g2 + eps * h[nb], -g2, nb))
+                    heappush(heap, (g2 + eps * h[nb], -g2, nb))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import bfs_distances
 from coverplan import bench, corpus, cspace
 from coverplan import cover as pre
 from coverplan.online import PotentialStateIndex
@@ -83,9 +84,9 @@ def test_single_experiment_invariants(small_setup):
         )
         assert refined.cost <= base.cost
 
-    oracle = bench.oracle_costs(sc, records)
+    # oracle_costs reads these records, so they are checked against BFS instead
     for r in by_planner["astar"]:
-        assert r.cost == oracle[(r.start, r.goal)]
+        assert r.cost == bfs_distances(sc, r.start)[r.goal]
 
     for row in stats:
         if row.mean_suboptimality_common is not None:
@@ -208,6 +209,44 @@ def test_integer_budget_writes_the_float_budget_bytes(ladder, tmp_path):
     as_int = ladder_outputs(ladder, tmp_path / "int", budget_ms=500)
     assert as_int == as_float
     assert b",500.000000," in as_int["trials"]
+
+
+def test_oracle_reuses_the_astar_trials(ladder, monkeypatch):
+    """oracle_costs gives the BFS distance of every pair. It takes each
+    successful astar trial's cost and runs A* only for the pairs that have
+    no such trial."""
+    scenario, library = ladder
+
+    def experiment(planners):
+        cfg = bench.ExperimentConfig(
+            scenario="grid21_ladder",
+            library="grid21_ladder",
+            mode="sequential",
+            trials=4,
+            budget_ms=2000.0,
+            planners=planners,
+            seed=3,
+        )
+        return bench.run_sequential_experiment(scenario, library, cfg)[0]
+
+    calls = []
+
+    def counting_astar(*args, **kwargs):
+        calls.append(args[1:3])
+        return astar(*args, **kwargs)
+
+    for planners, astar_calls in ((bench.KNOWN_PLANNERS, 0), (("ctmp", "ctmp+refine"), 4)):
+        records = experiment(planners)
+        assert all(r.success for r in records if r.planner == "astar")
+        monkeypatch.setattr(bench, "astar", counting_astar)
+        oracle = bench.oracle_costs(scenario, records)
+        monkeypatch.undo()
+        pairs = {(r.start, r.goal) for r in records}
+        assert len(pairs) == 4 and oracle.keys() == pairs
+        for start, goal in pairs:
+            assert oracle[(start, goal)] == bfs_distances(scenario, start)[goal]
+        assert len(calls) == astar_calls and set(calls) <= pairs
+        calls.clear()
 
 
 def test_sim_clock_is_counter_driven(small_setup):
