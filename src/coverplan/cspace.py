@@ -27,10 +27,10 @@ collision-free flag and end-effector point, read by ``is_valid``,
 joint lattice as a tree, with each link segment computed and tested at
 most once per joint prefix, and a grid's by rastering each obstacle over
 the cells of its bounding box) and ``neighbor_table`` (each state's
-single-DOF neighbours, built one move column at a time by
-``_move_column``, read by ``lattice_neighbors`` and the descent walks of
-preprocessing and the library loader). These two are geometry only, so
-validity still goes through the counted ``is_valid``.
+single-DOF neighbours, built from ``state_table``'s own keys, so each state
+is one object that all tables share; read by ``lattice_neighbors`` and the
+descent walks). Neither counts a check, so validity still goes through the
+counted ``is_valid``.
 ``home_distance``, a flood fill of the two from ``s_home``, holds each
 reachable state's step count from home, for the offline cover, the
 library loader, the refinement heuristic and the corpus generators. One
@@ -181,10 +181,10 @@ class Scenario:
     are computed once from ``grid_dims`` or ``arm``, and so is
     ``fingerprint``, the content hash that binds libraries to the scenario;
     freezing keeps them valid. ``counters`` is the one mutable part. The
-    tables ``state_table`` and ``neighbor_table`` are built whole on first
-    use, ``home_distance`` from those two, and ``region_reach`` from
-    ``state_table`` and ``home_distance`` (the module docstring says why
-    they are safe to share).
+    tables are built whole on first use: ``state_table``, then
+    ``neighbor_table`` from its keys, ``home_distance`` from those two, and
+    ``region_reach`` from ``state_table`` and ``home_distance`` (the module
+    docstring says why they are safe to share).
     """
 
     kind: str  # "grid" | "arm"
@@ -240,10 +240,29 @@ class Scenario:
 
     @cached_property
     def neighbor_table(self) -> dict[Config, tuple[Config, ...]]:
-        """Lattice state -> its single-DOF +-1 neighbours (geometry only), in
-        lexicographic order; a row runs axis by axis, -1 before +1."""
-        columns = [_move_column(self, axis, up) for axis in range(self.dof) for up in (0, 1)]
-        return {q: tuple(filter(None, row)) for q, row in zip(lattice_configs(self), zip(*columns))}
+        """Lattice state -> its single-DOF +-1 neighbours, in lexicographic
+        order; a row runs axis by axis, -1 before +1, modulo n on a wrapping
+        axis, and leaves out moves off the lattice. Built by rank from
+        ``state_table``'s keys (on an axis of n indices and stride s, rank r
+        is at index r // s % n), so each state is one shared object."""
+        keys = list(self.state_table)
+        rows = [[] for _ in keys]
+        s = len(keys)
+        # Only arm joints without limits wrap, and ArmModel keeps joints_per_rev
+        # >= 4, so a wrapping axis's two moves differ from each other and from q.
+        for n, wrap in zip(self.dims, self.wraps):
+            s //= n
+            for r, row in enumerate(rows):
+                i = r // s % n
+                if i:
+                    row.append(keys[r - s])
+                elif wrap:
+                    row.append(keys[r + s * (n - 1)])
+                if i < n - 1:
+                    row.append(keys[r + s])
+                elif wrap:
+                    row.append(keys[r - s * (n - 1)])
+        return dict(zip(keys, map(tuple, rows)))
 
     @cached_property
     def state_table(self) -> dict[Config, tuple[bool, tuple[float, float]]]:
@@ -526,30 +545,8 @@ def is_valid(scenario: Scenario, q: Config) -> bool:
 # lattice connectivity, metrics, regions
 
 
-def _move_column(scenario: Scenario, axis: int, up: int) -> list[Config | None]:
-    """Each lattice state's state one index down (up = 0) or up (up = 1) on
-    ``axis``, in lexicographic order: modulo n on a wrapping axis, None
-    where the move leaves the lattice.
-
-    The column is the lattice product with ``axis`` running over the moved
-    indices, so it is in the order of ``lattice_configs``.
-    """
-    # Only arm joints without limits wrap, and ArmModel keeps joints_per_rev
-    # >= 4, so a wrapping axis's two moves differ from each other and from q.
-    n, wrap = scenario.dims[axis], scenario.wraps[axis]
-    moved = [c + (1 if up else -1) for c in range(n)]
-    if wrap:
-        moved = [c % n for c in moved]
-    ranges = [range(k) for k in scenario.dims]
-    ranges[axis] = moved
-    column = itertools.product(*ranges)
-    if wrap:
-        return list(column)
-    return [q if 0 <= q[axis] < n else None for q in column]
-
-
 def lattice_neighbors(scenario: Scenario, q: Config) -> tuple[Config, ...]:
-    """Single-DOF +-1 neighbors by lattice geometry only (no validity).
+    """Single-DOF +-1 neighbors on the lattice (no validity).
 
     One read of the scenario's table; a configuration off the lattice has
     no neighbours, as it is never valid.

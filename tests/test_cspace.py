@@ -193,6 +193,11 @@ def test_neighbor_table_matches_the_oracle():
     for sc in scenarios:
         table = sc.neighbor_table
         assert list(table) == list(cspace.lattice_configs(sc))
+        # one object per lattice state: the tables hold the state table's keys,
+        # but for the home distances' seed, which is the scenario's s_home
+        keys = {q: q for q in sc.state_table}
+        assert all(nb is keys[nb] for q in table for nb in (q, *table[q]))
+        assert all(q is keys[q] for q in sc.home_distance if q is not sc.s_home)
         for q, nbs in table.items():
             moves = [
                 oracles.lattice_move(sc, q, axis, d) for axis in range(sc.dof) for d in (-1, +1)

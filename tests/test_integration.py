@@ -132,3 +132,31 @@ def test_home_inside_region_is_covered():
     res = onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=sc.s_home))
     assert res.final_cost == 0.0
     assert res.optimal_flag
+
+
+def test_six_dof_arm_keeps_the_online_contract():
+    """The paper's robot has 6 DoF: a 6-link arm at 6 steps per joint
+    (46,656 states). Each no-refine plan, from home to every covered goal
+    and along one registered pick -> place sweep, makes no collision check
+    and no expansion, and is a valid path from its start to its goal."""
+    sc = corpus.make_arm(6, 2, seed=6 * 7 + 2, link_lengths=(1.0, 0.8, 0.7, 0.6, 0.5, 0.4))
+    assert len(sc.state_table) == 6**6
+    planner = CoverPlanner(seed=0).fit(sc)
+    pick, place = (sorted(rc.covered) for rc in planner.library_.regions)
+    assert pick and place
+
+    def plan(goal, start):
+        before = sc.counters.snapshot()
+        path = planner.plan(goal, start=start, refine=False).path
+        assert sc.counters.snapshot()[:2] == before[:2], (start, goal)
+        assert (path.configs[0], path.configs[-1]) == (start, goal)
+        assert path_is_valid(sc, path), (start, goal)
+        return path
+
+    for goal in pick + place:
+        plan(goal, sc.s_home)
+    start = sc.s_home
+    for pair in zip(pick, place):
+        for goal in pair:
+            planner.register_executed(plan(goal, start))
+            start = goal

@@ -698,7 +698,7 @@ def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_librari
     warm = dataclasses.replace(sc)
     pre.load_library(path, warm)
     calls = collections.Counter()
-    for name in ("lattice_configs", "_move_column"):
+    for name in ("lattice_configs", "_arm_states"):
         original = getattr(cspace, name)
 
         def counted(*args, name=name, original=original):
@@ -709,9 +709,9 @@ def test_warm_load_builds_no_lattice_table(tmp_path, monkeypatch, corpus_librari
     assert pre.load_library(path, warm) == lib
     assert calls == {}
     pre.load_library(path, dataclasses.replace(sc))  # a cold load is counted
-    # one enumeration builds the move table; the arm's state table walks
-    # the joint prefixes and enumerates none
-    assert calls == {"lattice_configs": 1, "_move_column": 2 * sc.dof}
+    # the arm's state table walks the joint prefixes, and the neighbour table is
+    # built from its keys, so no lattice state is enumerated
+    assert calls == {"_arm_states": 1}
 
 
 def test_member_encoding_round_trip():

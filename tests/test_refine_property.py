@@ -71,6 +71,16 @@ def _run(scenario, start, goal, seed, **kwargs):
     return path.configs, records, [p.configs for p in report.incumbents], report.optimal_flag
 
 
+def _assert_bounded(records, optimum):
+    """The ARA* bound of each completed pass: cost <= epsilon * optimum (up
+    to float rounding of the product), with epsilon strictly falling and
+    the cost never rising from one pass to the next."""
+    epsilons, costs = [r[0] for r in records], [r[1] for r in records]
+    assert all(c <= e * optimum + 1e-9 for e, c in zip(epsilons, costs)), (records, optimum)
+    assert all(a > b for a, b in zip(epsilons, epsilons[1:])), records
+    assert all(a >= b for a, b in zip(costs, costs[1:])), records
+
+
 @PROPERTY
 @given(refine_cases())
 def test_refine_matches_reference_and_bfs(case):
@@ -85,7 +95,9 @@ def test_refine_matches_reference_and_bfs(case):
     assert clock() == run_time  # the same expansions and collision checks
     path, records, _, optimal = full
     assert optimal and records[-1][0] == 1.0
-    assert len(path) - 1 == bfs_distances(scenario, start)[goal]
+    optimum = bfs_distances(scenario, start)[goal]
+    assert len(path) - 1 == optimum
+    _assert_bounded(records, optimum)
     assert search.path_is_valid(scenario, search.Path(path))
 
     deadline = fraction * run_time
@@ -94,3 +106,4 @@ def test_refine_matches_reference_and_bfs(case):
     assert cut == reference_refine(scenario, start, goal, seed, h, deadline=deadline, clock=clock)
     assert cut[1] == records[: len(cut[1])] and cut[2] == full[2][: len(cut[2])]
     assert not cut[3] and len(cut[1]) < len(records)
+    _assert_bounded(cut[1], optimum)
