@@ -280,12 +280,18 @@ class Scenario:
     @cached_property
     def home_distance(self) -> dict[Config, int]:
         """Each state reachable from ``s_home`` by valid moves -> its fewest
-        moves from home; empty when home collides. Counts no check."""
+        moves from home; empty when home collides. Counts no check. The
+        flood starts from ``state_table``'s key equal to ``s_home`` (at its
+        rank), so every key is a state object the other tables share."""
         states, neighbors = self.state_table, self.neighbor_table
-        if not states[self.s_home][0]:
+        rank = 0
+        for c, n in zip(self.s_home, self.dims):
+            rank = rank * n + c
+        home = next(itertools.islice(states, rank, None))
+        if not states[home][0]:
             return {}
-        dist = {self.s_home: 0}
-        layer, d = [self.s_home], 0
+        dist = {home: 0}
+        layer, d = [home], 0
         while layer:
             frontier, layer, d = layer, [], d + 1
             for q in frontier:

@@ -6,17 +6,19 @@ from pass to pass as in ARA* (Likhachev, Gordon, Thrun, NIPS 2003).
 astar is one pass from the start at a fixed weight. anytime_refine is
 the path-seeded anytime search: the open list starts with every state of
 an initial solution at its path cost, and the inflation schedule is
-driven by the incumbent cost so that each iteration is guaranteed at
-least one expansion. Between passes only the goal is put back on the
-open list. ara_star is the classic fixed-schedule baseline,
-shortcut_path the random-restart smoothing baseline. astar and ara_star
-use the wrapped Manhattan heuristic; anytime_refine raises it with a
-landmark, the scenario's distances from home. Every search reads its
-heuristic from a _HeuristicMemo, which builds what depends on the goal
-once: per axis, each index's wrapped distance to the goal's. A state's
-value is then one row entry per axis, summed, and one landmark read;
-shortcut_path calls cspace.heuristic, the per-call definition. In the
-same way the pass reads the scenario's neighbor_table and calls
+driven by the incumbent cost so that each pass above inflation 1 expands
+at least one state; the inflation-1 pass that certifies the optimum may
+expand none. Once the incumbent costs h(start), which no path undercuts,
+that pass is recorded without being run. Between passes only the goal is
+put back on the open list. ara_star is the classic fixed-schedule
+baseline, shortcut_path the random-restart smoothing baseline. astar and
+ara_star use the wrapped Manhattan heuristic; anytime_refine raises it
+with a landmark, the scenario's distances from home. Every search reads
+its heuristic from a _HeuristicMemo, which builds what depends on the
+goal once: per axis, each index's wrapped distance to the goal's. A
+state's value is then one row entry per axis, summed, and one landmark
+read; shortcut_path calls cspace.heuristic, the per-call definition. In
+the same way the pass reads the scenario's neighbor_table and calls
 cspace.is_valid once per neighbour; cspace.successors remains the
 per-call definition of a state's successors.
 
@@ -288,9 +290,12 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
     anytime_refine starts at this ratio over the seed path, clamped below
     at 1: above 1, the maximizing state outranks the goal (whose term is 0)
     on the open list, so at least one non-goal selection happens. After
-    each pass it takes the min of the incumbent path's ratio and the open
-    set's, each by one scan, clamped at 1, which is strictly below the
-    inflation the pass ran at while the open set is non-empty.
+    each pass that another pass follows it takes the min of the incumbent
+    path's ratio and the open set's, each by one scan, clamped at 1, which
+    is strictly below the inflation the pass ran at while the open set is
+    non-empty. It makes neither scan once the incumbent costs C = h(start): by
+    consistency every state then has g + h >= C, so every ratio is below 1,
+    and the inflation-1 pass that would follow selects the goal first.
     """
     return max(((incumbent_cost - g[q]) / (h[q] + delta) for q in states), default=math.inf)
 
@@ -361,7 +366,13 @@ def anytime_refine(
 
     The heuristic is the max of wrapped Manhattan and |d(q) - d(goal)|,
     with d the scenario's ``home_distance``; it stays consistent, so the
-    inflation-1 pass still certifies the optimum.
+    inflation-1 pass still certifies the optimum. It also makes h(start) a
+    lower bound on every path's cost, exact from home. Once the incumbent
+    (the seed, or the result of a pass above inflation 1) costs h(start),
+    the inflation-1 pass would select the goal first with no expansion;
+    the run records that pass, (1.0, cost, 0 expansions), after one
+    deadline check, without building or running it. A shortest seed path
+    from home is so certified at once.
 
     ``deadline`` is an absolute instant on ``clock``; None means run to
     convergence. Raises InvalidPath for a seed path that fails
@@ -382,14 +393,20 @@ def _refine(
     clock: Callable[[], float],
 ) -> tuple[Path, RefineReport]:
     """``anytime_refine`` without the seed check, for a seed that is valid by
-    construction: ``online.query`` builds its seed from library pointers."""
+    construction: ``online.query`` builds its seed from library pointers.
+
+    The loop's exit test is the lower bound h(start), one memo read: it
+    runs before the seed is put into the search and after each recorded
+    pass above inflation 1, and when the incumbent reaches the bound the
+    certifying pass is recorded in place of being run."""
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
     report = RefineReport()
     if len(initial_path.configs) == 1:
         report.optimal_flag = True  # start == goal: cost 0 is already optimal
         return initial_path, report
-    if deadline is not None and clock() >= deadline:
+    t0 = clock()
+    if deadline is not None and t0 >= deadline:
         return initial_path, report
 
     # A seed path that revisits the goal carries a strictly cheaper prefix
@@ -399,17 +416,27 @@ def _refine(
     if first_goal < len(initial_path.configs) - 1:
         initial_path = Path(initial_path.configs[: first_goal + 1])
 
-    t0 = clock()
-    g, parent = _seed_from_path(initial_path)
     h = _HeuristicMemo(scenario, goal, scenario.home_distance)
-    # dirty: a seed path that revisits states is longer than its parent chain
-    search = _AnytimeSearch(h, g, parent, set(initial_path.configs), dirty=True)
+    lower = h[start]  # h is consistent and 0 at the goal: no path is cheaper
     incumbent = initial_path
-    eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
-    while True:
+    search = None
+    while incumbent.cost > lower:
+        if search is None:
+            g, parent = _seed_from_path(incumbent)
+            # dirty: a seed path that revisits states is longer than its parent chain
+            search = _AnytimeSearch(h, g, parent, set(incumbent.configs), dirty=True)
+            eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
+        else:
+            if path_ratio is None:
+                path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
+            new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))
+            # new_eps >= eps only when the frontier emptied, i.e. the g-values
+            # are Bellman-stable; one inflation-1 pass certifies that.
+            eps = 1.0 if new_eps >= eps else new_eps
+            search.open_set.add(goal)
         stop, expansions = search.improve_path(eps, deadline, clock)
         if stop == "deadline":
-            break  # mid-iteration deadline: report only completed iterations
+            return incumbent, report  # mid-iteration deadline: report only completed iterations
         # The goal was selected (it is open at every pass start); the parent
         # chain from it and the path ratio change only with a chain state's g.
         if search.dirty:
@@ -419,23 +446,27 @@ def _refine(
             g[goal] = min(g[goal], incumbent.cost)
             search.chain = set(incumbent.configs)
             search.dirty = False
-            path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
+            path_ratio = None
         report.iterations.append(
             RefineIteration(eps, incumbent.cost, expansions, (clock() - t0) * 1000.0)
         )
         report.incumbents.append(incumbent)
         if eps == 1.0:
             report.optimal_flag = True
-            break
+            return incumbent, report
 
-        new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))
-        if new_eps >= eps:
-            # Only reachable when the frontier emptied, i.e. the g-values
-            # are Bellman-stable; one inflation-1 pass certifies that.
-            new_eps = 1.0
-        eps = new_eps
-        search.open_set.add(goal)
-
+    # The incumbent costs h(start), so it is optimal. Every open or INCONS
+    # state q has g(q) >= dist(start, q), so g + h >= h(start) = C: each
+    # ratio (C - g) / (h + delta) is below 1, the next inflation is 1, and
+    # that pass selects the goal (f = C, the largest g) first, with no
+    # expansion. Record that pass without running it; its one deadline check
+    # is the clock read below. A path at the bound repeats no state, so it
+    # is the parent chain the pass would return.
+    now = clock()
+    if deadline is None or now < deadline:
+        report.iterations.append(RefineIteration(1.0, incumbent.cost, 0, (now - t0) * 1000.0))
+        report.incumbents.append(incumbent)
+        report.optimal_flag = True
     return incumbent, report
 
 

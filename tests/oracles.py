@@ -7,12 +7,16 @@ the navigation-descent rule, the offline sampling loop over whole basins,
 a plain anytime refinement loop that heapifies its whole open set every
 pass, and the first-match rule that makes a state a potential start and
 the home path that rule gives it. They test validity with
-``cspace.collision_free``, which runs the geometry on every call, and find
-moves and neighbours by their own formula, so they never read the
-validity memo or the move and neighbour tables that the scenario keeps.
+``cspace.collision_free``, which runs the geometry on every call (the
+floods can instead take ``valid_states``, the set of states it accepts,
+made once), and find moves and neighbours by their own formula, so they
+never read the validity memo or the move and neighbour tables that the
+scenario keeps.
 """
 
+import functools
 import heapq
+import itertools
 import random
 from collections import deque
 
@@ -45,34 +49,44 @@ def lattice_move(scenario, q, axis, delta):
     return q[:axis] + (c,) + q[axis + 1 :]
 
 
-def successors(scenario, q):
-    """Valid unit-cost lattice moves from q, checked without the memo."""
-    return [
-        (nb, cspace.UNIT_COST)
-        for nb in lattice_neighbors(scenario, q)
-        if cspace.collision_free(scenario, nb)
-    ]
+def valid_states(scenario):
+    """The set of lattice states that ``cspace.collision_free`` accepts, one
+    geometry check each; for repeated floods over one scenario."""
+    states = itertools.product(*map(range, scenario.dims))
+    return {q for q in states if cspace.collision_free(scenario, q)}
 
 
-def bfs_distances(scenario, source):
-    """Unit-cost shortest distances from source over valid lattice moves."""
+def successors(scenario, q, free=None):
+    """Valid unit-cost lattice moves from q, checked without the memo, or
+    looked up in ``free`` (``valid_states``) when given."""
+    check = functools.partial(cspace.collision_free, scenario)
+    valid = check if free is None else free.__contains__
+    return [(nb, cspace.UNIT_COST) for nb in lattice_neighbors(scenario, q) if valid(nb)]
+
+
+def bfs_distances(scenario, source, free=None):
+    """Unit-cost shortest distances from source over valid lattice moves
+    (``free`` as in ``successors``)."""
     dist = {source: 0.0}
     queue = deque([source])
     while queue:
         q = queue.popleft()
-        for nb, cost in successors(scenario, q):
+        for nb, cost in successors(scenario, q, free):
             if nb not in dist:
                 dist[nb] = dist[q] + cost
                 queue.append(nb)
     return dist
 
 
-def landmark_heuristic(scenario, goal):
+def landmark_heuristic(scenario, goal, home_distances=None):
     """h(q) to ``goal``: the wrapped Manhattan distance, raised to
     |d(q) - d(goal)| where the breadth-first distance d from a valid home
-    is defined for both states."""
+    is defined for both states. ``home_distances``, when given, is d (from
+    ``bfs_distances``, empty for a colliding home), made once for many goals."""
     home = scenario.s_home
-    d = bfs_distances(scenario, home) if cspace.collision_free(scenario, home) else {}
+    d = home_distances
+    if d is None:
+        d = bfs_distances(scenario, home) if cspace.collision_free(scenario, home) else {}
 
     def h(q):
         manhattan = 0

@@ -187,17 +187,16 @@ def test_heuristic_consistency_exhaustive(size):
 def test_neighbor_table_matches_the_oracle():
     """Every lattice state's table entry is the oracle's moves, axis by axis,
     -1 before +1, with those off the lattice left out, in all 23 corpus
-    scenarios and on a lattice with a one-index axis. ``cover._home_path``
-    breaks ties by this order."""
-    scenarios = [sc for _, sc in corpus.corpus()] + [mixed_limit_arm()]
+    scenarios, on a lattice with a one-index axis and on a 1 x 1 grid.
+    ``cover._home_path`` breaks ties by this order."""
+    scenarios = [sc for _, sc in corpus.corpus()] + [mixed_limit_arm(), grid(1)]
     for sc in scenarios:
         table = sc.neighbor_table
         assert list(table) == list(cspace.lattice_configs(sc))
-        # one object per lattice state: the tables hold the state table's keys,
-        # but for the home distances' seed, which is the scenario's s_home
+        # one object per lattice state: the tables hold the state table's keys
         keys = {q: q for q in sc.state_table}
         assert all(nb is keys[nb] for q in table for nb in (q, *table[q]))
-        assert all(q is keys[q] for q in sc.home_distance if q is not sc.s_home)
+        assert all(q is keys[q] for q in sc.home_distance)
         for q, nbs in table.items():
             moves = [
                 oracles.lattice_move(sc, q, axis, d) for axis in range(sc.dof) for d in (-1, +1)

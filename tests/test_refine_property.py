@@ -3,10 +3,12 @@
 The reference runs under ``oracles.landmark_heuristic``, the planner's
 heuristic rebuilt from the breadth-first oracle, so the two compare like
 with like. On random small grids and on 2- and 3-link arms whose joints
-wrap, the seed path leaves home on a random walk, which revisits states,
-and then heads for the goal; a chained start first runs back home. From
-either start the run must give ``oracles.reference_refine``'s records,
-incumbents and path, and reach the breadth-first distance. Under a
+wrap, the seed path is a shortest path from home, which costs h(home),
+the lower bound at which the refinement certifies it at once, or leaves
+home on a random walk, which revisits states, and then heads for the
+goal; a chained start first runs back home. From either start the run
+must give ``oracles.reference_refine``'s records, incumbents and path,
+and reach the breadth-first distance. Under a
 ``bench.SimClock`` deadline drawn inside the full run, both stop in the
 same pass with the same truncated records.
 """
@@ -52,15 +54,18 @@ def refine_cases(draw):
     reach = sorted(bfs_distances(scenario, home))
     assume(len(reach) > 1)
     goal = draw(st.sampled_from(reach[1:]))
-    walk = [home]  # a random walk from home, which revisits states
-    for move in draw(st.lists(st.integers(0, 2 * len(home) - 1), max_size=60)):
-        nb = lattice_move(scenario, walk[-1], move // 2, (-1, +1)[move % 2])
-        if nb is not None and cspace.collision_free(scenario, nb):
-            walk.append(nb)
-    seed = search.Path(tuple(walk))
+    if draw(st.booleans()):  # a shortest path: from home it costs h(home), the lower bound
+        seed = search.astar(scenario, home, goal)
+    else:
+        walk = [home]  # a random walk from home, which revisits states
+        for move in draw(st.lists(st.integers(0, 2 * len(home) - 1), max_size=60)):
+            nb = lattice_move(scenario, walk[-1], move // 2, (-1, +1)[move % 2])
+            if nb is not None and cspace.collision_free(scenario, nb):
+                walk.append(nb)
+        seed = search.Path(tuple(walk))
+        seed = search.concat_paths(seed, search.astar(scenario, walk[-1], goal, weight=4.0))
     if draw(st.booleans()):  # chained: from the previous goal, back home, then on
         seed = search.concat_paths(search.astar(scenario, draw(st.sampled_from(reach)), home), seed)
-    seed = search.concat_paths(seed, search.astar(scenario, walk[-1], goal, weight=4.0))
     return scenario, seed.start, goal, seed, draw(st.floats(0.02, 0.98))
 
 

@@ -321,6 +321,26 @@ def test_refine_zero_budget_returns_initial(empty8):
     assert not report.optimal_flag
 
 
+def test_refine_certifies_a_seed_at_the_lower_bound(empty8):
+    """A seed that costs h(start) is optimal: the run records the inflation-1
+    pass, with no expansion and no collision check, but only if the
+    deadline, checked once more as that pass would, has not passed."""
+    init = search.astar(empty8, (7, 0), (0, 7))  # 14 steps, the Manhattan distance
+    empty8.counters.reset()
+    refined, report = search.anytime_refine(empty8, (7, 0), (0, 7), init)
+    assert refined.configs == init.configs and report.optimal_flag
+    assert [(it.epsilon, it.cost, it.expansions) for it in report.iterations] == [(1.0, 14.0, 0)]
+    assert [p.configs for p in report.incumbents] == [init.configs]
+    assert (empty8.counters.expansions, empty8.counters.collision_checks) == (0, 0)
+
+    reads = iter([0.0])  # the deadline passes after the first clock read
+    refined, report = search.anytime_refine(
+        empty8, (7, 0), (0, 7), init, deadline=1.0, clock=lambda: next(reads, 1.0)
+    )
+    assert refined.configs == init.configs
+    assert report.iterations == [] and not report.optimal_flag
+
+
 def test_refine_detour_strictly_improves(empty8):
     init = detour_path(empty8, (7, 0), (0, 7), via=(0, 0))  # L through the corner
     assert init.cost == 14.0
