@@ -9,8 +9,9 @@ an initial solution at its path cost, and the inflation schedule is
 driven by the incumbent cost so that each pass above inflation 1 expands
 at least one state; the inflation-1 pass that certifies the optimum may
 expand none. Once the incumbent costs h(start), which no path undercuts,
-that pass is recorded without being run. Between passes only the goal is
-put back on the open list. ara_star is the classic fixed-schedule
+that pass is recorded without being run. After every pass the incumbent
+is read back as the goal's parent chain, and between passes only the
+goal is put back on the open list. ara_star is the classic fixed-schedule
 baseline, shortcut_path the random-restart smoothing baseline. astar and
 ara_star use the wrapped Manhattan heuristic; anytime_refine raises it
 with a landmark, the scenario's distances from home. Every search reads
@@ -208,12 +209,10 @@ class _AnytimeSearch:
     """State that successive weighted-A* passes toward one goal share.
 
     The heuristic memo, which also names the scenario and the goal;
-    g-values and parent links; the open set; INCONS, the states improved
-    after being closed in the current pass, which reopen in the next one;
-    and the states of the caller's incumbent, ``chain``, with ``dirty`` set
-    once one of them gets a new g and parent. A state enters the open set
-    only with a g it has not been expanded at, so every selection scans
-    its successors.
+    g-values and parent links; the open set; and INCONS, the states
+    improved after being closed in the current pass, which reopen in the
+    next one. A state enters the open set only with a g it has not been
+    expanded at, so every selection scans its successors.
     """
 
     h: _HeuristicMemo
@@ -221,8 +220,6 @@ class _AnytimeSearch:
     parent: dict[Config, Config | None]
     open_set: set[Config]
     incons: set[Config] = field(default_factory=set)
-    chain: set[Config] = field(default_factory=set)
-    dirty: bool = False
 
     def improve_path(
         self, eps: float, deadline: float | None, clock: Callable[[], float]
@@ -236,7 +233,7 @@ class _AnytimeSearch:
         g) or the deadline passes ("deadline").
         """
         h, g, parent = self.h, self.g, self.parent
-        open_set, incons, chain = self.open_set, self.incons, self.chain
+        open_set, incons = self.open_set, self.incons
         scenario, goal = h.scenario, h.goal
         neighbors, is_valid, counters = scenario.neighbor_table, cspace.is_valid, scenario.counters
         heappush, heappop, g_get, inf = heapq.heappush, heapq.heappop, g.get, math.inf
@@ -271,8 +268,6 @@ class _AnytimeSearch:
                     continue
                 g[nb] = g2
                 parent[nb] = q
-                if nb in chain:
-                    self.dirty = True
                 if nb in closed:
                     incons.add(nb)
                 else:
@@ -290,10 +285,10 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
     anytime_refine starts at this ratio over the seed path, clamped below
     at 1: above 1, the maximizing state outranks the goal (whose term is 0)
     on the open list, so at least one non-goal selection happens. After
-    each pass that another pass follows it takes the min of the incumbent
-    path's ratio and the open set's, each by one scan, clamped at 1, which
-    is strictly below the inflation the pass ran at while the open set is
-    non-empty. It makes neither scan once the incumbent costs C = h(start): by
+    each pass that another pass follows it takes the min of the ratio of
+    the incumbent read back from that pass and the open set's, each by one
+    scan, clamped at 1, which is strictly below the inflation the pass ran
+    at while the open set is non-empty. It makes neither scan once the incumbent costs C = h(start): by
     consistency every state then has g + h >= C, so every ratio is below 1,
     and the inflation-1 pass that would follow selects the goal first.
     """
@@ -375,10 +370,15 @@ def anytime_refine(
     from home is so certified at once.
 
     ``deadline`` is an absolute instant on ``clock``; None means run to
-    convergence. Raises InvalidPath for a seed path that fails
-    ``path_is_valid`` (a state off the lattice or in collision, or a step
-    that is not one lattice move), and ValueError for one whose endpoints
-    are not start and goal.
+    convergence. Between two deadline checks the run does one of: a
+    selection's successor scan (at most 2·dof neighbours, one counted check
+    each) and the stale heap entries popped before the next; the seed's
+    set-up, O(|seed|); or, at a pass boundary, one ``_reconstruct``, two
+    ``_max_ratio`` scans and the heapify of open ∪ INCONS, O(|open| +
+    |incumbent|), none of it cut short by the deadline. Raises InvalidPath
+    for a seed path that fails ``path_is_valid`` (a state off the lattice
+    or in collision, or a step that is not one lattice move), and
+    ValueError for one whose endpoints are not start and goal.
     """
     check_path(scenario, initial_path)
     return _refine(scenario, start, goal, initial_path, deadline, clock)
@@ -395,10 +395,11 @@ def _refine(
     """``anytime_refine`` without the seed check, for a seed that is valid by
     construction: ``online.query`` builds its seed from library pointers.
 
-    The loop's exit test is the lower bound h(start), one memo read: it
-    runs before the seed is put into the search and after each recorded
-    pass above inflation 1, and when the incumbent reaches the bound the
-    certifying pass is recorded in place of being run."""
+    The incumbent is read back after every pass. The loop's exit test is
+    the lower bound h(start), one memo read: it runs before the seed is
+    put into the search and after each recorded pass above inflation 1,
+    and when the incumbent reaches the bound the certifying pass is
+    recorded in place of being run."""
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
     report = RefineReport()
@@ -423,12 +424,11 @@ def _refine(
     while incumbent.cost > lower:
         if search is None:
             g, parent = _seed_from_path(incumbent)
-            # dirty: a seed path that revisits states is longer than its parent chain
-            search = _AnytimeSearch(h, g, parent, set(incumbent.configs), dirty=True)
+            search = _AnytimeSearch(h, g, parent, set(incumbent.configs))
+            # the open set is the seed's states, so one scan gives both ratios
             eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
         else:
-            if path_ratio is None:
-                path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
+            path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
             new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))
             # new_eps >= eps only when the frontier emptied, i.e. the g-values
             # are Bellman-stable; one inflation-1 pass certifies that.
@@ -437,16 +437,11 @@ def _refine(
         stop, expansions = search.improve_path(eps, deadline, clock)
         if stop == "deadline":
             return incumbent, report  # mid-iteration deadline: report only completed iterations
-        # The goal was selected (it is open at every pass start); the parent
-        # chain from it and the path ratio change only with a chain state's g.
-        if search.dirty:
-            # Stale parent links can only overstate g(goal); the path's step
-            # count is an achieved cost, so adopt it.
-            incumbent = _reconstruct(parent, goal)
-            g[goal] = min(g[goal], incumbent.cost)
-            search.chain = set(incumbent.configs)
-            search.dirty = False
-            path_ratio = None
+        # The goal was selected (it is open at every pass start). Stale parent
+        # links can only overstate g(goal); the path's step count is an
+        # achieved cost, so adopt it.
+        incumbent = _reconstruct(parent, goal)
+        g[goal] = min(g[goal], incumbent.cost)
         report.iterations.append(
             RefineIteration(eps, incumbent.cost, expansions, (clock() - t0) * 1000.0)
         )
@@ -572,7 +567,10 @@ def shortcut_path(
 
     Deterministic for a fixed seed; stops at the deadline, checked before
     each trial, or after SHORTCUT_PATIENCE consecutive non-improving trials.
+    Raises InvalidPath for a path that fails ``path_is_valid``, which it
+    could otherwise return unchanged.
     """
+    check_path(scenario, path)
     rng = random.Random(seed)
     configs = list(path.configs)
     failures = 0

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_emit_results_structure(small_setup):
     assert len(rows) == len(records)
     assert list(rows[0].keys()) == list(bench.TRIALS_COLUMNS)
 
-    svg = open(files["profile"]).read()
+    svg = Path(files["profile"]).read_text()
     for planner in cfg.planners:
         assert f'data-planner="{planner}"' in svg
     assert "<polyline" in svg and "eps=" in svg
@@ -146,7 +147,7 @@ def test_emit_empty_records(tmp_path):
     with open(files["trials"]) as fh:
         rows = list(csv.reader(fh))
     assert rows == [list(bench.TRIALS_COLUMNS)]
-    assert "</svg>" in open(files["profile"]).read()
+    assert "</svg>" in Path(files["profile"]).read_text()
 
 
 def test_reproducible_trials_csv(small_setup):
@@ -158,8 +159,8 @@ def test_reproducible_trials_csv(small_setup):
         cfg = make_cfg(small_setup, outdir=out, planners=("ctmp", "ctmp+refine", "arastar"))
         records, stats = bench.run_single_experiment(sc_run, lib_run, cfg)
         bench.emit_results(records, stats, out)
-    a = open(out_a + "/trials.csv", "rb").read()
-    b = open(out_b + "/trials.csv", "rb").read()
+    a = Path(out_a, "trials.csv").read_bytes()
+    b = Path(out_b, "trials.csv").read_bytes()
     assert a == b
 
 
@@ -194,7 +195,7 @@ def ladder_outputs(ladder, outdir, budget_ms=500.0) -> dict[str, bytes]:
     )
     records, stats = bench.run_single_experiment(scenario, library, cfg)
     files = bench.emit_results(records, stats, cfg.outdir)
-    return {name: open(path, "rb").read() for name, path in files.items()}
+    return {name: Path(path).read_bytes() for name, path in files.items()}
 
 
 def test_bench_summary_and_profile_frozen(ladder, tmp_path):

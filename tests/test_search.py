@@ -550,6 +550,21 @@ def test_shortcut_respects_obstacles():
     assert out.cost >= bfs_distances(sc, (0, 0))[(7, 0)]
 
 
+@pytest.mark.parametrize(
+    "configs",
+    [
+        ((0, 0), (3, 0)),
+        ((0, 0), (3, 0), (3, 1), (3, 2)),
+        ((0, 0), (0, 1), (9, 9)),
+    ],
+)
+def test_shortcut_refuses_an_invalid_path(empty8, configs):
+    """Each of these paths is too short or too straight for a trial to
+    change it, so it once came back unchanged and still invalid."""
+    with pytest.raises(errors.InvalidPath):
+        search.shortcut_path(empty8, search.Path(configs), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # path helpers
 
