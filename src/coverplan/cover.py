@@ -19,11 +19,12 @@ attractor and the scenario alone. It keeps what a query follows: the
 descent walk of each covered goal that reaches the attractor, as one
 pointer per state (the next state of its walk; the attractor points to
 itself), the longest such walk as its step bound, and a shortest path
-from home, read off ``home_distance`` with no search. The tail of a
-successful walk is a successful walk, so every pointer lands on a member.
-Following pointers from a covered goal therefore replays the offline walk
-exactly, in at most ``max_descent_steps`` moves, with no collision check
-and no navigation value; that is the whole of the online connect.
+from home to the attractor, read off ``home_distance`` with no search.
+The tail of a successful walk is a successful walk, so every pointer lands
+on a member. Following pointers from a covered goal therefore replays the
+offline walk exactly, in at most ``max_descent_steps`` moves, with no
+collision check and no navigation value; that is the whole of the online
+connect, which the library's goal index leads to from the goal.
 
 Descent compares squared navigation values, as integers: the sum over
 axes of the squared wrapped index distance, read from a per-attractor
@@ -70,19 +71,22 @@ LIBRARY_FORMAT_VERSION = 4
 
 @dataclass(frozen=True)
 class CoverEntry:
-    """One cover unit: an attractor, the descent chains to it and its home path.
+    """One cover unit: the descent chains to an attractor and its home path.
 
     ``next_member`` maps each state on the descent walk of a covered goal
     that reaches the attractor to the next state of that walk, which is
     itself a member; the attractor maps to itself. Its keys are the member
     set, and no walk takes more than ``max_descent_steps`` moves, the
-    longest of them.
+    longest of them. ``rep_path`` runs from home to the attractor.
     """
 
-    attractor: Config
     next_member: dict[Config, Config] = field(hash=False)
     max_descent_steps: int
     rep_path: Path
+
+    @property
+    def attractor(self) -> Config:
+        return self.rep_path.configs[-1]
 
     @property
     def members(self) -> Set[Config]:
@@ -108,35 +112,27 @@ class RegionCover:
 
 
 @dataclass(frozen=True)
-class CoverHit:
-    """Lookup result: which region/entry covers a configuration."""
-
-    region_id: str
-    entry_index: int
-    entry: CoverEntry
-
-
-@dataclass(frozen=True)
 class Library:
     """Preprocessing output: per-region covers bound to one scenario.
 
-    ``goal_index`` maps every covered state to its cover entry, built once
+    ``goal_index`` maps every covered state to its CoverEntry, built once
     at construction from the frozen regions. A state covered twice goes to
-    its first region and, within it, to the lowest entry id.
+    its first region and, within it, to the lowest entry id; as each
+    covered goal is in an entry of its region (the loader checks), that
+    region is the first whose ``covered`` set holds it.
     """
 
     fingerprint: str
     s_home: Config
     regions: tuple[RegionCover, ...]
-    goal_index: dict[Config, CoverHit] = field(init=False, compare=False, repr=False)
+    goal_index: dict[Config, CoverEntry] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index: dict[Config, CoverHit] = {}
+        index: dict[Config, CoverEntry] = {}
         for rc in self.regions:
-            for i, entry in enumerate(rc.entries):
-                hit = CoverHit(rc.region_id, i, entry)
+            for entry in rc.entries:
                 for q in entry.members & rc.covered:
-                    index.setdefault(q, hit)
+                    index.setdefault(q, entry)
         object.__setattr__(self, "goal_index", index)
 
 
@@ -299,10 +295,10 @@ def _cover_entry(descent: _Descent, covered: Collection[Config]) -> CoverEntry:
     """
     for q in covered:
         descent.walk(q)
-    steps, attractor = descent.steps, descent.attractor
+    steps = descent.steps
     next_member = {q: descent.next_state[q] for q, n in steps.items() if n >= 0}
-    rep_path = _home_path(descent.scenario, attractor)
-    return CoverEntry(attractor, next_member, max(steps.values()), rep_path)
+    rep_path = _home_path(descent.scenario, descent.attractor)
+    return CoverEntry(next_member, max(steps.values()), rep_path)
 
 
 def _frontier(descent: _Descent, goals: Collection[Config]) -> frozenset[Config]:

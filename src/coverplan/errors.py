@@ -14,7 +14,7 @@ class NoPath(PlanningError):
 
 
 class DescentStalled(PlanningError):
-    """Greedy navigation descent found no strictly improving move."""
+    """Greedy descent (``cover.descend``) found no strictly improving move."""
 
 
 class HomeInvalid(PlanningError):

@@ -1,13 +1,13 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
-A query is a pointer chase. The goal resolves to its cover entry with one
+A query is a pointer chase. The goal resolves to its CoverEntry with one
 dict lookup in the library's goal index; the entry's descent pointers,
 derived when the library was built or loaded, lead from the goal to its
 attractor in at most max_descent_steps moves (no collision checks, no
-navigation values, no search); and the reversed home path of the start
-is joined to the home path of the goal in one tuple concatenation.
-The optional refinement stage then spends whatever remains of the time
-budget improving that path.
+navigation values, no search; a chase that breaks raises StaleLibrary);
+and the reversed home path of the start is joined to the home path of
+the goal in one tuple concatenation. The optional refinement stage then
+spends whatever remains of the time budget improving that path.
 
 A start is served the same way from any potential state: home, a state of
 a representative path, a covered goal, or a state of the last executed
@@ -18,8 +18,8 @@ earlier region in library order decides which it is. A chained start, the
 end of the last executed path, reads the home path stored for it when the
 path was registered, so it costs no pointer chase.
 
-The index also keeps the last query's goal with its home path (the
-pointer chase ``connect`` gave), one slot that the next query replaces.
+The index also keeps the last query's goal's home path (the pointer
+chase ``connect`` gave), one slot that the next query replaces.
 Registering the path that the last query returned therefore costs O(1)
 in its length: it is taken without a check, and its end, that goal, is
 looked up in the slot instead of being chased again. The executed path
@@ -41,14 +41,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .cover import CoverEntry, CoverHit, Library
+from .cover import CoverEntry, Library
 from .cspace import Config, Scenario
-from .errors import DescentStalled, GoalUncovered, StaleLibrary, StartNotPotential
+from .errors import GoalUncovered, StaleLibrary, StartNotPotential
 from .search import Path, RefineReport, _refine, check_path, concat_paths
 
 
-def find_rep_path(library: Library, q: Config) -> CoverHit | None:
-    """Pure lookup of the cover entry holding q (lowest entry id on overlap).
+def find_rep_path(library: Library, q: Config) -> CoverEntry | None:
+    """Pure lookup of the CoverEntry holding q (lowest entry id on overlap).
 
     Returns None when q is outside every region or in an exclusion set.
     One dict lookup: no planning, no collision checks.
@@ -65,25 +65,26 @@ def connect(entry: CoverEntry, q: Config) -> Path:
     attractor; the result is truncated at its first arrival at q so q
     appears exactly once, at the end. An entry that ``preprocess`` or the
     loader built derives its pointers and bound from the same walks, so
-    DescentStalled (a missing pointer, or a chase that outruns
+    StaleLibrary (a missing pointer, or a chase that outruns
     max_descent_steps) comes only from a hand-built or stale entry.
     """
     next_member = entry.next_member
     if q not in next_member:
         raise ValueError(f"{q} is not a member of the entry's basin")
     bound = entry.max_descent_steps
-    attractor = entry.attractor
+    rep = entry.rep_path.configs
+    attractor = rep[-1]
     down = [q]
     cur = q
     while cur != attractor:
         if len(down) > bound:
-            raise DescentStalled(f"descent from {q} exceeded {bound} steps")
+            raise StaleLibrary(f"descent from {q} exceeded {bound} steps")
         cur = next_member.get(cur)
         if cur is None:
-            raise DescentStalled(f"no descent pointer at {down[-1]}")
+            raise StaleLibrary(f"no descent pointer at {down[-1]}")
         down.append(cur)
     down.reverse()
-    configs = entry.rep_path.configs + tuple(down[1:])
+    configs = rep + tuple(down[1:])
     return Path(configs[: configs.index(q) + 1])
 
 
@@ -100,11 +101,11 @@ class PotentialStateIndex:
 
     - ``rep_states``: each representative-path state -> (its first rep
       path, its position there);
-    - ``goal_path``: the goal of the last ``query`` given this index and
-      its home path, ``(goal, connect(hit.entry, goal))`` (None before the
-      first; a query whose start is its goal leaves it as it was). Only
-      ``query`` writes it and ``path_home_to`` reads it, so it holds one
-      goal whatever the number of queries;
+    - ``goal_path``: the home path of the goal of the last ``query``
+      given this index, ``connect(entry, goal)``, whose last state is that
+      goal (None before the first; a query whose start is its goal leaves
+      it as it was). Only ``query`` writes it and ``path_home_to`` reads
+      it, so it holds one goal whatever the number of queries;
     - ``executed_path``: the last registered executed path, the only
       record of its states (a mid-path lookup scans it and takes a state's
       last position), and ``anchor``, the path from home to its end (both
@@ -130,19 +131,15 @@ class PotentialStateIndex:
         self.scenario = scenario
         self.library = library
         self.rep_states: dict[Config, tuple[Path, int]] = {}
-        goal_index = library.goal_index
-        earlier: set[str] = set()  # ids of the regions already walked
+        earlier: set[Config] = set()  # covered goals of earlier regions (see Library)
         for rc in library.regions:
             for entry in rc.entries:
                 rep = entry.rep_path
                 for k, q in enumerate(rep.configs):
-                    if q in self.rep_states:
-                        continue
-                    hit = goal_index.get(q)
-                    if hit is None or hit.region_id not in earlier:
+                    if q not in self.rep_states and q not in earlier:
                         self.rep_states[q] = (rep, k)
-            earlier.add(rc.region_id)
-        self.goal_path: tuple[Config, Path] | None = None
+            earlier |= rc.covered
+        self.goal_path: Path | None = None
         self.executed_path: Path | None = None
         self.anchor: Path | None = None
         self.planned: Path | None = None
@@ -161,13 +158,13 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
 
     Home comes first. The end of the last executed path (a chained start)
     then returns ``index.anchor`` itself. Otherwise, in the lookup order:
-    rep-path states take the stored prefix; covered goals take lookup +
-    pointer chase, unless the goal is the one in ``index.goal_path``, whose
-    stored path is returned; executed-path states take the stored anchor
-    plus the executed path from its end back to the state's last position
-    there. The anchor was resolved at registration from lookups that never
+    rep-path states take the stored prefix; covered goals take their
+    entry's ``connect``, unless ``index.goal_path`` ends at the goal, which
+    is then returned; executed-path states take the stored anchor plus the
+    executed path from its end back to the state's last position there.
+    The anchor was resolved at registration from lookups that never
     change, and for the end the executed branch adds nothing to it, so the
-    shortcut gives what the order gives.
+    shortcut gives what the order gives. A stale entry raises StaleLibrary.
     """
     library = index.library
     if s == library.s_home:
@@ -179,12 +176,12 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     if rep is not None:
         path, k = rep
         return Path(path.configs[: k + 1])
-    hit = find_rep_path(library, s)
-    if hit is not None:
+    entry = find_rep_path(library, s)
+    if entry is not None:
         slot = index.goal_path
-        if slot is not None and slot[0] == s:
-            return slot[1]
-        return connect(hit.entry, s)
+        if slot is not None and slot.configs[-1] == s:
+            return slot
+        return connect(entry, s)
     if executed_path is not None:
         back = executed_path.configs[::-1]
         if s in back:
@@ -209,7 +206,8 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     rep-path prefix or the ``goal_path`` the query stored, so registering
     it does no work that grows with the path's length. Any other path must
     pass ``path_is_valid``, or InvalidPath is raised and the index is left
-    unchanged, since later queries would hand its steps out as plans.
+    unchanged, since later queries would hand its steps out as plans. A
+    stale entry on the way raises StaleLibrary, with the index unchanged.
     """
     if executed_path is not index.planned:
         check_path(index.scenario, executed_path)
@@ -277,34 +275,32 @@ def query(
     refinement budget. A given ``index`` must be one built for this
     ``library`` (that object), since its lookups answer for that library,
     or ValueError is raised; it records the returned path as its ``planned``
-    path and the goal's home path as its ``goal_path``.
+    path and the goal's home path as its ``goal_path``. A stale entry
+    raises StaleLibrary, from ``connect``.
     """
     if index is not None and index.library is not library:
         raise ValueError("the index was built for another library")
     t0 = clock()
     deadline = t0 + request.budget_ms / 1000.0
 
-    hit = find_rep_path(library, request.goal)
-    if hit is None:
+    entry = find_rep_path(library, request.goal)
+    if entry is None:
         raise GoalUncovered(f"goal {request.goal} is not covered by any region")
     t_lookup = clock()
 
-    try:
-        if request.start == request.goal:
-            initial = Path((request.start,))
+    if request.start == request.goal:
+        initial = Path((request.start,))
+    else:
+        home_to_goal = connect(entry, request.goal)
+        if index is not None:
+            index.goal_path = home_to_goal
+        if request.start == library.s_home:
+            initial = home_to_goal
         else:
-            home_to_goal = connect(hit.entry, request.goal)
-            if index is not None:
-                index.goal_path = (request.goal, home_to_goal)
-            if request.start == library.s_home:
-                initial = home_to_goal
-            else:
-                starts = index if index is not None else PotentialStateIndex(scenario, library)
-                home_to_start = path_home_to(starts, request.start)
-                # both paths leave home: back along the first, out along the second
-                initial = Path(home_to_start.configs[::-1] + home_to_goal.configs[1:])
-    except DescentStalled as exc:
-        raise StaleLibrary(str(exc)) from exc
+            starts = index if index is not None else PotentialStateIndex(scenario, library)
+            home_to_start = path_home_to(starts, request.start)
+            # both paths leave home: back along the first, out along the second
+            initial = Path(home_to_start.configs[::-1] + home_to_goal.configs[1:])
     scenario.counters.elementary_steps += len(initial.configs)
     t_connect = clock()
 
@@ -318,7 +314,7 @@ def query(
     )
     if request.refine and initial.cost > 0.0:
         # the seed is built from library pointers, so it skips the seed check
-        refined, report = _refine(scenario, request.start, request.goal, initial, deadline, clock)
+        refined, report = _refine(scenario, initial, deadline, clock)
         result.path = refined
         result.refine_ms = (clock() - t_connect) * 1000.0
         result.optimal_flag = report.optimal_flag

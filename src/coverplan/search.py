@@ -298,9 +298,13 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
 @dataclass
 class RefineIteration:
     epsilon: float
-    cost: float
+    incumbent: Path  # read back after the pass; its cost is the pass's
     expansions: int  # successor scans
     elapsed_ms: float
+
+    @property
+    def cost(self) -> float:
+        return self.incumbent.cost
 
     @property
     def selections(self) -> int:  # states taken off the open list; each is expanded
@@ -309,12 +313,15 @@ class RefineIteration:
 
 @dataclass
 class RefineReport:
-    """Per-run refinement record: completed iterations, their incumbents and
-    the convergence flag. Costs are read from the paths themselves."""
+    """Per-run refinement record: the completed iterations, each with its
+    incumbent, and the convergence flag."""
 
     iterations: list[RefineIteration] = field(default_factory=list)
-    incumbents: list["Path"] = field(default_factory=list)  # one per iteration
     optimal_flag: bool = False
+
+    @property
+    def incumbents(self) -> list[Path]:  # one per iteration
+        return [it.incumbent for it in self.iterations]
 
     @property
     def epsilon_history(self) -> list[float]:
@@ -381,27 +388,26 @@ def anytime_refine(
     ValueError for one whose endpoints are not start and goal.
     """
     check_path(scenario, initial_path)
-    return _refine(scenario, start, goal, initial_path, deadline, clock)
+    if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
+        raise ValueError("initial path endpoints do not match start/goal")
+    return _refine(scenario, initial_path, deadline, clock)
 
 
 def _refine(
     scenario: Scenario,
-    start: Config,
-    goal: Config,
     initial_path: Path,
     deadline: float | None,
     clock: Callable[[], float],
 ) -> tuple[Path, RefineReport]:
-    """``anytime_refine`` without the seed check, for a seed that is valid by
-    construction: ``online.query`` builds its seed from library pointers.
+    """``anytime_refine`` between the seed's ends, without its checks, for
+    a seed valid by construction: ``online.query``'s, from library pointers.
 
     The incumbent is read back after every pass. The loop's exit test is
     the lower bound h(start), one memo read: it runs before the seed is
     put into the search and after each recorded pass above inflation 1,
     and when the incumbent reaches the bound the certifying pass is
     recorded in place of being run."""
-    if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
-        raise ValueError("initial path endpoints do not match start/goal")
+    start, goal = initial_path.configs[0], initial_path.configs[-1]
     report = RefineReport()
     if len(initial_path.configs) == 1:
         report.optimal_flag = True  # start == goal: cost 0 is already optimal
@@ -443,9 +449,8 @@ def _refine(
         incumbent = _reconstruct(parent, goal)
         g[goal] = min(g[goal], incumbent.cost)
         report.iterations.append(
-            RefineIteration(eps, incumbent.cost, expansions, (clock() - t0) * 1000.0)
+            RefineIteration(eps, incumbent, expansions, (clock() - t0) * 1000.0)
         )
-        report.incumbents.append(incumbent)
         if eps == 1.0:
             report.optimal_flag = True
             return incumbent, report
@@ -459,8 +464,7 @@ def _refine(
     # is the parent chain the pass would return.
     now = clock()
     if deadline is None or now < deadline:
-        report.iterations.append(RefineIteration(1.0, incumbent.cost, 0, (now - t0) * 1000.0))
-        report.incumbents.append(incumbent)
+        report.iterations.append(RefineIteration(1.0, incumbent, 0, (now - t0) * 1000.0))
         report.optimal_flag = True
     return incumbent, report
 

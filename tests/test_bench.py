@@ -120,7 +120,7 @@ def test_sequential_experiment_chains(small_setup):
 
     index = onl.PotentialStateIndex(sc, lib)
     for rec in ctmp:
-        goal_half = onl.connect(onl.find_rep_path(lib, rec.goal).entry, rec.goal)
+        goal_half = onl.connect(onl.find_rep_path(lib, rec.goal), rec.goal)
         start_half = onl.path_home_to(index, rec.start)
         assert rec.cost == start_half.cost + goal_half.cost
 

@@ -88,7 +88,7 @@ def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
     goals = sorted(set().union(*(rc.covered for rc in library.regions)))
     home = scenario.s_home
     for goal in goals:
-        entry = library.goal_index[goal].entry
+        entry = library.goal_index[goal]
         chase = [goal]
         while chase[-1] != entry.attractor and len(chase) <= entry.max_descent_steps:
             chase.append(entry.next_member[chase[-1]])

@@ -30,7 +30,7 @@ def oracle_path(library, q, why):
         return Path((q,))
     if kind == "rep_path":
         return Path(entry.rep_path.configs[: position + 1])
-    return onl.connect(library.goal_index[q].entry, q)
+    return onl.connect(library.goal_index[q], q)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -180,7 +180,7 @@ def test_last_goal_path_changes_no_plan(name, chain):
             assert onl.query(sc, lib, request, index=fresh).path.configs == path.configs
             if start != request.goal:
                 goal = request.goal
-                assert index.goal_path == (goal, onl.connect(lib.goal_index[goal].entry, goal))
+                assert index.goal_path == onl.connect(lib.goal_index[goal], goal)
         else:
             path = random_walk(sc, start, extra)
         try:

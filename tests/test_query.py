@@ -19,10 +19,7 @@ def fitted12(two_region_grid12):
 def test_find_rep_path_attractor(fitted12):
     sc, lib = fitted12
     entry = lib.regions[0].entries[0]
-    hit = onl.find_rep_path(lib, entry.attractor)
-    assert hit is not None
-    assert hit.entry is entry
-    assert hit.entry.rep_path is entry.rep_path
+    assert onl.find_rep_path(lib, entry.attractor) is entry
 
 
 def test_find_rep_path_uncovered_and_excluded():
@@ -36,16 +33,17 @@ def test_find_rep_path_uncovered_and_excluded():
 def test_find_rep_path_overlap_prefers_lowest_entry(fitted12):
     sc, lib = fitted12
     rc = lib.regions[0]
-    # Duplicate the first entry behind itself: overlap resolves to index 0.
+    # Put a copy of the first entry in front of it: overlap resolves to the copy.
+    copy = dataclasses.replace(rc.entries[0])
+    assert copy == rc.entries[0] and copy is not rc.entries[0]
     doubled = pre.RegionCover(
         region_id=rc.region_id,
-        entries=(rc.entries[0],) + rc.entries,
+        entries=(copy,) + rc.entries,
         covered=rc.covered,
         excluded=rc.excluded,
     )
     lib2 = pre.Library(fingerprint=lib.fingerprint, s_home=lib.s_home, regions=(doubled,))
-    hit = onl.find_rep_path(lib2, rc.entries[0].attractor)
-    assert hit.entry_index == 0
+    assert onl.find_rep_path(lib2, rc.entries[0].attractor) is copy
 
 
 def test_connect_at_attractor_returns_rep_path(fitted12):
@@ -111,7 +109,7 @@ def test_connect_stalled_on_tampered_members(fitted12):
     q, nxt = two_step_goal(rc, entry)
     assert onl.connect(entry, q).configs[-1] == q
     for edits in ({nxt: None}, {nxt: q}):
-        with pytest.raises(errors.DescentStalled):
+        with pytest.raises(errors.StaleLibrary):
             onl.connect(tampered(entry, edits), q)
     # the chase may take exactly the recorded bound, and no more
     steps, cur = 0, q
@@ -121,7 +119,7 @@ def test_connect_stalled_on_tampered_members(fitted12):
     exact = dataclasses.replace(entry, max_descent_steps=steps)
     assert onl.connect(exact, q) == onl.connect(entry, q)
     short = dataclasses.replace(entry, max_descent_steps=steps - 1)
-    with pytest.raises(errors.DescentStalled):
+    with pytest.raises(errors.StaleLibrary):
         onl.connect(short, q)
 
 
@@ -170,7 +168,7 @@ def test_query_concatenation_arithmetic(fitted12):
     goal = sorted(lib.regions[1].covered)[0]
     res = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False), index=index)
     half_start = onl.path_home_to(index, start)
-    half_goal = onl.connect(onl.find_rep_path(lib, goal).entry, goal)
+    half_goal = onl.connect(onl.find_rep_path(lib, goal), goal)
     assert res.initial_cost == half_start.cost + half_goal.cost
     assert sc.s_home in res.path.configs
     assert res.path.configs[0] == start and res.path.configs[-1] == goal
@@ -250,27 +248,37 @@ def test_query_start_not_potential(fitted12):
         onl.query(sc, lib, onl.QueryRequest(start=(5, 5), goal=goal))
 
 
-def test_query_stale_library_propagation(fitted12):
-    sc, lib = fitted12
+def stale_libraries(lib):
+    """(q, library) pairs whose first entry's chase from the covered goal q
+    breaks: a missing pointer, then a pointer cycle."""
     rc = lib.regions[0]
     entry = rc.entries[0]
     q, nxt = two_step_goal(rc, entry)
     for edits in ({nxt: None}, {nxt: q}):
-        lib2 = pre.Library(
-            fingerprint=lib.fingerprint,
-            s_home=lib.s_home,
-            regions=(
-                pre.RegionCover(
-                    rc.region_id,
-                    (tampered(entry, edits),) + rc.entries[1:],
-                    rc.covered,
-                    rc.excluded,
-                ),
-            )
-            + lib.regions[1:],
+        stale = pre.RegionCover(
+            rc.region_id, (tampered(entry, edits),) + rc.entries[1:], rc.covered, rc.excluded
         )
+        yield q, pre.Library(lib.fingerprint, lib.s_home, (stale,) + lib.regions[1:])
+
+
+def test_query_stale_library_propagation(fitted12):
+    sc, lib = fitted12
+    for q, stale in stale_libraries(lib):
         with pytest.raises(errors.StaleLibrary):
-            onl.query(sc, lib2, onl.QueryRequest(start=sc.s_home, goal=q))
+            onl.query(sc, stale, onl.QueryRequest(start=sc.s_home, goal=q))
+
+
+def test_registration_raises_stale_library(fitted12):
+    """Registering a path that ends at a goal with a stale entry raises
+    StaleLibrary, as a query to that goal does, and leaves the index as it
+    was."""
+    sc, lib = fitted12
+    for q, stale in stale_libraries(lib):
+        index = onl.PotentialStateIndex(sc, stale)
+        assert q not in index.rep_states  # so the registration chases q's pointers
+        with pytest.raises(errors.StaleLibrary):
+            onl.update_potential_index(index, astar(sc, sc.s_home, q))
+        assert index.executed_path is None and index.anchor is None
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +314,7 @@ def test_path_home_to_goal_region_matches_connect(fitted12):
         pytest.skip("every covered state lies on a representative path")
     s = candidates[0]
     via_index = onl.path_home_to(index, s)
-    via_connect = onl.connect(onl.find_rep_path(lib, s).entry, s)
+    via_connect = onl.connect(onl.find_rep_path(lib, s), s)
     assert via_index.configs == via_connect.configs
 
 
@@ -399,13 +407,13 @@ def test_query_zero_checks_zero_expansions(fitted12):
 def test_query_elementary_bound(fitted12):
     sc, lib = fitted12
     index = onl.PotentialStateIndex(sc, lib)
-    hit_goal = onl.find_rep_path(lib, sorted(lib.regions[1].covered)[0])
-    hit_start = onl.find_rep_path(lib, sorted(lib.regions[0].covered)[0])
+    entry_goal = onl.find_rep_path(lib, sorted(lib.regions[1].covered)[0])
+    entry_start = onl.find_rep_path(lib, sorted(lib.regions[0].covered)[0])
     bound = (
-        len(hit_start.entry.rep_path.configs)
-        + len(hit_goal.entry.rep_path.configs)
-        + hit_start.entry.max_descent_steps
-        + hit_goal.entry.max_descent_steps
+        len(entry_start.rep_path.configs)
+        + len(entry_goal.rep_path.configs)
+        + entry_start.max_descent_steps
+        + entry_goal.max_descent_steps
     )
     sc.counters.reset()
     onl.query(
