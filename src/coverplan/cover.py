@@ -115,25 +115,42 @@ class RegionCover:
 class Library:
     """Preprocessing output: per-region covers bound to one scenario.
 
-    ``goal_index`` maps every covered state to its CoverEntry, built once
-    at construction from the frozen regions. A state covered twice goes to
-    its first region and, within it, to the lowest entry id; as each
-    covered goal is in an entry of its region (the loader checks), that
-    region is the first whose ``covered`` set holds it.
+    Two start and goal lookups are built once at construction, in one pass
+    over the frozen regions:
+
+    - ``goal_index`` maps every covered state to its CoverEntry;
+    - ``rep_index`` maps every representative-path state that is not
+      served as a goal to (its rep path, its position there).
+
+    A state the cover names more than once keeps its first reason, with
+    regions in library order and, within a region, every rep-path state
+    before any covered goal and lower entry ids first. So a state covered
+    twice goes to its first region's lowest entry (each covered goal is in
+    an entry of its region; the loader checks); a rep-path state that an
+    earlier region covers is served as that goal and left out of
+    ``rep_index``; and a rep-path state keeps its first rep path and
+    position. Nothing writes to a library once it is built, so concurrent
+    queries may share one, each with its own PotentialStateIndex.
     """
 
     fingerprint: str
     s_home: Config
     regions: tuple[RegionCover, ...]
     goal_index: dict[Config, CoverEntry] = field(init=False, compare=False, repr=False)
+    rep_index: dict[Config, tuple[Path, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index: dict[Config, CoverEntry] = {}
+        goals, reps = {}, {}  # goal_index and rep_index, typed above
         for rc in self.regions:
             for entry in rc.entries:
+                for k, q in enumerate(entry.rep_path.configs):
+                    if q not in goals:  # the covered goals of earlier regions
+                        reps.setdefault(q, (entry.rep_path, k))
+            for entry in rc.entries:
                 for q in entry.members & rc.covered:
-                    index.setdefault(q, entry)
-        object.__setattr__(self, "goal_index", index)
+                    goals.setdefault(q, entry)
+        object.__setattr__(self, "goal_index", goals)
+        object.__setattr__(self, "rep_index", reps)
 
 
 # ---------------------------------------------------------------------------

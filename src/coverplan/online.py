@@ -11,12 +11,12 @@ spends whatever remains of the time budget improving that path.
 
 A start is served the same way from any potential state: home, a state of
 a representative path, a covered goal, or a state of the last executed
-path. The PotentialStateIndex keeps only what the library lacks (rep-path
-positions and the executed path); covered goals go through the library's
-goal index. When a state is both on a rep path and a covered goal, the
-earlier region in library order decides which it is. A chained start, the
-end of the last executed path, reads the home path stored for it when the
-path was registered, so it costs no pointer chase.
+path. The library answers the first three itself, through its
+``rep_index`` and ``goal_index`` (``Library`` states which reason a state
+named twice keeps); the PotentialStateIndex keeps only the robot's
+history, so building one costs O(1). A chained start, the end of the last
+executed path, reads the home path stored for it when the path was
+registered, so it costs no pointer chase.
 
 The index also keeps the last query's goal's home path (the pointer
 chase ``connect`` gave), one slot that the next query replaces.
@@ -26,10 +26,11 @@ looked up in the slot instead of being chased again. The executed path
 itself is the only record of its states; looking up a state in the
 middle of it scans the path.
 
-The library is immutable and shareable across concurrent queries. A query
-only reads the scenario's fields and tables, but it adds its operation
-counts to ``scenario.counters``, so concurrent queries on one scenario mix
-their counts; the paths they return do not depend on the counters. The
+The library is immutable and shareable across concurrent queries, each
+with its own PotentialStateIndex. A query only reads the scenario's
+fields and tables, but it adds its operation counts to
+``scenario.counters``, so concurrent queries on one scenario mix their
+counts; the paths they return do not depend on the counters. The
 PotentialStateIndex mutates between sequential queries (a query records
 the path it returned and its goal's home path, a registration records
 the executed path) and must be serialized per robot (single writer).
@@ -43,7 +44,7 @@ from typing import Callable
 
 from .cover import CoverEntry, Library
 from .cspace import Config, Scenario
-from .errors import GoalUncovered, StaleLibrary, StartNotPotential
+from .errors import FingerprintMismatch, GoalUncovered, StaleLibrary, StartNotPotential
 from .search import Path, RefineReport, _refine, check_path, concat_paths
 
 
@@ -96,11 +97,12 @@ class PotentialStateIndex:
     """Start states the planner can serve without searching.
 
     A potential state is home, a representative-path state, a covered goal
-    or a state of the most recently executed path. The index stores only
-    what the library does not already hold:
+    or a state of the most recently executed path. The library holds the
+    first three (``library.rep_index`` and ``library.goal_index``); the
+    index holds only the robot's history, and builds no table:
 
-    - ``rep_states``: each representative-path state -> (its first rep
-      path, its position there);
+    - ``scenario`` and ``library``, the pair it serves; FingerprintMismatch
+      is raised when the library was built for another scenario;
     - ``goal_path``: the home path of the goal of the last ``query``
       given this index, ``connect(entry, goal)``, whose last state is that
       goal (None before the first; a query whose start is its goal leaves
@@ -118,27 +120,16 @@ class PotentialStateIndex:
       returned (None before the first), which ``update_potential_index``
       registers without re-checking it.
 
-    Covered goals are answered by ``library.goal_index``. Lookups try home,
-    ``rep_states``, the goal index and the executed path, in that order.
-    Regions take priority in library order, and within a region rep-path
-    states come before covered goals, so a rep-path state that an earlier
-    region covers as a goal is left out of ``rep_states`` and served as
-    that goal. The index is single-writer: queries and registrations that
-    share one must be serialized.
+    Lookups try home, ``library.rep_index``, ``library.goal_index`` and the
+    executed path, in that order. The index is single-writer: queries and
+    registrations that share one must be serialized.
     """
 
     def __init__(self, scenario: Scenario, library: Library):
+        if library.fingerprint != scenario.fingerprint:
+            raise FingerprintMismatch("the library was built for another scenario")
         self.scenario = scenario
         self.library = library
-        self.rep_states: dict[Config, tuple[Path, int]] = {}
-        earlier: set[Config] = set()  # covered goals of earlier regions (see Library)
-        for rc in library.regions:
-            for entry in rc.entries:
-                rep = entry.rep_path
-                for k, q in enumerate(rep.configs):
-                    if q not in self.rep_states and q not in earlier:
-                        self.rep_states[q] = (rep, k)
-            earlier |= rc.covered
         self.goal_path: Path | None = None
         self.executed_path: Path | None = None
         self.anchor: Path | None = None
@@ -147,7 +138,7 @@ class PotentialStateIndex:
     def __contains__(self, q: Config) -> bool:
         return (
             q == self.library.s_home
-            or q in self.rep_states
+            or q in self.library.rep_index
             or q in self.library.goal_index
             or (self.executed_path is not None and q in self.executed_path.configs)
         )
@@ -158,10 +149,11 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
 
     Home comes first. The end of the last executed path (a chained start)
     then returns ``index.anchor`` itself. Otherwise, in the lookup order:
-    rep-path states take the stored prefix; covered goals take their
-    entry's ``connect``, unless ``index.goal_path`` ends at the goal, which
-    is then returned; executed-path states take the stored anchor plus the
-    executed path from its end back to the state's last position there.
+    rep-path states take their rep path up to their position, from
+    ``library.rep_index``; covered goals take their entry's ``connect``,
+    unless ``index.goal_path`` ends at the goal, which is then returned;
+    executed-path states take the stored anchor plus the executed path
+    from its end back to the state's last position there.
     The anchor was resolved at registration from lookups that never
     change, and for the end the executed branch adds nothing to it, so the
     shortcut gives what the order gives. A stale entry raises StaleLibrary.
@@ -172,7 +164,7 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     executed_path = index.executed_path
     if executed_path is not None and s == executed_path.configs[-1]:
         return index.anchor
-    rep = index.rep_states.get(s)
+    rep = library.rep_index.get(s)
     if rep is not None:
         path, k = rep
         return Path(path.configs[: k + 1])
@@ -272,14 +264,21 @@ def query(
     steps (starts registered from an executed path substitute their stored
     anchor length for the rep-path term). The budget clock starts at
     request receipt; lookup and connect time are deducted from the
-    refinement budget. A given ``index`` must be one built for this
-    ``library`` (that object), since its lookups answer for that library,
-    or ValueError is raised; it records the returned path as its ``planned``
-    path and the goal's home path as its ``goal_path``. A stale entry
-    raises StaleLibrary, from ``connect``.
+    refinement budget. The query plans through ``index``, a
+    PotentialStateIndex, or a fresh one when none is given: it records the
+    returned path as its ``planned`` path and the goal's home path as its
+    ``goal_path``, and looks the start up in it. A given index must be one
+    built for this ``library`` (that object), since its history is a
+    history on that library, or ValueError is raised. FingerprintMismatch
+    is raised when the library was built for another scenario, and
+    StaleLibrary, from ``connect``, for a stale entry.
     """
-    if index is not None and index.library is not library:
+    if index is None:
+        index = PotentialStateIndex(scenario, library)
+    elif index.library is not library:
         raise ValueError("the index was built for another library")
+    elif library.fingerprint != scenario.fingerprint:
+        raise FingerprintMismatch("the library was built for another scenario")
     t0 = clock()
     deadline = t0 + request.budget_ms / 1000.0
 
@@ -292,13 +291,11 @@ def query(
         initial = Path((request.start,))
     else:
         home_to_goal = connect(entry, request.goal)
-        if index is not None:
-            index.goal_path = home_to_goal
+        index.goal_path = home_to_goal
         if request.start == library.s_home:
             initial = home_to_goal
         else:
-            starts = index if index is not None else PotentialStateIndex(scenario, library)
-            home_to_start = path_home_to(starts, request.start)
+            home_to_start = path_home_to(index, request.start)
             # both paths leave home: back along the first, out along the second
             initial = Path(home_to_start.configs[::-1] + home_to_goal.configs[1:])
     scenario.counters.elementary_steps += len(initial.configs)
@@ -319,6 +316,5 @@ def query(
         result.refine_ms = (clock() - t_connect) * 1000.0
         result.optimal_flag = report.optimal_flag
         result.refine_report = report
-    if index is not None:
-        index.planned = result.path
+    index.planned = result.path
     return result

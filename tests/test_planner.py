@@ -153,7 +153,7 @@ def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, 
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
     index = planner.index_
     pick, place = (
-        [q for q in sorted(rc.covered) if q not in index.rep_states]
+        [q for q in sorted(rc.covered) if q not in planner.library_.rep_index]
         for rc in planner.library_.regions
     )
     calls = []

@@ -1,9 +1,10 @@
 """The potential-state index against the first-match oracle.
 
-``PotentialStateIndex`` keeps rep-path positions only and serves covered
-goals from the library's goal index, so it must skip a rep-path state that
-an earlier region covers as a goal. The oracle walks the regions literally,
-so any change to that priority rule shows up here as a different home path.
+The library's ``rep_index`` and ``goal_index``, built in one pass, serve
+rep-path states and covered goals, so ``rep_index`` must skip a rep-path
+state that an earlier region covers as a goal. The oracle walks the regions
+literally, so any change to that priority rule shows up here as a different
+home path.
 Random chains of plans and registered walks then check ``path_home_to``,
 which answers the end of the executed path from its stored anchor, against
 ``oracles.home_path_by_lookup``, which always runs the lookup order.

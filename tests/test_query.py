@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import time
 
 import pytest
@@ -188,24 +190,56 @@ def test_query_refine_reaches_oracle(fitted12):
     assert res.optimal_flag
 
 
-def test_home_start_without_an_index_builds_none(fitted12, monkeypatch):
-    """The CLI's query, from home with no index, builds no
-    PotentialStateIndex; a start elsewhere builds one to look it up."""
+def test_an_index_holds_only_the_robots_history(fitted12, monkeypatch):
+    """An index holds its scenario, its library and four history slots, and
+    builds no table: the library answers the home, rep-path and goal
+    lookups. A query without an index plans through one fresh index, from
+    home and from any other potential start alike."""
     sc, lib = fitted12
+    index = onl.PotentialStateIndex(sc, lib)
+    assert vars(index).keys() == {
+        "scenario", "library", "goal_path", "executed_path", "anchor", "planned"
+    }
+    assert index.scenario is sc and index.library is lib
+    assert [index.goal_path, index.executed_path, index.anchor, index.planned] == [None] * 4
     built = []
 
     class Counted(onl.PotentialStateIndex):
         def __init__(self, scenario, library):
-            built.append(library)
             super().__init__(scenario, library)
+            built.append(self)
 
     monkeypatch.setattr(onl, "PotentialStateIndex", Counted)
     goal = sorted(lib.regions[1].covered)[0]
-    onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=goal, refine=False))
-    assert built == []
-    start = sorted(lib.regions[0].covered)[0]
-    onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False))
-    assert built == [lib]
+    for start in (sc.s_home, sorted(lib.regions[0].covered)[0]):
+        result = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False))
+        assert built[-1].planned is result.path and built[-1].library is lib
+    assert len(built) == 2
+
+
+def test_a_library_of_another_scenario_is_refused():
+    """grid8_d00 and grid8_d10 share their lattice and home, so a library of
+    the first answered queries on the second: every home query returned a
+    path through the second's obstacles, and refinement flagged it
+    optimal. The library's fingerprint is now checked against the
+    scenario's, by ``query`` with or without an index and by the index."""
+    scenarios = dict(corpus.corpus())
+    sc_a, sc_b = scenarios["grid8_d00"], scenarios["grid8_d10"]
+    lib_a = pre.preprocess(sc_a, seed=0)
+    goals = sorted(lib_a.goal_index)
+    assert len(goals) == 18
+    plans = [onl.query(sc_a, lib_a, onl.QueryRequest(sc_a.s_home, q, refine=False)) for q in goals]
+    assert not any(path_is_valid(sc_b, plan.path) for plan in plans)
+    index = onl.PotentialStateIndex(sc_a, lib_a)
+    for q in goals:
+        request = onl.QueryRequest(sc_b.s_home, q, budget_ms=1e6)
+        with pytest.raises(errors.FingerprintMismatch):
+            onl.query(sc_b, lib_a, request)
+        with pytest.raises(errors.FingerprintMismatch):
+            onl.query(sc_b, lib_a, request, index=index)
+    with pytest.raises(errors.FingerprintMismatch):
+        onl.PotentialStateIndex(sc_b, lib_a)
+    assert index.goal_path is None and index.planned is None
 
 
 def test_query_refuses_an_index_of_another_library():
@@ -275,7 +309,7 @@ def test_registration_raises_stale_library(fitted12):
     sc, lib = fitted12
     for q, stale in stale_libraries(lib):
         index = onl.PotentialStateIndex(sc, stale)
-        assert q not in index.rep_states  # so the registration chases q's pointers
+        assert q not in stale.rep_index  # so the registration chases q's pointers
         with pytest.raises(errors.StaleLibrary):
             onl.update_potential_index(index, astar(sc, sc.s_home, q))
         assert index.executed_path is None and index.anchor is None
@@ -350,8 +384,8 @@ def test_chained_start_reads_the_anchor(two_region_grid12, monkeypatch):
     from coverplan import CoverPlanner
 
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
-    rep_states = planner.index_.rep_states
-    pick, place = (min(rc.covered - rep_states.keys()) for rc in planner.library_.regions)
+    rep_index = planner.library_.rep_index
+    pick, place = (min(rc.covered - rep_index.keys()) for rc in planner.library_.regions)
     planner.register_executed(planner.plan(pick, refine=False).path)
     calls = []
     connect = onl.connect
@@ -379,6 +413,53 @@ def test_executed_mid_path_home_route_is_valid(fitted12):
         path = onl.path_home_to(index, s)
         assert path.configs[0] == sc.s_home and path.configs[-1] == s
         assert path_is_valid(sc, path)
+
+
+def test_concurrent_robots_share_one_library():
+    """Four threads, each with its own index on one shared library and
+    scenario (grid24_d30), run the same chained pick -> place sweep with
+    refinement and registration, and each gets the paths and refine
+    records of a serial run. The counters mix by design and are left out;
+    the clock stands still, so every refinement runs to convergence."""
+    sc = dict(corpus.corpus())["grid24_d30"]
+    lib = pre.preprocess(sc, seed=0)
+    picks, places = (sorted(rc.covered) for rc in lib.regions)
+
+    def sweep():
+        index = onl.PotentialStateIndex(sc, lib)
+        start, outputs = sc.s_home, []
+        for goal in (g for pair in zip(picks, places) for g in pair):
+            request = onl.QueryRequest(start, goal, budget_ms=1.0)
+            result = onl.query(sc, lib, request, index=index, clock=lambda: 0.0)
+            onl.update_potential_index(index, result.path)
+            report = result.refine_report
+            records = [(it.epsilon, it.cost, it.expansions) for it in report.iterations]
+            outputs.append((result.path.configs, records, result.optimal_flag))
+            start = goal
+        return outputs
+
+    serial = sweep()
+    assert len(serial) == 2 * min(len(picks), len(places)) > 2
+    assert all(optimal for _, _, optimal in serial)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(k):
+        barrier.wait()
+        results[k] = sweep()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to interleave more
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
 
 
 # ---------------------------------------------------------------------------
