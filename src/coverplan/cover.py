@@ -15,16 +15,16 @@ it, and its frontier (the next candidates) the uncovered goals next to a
 valid state whose walk does. Sampling ends with every covered goal in a basin.
 
 Each attractor becomes one CoverEntry, built by ``_cover_entry`` from the
-attractor and the scenario alone. It keeps what a query follows: the
-descent walk of each covered goal that reaches the attractor, as one
-pointer per state (the next state of its walk; the attractor points to
-itself), the longest such walk as its step bound, and a shortest path
-from home to the attractor, read off ``home_distance`` with no search.
-The tail of a successful walk is a successful walk, so every pointer lands
-on a member. Following pointers from a covered goal therefore replays the
-offline walk exactly, in at most ``max_descent_steps`` moves, with no
-collision check and no navigation value; that is the whole of the online
-connect, which the library's goal index leads to from the goal.
+attractor and the scenario alone. It keeps what a query returns: a
+shortest path from home to the attractor (the rep path, read off
+``home_distance`` with no search), the longest descent walk of a covered
+goal that reaches the attractor as its step bound, and for each state on
+such a walk its home path, the rep path followed by the state's walk
+reversed. The tail of a successful walk is a successful walk, so a
+state's home path is its next state's path plus the state: one tuple
+join, made in the walk that finds the state. The online connect is one
+lookup of that path, with no collision check, no navigation value and no
+walk; the library's goal index leads to the entry from the goal.
 
 Descent compares squared navigation values, as integers: the sum over
 axes of the squared wrapped index distance, read from a per-attractor
@@ -36,7 +36,7 @@ A library file (format 4) stores only the attractors, per region, with
 the region ids and the scenario fingerprint. ``preprocess`` and the
 loader both build each entry with ``_cover_entry`` and read the covered
 and excluded split off ``region_reach``, so a built library equals its
-loaded copy, and a file can claim no member, pointer, step bound, rep
+loaded copy, and a file can claim no member, home path, step bound, rep
 path or goal.
 
 Regions are independent: a region's cover depends on the scenario, the
@@ -50,10 +50,10 @@ merged library is immutable afterward.
 from __future__ import annotations
 
 import json
-import operator
 import random
 from collections.abc import Collection, Set
 from dataclasses import dataclass, field
+from operator import getitem
 
 from . import cspace
 from .cspace import Config, RegionSpec, Scenario
@@ -71,16 +71,17 @@ LIBRARY_FORMAT_VERSION = 4
 
 @dataclass(frozen=True)
 class CoverEntry:
-    """One cover unit: the descent chains to an attractor and its home path.
+    """One cover unit: the home paths of an attractor's descent walks.
 
-    ``next_member`` maps each state on the descent walk of a covered goal
-    that reaches the attractor to the next state of that walk, which is
-    itself a member; the attractor maps to itself. Its keys are the member
+    ``home_paths`` maps each state on the descent walk of a covered goal
+    that reaches the attractor to its path from home: the rep path, then
+    the state's walk reversed, cut at the state's first visit (a state on
+    the rep path takes the rep path up to it). Its keys are the member
     set, and no walk takes more than ``max_descent_steps`` moves, the
     longest of them. ``rep_path`` runs from home to the attractor.
     """
 
-    next_member: dict[Config, Config] = field(hash=False)
+    home_paths: dict[Config, tuple[Config, ...]] = field(hash=False)
     max_descent_steps: int
     rep_path: Path
 
@@ -90,7 +91,7 @@ class CoverEntry:
 
     @property
     def members(self) -> Set[Config]:
-        return self.next_member.keys()
+        return self.home_paths.keys()
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,14 @@ def greedy_step(scenario: Scenario, q: Config, attractor: Config, squares=None) 
     """
     if squares is None:
         squares = _squared_deltas(scenario, attractor)
-    nav_q = sum(map(operator.getitem, squares, q))
+    is_valid = cspace.is_valid
     best: Config | None = None
-    best_nav = nav_q
+    best_nav = sum(map(getitem, squares, q))
     for nb in scenario.neighbor_table[q]:
-        if not cspace.is_valid(scenario, nb):
-            continue
-        nav = sum(map(operator.getitem, squares, nb))
-        if nav < best_nav or (nav == best_nav and best is not None and nb < best):
-            best = nb
-            best_nav = nav
+        if is_valid(scenario, nb):
+            nav = sum(map(getitem, squares, nb))
+            if nav < best_nav or (nav == best_nav and best is not None and nb < best):
+                best, best_nav = nb, nav
     return best
 
 
@@ -192,54 +191,49 @@ def descend(scenario: Scenario, q: Config, attractor: Config) -> Path:
     """Run greedy descent q -> attractor. No search, only successor evaluation.
 
     This is the offline walk of ``_Descent``, with collision checks, read
-    back along its pointers; online, connect follows the pointers that the
-    loader derived from the same walk. Raises ValueError for an attractor
-    off the lattice and DescentStalled when no strictly improving move exists.
+    back from its memo; online, connect reads the home path that the
+    loader built on the same walk. Raises ValueError for an attractor off
+    the lattice and DescentStalled when no strictly improving move exists.
     """
-    descent = _Descent(scenario, attractor)
-    descent.walk(q)
-    configs = [q]
-    while configs[-1] != attractor:
-        if configs[-1] not in descent.next_state:
-            raise DescentStalled(f"descent stalled at {configs[-1]} toward {attractor}")
-        configs.append(descent.next_state[configs[-1]])
-    return Path(tuple(configs))
+    path = _Descent(scenario, attractor).walk(q)
+    if path is None:
+        raise DescentStalled(f"descent from {q} stalls before {attractor}")
+    return Path(path[::-1])
 
 
 class _Descent:
     """Memoized greedy-descent walks toward one attractor.
 
-    ``steps`` maps each walked state to its moves to the attractor, or -1
-    where its walk stalls; ``next_state`` maps each walked state that
-    moves to the next state of its walk (the attractor to itself).
+    ``paths`` maps each walked state to ``rep`` (a path that ends at the
+    attractor: its home path, or the attractor alone when none is given)
+    followed by the state's walk reversed, or to None where the walk
+    stalls. So a state's path is its next state's path plus itself.
     """
 
-    def __init__(self, scenario: Scenario, attractor: Config):
+    def __init__(self, scenario: Scenario, attractor: Config, rep: tuple[Config, ...] = ()):
         self.scenario = scenario
         self.attractor = attractor
         self.squares = _squared_deltas(scenario, attractor)
-        self.steps: dict[Config, int] = {attractor: 0}
-        self.next_state: dict[Config, Config] = {attractor: attractor}
+        self.paths: dict[Config, tuple[Config, ...] | None] = {attractor: rep or (attractor,)}
 
-    def walk(self, q: Config) -> int:
-        """Moves from q to the attractor, or -1 for a walk that stalls."""
+    def walk(self, q: Config) -> tuple[Config, ...] | None:
+        """q's path (see ``paths``), or None for a walk that stalls."""
         # Strict descent means no cycles: the walk ends at the attractor,
         # a stall, or a previously memoized state.
-        steps, next_state = self.steps, self.next_state
+        paths = self.paths
         chain: list[Config] = []
         cur = q
-        while cur not in steps:
+        while cur not in paths:
             chain.append(cur)
-            nxt = greedy_step(self.scenario, cur, self.attractor, self.squares)
-            if nxt is None:
-                steps[cur] = -1
+            cur = greedy_step(self.scenario, cur, self.attractor, self.squares)
+            if cur is None:
                 break
-            next_state[cur] = nxt
-            cur = nxt
-        base = steps[cur]
-        for dist, state in enumerate(reversed(chain), start=1):
-            steps[state] = -1 if base < 0 else base + dist
-        return steps[q]
+        path = None if cur is None else paths[cur]
+        for state in reversed(chain):
+            if path is not None:
+                path += (state,)
+            paths[state] = path
+        return paths[q]
 
 
 def construct_neighborhood(
@@ -247,17 +241,22 @@ def construct_neighborhood(
 ) -> tuple[dict[Config, Config], int, frozenset[Config]]:
     """The attractor's full descent basin, by walking every valid state.
 
-    Returns (next_member, max_descent_steps, frontier): each member's
-    descent pointer (the attractor's is itself), the longest member walk
-    in moves, and the valid states adjacent to members whose own descent
-    walk does not reach the attractor. ``preprocess`` needs only the
-    region's part of the basin and never calls this.
+    Returns (next_member, max_descent_steps, frontier): each member's next
+    state on its descent walk (the attractor's is itself), the longest
+    member walk in moves, and the valid states adjacent to members whose
+    own descent walk does not reach the attractor. ``preprocess`` needs
+    only the region's part of the basin and never calls this.
     """
     descent = _Descent(scenario, attractor)
     valid = [q for q in scenario.state_table if cspace.is_valid(scenario, q)]
-    members = {q: descent.next_state[q] for q in valid if descent.walk(q) >= 0}
+    members = {}
+    for q in valid:
+        path = descent.walk(q)
+        if path is not None:
+            members[q] = path[-2] if len(path) > 1 else q
     frontier = _frontier(descent, [q for q in valid if q not in members])
-    return members, max(descent.steps.values()), frontier
+    longest = max(len(path) for path in descent.paths.values() if path is not None)
+    return members, longest - 1, frontier
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def sample_valid_uncovered(
 def _home_path(scenario: Scenario, q: Config) -> Path:
     """A shortest path from home to ``q``, read off ``home_distance``: from
     ``q`` back, each step goes to the first neighbour in move order that is
-    one step closer to home. ``_cover_entry`` calls it for every entry."""
+    one step closer to home. Every entry's walks start from it."""
     dist, neighbors = scenario.home_distance, scenario.neighbor_table
     configs = [q]
     for d in range(dist[q] - 1, -1, -1):
@@ -303,19 +302,24 @@ def _home_path(scenario: Scenario, q: Config) -> Path:
 
 
 def _cover_entry(descent: _Descent, covered: Collection[Config]) -> CoverEntry:
-    """The CoverEntry of the descent's attractor, built on its memo.
+    """The CoverEntry of the descent's attractor, built on its memo, whose
+    paths start with the attractor's home path (``_home_path``).
 
     Every covered goal is walked toward the attractor, and the entry keeps
-    the pointers of the walks that reach it: its members are those walks'
-    states, its step bound the longest of them. The rep path is read off
-    ``home_distance``. ``preprocess`` and the loader both build entries here.
+    the home paths of the walks that reach it: its members are those
+    walks' states, its step bound the longest of them, and a member on the
+    rep path takes the rep path up to it. ``preprocess`` and the loader
+    both build entries here.
     """
     for q in covered:
         descent.walk(q)
-    steps = descent.steps
-    next_member = {q: descent.next_state[q] for q, n in steps.items() if n >= 0}
-    rep_path = _home_path(descent.scenario, descent.attractor)
-    return CoverEntry(next_member, max(steps.values()), rep_path)
+    rep = descent.paths[descent.attractor]
+    home_paths = {q: path for q, path in descent.paths.items() if path is not None}
+    max_steps = max(map(len, home_paths.values())) - len(rep)
+    for k, q in enumerate(rep):
+        if q in home_paths:
+            home_paths[q] = rep[: k + 1]
+    return CoverEntry(home_paths, max_steps, Path(rep))
 
 
 def _frontier(descent: _Descent, goals: Collection[Config]) -> frozenset[Config]:
@@ -325,10 +329,16 @@ def _frontier(descent: _Descent, goals: Collection[Config]) -> frozenset[Config]
     def in_basin(q: Config) -> bool:
         # Validity first: a walk from a state in collision can still
         # reach the attractor, but such a state is in no basin.
-        return cspace.is_valid(descent.scenario, q) and descent.walk(q) >= 0
+        return cspace.is_valid(descent.scenario, q) and descent.walk(q) is not None
 
     neighbors = descent.scenario.neighbor_table
     return frozenset(q for q in goals if any(map(in_basin, neighbors[q])))
+
+
+def _home_descent(scenario: Scenario, attractor: Config) -> _Descent:
+    """A walk memo toward an attractor that home reaches, whose paths are
+    home paths: ``_cover_entry``'s memo."""
+    return _Descent(scenario, attractor, _home_path(scenario, attractor).configs)
 
 
 def _region_cover(scenario: Scenario, region: RegionSpec, attractors) -> RegionCover:
@@ -337,7 +347,7 @@ def _region_cover(scenario: Scenario, region: RegionSpec, attractors) -> RegionC
     split from ``region_reach``. Raises CorruptLibrary when a covered goal
     reaches none of the attractors."""
     covered, excluded = scenario.region_reach[region]
-    entries = [_cover_entry(_Descent(scenario, a), covered) for a in attractors]
+    entries = [_cover_entry(_home_descent(scenario, a), covered) for a in attractors]
     unreached = covered.difference(*(entry.members for entry in entries))
     if unreached:
         raise CorruptLibrary(
@@ -376,7 +386,7 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
             if cand in excluded:
                 done.add(cand)
                 continue
-            descent = _Descent(scenario, cand)
+            descent = _home_descent(scenario, cand)
             entries.append(_cover_entry(descent, covered))
             done |= entries[-1].members & covered
             frontier = _frontier(descent, covered - done)
@@ -404,7 +414,7 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
 
     Payload regions pair with the scenario's regions by position, and
     ``_region_cover`` builds each region's cover from its stored
-    attractors, so no member, pointer, step bound, rep path, covered or
+    attractors, so no member, home path, step bound, rep path, covered or
     excluded set can be claimed by the file. Raises LibraryVersionError
     for any format version but the current one (an older file's message
     names the command that rebuilds it), FingerprintMismatch for another

@@ -1,13 +1,13 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
-A query is a pointer chase. The goal resolves to its CoverEntry with one
-dict lookup in the library's goal index; the entry's descent pointers,
-derived when the library was built or loaded, lead from the goal to its
-attractor in at most max_descent_steps moves (no collision checks, no
-navigation values, no search; a chase that breaks raises StaleLibrary);
-and the reversed home path of the start is joined to the home path of
-the goal in one tuple concatenation. The optional refinement stage then
-spends whatever remains of the time budget improving that path.
+A query is a few lookups and one tuple join. The goal resolves to its
+CoverEntry with one dict lookup in the library's goal index, and the
+entry holds the goal's home path, built on the offline descent walk when
+the library was built or loaded (no collision checks, no navigation
+values, no search). The reversed home path of the start is joined to the
+home path of the goal in one tuple concatenation. The optional
+refinement stage then spends whatever remains of the time budget
+improving that path.
 
 A start is served the same way from any potential state: home, a state of
 a representative path, a covered goal, or a state of the last executed
@@ -16,15 +16,13 @@ path. The library answers the first three itself, through its
 named twice keeps); the PotentialStateIndex keeps only the robot's
 history, so building one costs O(1). A chained start, the end of the last
 executed path, reads the home path stored for it when the path was
-registered, so it costs no pointer chase.
+registered.
 
-The index also keeps the last query's goal's home path (the pointer
-chase ``connect`` gave), one slot that the next query replaces.
-Registering the path that the last query returned therefore costs O(1)
-in its length: it is taken without a check, and its end, that goal, is
-looked up in the slot instead of being chased again. The executed path
-itself is the only record of its states; looking up a state in the
-middle of it scans the path.
+Registering the path that the last query returned costs O(1) in its
+length: it is taken without a check, and its end, that goal, has its
+home path stored in the library. The executed path itself is the only
+record of its states; looking up a state in the middle of it scans the
+path.
 
 The library is immutable and shareable across concurrent queries, each
 with its own PotentialStateIndex. A query only reads the scenario's
@@ -32,8 +30,8 @@ fields and tables, but it adds its operation counts to
 ``scenario.counters``, so concurrent queries on one scenario mix their
 counts; the paths they return do not depend on the counters. The
 PotentialStateIndex mutates between sequential queries (a query records
-the path it returned and its goal's home path, a registration records
-the executed path) and must be serialized per robot (single writer).
+the path it returned, a registration records the executed path) and must
+be serialized per robot (single writer).
 """
 
 from __future__ import annotations
@@ -58,35 +56,21 @@ def find_rep_path(library: Library, q: Config) -> CoverEntry | None:
 
 
 def connect(entry: CoverEntry, q: Config) -> Path:
-    """Extend the entry's representative path from its attractor out to q.
+    """The entry's home path to its member q: the representative path out
+    to the attractor, then q's descent walk reversed, cut at q's first
+    arrival so that q appears exactly once, at the end.
 
-    Follows the entry's descent pointers from q to the attractor, so the
-    step count is bounded by its max_descent_steps and no collision
-    checks run. A representative path may pass through q on its way to the
-    attractor; the result is truncated at its first arrival at q so q
-    appears exactly once, at the end. An entry that ``preprocess`` or the
-    loader built derives its pointers and bound from the same walks, so
-    StaleLibrary (a missing pointer, or a chase that outruns
-    max_descent_steps) comes only from a hand-built or stale entry.
+    One lookup in ``entry.home_paths``, which ``preprocess`` and the loader
+    build on the offline walk: no collision check and no walk. Raises
+    ValueError when q is not a member, and StaleLibrary when the stored
+    path does not end at q, which only a hand-built or stale entry does.
     """
-    next_member = entry.next_member
-    if q not in next_member:
+    path = entry.home_paths.get(q)
+    if path is None:
         raise ValueError(f"{q} is not a member of the entry's basin")
-    bound = entry.max_descent_steps
-    rep = entry.rep_path.configs
-    attractor = rep[-1]
-    down = [q]
-    cur = q
-    while cur != attractor:
-        if len(down) > bound:
-            raise StaleLibrary(f"descent from {q} exceeded {bound} steps")
-        cur = next_member.get(cur)
-        if cur is None:
-            raise StaleLibrary(f"no descent pointer at {down[-1]}")
-        down.append(cur)
-    down.reverse()
-    configs = rep + tuple(down[1:])
-    return Path(configs[: configs.index(q) + 1])
+    if path[-1] != q:
+        raise StaleLibrary(f"the stored home path of {q} ends at {path[-1]}")
+    return Path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +87,6 @@ class PotentialStateIndex:
 
     - ``scenario`` and ``library``, the pair it serves; FingerprintMismatch
       is raised when the library was built for another scenario;
-    - ``goal_path``: the home path of the goal of the last ``query``
-      given this index, ``connect(entry, goal)``, whose last state is that
-      goal (None before the first; a query whose start is its goal leaves
-      it as it was). Only ``query`` writes it and ``path_home_to`` reads
-      it, so it holds one goal whatever the number of queries;
     - ``executed_path``: the last registered executed path, the only
       record of its states (a mid-path lookup scans it and takes a state's
       last position), and ``anchor``, the path from home to its end (both
@@ -130,7 +109,6 @@ class PotentialStateIndex:
             raise FingerprintMismatch("the library was built for another scenario")
         self.scenario = scenario
         self.library = library
-        self.goal_path: Path | None = None
         self.executed_path: Path | None = None
         self.anchor: Path | None = None
         self.planned: Path | None = None
@@ -150,8 +128,7 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     Home comes first. The end of the last executed path (a chained start)
     then returns ``index.anchor`` itself. Otherwise, in the lookup order:
     rep-path states take their rep path up to their position, from
-    ``library.rep_index``; covered goals take their entry's ``connect``,
-    unless ``index.goal_path`` ends at the goal, which is then returned;
+    ``library.rep_index``; covered goals take their entry's ``connect``;
     executed-path states take the stored anchor plus the executed path
     from its end back to the state's last position there.
     The anchor was resolved at registration from lookups that never
@@ -170,9 +147,6 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
         return Path(path.configs[: k + 1])
     entry = find_rep_path(library, s)
     if entry is not None:
-        slot = index.goal_path
-        if slot is not None and slot.configs[-1] == s:
-            return slot
         return connect(entry, s)
     if executed_path is not None:
         back = executed_path.configs[::-1]
@@ -195,8 +169,8 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     The path the last query on this index returned (``index.planned``, the
     same object) is a valid walk by construction and is taken as it is.
     Its end is that query's goal, whose home path is the anchor, a stored
-    rep-path prefix or the ``goal_path`` the query stored, so registering
-    it does no work that grows with the path's length. Any other path must
+    rep-path prefix or its entry's stored home path, so registering it
+    does no work that grows with the path's length. Any other path must
     pass ``path_is_valid``, or InvalidPath is raised and the index is left
     unchanged, since later queries would hand its steps out as plans. A
     stale entry on the way raises StaleLibrary, with the index unchanged.
@@ -258,18 +232,17 @@ def query(
 ) -> QueryResult:
     """Answer a start -> goal request from the library, then refine.
 
-    The pre-refinement work is lookups plus a bounded pointer chase and
-    path assembly: zero collision checks, zero expansions, and at most
+    The pre-refinement work is lookups of stored home paths and one path
+    join: zero collision checks, zero expansions, and at most
     len(rep_start) + len(rep_goal) + 2 * max_descent_steps elementary
     steps (starts registered from an executed path substitute their stored
     anchor length for the rep-path term). The budget clock starts at
     request receipt; lookup and connect time are deducted from the
     refinement budget. The query plans through ``index``, a
     PotentialStateIndex, or a fresh one when none is given: it records the
-    returned path as its ``planned`` path and the goal's home path as its
-    ``goal_path``, and looks the start up in it. A given index must be one
-    built for this ``library`` (that object), since its history is a
-    history on that library, or ValueError is raised. FingerprintMismatch
+    returned path as its ``planned`` path, and looks the start up in it. A
+    given index must be one built for this ``library`` (that object), since
+    its history is a history on that library, or ValueError is raised. FingerprintMismatch
     is raised when the library was built for another scenario, and
     StaleLibrary, from ``connect``, for a stale entry.
     """
@@ -291,7 +264,6 @@ def query(
         initial = Path((request.start,))
     else:
         home_to_goal = connect(entry, request.goal)
-        index.goal_path = home_to_goal
         if request.start == library.s_home:
             initial = home_to_goal
         else:
@@ -310,7 +282,7 @@ def query(
         optimal_flag=initial.cost == 0.0,
     )
     if request.refine and initial.cost > 0.0:
-        # the seed is built from library pointers, so it skips the seed check
+        # the seed is built from library paths, so it skips the seed check
         refined, report = _refine(scenario, initial, deadline, clock)
         result.path = refined
         result.refine_ms = (clock() - t_connect) * 1000.0

@@ -323,12 +323,13 @@ def home_path_by_lookup(index, s, provenance=None):
 
     Home, then the first-match reason of ``potential_provenance``: a
     rep-path state takes its rep path up to its position, a covered goal
-    its entry's rep path followed by the reversed chase of descent
-    pointers from s, cut at the first arrival at s. Any other state of the
-    index's executed path takes the anchor, then the executed path from
-    its end back to s's last position there. Returns the configurations,
-    or None when s is not a potential state. ``provenance`` is
-    ``potential_provenance(index.library)``, computed when not given.
+    its entry's rep path followed by its ``simulate_descent`` walk to the
+    entry's attractor, reversed, cut at the first arrival at s. Any other
+    state of the index's executed path takes the anchor, then the executed
+    path from its end back to s's last position there. Returns the
+    configurations, or None when s is not a potential state.
+    ``provenance`` is ``potential_provenance(index.library)``, computed
+    when not given.
     """
     if provenance is None:
         provenance = potential_provenance(index.library)
@@ -339,10 +340,10 @@ def home_path_by_lookup(index, s, provenance=None):
             return (s,)
         if kind == "rep_path":
             return entry.rep_path.configs[: position + 1]
-        chase = [s]
-        while chase[-1] != entry.attractor:
-            chase.append(entry.next_member[chase[-1]])
-        configs = entry.rep_path.configs + tuple(reversed(chase[:-1]))
+        reached, _, visited = simulate_descent(index.scenario, s, entry.attractor)
+        if not reached:
+            raise AssertionError(f"the walk from {s} does not reach {entry.attractor}")
+        configs = entry.rep_path.configs + tuple(reversed(visited[:-1]))
         return configs[: configs.index(s) + 1]
     if index.executed_path is None:
         return None

@@ -5,6 +5,7 @@ PASS lines. Bench-based criteria run under the deterministic simulated
 clock (see coverplan.bench); real-time criteria use the wall clock.
 """
 
+import pathlib
 import random
 import time
 from contextlib import contextmanager
@@ -332,5 +333,5 @@ def test_criterion_8_determinism(fitted_corpus, tmp_path):
             run_library = pre.load_library(lpath, run_scenario)
             records, stats = bench.run_single_experiment(run_scenario, run_library, cfg)
             files = bench.emit_results(records, stats, cfg.outdir)
-            blobs.append(open(files["trials"], "rb").read())
+            blobs.append(pathlib.Path(files["trials"]).read_bytes())
         assert blobs[0] == blobs[1]

@@ -12,8 +12,8 @@ must give a library in which
 - the saved payload, read back, loads to the built library;
 - every covered goal's no-refine query from home is a valid path from
   home to the goal that makes zero collision checks and zero expansions,
-  and the goal's pointer chase reaches its attractor in at most the
-  entry's ``max_descent_steps`` moves;
+  and the goal's ``oracles.simulate_descent`` walk reaches its entry's
+  attractor in at most the entry's ``max_descent_steps`` moves;
 - refinement from home to a few drawn goals ends with ``optimal_flag``
   set and the breadth-first distance as its cost.
 
@@ -27,7 +27,7 @@ import json
 import pytest
 
 from conftest import cell_rect, grid
-from oracles import bfs_distances, reference_attractors
+from oracles import bfs_distances, reference_attractors, simulate_descent
 from coverplan import RegionSpec, corpus, cover, cspace
 from coverplan.online import QueryRequest, query
 from coverplan.search import path_is_valid
@@ -89,10 +89,8 @@ def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
     home = scenario.s_home
     for goal in goals:
         entry = library.goal_index[goal]
-        chase = [goal]
-        while chase[-1] != entry.attractor and len(chase) <= entry.max_descent_steps:
-            chase.append(entry.next_member[chase[-1]])
-        assert chase[-1] == entry.attractor, goal
+        reached, steps, _ = simulate_descent(scenario, goal, entry.attractor)
+        assert reached and steps <= entry.max_descent_steps, goal
         scenario.counters.reset()
         path = query(scenario, library, QueryRequest(start=home, goal=goal, refine=False)).path
         assert (scenario.counters.collision_checks, scenario.counters.expansions) == (0, 0)

@@ -145,11 +145,10 @@ def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monk
 
 
 def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, monkeypatch):
-    """Registering the path the last plan returned calls neither connect
-    nor path_is_valid, whether that plan started at home, at the end of the
-    last executed path, or was refined: the end's home path is the one
-    that the plan stored in ``index.goal_path``. The goals are on no rep
-    path, so without it the end would be chased again."""
+    """Registering the path the last plan returned calls path_is_valid
+    never and connect once, whether that plan started at home, at the end
+    of the last executed path, or was refined: the end is a goal on no rep
+    path, whose home path is one lookup in its entry's stored paths."""
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
     index = planner.index_
     pick, place = (
@@ -177,10 +176,10 @@ def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, 
     for kind, plan in plans.items():
         calls.clear()
         res = plan()
-        assert "connect" in calls, kind  # the plan chases its goal
+        assert "connect" in calls, kind  # the plan reads its goal's home path
         calls.clear()
         planner.register_executed(res.path)
-        assert calls == [], kind
+        assert calls == ["connect"], kind
         assert index.executed_path is res.path
     assert res.refine_report is not None and res.final_cost < res.initial_cost
 

@@ -18,6 +18,7 @@ from conftest import (
 )
 from coverplan import RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
+from coverplan import online as onl
 from coverplan.search import path_is_valid
 from oracles import bfs_distances, descent_basin, region_states, simulate_descent
 
@@ -108,36 +109,46 @@ def corpus_libraries():
     return [(name, sc, pre.preprocess(sc, seed=0)) for name, sc in corpus.corpus()]
 
 
-def test_descent_pointers_replay_the_walk(corpus_libraries):
-    """For all 23 corpus scenarios, every member's pointer chase is the
-    offline walk. Each pointer equals the validity-mode ``greedy_step`` and
-    the literal oracle's first move, and every chase reaches the attractor
-    within max_descent_steps, so by induction each chase equals both the
-    ``descend`` walk and ``simulate_descent``; the longest chase of each
-    entry is also checked against both walks in full."""
-    for name, sc, lib in corpus_libraries:
-        for rc in lib.regions:
-            for entry in rc.entries:
-                attractor, pointers = entry.attractor, entry.next_member
-                assert pointers[attractor] == attractor, name
-                chases = {}
-                for q in entry.members - {attractor}:
-                    nxt = pointers[q]
-                    assert nxt in entry.members, (name, q)
-                    assert pre.greedy_step(sc, q, attractor) == nxt, (name, q)
-                    _, _, visited = simulate_descent(sc, q, attractor, max_steps=1)
-                    assert visited == [q, nxt], (name, q)
-                    chase = [q]
-                    while chase[-1] != attractor and len(chase) <= entry.max_descent_steps:
-                        chase.append(pointers[chase[-1]])
-                    assert chase[-1] == attractor, (name, q)
-                    chases[q] = chase
-                longest = max(chases.values(), key=len, default=[attractor])
-                assert len(longest) - 1 == entry.max_descent_steps, name
-                q = longest[0]
-                assert list(pre.descend(sc, q, attractor).configs) == longest, name
-                reached, steps, visited = simulate_descent(sc, q, attractor)
-                assert reached and visited == longest, name
+def oracle_walks(sc, rc, entry):
+    """Each state on the ``simulate_descent`` walk of a covered goal of the
+    region that reaches the entry's attractor, mapped to its own walk."""
+    walks = {}
+    for q in rc.covered:
+        reached, _, visited = simulate_descent(sc, q, entry.attractor)
+        if reached:
+            for k, state in enumerate(visited):
+                walks[state] = visited[k:]
+    return walks
+
+
+def test_home_paths_match_the_descent_oracle(corpus_libraries):
+    """For all 23 corpus scenarios and arm3_s16, on built and on loaded
+    libraries: each entry's members are the states on the oracle walks of
+    its region's covered goals that reach its attractor, each member's
+    ``connect`` is the rep path followed by the member's oracle walk
+    reversed, cut at its first arrival, and max_descent_steps is the
+    longest walk. The longest walk is also ``descend``'s. So every covered
+    goal, which its goal-index entry holds, gets the oracle's home path."""
+    built = [*corpus_libraries, ("arm3_s16", arm3_s16(), None)]
+    for name, sc, lib in built:
+        lib = lib or pre.preprocess(sc, seed=0)
+        loaded = pre.library_from_payload(pre.library_to_payload(lib), sc)
+        for rc, loaded_rc in zip(lib.regions, loaded.regions):
+            for entry, loaded_entry in zip(rc.entries, loaded_rc.entries):
+                walks = oracle_walks(sc, rc, entry)
+                assert entry.members == loaded_entry.members == walks.keys(), name
+                rep = entry.rep_path.configs
+                for q, walk in walks.items():
+                    configs = rep + tuple(reversed(walk[:-1]))
+                    expected = configs[: configs.index(q) + 1]
+                    assert onl.connect(entry, q).configs == expected, (name, q)
+                    assert onl.connect(loaded_entry, q).configs == expected, (name, q)
+                longest = max(walks.values(), key=len)
+                assert entry.max_descent_steps == len(longest) - 1, name
+                assert loaded_entry.max_descent_steps == len(longest) - 1, name
+                assert list(pre.descend(sc, longest[0], entry.attractor).configs) == longest
+        for q in lib.goal_index:
+            assert q in lib.goal_index[q].members and q in loaded.goal_index[q].members
 
 
 def test_descent_soundness_within_bound():
@@ -527,12 +538,13 @@ def test_library_max_descent_steps_must_be_a_move_count(corpus_libraries, steps)
 
 
 def test_library_one_member_entry_may_have_no_moves(tmp_path):
-    """An entry whose only covered goal is its attractor has no pointer but
-    the attractor's own and step bound 0, and loads back the same."""
+    """An entry whose only covered goal is its attractor has no home path
+    but the rep path, and step bound 0, and loads back the same."""
     sc = grid(8, regions=(RegionSpec("one", (5.0, 5.0, 6.0, 6.0)),))
     lib = pre.preprocess(sc)
     (entry,) = lib.regions[0].entries
-    assert entry.next_member == {(5, 5): (5, 5)} and entry.max_descent_steps == 0
+    assert entry.home_paths == {(5, 5): entry.rep_path.configs}
+    assert entry.max_descent_steps == 0
     path = tmp_path / "lib.json"
     pre.save_library(lib, path)
     assert pre.load_library(path, sc) == lib
@@ -648,8 +660,8 @@ def test_library_covered_goal_in_no_entry_rejected(corpus_libraries):
 
 
 def wrapping_library(corpus_libraries):
-    """A corpus arm: 32 x 32, both joints wrapping, with descent pointers
-    and covered goals next to the seam."""
+    """A corpus arm: 32 x 32, both joints wrapping, with descent moves and
+    covered goals next to the seam."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "arm32_o2")
     assert sc.wraps == (True, True)
     return sc, lib
@@ -660,12 +672,18 @@ def crosses_seam(sc, q, target):
 
 
 def test_library_codec_across_the_seam(corpus_libraries):
-    """On a wrapping lattice some descent pointers cross a seam, and the
-    payload decodes to the built library."""
+    """On a wrapping lattice some descent moves cross a seam, and the
+    payload decodes to the built library. A member off the rep path ends
+    its home path with its own descent move, reversed."""
     sc, lib = wrapping_library(corpus_libraries)
     entries = [e for rc in lib.regions for e in rc.entries]
-    pointers = [p for e in entries for p in e.next_member.items()]
-    assert any(crosses_seam(sc, q, target) for q, target in pointers)
+    moves = [
+        (path[-1], path[-2])
+        for e in entries
+        for path in e.home_paths.values()
+        if len(path) > len(e.rep_path.configs)
+    ]
+    assert any(crosses_seam(sc, q, target) for q, target in moves)
     assert pre.library_from_payload(pre.library_to_payload(lib), sc) == lib
 
 

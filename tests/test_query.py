@@ -82,47 +82,46 @@ def test_connect_zero_collision_checks(fitted12):
 
 
 def tampered(entry, edits):
-    """The entry with its descent pointers edited: q -> target, or removed for None."""
-    pointers = dict(entry.next_member)
-    for q, target in edits.items():
-        if target is None:
-            del pointers[q]
+    """The entry with its home paths edited: q -> path, or removed for None."""
+    paths = dict(entry.home_paths)
+    for q, path in edits.items():
+        if path is None:
+            del paths[q]
         else:
-            pointers[q] = target
-    return dataclasses.replace(entry, next_member=pointers)
+            paths[q] = path
+    return dataclasses.replace(entry, home_paths=paths)
 
 
 def two_step_goal(rc, entry):
     """A covered member whose descent takes at least two moves, and its next state."""
-    pointers = entry.next_member
+    rep = entry.rep_path.configs
     for q in sorted(entry.members & rc.covered, reverse=True):
-        if q != entry.attractor and pointers[q] != entry.attractor:
-            return q, pointers[q]
+        path = entry.home_paths[q]
+        if len(path) >= len(rep) + 2:
+            return q, path[-2]
     raise AssertionError("no covered member two moves from its attractor")
 
 
+def stale_edits(entry, q, nxt):
+    """Home paths of q that a stale entry might hold: its next state's, as
+    if its last move were lost, and its own run one state past q."""
+    return ({q: entry.home_paths[nxt]}, {q: entry.home_paths[q] + (nxt,)})
+
+
 def test_connect_stalled_on_tampered_members(fitted12):
-    """Tampered descent pointers signal a stale library: a missing pointer
-    stalls the chase, and a pointer cycle, like any chase longer than
-    max_descent_steps, is cut off at that bound."""
+    """Tampered home paths signal a stale library: a member whose stored
+    path ends elsewhere raises StaleLibrary, and a state with no stored
+    path is no member."""
     sc, lib = fitted12
     rc = lib.regions[0]
     entry = rc.entries[0]
     q, nxt = two_step_goal(rc, entry)
     assert onl.connect(entry, q).configs[-1] == q
-    for edits in ({nxt: None}, {nxt: q}):
+    for edits in stale_edits(entry, q, nxt):
         with pytest.raises(errors.StaleLibrary):
             onl.connect(tampered(entry, edits), q)
-    # the chase may take exactly the recorded bound, and no more
-    steps, cur = 0, q
-    while cur != entry.attractor:
-        cur = entry.next_member[cur]
-        steps += 1
-    exact = dataclasses.replace(entry, max_descent_steps=steps)
-    assert onl.connect(exact, q) == onl.connect(entry, q)
-    short = dataclasses.replace(entry, max_descent_steps=steps - 1)
-    with pytest.raises(errors.StaleLibrary):
-        onl.connect(short, q)
+    with pytest.raises(ValueError, match="not a member"):
+        onl.connect(tampered(entry, {q: None}), q)
 
 
 def test_descend_detects_post_hoc_obstacle(fitted12):
@@ -191,17 +190,15 @@ def test_query_refine_reaches_oracle(fitted12):
 
 
 def test_an_index_holds_only_the_robots_history(fitted12, monkeypatch):
-    """An index holds its scenario, its library and four history slots, and
+    """An index holds its scenario, its library and three history slots, and
     builds no table: the library answers the home, rep-path and goal
     lookups. A query without an index plans through one fresh index, from
     home and from any other potential start alike."""
     sc, lib = fitted12
     index = onl.PotentialStateIndex(sc, lib)
-    assert vars(index).keys() == {
-        "scenario", "library", "goal_path", "executed_path", "anchor", "planned"
-    }
+    assert vars(index).keys() == {"scenario", "library", "executed_path", "anchor", "planned"}
     assert index.scenario is sc and index.library is lib
-    assert [index.goal_path, index.executed_path, index.anchor, index.planned] == [None] * 4
+    assert [index.executed_path, index.anchor, index.planned] == [None] * 3
     built = []
 
     class Counted(onl.PotentialStateIndex):
@@ -239,7 +236,7 @@ def test_a_library_of_another_scenario_is_refused():
             onl.query(sc_b, lib_a, request, index=index)
     with pytest.raises(errors.FingerprintMismatch):
         onl.PotentialStateIndex(sc_b, lib_a)
-    assert index.goal_path is None and index.planned is None
+    assert index.planned is None
 
 
 def test_query_refuses_an_index_of_another_library():
@@ -283,12 +280,12 @@ def test_query_start_not_potential(fitted12):
 
 
 def stale_libraries(lib):
-    """(q, library) pairs whose first entry's chase from the covered goal q
-    breaks: a missing pointer, then a pointer cycle."""
+    """(q, library) pairs whose first entry's stored home path of the
+    covered goal q ends elsewhere (``stale_edits``)."""
     rc = lib.regions[0]
     entry = rc.entries[0]
     q, nxt = two_step_goal(rc, entry)
-    for edits in ({nxt: None}, {nxt: q}):
+    for edits in stale_edits(entry, q, nxt):
         stale = pre.RegionCover(
             rc.region_id, (tampered(entry, edits),) + rc.entries[1:], rc.covered, rc.excluded
         )
@@ -309,7 +306,7 @@ def test_registration_raises_stale_library(fitted12):
     sc, lib = fitted12
     for q, stale in stale_libraries(lib):
         index = onl.PotentialStateIndex(sc, stale)
-        assert q not in stale.rep_index  # so the registration chases q's pointers
+        assert q not in stale.rep_index  # so the registration reads q's stored path
         with pytest.raises(errors.StaleLibrary):
             onl.update_potential_index(index, astar(sc, sc.s_home, q))
         assert index.executed_path is None and index.anchor is None
