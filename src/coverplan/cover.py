@@ -18,13 +18,14 @@ Each attractor becomes one CoverEntry, built by ``_cover_entry`` from the
 attractor and the scenario alone. It keeps what a query returns: a
 shortest path from home to the attractor (the rep path, read off
 ``home_distance`` with no search), the longest descent walk of a covered
-goal that reaches the attractor as its step bound, and for each state on
-such a walk its home path, the rep path followed by the state's walk
-reversed. The tail of a successful walk is a successful walk, so a
-state's home path is its next state's path plus the state: one tuple
-join, made in the walk that finds the state. The online connect is one
-lookup of that path, with no collision check, no navigation value and no
-walk; the library's goal index leads to the entry from the goal.
+goal that reaches the attractor as its step bound, and for each such goal
+its home path, the rep path followed by the goal's walk reversed. The
+tail of a successful walk is a successful walk, so a state's home path
+is its next state's path plus the state: one tuple join, made in the
+walk that finds the state. The entry keeps the goals' paths only. The
+online connect is one lookup of that path, with no collision check, no
+navigation value and no walk; the library's goal index leads to the
+entry from the goal.
 
 Descent compares squared navigation values, as integers: the sum over
 axes of the squared wrapped index distance, read from a per-attractor
@@ -71,14 +72,15 @@ LIBRARY_FORMAT_VERSION = 4
 
 @dataclass(frozen=True)
 class CoverEntry:
-    """One cover unit: the home paths of an attractor's descent walks.
+    """One cover unit: the home paths of the goals an attractor serves.
 
-    ``home_paths`` maps each state on the descent walk of a covered goal
-    that reaches the attractor to its path from home: the rep path, then
-    the state's walk reversed, cut at the state's first visit (a state on
-    the rep path takes the rep path up to it). Its keys are the member
-    set, and no walk takes more than ``max_descent_steps`` moves, the
-    longest of them. ``rep_path`` runs from home to the attractor.
+    ``home_paths`` maps each covered goal whose descent walk reaches the
+    attractor to its path from home: the rep path, then the goal's walk
+    reversed, cut at the goal's first visit (a goal on the rep path takes
+    the rep path up to it). Its keys are the member set, the goals the
+    entry serves, and no walk takes more than ``max_descent_steps``
+    moves, the longest of them. ``rep_path`` runs from home to the
+    attractor.
     """
 
     home_paths: dict[Config, tuple[Config, ...]] = field(hash=False)
@@ -116,42 +118,51 @@ class RegionCover:
 class Library:
     """Preprocessing output: per-region covers bound to one scenario.
 
-    Two start and goal lookups are built once at construction, in one pass
-    over the frozen regions:
+    Two lookups are built once at construction, in one pass over the
+    frozen regions:
 
-    - ``goal_index`` maps every covered state to its CoverEntry;
-    - ``rep_index`` maps every representative-path state that is not
-      served as a goal to (its rep path, its position there).
+    - ``goal_index`` maps every covered goal to its CoverEntry, whose
+      stored home path a query's goal side reads;
+    - ``start_index`` maps every state that a start is served from
+      without the robot's history (home, every representative-path state
+      and every covered goal) to a stored path through it and its
+      position there: a rep-path state to (its rep path, its position),
+      a goal to (its entry's home path of it, the last position).
 
-    A state the cover names more than once keeps its first reason, with
+    A state named more than once keeps its first reason: home first, then
     regions in library order and, within a region, every rep-path state
-    before any covered goal and lower entry ids first. So a state covered
+    before any covered goal and lower entry ids first. So a goal covered
     twice goes to its first region's lowest entry (each covered goal is in
-    an entry of its region; the loader checks); a rep-path state that an
-    earlier region covers is served as that goal and left out of
-    ``rep_index``; and a rep-path state keeps its first rep path and
-    position. Nothing writes to a library once it is built, so concurrent
-    queries may share one, each with its own PotentialStateIndex.
+    an entry of its region; the loader checks), and a rep-path state keeps
+    its first rep path and position unless an earlier region covers it as
+    a goal. ``goal_index`` reads no rep path, so a goal that is also a
+    rep-path state may take its rep-path prefix as a start and its entry's
+    home path as a goal. Nothing writes to a library once it is built, so
+    concurrent queries may share one, each with its own PotentialStateIndex.
     """
 
     fingerprint: str
     s_home: Config
     regions: tuple[RegionCover, ...]
     goal_index: dict[Config, CoverEntry] = field(init=False, compare=False, repr=False)
-    rep_index: dict[Config, tuple[Path, int]] = field(init=False, compare=False, repr=False)
+    start_index: dict[Config, tuple[tuple[Config, ...], int]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
-        goals, reps = {}, {}  # goal_index and rep_index, typed above
+        goals = {}  # goal_index, typed above
+        starts = {self.s_home: ((self.s_home,), 0)}  # start_index
         for rc in self.regions:
             for entry in rc.entries:
-                for k, q in enumerate(entry.rep_path.configs):
-                    if q not in goals:  # the covered goals of earlier regions
-                        reps.setdefault(q, (entry.rep_path, k))
+                rep = entry.rep_path.configs
+                for k, q in enumerate(rep):
+                    starts.setdefault(q, (rep, k))
             for entry in rc.entries:
-                for q in entry.members & rc.covered:
+                for q, path in entry.home_paths.items():
                     goals.setdefault(q, entry)
+                    starts.setdefault(q, (path, len(path) - 1))
         object.__setattr__(self, "goal_index", goals)
-        object.__setattr__(self, "rep_index", reps)
+        object.__setattr__(self, "start_index", starts)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +317,13 @@ def _cover_entry(descent: _Descent, covered: Collection[Config]) -> CoverEntry:
     paths start with the attractor's home path (``_home_path``).
 
     Every covered goal is walked toward the attractor, and the entry keeps
-    the home paths of the walks that reach it: its members are those
-    walks' states, its step bound the longest of them, and a member on the
-    rep path takes the rep path up to it. ``preprocess`` and the loader
-    both build entries here.
+    the home paths of the goals whose walks reach it: its members are
+    those goals, its step bound the longest of their walks, and a member
+    on the rep path takes the rep path up to it. ``preprocess`` and the
+    loader both build entries here.
     """
-    for q in covered:
-        descent.walk(q)
+    home_paths = {q: path for q in covered if (path := descent.walk(q)) is not None}
     rep = descent.paths[descent.attractor]
-    home_paths = {q: path for q, path in descent.paths.items() if path is not None}
     max_steps = max(map(len, home_paths.values())) - len(rep)
     for k, q in enumerate(rep):
         if q in home_paths:
@@ -388,7 +397,7 @@ def preprocess(scenario: Scenario, seed: int = 0) -> Library:
                 continue
             descent = _home_descent(scenario, cand)
             entries.append(_cover_entry(descent, covered))
-            done |= entries[-1].members & covered
+            done |= entries[-1].members
             frontier = _frontier(descent, covered - done)
         region_covers.append(RegionCover(region.id, tuple(entries), covered, excluded))
     return Library(scenario.fingerprint, scenario.s_home, tuple(region_covers))

@@ -106,8 +106,8 @@ class ArmModel:
 
     joints_per_rev fixes the angular step (2*pi / joints_per_rev) for every
     joint. A joint without limits wraps over [0, joints_per_rev); a joint
-    with limits [lo, hi) covers the indices whose angle lo + i*step < hi
-    and does not wrap.
+    with limits [lo, hi), where lo < hi, covers the indices whose angle
+    lo + i*step < hi and does not wrap.
     """
 
     link_lengths: tuple[float, ...]
@@ -122,6 +122,9 @@ class ArmModel:
             raise ValueError("joints_per_rev must be >= 4")
         if self.joint_limits is not None and len(self.joint_limits) != len(self.link_lengths):
             raise ValueError("one joint limit entry per link required")
+        for lim in self.joint_limits or ():
+            if lim is not None and not lim[0] < lim[1]:
+                raise ValueError(f"joint limit {lim} is empty: it needs lo < hi")
 
     @property
     def step(self) -> float:

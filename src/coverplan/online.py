@@ -11,12 +11,12 @@ improving that path.
 
 A start is served the same way from any potential state: home, a state of
 a representative path, a covered goal, or a state of the last executed
-path. The library answers the first three itself, through its
-``rep_index`` and ``goal_index`` (``Library`` states which reason a state
-named twice keeps); the PotentialStateIndex keeps only the robot's
-history, so building one costs O(1). A chained start, the end of the last
-executed path, reads the home path stored for it when the path was
-registered.
+path. The library answers the first three itself, with one lookup in its
+``start_index``, which maps each such state to a stored path through it
+and its position there (``Library`` states which reason a state named
+twice keeps); the PotentialStateIndex keeps only the robot's history, so
+building one costs O(1). A chained start, the end of the last executed
+path, reads the home path stored for it when the path was registered.
 
 Registering the path that the last query returned costs O(1) in its
 length: it is taken without a check, and its end, that goal, has its
@@ -82,8 +82,8 @@ class PotentialStateIndex:
 
     A potential state is home, a representative-path state, a covered goal
     or a state of the most recently executed path. The library holds the
-    first three (``library.rep_index`` and ``library.goal_index``); the
-    index holds only the robot's history, and builds no table:
+    first three (``library.start_index``); the index holds only the
+    robot's history, and builds no table:
 
     - ``scenario`` and ``library``, the pair it serves; FingerprintMismatch
       is raised when the library was built for another scenario;
@@ -99,9 +99,9 @@ class PotentialStateIndex:
       returned (None before the first), which ``update_potential_index``
       registers without re-checking it.
 
-    Lookups try home, ``library.rep_index``, ``library.goal_index`` and the
-    executed path, in that order. The index is single-writer: queries and
-    registrations that share one must be serialized.
+    Lookups try ``library.start_index``, then the executed path. The index
+    is single-writer: queries and registrations that share one must be
+    serialized.
     """
 
     def __init__(self, scenario: Scenario, library: Library):
@@ -114,40 +114,34 @@ class PotentialStateIndex:
         self.planned: Path | None = None
 
     def __contains__(self, q: Config) -> bool:
-        return (
-            q == self.library.s_home
-            or q in self.library.rep_index
-            or q in self.library.goal_index
-            or (self.executed_path is not None and q in self.executed_path.configs)
+        return q in self.library.start_index or (
+            self.executed_path is not None and q in self.executed_path.configs
         )
 
 
 def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     """Constant-time path from home to a potential state. Never plans.
 
-    Home comes first. The end of the last executed path (a chained start)
-    then returns ``index.anchor`` itself. Otherwise, in the lookup order:
-    rep-path states take their rep path up to their position, from
-    ``library.rep_index``; covered goals take their entry's ``connect``;
-    executed-path states take the stored anchor plus the executed path
-    from its end back to the state's last position there.
-    The anchor was resolved at registration from lookups that never
-    change, and for the end the executed branch adds nothing to it, so the
-    shortcut gives what the order gives. A stale entry raises StaleLibrary.
+    The end of the last executed path (a chained start) returns
+    ``index.anchor`` itself. Otherwise, in the lookup order: a state of
+    ``library.start_index`` takes its stored path up to its position
+    there, and StaleLibrary is raised when the path holds another state
+    at that position, which only a hand-built or stale entry gives; a
+    state of the executed path takes the stored anchor plus the executed
+    path from its end back to the state's last position there. The anchor
+    was resolved at registration from lookups that never change, and for
+    the end the executed branch adds nothing to it, so the shortcut gives
+    what the order gives.
     """
-    library = index.library
-    if s == library.s_home:
-        return Path((s,))
     executed_path = index.executed_path
     if executed_path is not None and s == executed_path.configs[-1]:
         return index.anchor
-    rep = library.rep_index.get(s)
-    if rep is not None:
-        path, k = rep
-        return Path(path.configs[: k + 1])
-    entry = find_rep_path(library, s)
-    if entry is not None:
-        return connect(entry, s)
+    start = index.library.start_index.get(s)
+    if start is not None:
+        path, k = start
+        if path[k] != s:
+            raise StaleLibrary(f"the stored home path of {s} reaches {path[k]} instead")
+        return Path(path[: k + 1])
     if executed_path is not None:
         back = executed_path.configs[::-1]
         if s in back:
@@ -168,10 +162,10 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 
     The path the last query on this index returned (``index.planned``, the
     same object) is a valid walk by construction and is taken as it is.
-    Its end is that query's goal, whose home path is the anchor, a stored
-    rep-path prefix or its entry's stored home path, so registering it
-    does no work that grows with the path's length. Any other path must
-    pass ``path_is_valid``, or InvalidPath is raised and the index is left
+    Its end is that query's goal, whose home path is the anchor or its
+    stored path in ``library.start_index``, so registering it does no work
+    that grows with the path's length. Any other path must pass
+    ``path_is_valid``, or InvalidPath is raised and the index is left
     unchanged, since later queries would hand its steps out as plans. A
     stale entry on the way raises StaleLibrary, with the index unchanged.
     """
@@ -244,7 +238,7 @@ def query(
     given index must be one built for this ``library`` (that object), since
     its history is a history on that library, or ValueError is raised. FingerprintMismatch
     is raised when the library was built for another scenario, and
-    StaleLibrary, from ``connect``, for a stale entry.
+    StaleLibrary, from ``connect`` or ``path_home_to``, for a stale entry.
     """
     if index is None:
         index = PotentialStateIndex(scenario, library)

@@ -409,6 +409,7 @@ def test_bad_scenario_files(tmp_path, unit_arm):
         {"base": ["0", 0.0]},
         {"base": [0.0, 0.0, 0.0]},
         {"joint_limits": [[0.0, inf], None]},
+        {"joint_limits": [[3.0, -3.0], None]},
     ]:
         payloads.append(dict(arm, arm=dict(arm["arm"], **bad)))
     for payload in payloads:
@@ -481,3 +482,11 @@ def test_arm_joint_limits_dims():
         joint_limits=((0.0, math.pi), None),
     )
     assert arm.dims() == (8, 16)
+
+
+@pytest.mark.parametrize("limit", [(1.0, 0.0), (1.0, 1.0)])
+def test_arm_refuses_an_empty_joint_limit(limit):
+    """A limit [lo, hi) with hi <= lo holds no angle, so it is refused, not
+    given one index at lo, outside its own range."""
+    with pytest.raises(ValueError, match="joint limit .* is empty"):
+        ArmModel(link_lengths=(1.0, 1.0), joint_limits=(limit, None))

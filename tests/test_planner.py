@@ -145,16 +145,14 @@ def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monk
 
 
 def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, monkeypatch):
-    """Registering the path the last plan returned calls path_is_valid
-    never and connect once, whether that plan started at home, at the end
-    of the last executed path, or was refined: the end is a goal on no rep
-    path, whose home path is one lookup in its entry's stored paths."""
+    """Registering the path the last plan returned calls neither
+    path_is_valid nor connect, whether that plan started at home, at the
+    end of the last executed path, or was refined: the end is a goal on no
+    rep path, whose home path is one lookup in the library's start index."""
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
-    index = planner.index_
-    pick, place = (
-        [q for q in sorted(rc.covered) if q not in planner.library_.rep_index]
-        for rc in planner.library_.regions
-    )
+    index, lib = planner.index_, planner.library_
+    on_rep = {q for rc in lib.regions for e in rc.entries for q in e.rep_path.configs}
+    pick, place = ([q for q in sorted(rc.covered) if q not in on_rep] for rc in lib.regions)
     calls = []
     connect, path_is_valid = online.connect, search.path_is_valid
 
@@ -179,7 +177,7 @@ def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, 
         assert "connect" in calls, kind  # the plan reads its goal's home path
         calls.clear()
         planner.register_executed(res.path)
-        assert calls == ["connect"], kind
+        assert calls == [], kind
         assert index.executed_path is res.path
     assert res.refine_report is not None and res.final_cost < res.initial_cost
 

@@ -105,7 +105,7 @@ def two_step_goal(rc, entry):
 def stale_edits(entry, q, nxt):
     """Home paths of q that a stale entry might hold: its next state's, as
     if its last move were lost, and its own run one state past q."""
-    return ({q: entry.home_paths[nxt]}, {q: entry.home_paths[q] + (nxt,)})
+    return ({q: entry.home_paths[q][:-1]}, {q: entry.home_paths[q] + (nxt,)})
 
 
 def test_connect_stalled_on_tampered_members(fitted12):
@@ -306,7 +306,8 @@ def test_registration_raises_stale_library(fitted12):
     sc, lib = fitted12
     for q, stale in stale_libraries(lib):
         index = onl.PotentialStateIndex(sc, stale)
-        assert q not in stale.rep_index  # so the registration reads q's stored path
+        # the registration reads q's stored path
+        assert stale.start_index[q][0] is stale.goal_index[q].home_paths[q]
         with pytest.raises(errors.StaleLibrary):
             onl.update_potential_index(index, astar(sc, sc.s_home, q))
         assert index.executed_path is None and index.anchor is None
@@ -375,25 +376,32 @@ def test_update_potential_index_enables_sequential_starts(fitted12):
 
 def test_chained_start_reads_the_anchor(two_region_grid12, monkeypatch):
     """A no-refine query from the end of the last executed path takes its
-    home path from the stored anchor: ``connect`` runs once, for the goal,
-    though the start is a covered goal off every rep path, which the
-    lookup order would chase again."""
+    home path from the stored anchor: the start is a covered goal off every
+    rep path, yet the query looks nothing up in the start index, and
+    ``connect`` runs once, for the goal."""
     from coverplan import CoverPlanner
 
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
-    rep_index = planner.library_.rep_index
-    pick, place = (min(rc.covered - rep_index.keys()) for rc in planner.library_.regions)
+    lib = planner.library_
+    on_rep = {q for rc in lib.regions for e in rc.entries for q in e.rep_path.configs}
+    pick, place = (min(rc.covered - on_rep) for rc in lib.regions)
     planner.register_executed(planner.plan(pick, refine=False).path)
-    calls = []
+    starts, calls = [], []
     connect = onl.connect
+
+    class CountedStarts(dict):
+        def get(self, q, default=None):
+            starts.append(q)
+            return super().get(q, default)
 
     def counted(entry, q):
         calls.append(q)
         return connect(entry, q)
 
+    object.__setattr__(lib, "start_index", CountedStarts(lib.start_index))
     monkeypatch.setattr(onl, "connect", counted)
     res = planner.plan(place, start=pick, refine=False)
-    assert calls == [place]
+    assert starts == [] and calls == [place]
     assert res.path.start == pick and res.path.goal == place
 
 

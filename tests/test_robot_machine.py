@@ -10,7 +10,10 @@ a sequence of rules on one ``CoverPlanner``:
 - plan the same way under a ``bench.SimClock`` deadline of a few
   simulated milliseconds, which may cut the refinement short;
 - register a random valid walk of up to six moves from the position, or
-  from any state of the executed path (home before the first).
+  from any state of the executed path (home before the first);
+- plan as in the first rule while another thread, on a second
+  ``PotentialStateIndex`` of the same library, replays the robot's
+  registrations and plans from the position to another drawn goal.
 
 After every plan and registration the model checks, against
 ``oracles.bfs_distances`` and ``path_is_valid``:
@@ -20,7 +23,10 @@ After every plan and registration the model checks, against
 - a plan without refinement makes 0 collision checks and 0 expansions;
 - a refined plan is flagged optimal and costs the breadth-first distance,
   and a plan cut by its deadline is flagged optimal only at that cost;
-- the index's anchor is a valid path from home to the executed path's end.
+- the index's anchor is a valid path from home to the executed path's end;
+- the second index's plan is the robot's own plan of the same request,
+  made after the threads are joined (the paths only: the two threads add
+  their counts to the one scenario's counters).
 
 Two ratios are recorded, not asserted: the states of each anchor over
 those of a shortest path from home to its end, which grows without bound
@@ -29,10 +35,12 @@ cost over the distance. ``pytest tests/test_robot_machine.py
 --hypothesis-show-statistics`` prints them.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import CoverPlanner, RegionSpec, bench
+from coverplan import CoverPlanner, RegionSpec, bench, online
 from coverplan.search import Path, path_is_valid
 from oracles import bfs_distances, lattice_neighbors, valid_states
 
@@ -80,6 +88,7 @@ class RobotMachine(RuleBasedStateMachine):
         self.home_distance = bfs_distances(self.sc, self.sc.s_home, self.free)
         self.goals = sorted(self.planner.library_.goal_index)
         self.position = self.sc.s_home
+        self.registered = []
 
     def distance(self, goal):
         return bfs_distances(self.sc, self.position, self.free)[goal]
@@ -121,6 +130,27 @@ class RobotMachine(RuleBasedStateMachine):
         if register:
             self.register(result.path)
 
+    @precondition(lambda self: self.goals)
+    @rule(pick=st.integers(0, 10**6), other=st.integers(0, 10**6), refine=st.booleans())
+    def plan_beside_a_second_index(self, pick, other, refine):
+        goal = self.goals[other % len(self.goals)]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            beside = pool.submit(self.replay_and_plan, self.position, goal, refine)
+            self.checked_plan(pick, budget_ms=1e7, refine=refine)
+            path = beside.result(timeout=60)
+        again, _ = self.checked_plan(other, budget_ms=1e7, refine=refine)
+        assert path.configs == again.path.configs
+
+    def replay_and_plan(self, start, goal, refine):
+        """On a fresh index of the robot's library: register the robot's
+        executed paths in order, then plan start -> goal."""
+        library = self.planner.library_
+        index = online.PotentialStateIndex(self.sc, library)
+        for path in self.registered:
+            online.update_potential_index(index, path)
+        request = online.QueryRequest(start, goal, budget_ms=1e7, refine=refine)
+        return online.query(self.sc, library, request, index=index).path
+
     @rule(moves=st.lists(st.integers(0, 3), max_size=6))
     def walk(self, moves):
         self.register(self.random_walk(self.position, moves))
@@ -144,6 +174,7 @@ class RobotMachine(RuleBasedStateMachine):
 
     def register(self, path):
         self.planner.register_executed(path)
+        self.registered.append(path)
         self.position = path.goal
         shortest = self.home_distance[path.goal] + 1
         event(f"anchor states / shortest {bucket(len(self.index.anchor.configs) / shortest)}")
