@@ -121,13 +121,14 @@ class Library:
     Two lookups are built once at construction, in one pass over the
     frozen regions:
 
-    - ``goal_index`` maps every covered goal to its CoverEntry, whose
-      stored home path a query's goal side reads;
+    - ``goal_index`` maps every covered goal to its CoverEntry; a query
+      reads it as its coverage test;
     - ``start_index`` maps every state that a start is served from
       without the robot's history (home, every representative-path state
       and every covered goal) to a stored path through it and its
       position there: a rep-path state to (its rep path, its position),
-      a goal to (its entry's home path of it, the last position).
+      a goal to (its entry's home path of it, the last position). A
+      query's goal side reads its goal's home path here too.
 
     A state named more than once keeps its first reason: home first, then
     regions in library order and, within a region, every rep-path state
@@ -135,9 +136,9 @@ class Library:
     twice goes to its first region's lowest entry (each covered goal is in
     an entry of its region; the loader checks), and a rep-path state keeps
     its first rep path and position unless an earlier region covers it as
-    a goal. ``goal_index`` reads no rep path, so a goal that is also a
-    rep-path state may take its rep-path prefix as a start and its entry's
-    home path as a goal. Nothing writes to a library once it is built, so
+    a goal. So a goal that is also a rep-path state, and that no earlier
+    region covers, takes its rep-path prefix, a shortest path, as a start
+    and as a goal alike. Nothing writes to a library once it is built, so
     concurrent queries may share one, each with its own PotentialStateIndex.
     """
 

@@ -1,13 +1,15 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
-A query is a few lookups and one tuple join. The goal resolves to its
-CoverEntry with one dict lookup in the library's goal index, and the
-entry holds the goal's home path, built on the offline descent walk when
-the library was built or loaded (no collision checks, no navigation
-values, no search). The reversed home path of the start is joined to the
-home path of the goal in one tuple concatenation. The optional
-refinement stage then spends whatever remains of the time budget
-improving that path.
+A query is a few lookups and one tuple join, in one private core that
+``query`` and ``CoverPlanner.plan`` share. The goal's coverage is one
+dict lookup in the library's goal index, and its stored home path is one
+lookup in the library's ``start_index``, built when the library was
+built or loaded (no collision checks, no navigation values, no search).
+The reversed home path of the start is joined to the home path of the
+goal in one tuple concatenation, and the core reads every stored path as
+a tuple, so a no-refine query builds one Path, the one it returns. The
+optional refinement stage then spends whatever remains of the time
+budget improving that path.
 
 A start is served the same way from any potential state: home, a state of
 a representative path, a covered goal, or a state of the last executed
@@ -17,6 +19,8 @@ and its position there (``Library`` states which reason a state named
 twice keeps); the PotentialStateIndex keeps only the robot's history, so
 building one costs O(1). A chained start, the end of the last executed
 path, reads the home path stored for it when the path was registered.
+A goal takes its ``start_index`` path too, so a covered goal that is
+also a rep-path state is reached along its rep path, a shortest path.
 
 Registering the path that the last query returned costs O(1) in its
 length: it is taken without a check, and its end, that goal, has its
@@ -64,6 +68,8 @@ def connect(entry: CoverEntry, q: Config) -> Path:
     build on the offline walk: no collision check and no walk. Raises
     ValueError when q is not a member, and StaleLibrary when the stored
     path does not end at q, which only a hand-built or stale entry does.
+    A query does not call it: its goal side reads q's path in the
+    library's ``start_index``, which for a goal on no rep path is this one.
     """
     path = entry.home_paths.get(q)
     if path is None:
@@ -95,9 +101,10 @@ class PotentialStateIndex:
       returns it for the end itself. Only one executed path is kept, which
       bounds memory and matches a robot sitting at the end of its last
       motion;
-    - ``planned``: the path object that the last ``query`` given this index
-      returned (None before the first), which ``update_potential_index``
-      registers without re-checking it.
+    - ``planned``: the path object that the last query on this index
+      (``query`` or ``CoverPlanner.plan``) returned (None before the
+      first), which ``update_potential_index`` registers without
+      re-checking it.
 
     Lookups try ``library.start_index``, then the executed path. The index
     is single-writer: queries and registrations that share one must be
@@ -119,6 +126,37 @@ class PotentialStateIndex:
         )
 
 
+def _stored_home_configs(library: Library, q: Config) -> tuple[Config, ...] | None:
+    """q's stored path in ``library.start_index`` up to its position there,
+    or None when q has none. StaleLibrary is raised when the path holds
+    another state at that position, which only a hand-built or stale
+    entry gives."""
+    start = library.start_index.get(q)
+    if start is None:
+        return None
+    path, k = start
+    if path[k] != q:
+        raise StaleLibrary(f"the stored home path of {q} reaches {path[k]} instead")
+    return path[: k + 1]
+
+
+def _home_configs(index: PotentialStateIndex, s: Config) -> tuple[Config, ...]:
+    """The configs of the home path to the potential state s, in the
+    lookup order; ``path_home_to`` documents it."""
+    executed_path = index.executed_path
+    if executed_path is not None and s == executed_path.configs[-1]:
+        return index.anchor.configs
+    configs = _stored_home_configs(index.library, s)
+    if configs is not None:
+        return configs
+    if executed_path is not None:
+        back = executed_path.configs[::-1]
+        if s in back:
+            # home -> end of the executed path, then back along it to s
+            return index.anchor.configs + back[1 : back.index(s) + 1]
+    raise StartNotPotential(f"{s} is not a potential state")
+
+
 def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     """Constant-time path from home to a potential state. Never plans.
 
@@ -131,23 +169,13 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     path from its end back to the state's last position there. The anchor
     was resolved at registration from lookups that never change, and for
     the end the executed branch adds nothing to it, so the shortcut gives
-    what the order gives.
+    what the order gives. A query reads the same rule as tuples, with no
+    Path built for the start.
     """
-    executed_path = index.executed_path
-    if executed_path is not None and s == executed_path.configs[-1]:
-        return index.anchor
-    start = index.library.start_index.get(s)
-    if start is not None:
-        path, k = start
-        if path[k] != s:
-            raise StaleLibrary(f"the stored home path of {s} reaches {path[k]} instead")
-        return Path(path[: k + 1])
-    if executed_path is not None:
-        back = executed_path.configs[::-1]
-        if s in back:
-            # home -> end of the executed path, then back along it to s
-            return concat_paths(index.anchor, Path(back[: back.index(s) + 1]))
-    raise StartNotPotential(f"{s} is not a potential state")
+    configs = _home_configs(index, s)
+    anchor = index.anchor
+    # only the executed end is answered with the anchor's own tuple
+    return anchor if anchor is not None and configs is anchor.configs else Path(configs)
 
 
 def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> PotentialStateIndex:
@@ -190,6 +218,12 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 # queries
 
 
+def _check_budget(budget_ms: float) -> None:
+    """The budget rule of QueryRequest and CoverPlanner.plan."""
+    if not budget_ms > 0:  # also rejects nan
+        raise ValueError("budget_ms must be positive")
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     start: Config
@@ -198,8 +232,7 @@ class QueryRequest:
     refine: bool = True
 
     def __post_init__(self):
-        if not self.budget_ms > 0:  # also rejects nan
-            raise ValueError("budget_ms must be positive")
+        _check_budget(self.budget_ms)
 
 
 @dataclass
@@ -226,19 +259,24 @@ def query(
 ) -> QueryResult:
     """Answer a start -> goal request from the library, then refine.
 
-    The pre-refinement work is lookups of stored home paths and one path
+    The pre-refinement work is lookups of stored home paths and one tuple
     join: zero collision checks, zero expansions, and at most
     len(rep_start) + len(rep_goal) + 2 * max_descent_steps elementary
     steps (starts registered from an executed path substitute their stored
-    anchor length for the rep-path term). The budget clock starts at
-    request receipt; lookup and connect time are deducted from the
-    refinement budget. The query plans through ``index``, a
+    anchor length for the rep-path term). The goal must be covered
+    (``find_rep_path``), or GoalUncovered is raised; its home path is its
+    stored path in ``library.start_index``, which for a goal that is also
+    a rep-path state is its rep-path prefix, a shortest path. The start's
+    home path follows ``path_home_to``'s lookup order. The budget clock
+    starts at request receipt; lookup and connect time are deducted from
+    the refinement budget. The query plans through ``index``, a
     PotentialStateIndex, or a fresh one when none is given: it records the
     returned path as its ``planned`` path, and looks the start up in it. A
     given index must be one built for this ``library`` (that object), since
-    its history is a history on that library, or ValueError is raised. FingerprintMismatch
-    is raised when the library was built for another scenario, and
-    StaleLibrary, from ``connect`` or ``path_home_to``, for a stale entry.
+    its history is a history on that library, or ValueError is raised.
+    FingerprintMismatch is raised when the library was built for another
+    scenario, and StaleLibrary for a stale stored path. ``CoverPlanner.plan``
+    answers through the same core, with no request object.
     """
     if index is None:
         index = PotentialStateIndex(scenario, library)
@@ -246,25 +284,42 @@ def query(
         raise ValueError("the index was built for another library")
     elif library.fingerprint != scenario.fingerprint:
         raise FingerprintMismatch("the library was built for another scenario")
-    t0 = clock()
-    deadline = t0 + request.budget_ms / 1000.0
+    start, goal, budget_ms, refine = request.start, request.goal, request.budget_ms, request.refine
+    return _query(scenario, library, index, start, goal, budget_ms, refine, clock)
 
-    entry = find_rep_path(library, request.goal)
-    if entry is None:
-        raise GoalUncovered(f"goal {request.goal} is not covered by any region")
+
+def _query(
+    scenario: Scenario,
+    library: Library,
+    index: PotentialStateIndex,
+    start: Config,
+    goal: Config,
+    budget_ms: float,
+    refine: bool,
+    clock: Callable[[], float],
+) -> QueryResult:
+    """The core of ``query``, on checked arguments. Every stored path is
+    read as a tuple, so a no-refine answer builds one Path, the one it
+    returns."""
+    t0 = clock()
+    deadline = t0 + budget_ms / 1000.0
+
+    if find_rep_path(library, goal) is None:
+        raise GoalUncovered(f"goal {goal} is not covered by any region")
     t_lookup = clock()
 
-    if request.start == request.goal:
-        initial = Path((request.start,))
+    if start == goal:
+        configs = (start,)
     else:
-        home_to_goal = connect(entry, request.goal)
-        if request.start == library.s_home:
-            initial = home_to_goal
+        # Library puts every covered goal in start_index, so this is never None
+        home_to_goal = _stored_home_configs(library, goal)
+        if start == library.s_home:
+            configs = home_to_goal
         else:
-            home_to_start = path_home_to(index, request.start)
             # both paths leave home: back along the first, out along the second
-            initial = Path(home_to_start.configs[::-1] + home_to_goal.configs[1:])
-    scenario.counters.elementary_steps += len(initial.configs)
+            configs = _home_configs(index, start)[::-1] + home_to_goal[1:]
+    initial = Path(configs)
+    scenario.counters.elementary_steps += len(configs)
     t_connect = clock()
 
     result = QueryResult(
@@ -275,7 +330,7 @@ def query(
         refine_ms=0.0,
         optimal_flag=initial.cost == 0.0,
     )
-    if request.refine and initial.cost > 0.0:
+    if refine and initial.cost > 0.0:
         # the seed is built from library paths, so it skips the seed check
         refined, report = _refine(scenario, initial, deadline, clock)
         result.path = refined

@@ -15,7 +15,7 @@ from . import cspace
 from .cover import preprocess
 from .cspace import Scenario
 from .errors import NotFittedError
-from .online import PotentialStateIndex, QueryRequest, QueryResult, query, update_potential_index
+from .online import PotentialStateIndex, QueryResult, _check_budget, _query, update_potential_index
 from .search import Path
 
 
@@ -79,14 +79,20 @@ class CoverPlanner:
         refine: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> QueryResult:
-        """Plan from ``start`` (home when omitted) to ``goal``."""
+        """Plan from ``start`` (home when omitted) to ``goal``.
+
+        Checks ``goal`` and ``start`` with ``cspace.check_config`` and the
+        budget by ``QueryRequest``'s rule (ValueError unless it is
+        positive, also with ``refine=False``), then answers through
+        ``query``'s core on the fitted library and index, with no request
+        object: the same path, costs, flags and counts as ``query``.
+        """
         self._check_fitted()
-        goal = cspace.check_config(self.scenario_, goal)
-        start = (
-            self.scenario_.s_home if start is None else cspace.check_config(self.scenario_, start)
-        )
-        request = QueryRequest(start=start, goal=goal, budget_ms=budget_ms, refine=refine)
-        return query(self.scenario_, self.library_, request, index=self.index_, clock=clock)
+        scenario = self.scenario_
+        goal = cspace.check_config(scenario, goal)
+        start = scenario.s_home if start is None else cspace.check_config(scenario, start)
+        _check_budget(budget_ms)
+        return _query(scenario, self.library_, self.index_, start, goal, budget_ms, refine, clock)
 
     def register_executed(self, path: Path) -> None:
         """Mark a path as executed; its states become valid starts.

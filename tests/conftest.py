@@ -66,6 +66,24 @@ def unit_arm():
     )
 
 
+def record_start_reads(library):
+    """Swap the library's ``start_index`` for a copy that records the key of
+    every read, by ``get`` or by subscript, and return the list it fills."""
+    reads = []
+
+    class RecordedStarts(dict):
+        def get(self, q, default=None):
+            reads.append(q)
+            return super().get(q, default)
+
+        def __getitem__(self, q):
+            reads.append(q)
+            return super().__getitem__(q)
+
+    object.__setattr__(library, "start_index", RecordedStarts(library.start_index))
+    return reads
+
+
 def v1_projection(payload):
     """A library payload in format 1: no descent moves, ``rep_paths`` a list.
 

@@ -3,7 +3,8 @@ import re
 import pytest
 
 import oracles
-from coverplan import CoverPlanner, corpus, errors, online, search
+from conftest import record_start_reads
+from coverplan import CoverPlanner, corpus, cspace, errors, online, search
 
 
 def test_get_set_params_round_trip():
@@ -148,7 +149,9 @@ def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, 
     """Registering the path the last plan returned calls neither
     path_is_valid nor connect, whether that plan started at home, at the
     end of the last executed path, or was refined: the end is a goal on no
-    rep path, whose home path is one lookup in the library's start index."""
+    rep path, whose home path is one lookup in the library's start index.
+    Each plan reads its goal's home path there once, and its start, home
+    or the executed end, not at all."""
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
     index, lib = planner.index_, planner.library_
     on_rep = {q for rc in lib.regions for e in rc.entries for q in e.rep_path.configs}
@@ -164,22 +167,141 @@ def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, 
         calls.append("path_is_valid")
         return path_is_valid(scenario, path)
 
+    reads = record_start_reads(lib)
     monkeypatch.setattr(online, "connect", counted_connect)
     monkeypatch.setattr(search, "path_is_valid", counted_path_is_valid)
     plans = {
-        "home": lambda: planner.plan(pick[0], refine=False),
-        "chained": lambda: planner.plan(place[0], start=pick[0], refine=False),
-        "refined": lambda: planner.plan(pick[1], start=place[0], budget_ms=1e4),
+        "home": (pick[0], lambda: planner.plan(pick[0], refine=False)),
+        "chained": (place[0], lambda: planner.plan(place[0], start=pick[0], refine=False)),
+        "refined": (pick[1], lambda: planner.plan(pick[1], start=place[0], budget_ms=1e4)),
     }
-    for kind, plan in plans.items():
-        calls.clear()
+    for kind, (goal, plan) in plans.items():
+        reads.clear()
         res = plan()
-        assert "connect" in calls, kind  # the plan reads its goal's home path
+        assert reads == [goal], kind  # the plan reads its goal's home path
         calls.clear()
         planner.register_executed(res.path)
         assert calls == [], kind
         assert index.executed_path is res.path
     assert res.refine_report is not None and res.final_cost < res.initial_cost
+
+
+def _walk_off_the_start_index(sc, lib, start, moves=3):
+    """A walk of ``moves`` moves from start through valid states that the
+    library's start index does not hold, or None when there is none."""
+    walk = [start]
+    while len(walk) <= moves:
+        free = [
+            q
+            for q in oracles.lattice_neighbors(sc, walk[-1])
+            if cspace.collision_free(sc, q) and q not in lib.start_index and q not in walk
+        ]
+        if not free:
+            return None
+        walk.append(free[0])
+    return walk
+
+
+def _planner_with_a_history(name):
+    """A fitted planner on a corpus scenario, a second index on its library
+    that replays the same registrations, and one start of each kind: home,
+    a rep-path state, the end of the executed path and a state in its
+    middle. The executed path is a walk of three moves off the library's
+    start index, from the largest covered goal that has one, registered
+    after the plan that reached that goal, so both executed starts are
+    served from the robot's history."""
+    sc = dict(corpus.corpus())[name]
+    planner = CoverPlanner(seed=0).fit(sc)
+    lib = planner.library_
+    walks = (_walk_off_the_start_index(sc, lib, q) for q in sorted(lib.goal_index, reverse=True))
+    walk = next(w for w in walks if w is not None)
+    goal = walk[0]
+    replay = online.PotentialStateIndex(sc, lib)
+    for path in (planner.plan(goal, refine=False).path, search.Path(tuple(walk))):
+        planner.register_executed(path)
+        online.update_potential_index(replay, path)
+    rep = lib.regions[-1].entries[-1].rep_path.configs
+    starts = {
+        "home": sc.s_home,
+        "rep path": rep[len(rep) // 2],
+        "executed end": walk[-1],
+        "mid executed": walk[1],
+    }
+    return planner, replay, starts
+
+
+@pytest.mark.parametrize("name", ["grid16_d20", "arm32_o2"])  # a grid; a wrapping arm
+def test_plan_and_query_are_one_code_path(name):
+    """CoverPlanner.plan against query on an index that replays the same
+    registrations: for every covered goal, from each kind of start, with
+    and without refinement, the same path, initial cost, optimal flag and
+    counter deltas; and the same error type for each bad input."""
+    planner, replay, starts = _planner_with_a_history(name)
+    sc, lib = planner.scenario_, planner.library_
+    counters = sc.counters
+
+    def clock():
+        return 0.0  # the budget never runs out, so refinement runs to its end
+
+    def answer(call):
+        before = counters.snapshot()
+        res = call()
+        deltas = tuple(b - a for a, b in zip(before, counters.snapshot()))
+        return res.path.configs, res.initial_cost, res.optimal_flag, deltas
+
+    for goal in sorted(lib.goal_index):
+        for kind, start in starts.items():
+            for refine in (False, True):
+                planned = answer(lambda: planner.plan(goal, start, refine=refine, clock=clock))
+                request = online.QueryRequest(start, goal, refine=refine)
+                queried = answer(lambda: online.query(sc, lib, request, index=replay, clock=clock))
+                assert planned == queried, (goal, kind, refine)
+                assert planned[0][0] == start and planned[0][-1] == goal
+
+    uncovered = next(q for q in cspace.lattice_configs(sc) if q not in lib.goal_index)
+    stranger = next(
+        q for q in cspace.lattice_configs(sc) if cspace.collision_free(sc, q) and q not in replay
+    )
+    goal = min(lib.goal_index)
+    bad = [(errors.GoalUncovered, uncovered, sc.s_home, 100.0, True)]
+    bad.append((errors.StartNotPotential, goal, stranger, 100.0, True))
+    for budget in (0, -1, float("nan")):
+        bad += [(ValueError, goal, sc.s_home, budget, refine) for refine in (True, False)]
+    for error, goal, start, budget, refine in bad:
+        with pytest.raises(error) as planned:
+            planner.plan(goal, start, budget_ms=budget, refine=refine)
+        with pytest.raises(error) as queried:
+            request = online.QueryRequest(start, goal, budget_ms=budget, refine=refine)
+            online.query(sc, lib, request, index=replay)
+        assert type(planned.value) is type(queried.value), (goal, start, budget, refine)
+
+
+def test_a_no_refine_plan_builds_one_path_and_no_request(monkeypatch):
+    """A no-refine plan builds exactly one Path, the one it returns, from
+    every kind of start, and no QueryRequest; a refined plan builds no
+    QueryRequest either."""
+    planner, _, starts = _planner_with_a_history("grid16_d20")
+    goal = min(planner.library_.goal_index)
+    built = []
+
+    def counted(cls):
+        post_init = cls.__post_init__
+
+        def counted_post_init(self):
+            built.append(cls.__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_post_init)
+
+    counted(search.Path)
+    counted(online.QueryRequest)
+    for kind, start in starts.items():
+        built.clear()
+        planner.plan(goal, start, refine=False)
+        assert built == ["Path"], kind
+        built.clear()
+        planner.plan(goal, start, budget_ms=1e4)
+        assert "QueryRequest" not in built, kind
 
 
 def test_a_state_visited_twice_is_served_from_its_last_visit():

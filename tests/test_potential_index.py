@@ -4,9 +4,9 @@ The library's ``start_index`` serves home, rep-path states and covered
 goals as starts, and must keep a state's first reason: a rep-path state
 that an earlier region covers as a goal is served as that goal. The oracle
 walks the regions literally, so any change to that priority rule shows up
-here as a different home path. As a goal, a covered state takes its
-``goal_index`` entry's home path, which differs from its start path only
-for a goal that is also a rep-path state.
+here as a different home path. As a goal, a covered state takes the same
+``start_index`` path, so a goal that is also a rep-path state is reached
+along its rep path, a shortest path.
 Random chains of plans and registered walks then check ``path_home_to``,
 which answers the end of the executed path from its stored anchor, against
 ``oracles.home_path_by_lookup``, which always runs the lookup order.
@@ -41,7 +41,8 @@ def test_index_matches_the_provenance_oracle(seed):
     """Every corpus scenario and arm3_s16: the same potential states and the
     same home paths as the oracle, before and after registering a path, and
     a no-refine query from home to each covered goal returns the goal's
-    ``connect`` path, whatever its start path is."""
+    ``start_index`` path, which costs its home distance when the goal's
+    first reason is a rep path."""
     scenarios = dict(corpus.corpus())
     scenarios["arm3_s16"] = arm3_s16()
     for name, sc in scenarios.items():
@@ -53,9 +54,12 @@ def test_index_matches_the_provenance_oracle(seed):
         assert potentials == set(expected), name
         for q, path in expected.items():
             assert onl.path_home_to(index, q) == path, (name, q)
-        for q, entry in lib.goal_index.items():
-            request = onl.QueryRequest(sc.s_home, q, refine=False)
-            assert onl.query(sc, lib, request).path == onl.connect(entry, q), (name, q)
+        for q in lib.goal_index:
+            path, k = lib.start_index[q]
+            got = onl.query(sc, lib, onl.QueryRequest(sc.s_home, q, refine=False)).path
+            assert got.configs == path[: k + 1], (name, q)
+            if provenance[q][0] == "rep_path":
+                assert got.cost == sc.home_distance[q], (name, q)
 
         goal = max(lib.goal_index)
         executed = onl.query(sc, lib, onl.QueryRequest(sc.s_home, goal, refine=False)).path

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import cell_rect, grid
+from conftest import cell_rect, grid, record_start_reads
 from coverplan import Circle, RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from coverplan import online as onl
@@ -374,11 +374,11 @@ def test_update_potential_index_enables_sequential_starts(fitted12):
         onl.query(sc, lib, onl.QueryRequest(start=never_visited[0], goal=goal_b), index=index)
 
 
-def test_chained_start_reads_the_anchor(two_region_grid12, monkeypatch):
+def test_chained_start_reads_the_anchor(two_region_grid12):
     """A no-refine query from the end of the last executed path takes its
     home path from the stored anchor: the start is a covered goal off every
-    rep path, yet the query looks nothing up in the start index, and
-    ``connect`` runs once, for the goal."""
+    rep path, yet the query reads no start-index entry for it, and reads
+    the goal's entry once."""
     from coverplan import CoverPlanner
 
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
@@ -386,22 +386,9 @@ def test_chained_start_reads_the_anchor(two_region_grid12, monkeypatch):
     on_rep = {q for rc in lib.regions for e in rc.entries for q in e.rep_path.configs}
     pick, place = (min(rc.covered - on_rep) for rc in lib.regions)
     planner.register_executed(planner.plan(pick, refine=False).path)
-    starts, calls = [], []
-    connect = onl.connect
-
-    class CountedStarts(dict):
-        def get(self, q, default=None):
-            starts.append(q)
-            return super().get(q, default)
-
-    def counted(entry, q):
-        calls.append(q)
-        return connect(entry, q)
-
-    object.__setattr__(lib, "start_index", CountedStarts(lib.start_index))
-    monkeypatch.setattr(onl, "connect", counted)
+    reads = record_start_reads(lib)
     res = planner.plan(place, start=pick, refine=False)
-    assert starts == [] and calls == [place]
+    assert pick not in reads and reads == [place]
     assert res.path.start == pick and res.path.goal == place
 
 
