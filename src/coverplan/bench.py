@@ -127,27 +127,27 @@ class ExperimentConfig:
 
 def save_experiment_config(cfg: ExperimentConfig, path) -> None:
     payload = {"format_version": CONFIG_FORMAT_VERSION, **asdict(cfg)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    cspace.write_json_file(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-# How a file value becomes its ExperimentConfig field; other fields take it as is.
+# How a file value becomes its ExperimentConfig field; other fields take it
+# as is. Numbers follow the scenario file's rule, ``cspace.finite_reals``:
+# a bool, a string or a non-finite value is refused, not converted.
 _CONFIG_COERCE = {
-    "budget_ms": float,
-    "budget_range_ms": lambda rng: None if rng is None else tuple(rng),
+    "budget_ms": lambda v: float(cspace.finite_reals([v])[0]),
+    "budget_range_ms": lambda rng: None if rng is None else cspace.finite_reals(rng),
     "planners": tuple,
 }
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse experiment config {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"experiment config {path} is not a JSON object")
+    """Read an experiment config with ``cspace.read_json_file``.
+
+    A file that cannot be read, a document that is not a JSON object, an
+    unknown version or key, a missing required key and a value its field
+    refuses all raise ValueError.
+    """
+    payload = cspace.read_json_file(path, ValueError, "experiment config")
     version = payload.get("format_version")
     if version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported experiment config format_version {version}")
@@ -453,7 +453,7 @@ def emit_results(records: list[TrialRecord], stats: list[SummaryRow], outdir) ->
         ("summary", SUMMARY_COLUMNS, stats),
     ):
         files[name] = str(out / f"{name}.csv")
-        with open(files[name], "w", newline="") as fh:
+        with open(files[name], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for row in rows:
@@ -461,7 +461,7 @@ def emit_results(records: list[TrialRecord], stats: list[SummaryRow], outdir) ->
                     _CELL_FORMAT.get(c, lambda v: v)(getattr(row, c)) for c in columns
                 )
     files["profile"] = str(out / "anytime_profile.svg")
-    with open(files["profile"], "w") as fh:
+    with open(files["profile"], "w", encoding="utf-8") as fh:
         fh.write(render_profile_svg(records))
     return files
 

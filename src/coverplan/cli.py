@@ -71,10 +71,8 @@ def cmd_preprocess(args) -> int:
 def cmd_query(args) -> int:
     scenario = cspace.load_scenario(args.scenario)
     library = cov.load_library(args.library, scenario)
-    start = scenario.s_home if args.start is None else cspace.check_config(scenario, args.start)
-    goal = cspace.check_config(scenario, args.goal)
     request = onl.QueryRequest(
-        start=start, goal=goal, budget_ms=args.budget_ms, refine=not args.no_refine
+        start=args.start, goal=args.goal, budget_ms=args.budget_ms, refine=not args.no_refine
     )
     result = onl.query(scenario, library, request)
     print(" -> ".join("(" + ",".join(str(c) for c in q) + ")" for q in result.path.configs))

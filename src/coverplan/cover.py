@@ -50,7 +50,6 @@ merged library is immutable afterward.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Collection, Set
 from dataclasses import dataclass, field
@@ -469,20 +468,13 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
 
 
 def save_library(library: Library, path) -> None:
-    """Write the library container; byte-stable for identical libraries."""
-    data = cspace.canonical_json(library_to_payload(library))
-    with open(path, "w") as fh:
-        fh.write(data)
-        fh.write("\n")
+    """Write the library container as UTF-8; byte-stable for identical libraries."""
+    cspace.write_json_file(path, cspace.canonical_json(library_to_payload(library)))
 
 
 def load_library(path, scenario: Scenario) -> Library:
-    """Read and verify a library against the scenario it must match."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptLibrary(f"cannot read library file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CorruptLibrary("library payload is not an object")
+    """Read a library with ``cspace.read_json_file`` and verify it against
+    the scenario it must match; a file that cannot be read, or whose
+    document is not a JSON object, raises CorruptLibrary."""
+    payload = cspace.read_json_file(path, CorruptLibrary, "library file")
     return library_from_payload(payload, scenario)

@@ -662,7 +662,7 @@ def check_config(scenario: Scenario, q) -> Config:
 # file format
 
 
-def _reals(values, n: int | None = None) -> tuple:
+def finite_reals(values, n: int | None = None) -> tuple:
     """Finite JSON numbers, as given, and ``n`` of them when ``n`` is set.
 
     A bool, a string, NaN or an infinity raises ValueError (a value that
@@ -686,12 +686,12 @@ def _obstacle_payload(o: Obstacle) -> dict:
 
 def _obstacle_from_payload(p: dict) -> Obstacle:
     if p["shape"] == "circle":
-        radius = float(_reals([p["radius"]])[0])
+        radius = float(finite_reals([p["radius"]])[0])
         if radius < 0:
             raise ScenarioFormatError(f"circle radius {radius!r} is negative")
-        return Circle(center=_reals(p["center"], 2), radius=radius)
+        return Circle(center=finite_reals(p["center"], 2), radius=radius)
     if p["shape"] == "rect":
-        return Rect(bounds=_reals(p["bounds"], 4))
+        return Rect(bounds=finite_reals(p["bounds"], 4))
     raise ScenarioFormatError(f"unknown obstacle shape {p.get('shape')!r}")
 
 
@@ -744,7 +744,7 @@ def scenario_from_payload(payload: dict) -> Scenario:
         common = dict(
             kind=kind,
             s_home=tuple(map(_index, payload["s_home"])),
-            regions=tuple(RegionSpec(id=r["id"], box=_reals(r["box"], 4)) for r in regions),
+            regions=tuple(RegionSpec(id=r["id"], box=finite_reals(r["box"], 4)) for r in regions),
             obstacles=tuple(_obstacle_from_payload(o) for o in payload["obstacles"]),
         )
         if kind == "grid":
@@ -753,12 +753,12 @@ def scenario_from_payload(payload: dict) -> Scenario:
         limits = arm.get("joint_limits")
         return Scenario(
             arm=ArmModel(
-                link_lengths=_reals(arm["link_lengths"]),
-                base=_reals(arm["base"], 2),
+                link_lengths=finite_reals(arm["link_lengths"]),
+                base=finite_reals(arm["base"], 2),
                 joints_per_rev=_index(arm["joints_per_rev"]),
                 joint_limits=None
                 if limits is None
-                else tuple(None if lim is None else _reals(lim, 2) for lim in limits),
+                else tuple(None if lim is None else finite_reals(lim, 2) for lim in limits),
             ),
             **common,
         )
@@ -772,18 +772,39 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def save_scenario(scenario: Scenario, path) -> None:
-    """Write the scenario document (versioned, round-trip stable)."""
-    with open(path, "w") as fh:
-        json.dump(scenario_to_payload(scenario), fh, indent=2, sort_keys=True)
+def write_json_file(path, text: str) -> None:
+    """Write one JSON document, ``text`` and a newline, as UTF-8: the
+    writer of scenario, library and experiment config files."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
         fh.write("\n")
 
 
-def load_scenario(path) -> Scenario:
-    """Read a scenario document; raises ScenarioFormatError when malformed."""
+def read_json_file(path, error: type[Exception], what: str) -> dict:
+    """The one reader of scenario, library and experiment config files.
+
+    Reads ``path`` as UTF-8 JSON and returns the object it holds. A file
+    that cannot be opened or decoded, is not JSON or nests too deep to
+    parse raises ``error`` (the format's own type) naming ``what`` and the
+    path, and so does a document that is not a JSON object.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
-    return scenario_from_payload(payload)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return payload
+
+
+def save_scenario(scenario: Scenario, path) -> None:
+    """Write the scenario document (versioned, round-trip stable) as UTF-8."""
+    write_json_file(path, json.dumps(scenario_to_payload(scenario), indent=2, sort_keys=True))
+
+
+def load_scenario(path) -> Scenario:
+    """Read a scenario document with ``read_json_file``; raises
+    ScenarioFormatError when the file cannot be read or is malformed."""
+    return scenario_from_payload(read_json_file(path, ScenarioFormatError, "scenario file"))

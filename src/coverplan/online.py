@@ -1,10 +1,12 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
 A query is a few lookups and one tuple join, in one private core that
-``query`` and ``CoverPlanner.plan`` share. The goal's coverage is one
-dict lookup in the library's goal index, and its stored home path is one
-lookup in the library's ``start_index``, built when the library was
-built or loaded (no collision checks, no navigation values, no search).
+``query`` and ``CoverPlanner.plan`` share, and that checks the inputs of
+both with one rule (``cspace.check_config`` and the budget). The goal's
+coverage is one dict lookup in the library's goal index, and its stored
+home path is one lookup in the library's ``start_index``, built when the
+library was built or loaded (no collision checks, no navigation values,
+no search).
 The reversed home path of the start is joined to the home path of the
 goal in one tuple concatenation, and the core reads every stored path as
 a tuple, so a no-refine query builds one Path, the one it returns. The
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cover import CoverEntry, Library
-from .cspace import Config, Scenario
+from .cspace import Config, Scenario, check_config
 from .errors import FingerprintMismatch, GoalUncovered, StaleLibrary, StartNotPotential
 from .search import Path, RefineReport, _refine, check_path, concat_paths
 
@@ -219,14 +221,18 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 
 
 def _check_budget(budget_ms: float) -> None:
-    """The budget rule of QueryRequest and CoverPlanner.plan."""
+    """The budget rule of QueryRequest and the query core."""
     if not budget_ms > 0:  # also rejects nan
         raise ValueError("budget_ms must be positive")
 
 
 @dataclass(frozen=True)
 class QueryRequest:
-    start: Config
+    """One start -> goal request. ``start`` and ``goal`` are checked by the
+    query that answers it, with ``cspace.check_config``; ``budget_ms``
+    must be positive, or ValueError is raised here."""
+
+    start: Config | None  # None means home, as in CoverPlanner.plan
     goal: Config
     budget_ms: float = 100.0
     refine: bool = True
@@ -259,6 +265,11 @@ def query(
 ) -> QueryResult:
     """Answer a start -> goal request from the library, then refine.
 
+    The request's goal and start (None for home) are checked with
+    ``cspace.check_config`` and its budget by ``QueryRequest``'s rule, as
+    ``CoverPlanner.plan`` checks its arguments: ValueError for a
+    coordinate that is not an int (a float, a bool, a string), a wrong
+    length, a state off the lattice, or a budget that is not positive.
     The pre-refinement work is lookups of stored home paths and one tuple
     join: zero collision checks, zero expansions, and at most
     len(rep_start) + len(rep_goal) + 2 * max_descent_steps elementary
@@ -292,15 +303,20 @@ def _query(
     scenario: Scenario,
     library: Library,
     index: PotentialStateIndex,
-    start: Config,
-    goal: Config,
+    start,
+    goal,
     budget_ms: float,
     refine: bool,
     clock: Callable[[], float],
 ) -> QueryResult:
-    """The core of ``query``, on checked arguments. Every stored path is
-    read as a tuple, so a no-refine answer builds one Path, the one it
-    returns."""
+    """The core of ``query`` and ``CoverPlanner.plan``, and the one place
+    their inputs are checked: the goal and the start (None for home) with
+    ``cspace.check_config``, the budget by ``QueryRequest``'s rule. Every
+    stored path is read as a tuple, so a no-refine answer builds one Path,
+    the one it returns."""
+    goal = check_config(scenario, goal)
+    start = scenario.s_home if start is None else check_config(scenario, start)
+    _check_budget(budget_ms)
     t0 = clock()
     deadline = t0 + budget_ms / 1000.0
 

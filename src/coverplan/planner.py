@@ -11,11 +11,10 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from . import cspace
 from .cover import preprocess
 from .cspace import Scenario
 from .errors import NotFittedError
-from .online import PotentialStateIndex, QueryResult, _check_budget, _query, update_potential_index
+from .online import PotentialStateIndex, QueryResult, _query, update_potential_index
 from .search import Path
 
 
@@ -81,18 +80,16 @@ class CoverPlanner:
     ) -> QueryResult:
         """Plan from ``start`` (home when omitted) to ``goal``.
 
-        Checks ``goal`` and ``start`` with ``cspace.check_config`` and the
-        budget by ``QueryRequest``'s rule (ValueError unless it is
-        positive, also with ``refine=False``), then answers through
-        ``query``'s core on the fitted library and index, with no request
-        object: the same path, costs, flags and counts as ``query``.
+        Answers through ``query``'s core on the fitted library and index,
+        with no request object: the same checks (``goal`` and ``start``
+        with ``cspace.check_config``, the budget by ``QueryRequest``'s
+        rule, ValueError unless it is positive, also with
+        ``refine=False``), and the same path, costs, flags and counts as
+        ``query``.
         """
         self._check_fitted()
-        scenario = self.scenario_
-        goal = cspace.check_config(scenario, goal)
-        start = scenario.s_home if start is None else cspace.check_config(scenario, start)
-        _check_budget(budget_ms)
-        return _query(scenario, self.library_, self.index_, start, goal, budget_ms, refine, clock)
+        scenario, library, index = self.scenario_, self.library_, self.index_
+        return _query(scenario, library, index, start, goal, budget_ms, refine, clock)
 
     def register_executed(self, path: Path) -> None:
         """Mark a path as executed; its states become valid starts.

@@ -91,37 +91,43 @@ def concat_paths(a: Path, b: Path) -> Path:
     return Path(a.configs + b.configs[1:])
 
 
-def path_is_valid(scenario: Scenario, path: Path) -> bool:
-    """Re-validate a path: a valid first state, then a valid lattice move per step.
+def _path_defect(scenario: Scenario, path: Path) -> str | None:
+    """The first defect of a path, as ``check_path``'s message, or None for
+    a walk of valid lattice states: one pass that names the first state
+    off the lattice or in collision, or the first step that is not one
+    lattice move.
 
     Reads the scenario's ``state_table`` and ``neighbor_table``, with the
     answers of ``is_valid`` and ``successors`` but no counted collision
     check, so a check made after planning moves no SimClock reading.
     """
     states, neighbors = scenario.state_table, scenario.neighbor_table
-    configs = path.configs
-    if configs[0] not in states or not states[configs[0]][0]:
-        return False
-    # each a is valid, so on the lattice: the first by the check above, the rest as a b
-    return all(b in neighbors[a] and states[b][0] for a, b in zip(configs, configs[1:]))
-
-
-def check_path(scenario: Scenario, path: Path) -> None:
-    """Refuse a path that fails ``path_is_valid``: raise InvalidPath naming
-    its first state off the lattice or in collision, or its first step
-    that is not one lattice move."""
-    if path_is_valid(scenario, path):
-        return
-    states, neighbors = scenario.state_table, scenario.neighbor_table
     prev = None
     for q in path.configs:
         if q not in states:
-            raise InvalidPath(f"path state {q} leaves the lattice")
+            return f"path state {q} leaves the lattice"
         if not states[q][0]:
-            raise InvalidPath(f"path state {q} is in collision")
+            return f"path state {q} is in collision"
         if prev is not None and q not in neighbors[prev]:
-            raise InvalidPath(f"path step {prev} -> {q} is not one lattice move")
+            return f"path step {prev} -> {q} is not one lattice move"
         prev = q
+    return None
+
+
+def path_is_valid(scenario: Scenario, path: Path) -> bool:
+    """Re-validate a path: a valid first state, then a valid lattice move
+    per step; True when ``_path_defect``'s walk finds nothing."""
+    return _path_defect(scenario, path) is None
+
+
+def check_path(scenario: Scenario, path: Path) -> None:
+    """Refuse a path that fails ``path_is_valid``: raise InvalidPath with
+    the message of ``_path_defect``'s walk, which names its first state off
+    the lattice or in collision, or its first step that is not one lattice
+    move."""
+    defect = _path_defect(scenario, path)
+    if defect is not None:
+        raise InvalidPath(defect)
 
 
 def _reconstruct(parent: dict, goal: Config) -> Path:

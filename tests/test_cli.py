@@ -118,6 +118,19 @@ def test_missing_scenario_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_query_on_a_file_nested_too_deep_exits_1(scenario_file, tmp_path, capsys):
+    """A 100,000-deep JSON array, read as the scenario or the library, is
+    an error line, not a traceback."""
+    d, sc, spath = scenario_file
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    for scenario, library in ((deep, "l.json"), (spath, deep)):
+        argv = ["query", "--scenario", str(scenario), "--library", str(library), "--goal", "6,1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot read" in err and "Traceback" not in err
+
+
 def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
     d, sc, spath = scenario_file
     bad = tmp_path / "bad.json"
@@ -132,7 +145,7 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
         ([1, 2], "not a JSON object"),
         ({"planners": 5}, "'planners'"),
         ({"trials": None}, "'trials'"),
-        ({"budget_ms": float("nan")}, "budget_ms must be positive"),
+        ({"budget_ms": float("nan")}, "'budget_ms': nan is not a finite number"),
         ({"mode": "sequential", "budget_range_ms": [500]}, "budget_range_ms"),
         ({"mode": "sequential", "budget_range_ms": [3000, 500]}, "budget_range_ms"),
         ({"mode": "sequential", "budget_range_ms": [0, 500]}, "budget_range_ms"),
@@ -152,6 +165,15 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
         ({"ara_w0": 50.0, "trails": 3, "trials": 3}, "unknown keys 'ara_w0', 'trails'"),
         ({"planners": []}, "planners must name at least one planner"),
         ({"planners": ["ctmp", "ctmp"]}, "planner 'ctmp' is listed twice"),
+        # numbers follow the scenario file's rule: no bool, string or non-finite value
+        ({"budget_ms": True}, "'budget_ms': True is not a finite number"),
+        ({"budget_ms": "500"}, "'budget_ms': '500' is not a finite number"),
+        ({"budget_ms": "inf"}, "'budget_ms': 'inf' is not a finite number"),
+        ({"budget_ms": float("inf")}, "'budget_ms': inf is not a finite number"),
+        ({"mode": "sequential", "budget_range_ms": [1, float("inf")]}, "inf is not a finite"),
+        # raw file bytes: not UTF-8, and an array nested too deep to parse
+        pytest.param(b'{"scenario": "\xff"}', "cannot read experiment config", id="not-utf-8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "cannot read", id="nested-too-deep"),
     ],
 )
 def test_bad_config_values_exit_1(scenario_file, tmp_path, capsys, payload, message):
@@ -160,7 +182,7 @@ def test_bad_config_values_exit_1(scenario_file, tmp_path, capsys, payload, mess
     if isinstance(payload, dict):
         payload = {"format_version": 1, "scenario": spath, "library": "l.json", **payload}
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     assert cli.main(["bench", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

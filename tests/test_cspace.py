@@ -355,6 +355,11 @@ def test_bad_scenario_files(tmp_path, unit_arm):
     path.write_text('{"format_version": 99}')
     with pytest.raises(errors.ScenarioFormatError):
         cspace.load_scenario(path)
+    # not UTF-8, nested too deep to parse, and not an object
+    for blob in [b'{"kind": "\xff"}', b"[" * 100_000 + b"]" * 100_000, b"[1, 2]"]:
+        path.write_bytes(blob)
+        with pytest.raises(errors.ScenarioFormatError, match="cannot read|not a JSON object"):
+            cspace.load_scenario(path)
     good = cspace.scenario_to_payload(grid(8))
     assert cspace.scenario_from_payload(good) == grid(8)
     bad_fields = [

@@ -128,13 +128,13 @@ def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monk
     goal_a, goal_b = (sorted(rc.covered)[0] for rc in planner.library_.regions)
     first = planner.plan(goal_a, refine=False).path
     checked = []
-    path_is_valid = search.path_is_valid
+    path_defect = search._path_defect  # the one walk of path_is_valid and check_path
 
     def counted(scenario, path):
         checked.append(path)
-        return path_is_valid(scenario, path)
+        return path_defect(scenario, path)
 
-    monkeypatch.setattr(search, "path_is_valid", counted)
+    monkeypatch.setattr(search, "_path_defect", counted)
     last = planner.plan(goal_b, refine=False).path
     planner.register_executed(last)
     assert checked == []
@@ -146,30 +146,31 @@ def test_register_checks_every_path_but_the_last_planned(two_region_grid12, monk
 
 
 def test_registering_the_last_plan_chases_and_checks_nothing(two_region_grid12, monkeypatch):
-    """Registering the path the last plan returned calls neither
-    path_is_valid nor connect, whether that plan started at home, at the
-    end of the last executed path, or was refined: the end is a goal on no
-    rep path, whose home path is one lookup in the library's start index.
-    Each plan reads its goal's home path there once, and its start, home
-    or the executed end, not at all."""
+    """Registering the path the last plan returned runs no path walk (the
+    one walk of path_is_valid and check_path) and no connect, whether that
+    plan started at home, at the end of the last executed path, or was
+    refined: the end is a goal on no rep path, whose home path is one
+    lookup in the library's start index. Each plan reads its goal's home
+    path there once, and its start, home or the executed end, not at
+    all."""
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
     index, lib = planner.index_, planner.library_
     on_rep = {q for rc in lib.regions for e in rc.entries for q in e.rep_path.configs}
     pick, place = ([q for q in sorted(rc.covered) if q not in on_rep] for rc in lib.regions)
     calls = []
-    connect, path_is_valid = online.connect, search.path_is_valid
+    connect, path_defect = online.connect, search._path_defect
 
     def counted_connect(entry, q):
         calls.append("connect")
         return connect(entry, q)
 
-    def counted_path_is_valid(scenario, path):
-        calls.append("path_is_valid")
-        return path_is_valid(scenario, path)
+    def counted_path_defect(scenario, path):
+        calls.append("_path_defect")
+        return path_defect(scenario, path)
 
     reads = record_start_reads(lib)
     monkeypatch.setattr(online, "connect", counted_connect)
-    monkeypatch.setattr(search, "path_is_valid", counted_path_is_valid)
+    monkeypatch.setattr(search, "_path_defect", counted_path_defect)
     plans = {
         "home": (pick[0], lambda: planner.plan(pick[0], refine=False)),
         "chained": (place[0], lambda: planner.plan(place[0], start=pick[0], refine=False)),
@@ -235,7 +236,8 @@ def test_plan_and_query_are_one_code_path(name):
     """CoverPlanner.plan against query on an index that replays the same
     registrations: for every covered goal, from each kind of start, with
     and without refinement, the same path, initial cost, optimal flag and
-    counter deltas; and the same error type for each bad input."""
+    counter deltas; the same for a None start (home) and a list start;
+    and the same error type for each bad input."""
     planner, replay, starts = _planner_with_a_history(name)
     sc, lib = planner.scenario_, planner.library_
     counters = sc.counters
@@ -258,6 +260,17 @@ def test_plan_and_query_are_one_code_path(name):
                 assert planned == queried, (goal, kind, refine)
                 assert planned[0][0] == start and planned[0][-1] == goal
 
+    # a start of None is home, and a list start is read as its tuple
+    goal = max(lib.goal_index)
+    for start in (None, list(starts["rep path"])):
+        planned = answer(lambda: planner.plan(goal, start, refine=False))
+        request = online.QueryRequest(start, goal, refine=False)
+        queried = answer(lambda: online.query(sc, lib, request, index=replay))
+        assert planned == queried, start
+    assert planned[0][0] == starts["rep path"]
+    home_request = online.QueryRequest(None, goal, refine=False)  # on a fresh index
+    assert online.query(sc, lib, home_request).path == planner.plan(goal, refine=False).path
+
     uncovered = next(q for q in cspace.lattice_configs(sc) if q not in lib.goal_index)
     stranger = next(
         q for q in cspace.lattice_configs(sc) if cspace.collision_free(sc, q) and q not in replay
@@ -267,6 +280,14 @@ def test_plan_and_query_are_one_code_path(name):
     bad.append((errors.StartNotPotential, goal, stranger, 100.0, True))
     for budget in (0, -1, float("nan")):
         bad += [(ValueError, goal, sc.s_home, budget, refine) for refine in (True, False)]
+    assert sc.s_home[0] == 0  # so a False coordinate equals home's
+    bad += [
+        (errors.StartNotPotential, goal, list(stranger), 100.0, True),  # checked as its tuple
+        (ValueError, tuple(map(float, goal)), sc.s_home, 100.0, True),
+        (ValueError, goal, (False, *sc.s_home[1:]), 100.0, True),
+        (ValueError, goal[:1], sc.s_home, 100.0, True),
+        (ValueError, tuple(sc.dims), sc.s_home, 100.0, True),  # one past the lattice's end
+    ]
     for error, goal, start, budget, refine in bad:
         with pytest.raises(error) as planned:
             planner.plan(goal, start, budget_ms=budget, refine=refine)

@@ -435,6 +435,12 @@ def test_library_truncated_file(tmp_path, two_region_grid12):
     path.write_text(blob[: len(blob) // 2])
     with pytest.raises(errors.CorruptLibrary):
         pre.load_library(path, two_region_grid12)
+    # not UTF-8, and nested too deep to parse
+    latin1 = blob.replace("regions", "r\xe9gions").encode("latin-1")
+    for raw in [latin1, b"[" * 100_000 + b"]" * 100_000]:
+        path.write_bytes(raw)
+        with pytest.raises(errors.CorruptLibrary, match="cannot read library file"):
+            pre.load_library(path, two_region_grid12)
 
 
 def test_library_version_error(tmp_path, two_region_grid12):
