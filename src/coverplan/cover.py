@@ -63,6 +63,7 @@ from .errors import (
     FingerprintMismatch,
     HomeInvalid,
     LibraryVersionError,
+    StaleLibrary,
 )
 from .search import Path
 
@@ -80,11 +81,22 @@ class CoverEntry:
     entry serves, and no walk takes more than ``max_descent_steps``
     moves, the longest of them. ``rep_path`` runs from home to the
     attractor.
+
+    Construction (``dataclasses.replace`` too) raises StaleLibrary for a
+    home path that does not end at its key, the one check of the stored
+    paths: nothing writes to an entry once built, and the library's
+    ``start_index`` is built from its entries, so every lookup serves a
+    path checked here and checks nothing itself.
     """
 
     home_paths: dict[Config, tuple[Config, ...]] = field(hash=False)
     max_descent_steps: int
     rep_path: Path
+
+    def __post_init__(self):
+        for q, path in self.home_paths.items():
+            if path[-1] != q:
+                raise StaleLibrary(f"the stored home path of {q} ends at {path[-1]}")
 
     @property
     def attractor(self) -> Config:
@@ -203,8 +215,9 @@ def descend(scenario: Scenario, q: Config, attractor: Config) -> Path:
 
     This is the offline walk of ``_Descent``, with collision checks, read
     back from its memo; online, connect reads the home path that the
-    loader built on the same walk. Raises ValueError for an attractor off
-    the lattice and DescentStalled when no strictly improving move exists.
+    loader built on the same walk. Raises ValueError for an attractor
+    that ``cspace.in_bounds`` refuses and DescentStalled when no strictly
+    improving move exists.
     """
     path = _Descent(scenario, attractor).walk(q)
     if path is None:
@@ -429,7 +442,8 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
     names the command that rebuilds it), FingerprintMismatch for another
     scenario's library, and CorruptLibrary for a structural defect: region
     ids (in order) other than the scenario's, an attractor that is not a
-    list of ints naming a covered state of its region, an attractor listed
+    list whose tuple passes ``cspace.in_bounds`` (ints, not bools or
+    floats) and names a covered state of its region, an attractor listed
     twice in a region (``preprocess`` never repeats one), or a covered goal
     that reaches none of its region's attractors.
     """
@@ -450,9 +464,8 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
             covered = scenario.region_reach[region][0]
             attractors = []
             for a in rc["attractors"]:
-                # bool is an int subclass, so the type is compared exactly
-                q = tuple(a) if type(a) is list and all(type(c) is int for c in a) else None
-                if q not in covered:
+                q = tuple(a) if type(a) is list else None
+                if not cspace.in_bounds(scenario, q) or q not in covered:
                     raise CorruptLibrary(
                         f"attractor {a!r} is not a covered state of region {region.id!r}"
                     )
@@ -461,8 +474,6 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
                 attractors.append(q)
             regions.append(_region_cover(scenario, region, attractors))
         return Library(scenario.fingerprint, scenario.s_home, tuple(regions))
-    except (FingerprintMismatch, LibraryVersionError, CorruptLibrary):
-        raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise CorruptLibrary(f"malformed library payload: {exc}") from exc
 

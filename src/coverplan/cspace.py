@@ -187,7 +187,9 @@ class Scenario:
     tables are built whole on first use: ``state_table``, then
     ``neighbor_table`` from its keys, ``home_distance`` from those two, and
     ``region_reach`` from ``state_table`` and ``home_distance`` (the module
-    docstring says why they are safe to share).
+    docstring says why they are safe to share). ``s_home`` must pass
+    ``in_bounds`` on ``dims``, so a bool, a float or a list home is
+    refused with ValueError here, as the scenario file's loader refuses it.
     """
 
     kind: str  # "grid" | "arm"
@@ -225,12 +227,10 @@ class Scenario:
         ids = [r.id for r in self.regions]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate region ids in {ids}")
-        if len(self.s_home) != len(dims) or not all(
-            0 <= c < n for c, n in zip(self.s_home, dims)
-        ):
-            raise ValueError(f"s_home {self.s_home} is not a state of a lattice with dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "wraps", wraps)
+        if not in_bounds(self, self.s_home):
+            raise ValueError(f"s_home {self.s_home} is not a state of a lattice with dims {dims}")
         offsets = [[axis_delta(c, 0, n, w) for c in range(n)] for n, w in zip(dims, wraps)]
         object.__setattr__(self, "axis_offsets", tuple(tuple(map(float, r)) for r in offsets))
         object.__setattr__(self, "axis_squares", tuple(tuple(d * d for d in r) for r in offsets))
@@ -419,12 +419,20 @@ def cell_center(q: Config) -> tuple[float, float]:
     return (q[0] + 0.5, q[1] + 0.5)
 
 
-def in_bounds(scenario: Scenario, q: Config) -> bool:
-    """True iff q is a lattice state: one integer index per DOF, in range."""
-    dims = scenario.dims
-    if len(q) != len(dims):
+def in_bounds(scenario: Scenario, q) -> bool:
+    """True iff q is a lattice state: a tuple of one int per DOF, each in
+    range. The types are compared exactly, so a bool, a float, a NumPy
+    integer or a list is refused however it compares. This is the rule
+    every boundary applies to a state it is handed (``Scenario``'s home,
+    a library file's attractors, the goals of the searches and descent,
+    and, in one type pass per path, ``search.check_path``); only
+    ``check_config`` converts its input first."""
+    if type(q) is not tuple or len(q) != len(scenario.dims):
         return False
-    return all(isinstance(c, int) and 0 <= c < n for c, n in zip(q, dims))
+    for c, n in zip(q, scenario.dims):
+        if type(c) is not int or not 0 <= c < n:
+            return False
+    return True
 
 
 def collision_free(scenario: Scenario, q: Config) -> bool:
@@ -640,8 +648,11 @@ def check_config(scenario: Scenario, q) -> Config:
 
     A coordinate must be an integer for ``operator.index``: a float, a
     string or a bool is refused with ValueError, not truncated or parsed.
-    Each test runs over the whole tuple at C level and reads no table, so
-    the check costs the same on a scenario whose tables are not built.
+    Unlike ``in_bounds``, which refuses anything but a tuple of ints, it
+    converts what it accepts (a list, a NumPy integer), so its result is
+    a state that ``in_bounds`` accepts. Each test runs over the whole
+    tuple at C level and reads no table, so the check costs the same on a
+    scenario whose tables are not built.
     """
     try:
         items = tuple(q)
@@ -762,8 +773,6 @@ def scenario_from_payload(payload: dict) -> Scenario:
             ),
             **common,
         )
-    except ScenarioFormatError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario payload: {exc}") from exc
 

@@ -30,7 +30,9 @@ class StartNotPotential(PlanningError):
 
 
 class StaleLibrary(PlanningError):
-    """A library lookup no longer matches the environment it was built for."""
+    """A cover entry's stored home path does not end at its goal.
+
+    Raised only when a ``CoverEntry`` is built, so lookups never raise it."""
 
 
 class FingerprintMismatch(PlanningError):

@@ -48,7 +48,7 @@ from typing import Callable
 
 from .cover import CoverEntry, Library
 from .cspace import Config, Scenario, check_config
-from .errors import FingerprintMismatch, GoalUncovered, StaleLibrary, StartNotPotential
+from .errors import FingerprintMismatch, GoalUncovered, StartNotPotential
 from .search import Path, RefineReport, _refine, check_path, concat_paths
 
 
@@ -67,17 +67,16 @@ def connect(entry: CoverEntry, q: Config) -> Path:
     arrival so that q appears exactly once, at the end.
 
     One lookup in ``entry.home_paths``, which ``preprocess`` and the loader
-    build on the offline walk: no collision check and no walk. Raises
-    ValueError when q is not a member, and StaleLibrary when the stored
-    path does not end at q, which only a hand-built or stale entry does.
-    A query does not call it: its goal side reads q's path in the
-    library's ``start_index``, which for a goal on no rep path is this one.
+    build on the offline walk: no collision check and no walk. The path
+    is served unchecked, since ``CoverEntry`` refused any home path that
+    does not end at its key when it was built. Raises ValueError when q is
+    not a member. A query does not call it: its goal side reads q's path
+    in the library's ``start_index``, which for a goal on no rep path is
+    this one.
     """
     path = entry.home_paths.get(q)
     if path is None:
         raise ValueError(f"{q} is not a member of the entry's basin")
-    if path[-1] != q:
-        raise StaleLibrary(f"the stored home path of {q} ends at {path[-1]}")
     return Path(path)
 
 
@@ -130,15 +129,13 @@ class PotentialStateIndex:
 
 def _stored_home_configs(library: Library, q: Config) -> tuple[Config, ...] | None:
     """q's stored path in ``library.start_index`` up to its position there,
-    or None when q has none. StaleLibrary is raised when the path holds
-    another state at that position, which only a hand-built or stale
-    entry gives."""
+    or None when q has none. The path holds q at that position by
+    construction (a rep-path state at its index, a goal at the end of a
+    home path that ``CoverEntry`` checked), so it is served unchecked."""
     start = library.start_index.get(q)
     if start is None:
         return None
     path, k = start
-    if path[k] != q:
-        raise StaleLibrary(f"the stored home path of {q} reaches {path[k]} instead")
     return path[: k + 1]
 
 
@@ -165,14 +162,13 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     The end of the last executed path (a chained start) returns
     ``index.anchor`` itself. Otherwise, in the lookup order: a state of
     ``library.start_index`` takes its stored path up to its position
-    there, and StaleLibrary is raised when the path holds another state
-    at that position, which only a hand-built or stale entry gives; a
-    state of the executed path takes the stored anchor plus the executed
-    path from its end back to the state's last position there. The anchor
-    was resolved at registration from lookups that never change, and for
-    the end the executed branch adds nothing to it, so the shortcut gives
-    what the order gives. A query reads the same rule as tuples, with no
-    Path built for the start.
+    there, unchecked, since the library's entries checked their paths
+    when they were built; a state of the executed path takes the stored
+    anchor plus the executed path from its end back to the state's last
+    position there. The anchor was resolved at registration from lookups
+    that never change, and for the end the executed branch adds nothing
+    to it, so the shortcut gives what the order gives. A query reads the
+    same rule as tuples, with no Path built for the start.
     """
     configs = _home_configs(index, s)
     anchor = index.anchor
@@ -195,9 +191,10 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     Its end is that query's goal, whose home path is the anchor or its
     stored path in ``library.start_index``, so registering it does no work
     that grows with the path's length. Any other path must pass
-    ``path_is_valid``, or InvalidPath is raised and the index is left
-    unchanged, since later queries would hand its steps out as plans. A
-    stale entry on the way raises StaleLibrary, with the index unchanged.
+    ``path_is_valid`` (its states tuples of Python ints, each a valid
+    lattice state, and each step one lattice move), or InvalidPath is
+    raised and the index is left unchanged, since later queries would
+    hand its steps out as plans.
     """
     if executed_path is not index.planned:
         check_path(index.scenario, executed_path)
@@ -286,8 +283,9 @@ def query(
     given index must be one built for this ``library`` (that object), since
     its history is a history on that library, or ValueError is raised.
     FingerprintMismatch is raised when the library was built for another
-    scenario, and StaleLibrary for a stale stored path. ``CoverPlanner.plan``
-    answers through the same core, with no request object.
+    scenario. Stored paths are served unchecked: ``CoverEntry`` checked
+    them when the library was built. ``CoverPlanner.plan`` answers
+    through the same core, with no request object.
     """
     if index is None:
         index = PotentialStateIndex(scenario, library)

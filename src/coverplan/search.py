@@ -41,6 +41,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import getitem
 from typing import Callable
 
@@ -97,14 +98,21 @@ def _path_defect(scenario: Scenario, path: Path) -> str | None:
     off the lattice or in collision, or the first step that is not one
     lattice move.
 
-    Reads the scenario's ``state_table`` and ``neighbor_table``, with the
-    answers of ``is_valid`` and ``successors`` but no counted collision
-    check, so a check made after planning moves no SimClock reading.
+    ``cspace.in_bounds``'s rule is applied to the whole path first, in one
+    type pass: every state a tuple, every coordinate an int. A tuple of
+    ints is then a lattice state exactly when ``state_table`` holds it, so
+    only a path that fails the pass calls ``in_bounds``, on each state the
+    walk reaches, and a state it refuses leaves the lattice. Reads the
+    scenario's ``state_table`` and ``neighbor_table``, with the answers of
+    ``is_valid`` and ``successors`` but no counted collision check, so a
+    check made after planning moves no SimClock reading.
     """
+    configs = path.configs
+    typed = set(map(type, configs)) == {tuple} and set(map(type, chain(*configs))) <= {int}
     states, neighbors = scenario.state_table, scenario.neighbor_table
     prev = None
-    for q in path.configs:
-        if q not in states:
+    for q in configs:
+        if not (typed or cspace.in_bounds(scenario, q)) or q not in states:
             return f"path state {q} leaves the lattice"
         if not states[q][0]:
             return f"path state {q} is in collision"
@@ -115,16 +123,18 @@ def _path_defect(scenario: Scenario, path: Path) -> str | None:
 
 
 def path_is_valid(scenario: Scenario, path: Path) -> bool:
-    """Re-validate a path: a valid first state, then a valid lattice move
-    per step; True when ``_path_defect``'s walk finds nothing."""
+    """Re-validate a path: states that are tuples of Python ints, a valid
+    first state, then a valid lattice move per step; True when
+    ``_path_defect`` finds nothing. A float, a bool, a list or a NumPy
+    integer state is refused however it compares."""
     return _path_defect(scenario, path) is None
 
 
 def check_path(scenario: Scenario, path: Path) -> None:
     """Refuse a path that fails ``path_is_valid``: raise InvalidPath with
-    the message of ``_path_defect``'s walk, which names its first state off
-    the lattice or in collision, or its first step that is not one lattice
-    move."""
+    the message of ``_path_defect``, which names a state that is not a
+    tuple of in-range ints or is in collision, or the first step that is
+    not one lattice move."""
     defect = _path_defect(scenario, path)
     if defect is not None:
         raise InvalidPath(defect)
@@ -157,11 +167,12 @@ def astar(
     expanded again, so the path read back is at most g(goal) steps long.
 
     Raises Timeout when the deadline passes, NoPath when the frontier
-    empties or the goal is off the lattice.
+    empties, the start is in collision or ``cspace.in_bounds`` refuses
+    the start or the goal.
     """
     if not (math.isfinite(weight) and weight >= 1.0):
         raise ValueError(f"weight must be finite and >= 1, got {weight!r}")
-    if not cspace.is_valid(scenario, start):
+    if not (cspace.in_bounds(scenario, start) and cspace.is_valid(scenario, start)):
         raise NoPath(f"start {start} is invalid")
     search = _AnytimeSearch(_HeuristicMemo(scenario, goal), {start: 0.0}, {start: None}, {start})
     if search.improve_path(weight, deadline, clock)[0] == "deadline":
@@ -186,8 +197,9 @@ class _HeuristicMemo(dict):
     axis each index's wrapped distance to the goal's index as a float (the
     scenario's ``axis_offsets`` through ``cspace.axis_rows``), and d(goal).
     A lookup then sums one row entry per axis, the value of
-    ``cspace.heuristic``, and reads the landmark once. A goal off the
-    lattice has no path, so it raises NoPath here.
+    ``cspace.heuristic``, and reads the landmark once. A goal that
+    ``cspace.in_bounds`` refuses (off the lattice, or not a tuple of ints)
+    has no path, so it raises NoPath here.
     """
 
     def __init__(self, scenario: Scenario, goal: Config, landmark: dict[Config, int] | None = None):
@@ -500,9 +512,10 @@ def ara_star(
     Runs weighted iterations at ARA_W0, ARA_W0 - ARA_DW, ..., 1 with
     inconsistent-state carry-over. Returns (best path, per-iteration
     profile, optimal flag); raises Timeout if the deadline expires before
-    any solution exists, NoPath when none does.
+    any solution exists, NoPath when none does, the start is in collision
+    or ``cspace.in_bounds`` refuses the start or the goal.
     """
-    if not cspace.is_valid(scenario, start):
+    if not (cspace.in_bounds(scenario, start) and cspace.is_valid(scenario, start)):
         raise NoPath(f"start {start} is invalid")
     t0 = clock()
     search = _AnytimeSearch(_HeuristicMemo(scenario, goal), {start: 0.0}, {start: None}, {start})
@@ -534,14 +547,12 @@ def _lattice_segment(scenario: Scenario, a: Config, b: Config) -> list[Config] |
     Repeatedly steps the axis with the largest remaining (wrapped) offset,
     ties to the lowest axis, by one index toward the shorter wrap direction
     (+1 on an exact half-wrap tie), modulo n on a wrapping axis. Every
-    interior state must be valid; an end with no ``state_table`` entry is
-    off the lattice and has no walk.
+    interior state must be valid. Both ends are lattice states: its one
+    caller, ``shortcut_path``, passes two states of a path that
+    ``check_path`` accepted.
     """
     dims = scenario.dims
     wraps = scenario.wraps
-    states = scenario.state_table
-    if a not in states or b not in states:
-        return None
     out = [a]
     cur = a
     while cur != b:

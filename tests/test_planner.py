@@ -346,7 +346,8 @@ def test_a_state_visited_twice_is_served_from_its_last_visit():
 
 def test_update_potential_index_refuses_an_invalid_path(two_region_grid12):
     """The public entry has the same rule: a path off the lattice, through an
-    obstacle or with a jump raises InvalidPath and leaves the index as it was."""
+    obstacle or with a jump, or with a float or bool state that equals a
+    valid one, raises InvalidPath and leaves the index as it was."""
     from conftest import cell_rect, grid
 
     sc = grid(12, home=(0, 6), regions=two_region_grid12.regions, obstacles=[cell_rect(1, 6)])
@@ -359,6 +360,8 @@ def test_update_potential_index_refuses_an_invalid_path(two_region_grid12):
         "(-1, 6) leaves the lattice": ((0, 6), (-1, 6)),
         "(1, 6) is in collision": ((0, 6), (1, 6)),
         "(0, 6) -> (0, 8) is not one lattice move": ((0, 6), (0, 7), (0, 6), (0, 8)),
+        "(0.0, 7) leaves the lattice": ((0, 6), (0.0, 7)),
+        "(True, 8) leaves the lattice": ((0, 6), (0, 7), (0, 8), (True, 8)),
     }
     for fault, configs in faults.items():
         with pytest.raises(errors.InvalidPath, match=re.escape(fault)):

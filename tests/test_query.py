@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import time
@@ -109,17 +110,21 @@ def stale_edits(entry, q, nxt):
 
 
 def test_connect_stalled_on_tampered_members(fitted12):
-    """Tampered home paths signal a stale library: a member whose stored
-    path ends elsewhere raises StaleLibrary, and a state with no stored
-    path is no member."""
+    """Tampered home paths signal a stale library: an entry whose stored
+    path of a member ends elsewhere is refused with StaleLibrary when it
+    is built, by the constructor and by ``dataclasses.replace`` alike, so
+    connect never sees one; a state with no stored path is no member."""
     sc, lib = fitted12
     rc = lib.regions[0]
     entry = rc.entries[0]
     q, nxt = two_step_goal(rc, entry)
     assert onl.connect(entry, q).configs[-1] == q
     for edits in stale_edits(entry, q, nxt):
-        with pytest.raises(errors.StaleLibrary):
-            onl.connect(tampered(entry, edits), q)
+        paths = {**entry.home_paths, **edits}
+        with pytest.raises(errors.StaleLibrary, match=re.escape(f"home path of {q} ends at")):
+            pre.CoverEntry(paths, entry.max_descent_steps, entry.rep_path)
+        with pytest.raises(errors.StaleLibrary, match=re.escape(f"home path of {q} ends at")):
+            tampered(entry, edits)
     with pytest.raises(ValueError, match="not a member"):
         onl.connect(tampered(entry, {q: None}), q)
 
@@ -280,37 +285,45 @@ def test_query_start_not_potential(fitted12):
 
 
 def stale_libraries(lib):
-    """(q, library) pairs whose first entry's stored home path of the
-    covered goal q ends elsewhere (``stale_edits``)."""
+    """(q, build) pairs: ``build()`` makes the library whose first entry's
+    stored home path of the covered goal q ends elsewhere (``stale_edits``),
+    and is refused with StaleLibrary when it builds that entry."""
     rc = lib.regions[0]
     entry = rc.entries[0]
     q, nxt = two_step_goal(rc, entry)
     for edits in stale_edits(entry, q, nxt):
-        stale = pre.RegionCover(
-            rc.region_id, (tampered(entry, edits),) + rc.entries[1:], rc.covered, rc.excluded
-        )
-        yield q, pre.Library(lib.fingerprint, lib.s_home, (stale,) + lib.regions[1:])
+
+        def build(edits=edits):
+            stale = pre.RegionCover(
+                rc.region_id, (tampered(entry, edits),) + rc.entries[1:], rc.covered, rc.excluded
+            )
+            return pre.Library(lib.fingerprint, lib.s_home, (stale,) + lib.regions[1:])
+
+        yield q, build
 
 
 def test_query_stale_library_propagation(fitted12):
+    """A stale entry is refused when it is built, so no stale library is
+    made and no query can be served from one."""
     sc, lib = fitted12
-    for q, stale in stale_libraries(lib):
-        with pytest.raises(errors.StaleLibrary):
+    for q, build in stale_libraries(lib):
+        stale = None
+        with pytest.raises(errors.StaleLibrary, match=re.escape(f"home path of {q} ends at")):
+            stale = build()
             onl.query(sc, stale, onl.QueryRequest(start=sc.s_home, goal=q))
+        assert stale is None
 
 
 def test_registration_raises_stale_library(fitted12):
-    """Registering a path that ends at a goal with a stale entry raises
-    StaleLibrary, as a query to that goal does, and leaves the index as it
-    was."""
+    """A stale entry is refused when it is built, so no library and no
+    index are made, and no registration can read its stored path."""
     sc, lib = fitted12
-    for q, stale in stale_libraries(lib):
-        index = onl.PotentialStateIndex(sc, stale)
-        # the registration reads q's stored path
-        assert stale.start_index[q][0] is stale.goal_index[q].home_paths[q]
-        with pytest.raises(errors.StaleLibrary):
+    for q, build in stale_libraries(lib):
+        index = None
+        with pytest.raises(errors.StaleLibrary, match=re.escape(f"home path of {q} ends at")):
+            index = onl.PotentialStateIndex(sc, build())
             onl.update_potential_index(index, astar(sc, sc.s_home, q))
-        assert index.executed_path is None and index.anchor is None
+        assert index is None
 
 
 # ---------------------------------------------------------------------------
