@@ -25,7 +25,7 @@ from . import cspace
 from .cover import Library, load_library
 from .cspace import Config, OpCounters, Scenario
 from .errors import NoPath, PlanningError
-from .online import PotentialStateIndex, QueryRequest, query, update_potential_index
+from .online import CoverPlanner
 from .search import Path, ara_star, astar, path_is_valid, shortcut_path
 
 CONFIG_FORMAT_VERSION = 1
@@ -221,9 +221,7 @@ class SummaryRow:
 
 def run_trial(
     planner: str,
-    scenario: Scenario,
-    library: Library,
-    index: PotentialStateIndex,
+    robot: CoverPlanner,
     trial_id: int,
     start: Config,
     goal: Config,
@@ -232,10 +230,13 @@ def run_trial(
 ) -> TrialRecord:
     """One planner on one instance under the simulated clock.
 
-    Each planner sets the path, its anytime profile and whether it proved
-    the path optimal; a planning error or a path that fails re-validation
-    leaves no path, and so no optimal flag.
+    The ctmp planners plan through ``robot``, the experiment's one
+    CoverPlanner, whose history gives the chained starts; the baselines
+    search its scenario. Each planner sets the path, its anytime profile
+    and whether it proved the path optimal; a planning error or a path
+    that fails re-validation leaves no path, and so no optimal flag.
     """
+    scenario = robot.scenario_
     scenario.counters.reset()
     clock = SimClock(scenario.counters)
     deadline = budget_ms / 1000.0
@@ -245,13 +246,7 @@ def run_trial(
     try:
         if planner in ("ctmp", "ctmp+refine", "ctmp+shortcut"):
             refine = planner == "ctmp+refine"
-            res = query(
-                scenario,
-                library,
-                QueryRequest(start=start, goal=goal, budget_ms=budget_ms, refine=refine),
-                index=index,
-                clock=clock,
-            )
+            res = robot.plan(goal, start, budget_ms=budget_ms, refine=refine, clock=clock)
             path = res.path
             if planner == "ctmp+shortcut":
                 path = shortcut_path(
@@ -339,18 +334,18 @@ def run_sequential_experiment(
 
 
 def _run_instances(scenario, library, cfg, instances, sequential=False):
-    index = PotentialStateIndex(scenario, library)
+    robot = CoverPlanner.from_library(scenario, library)
     chain_planner = "ctmp+refine" if "ctmp+refine" in cfg.planners else cfg.planners[0]
     records: list[TrialRecord] = []
     for trial_id, start, goal, budget in instances:
         executed: Path | None = None
         for planner in cfg.planners:
-            rec = run_trial(planner, scenario, library, index, trial_id, start, goal, budget, cfg)
+            rec = run_trial(planner, robot, trial_id, start, goal, budget, cfg)
             records.append(rec)
             if planner == chain_planner and rec.path is not None:
                 executed = rec.path
         if sequential and executed is not None:
-            update_potential_index(index, executed)
+            robot.register_executed(executed)
     stats = summarize(scenario, records, cfg.planners)
     return records, stats
 

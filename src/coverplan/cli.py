@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, bench, cover as cov, cspace, online as onl
+from . import __version__, bench, cover as cov, cspace
 from .cover import LIBRARY_FORMAT_VERSION
 from .cspace import SCENARIO_FORMAT_VERSION
 from .errors import PlanningError
+from .online import CoverPlanner
 
 
 def _parse_config(text: str) -> tuple[int, ...]:
@@ -40,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--out", required=True, help="library output file")
     p_pre.add_argument("--seed", type=int, default=0, help="attractor sampling seed")
 
-    p_query = sub.add_parser("query", help="plan one start->goal request")
-    p_query.add_argument("--scenario", required=True)
-    p_query.add_argument("--library", required=True)
-    p_query.add_argument("--start", type=_parse_config, default=None, help="default: home state")
-    p_query.add_argument("--goal", type=_parse_config, required=True)
-    p_query.add_argument("--budget-ms", type=float, default=500.0)
-    p_query.add_argument("--no-refine", action="store_true", help="return the initial plan only")
+    p_plan = sub.add_parser("query", help="plan one start->goal request")
+    p_plan.add_argument("--scenario", required=True)
+    p_plan.add_argument("--library", required=True)
+    p_plan.add_argument("--start", type=_parse_config, default=None, help="default: home state")
+    p_plan.add_argument("--goal", type=_parse_config, required=True)
+    p_plan.add_argument("--budget-ms", type=float, default=500.0)
+    p_plan.add_argument("--no-refine", action="store_true", help="return the initial plan only")
 
     p_bench = sub.add_parser("bench", help="run an experiment config")
     p_bench.add_argument("--config", required=True, help="experiment config JSON file")
@@ -68,13 +69,13 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_query(args) -> int:
+def cmd_plan(args) -> int:
+    """The ``query`` command: one plan on the loaded library."""
     scenario = cspace.load_scenario(args.scenario)
-    library = cov.load_library(args.library, scenario)
-    request = onl.QueryRequest(
-        start=args.start, goal=args.goal, budget_ms=args.budget_ms, refine=not args.no_refine
+    planner = CoverPlanner.from_library(scenario, cov.load_library(args.library, scenario))
+    result = planner.plan(
+        args.goal, args.start, budget_ms=args.budget_ms, refine=not args.no_refine
     )
-    result = onl.query(scenario, library, request)
     print(" -> ".join("(" + ",".join(str(c) for c in q) + ")" for q in result.path.configs))
     print(
         f"cost: {result.final_cost:g} (initial {result.initial_cost:g}), "
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
         if args.command == "preprocess":
             return cmd_preprocess(args)
         if args.command == "query":
-            return cmd_query(args)
+            return cmd_plan(args)
         if args.command == "bench":
             return cmd_bench(args)
         parser.error(f"unknown command {args.command!r}")

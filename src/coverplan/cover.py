@@ -215,10 +215,12 @@ def descend(scenario: Scenario, q: Config, attractor: Config) -> Path:
 
     This is the offline walk of ``_Descent``, with collision checks, read
     back from its memo; online, connect reads the home path that the
-    loader built on the same walk. Raises ValueError for an attractor
-    that ``cspace.in_bounds`` refuses and DescentStalled when no strictly
-    improving move exists.
+    loader built on the same walk. Raises ValueError for a start or an
+    attractor that ``cspace.in_bounds`` refuses and DescentStalled when no
+    strictly improving move exists.
     """
+    if not cspace.in_bounds(scenario, q):
+        raise ValueError(f"start {q} is not a lattice state")
     path = _Descent(scenario, attractor).walk(q)
     if path is None:
         raise DescentStalled(f"descent from {q} stalls before {attractor}")

@@ -208,7 +208,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind == "grid":
             dims = self.grid_dims
-            if not (dims and len(dims) == 2 and all(isinstance(n, int) and n > 0 for n in dims)):
+            if not (dims and len(dims) == 2 and all(type(n) is int and n > 0 for n in dims)):
                 raise ValueError(f"grid_dims must be two positive ints, got {dims!r}")
             dims, wraps = tuple(dims), (False, False)
         elif self.kind == "arm":
@@ -424,9 +424,10 @@ def in_bounds(scenario: Scenario, q) -> bool:
     range. The types are compared exactly, so a bool, a float, a NumPy
     integer or a list is refused however it compares. This is the rule
     every boundary applies to a state it is handed (``Scenario``'s home,
-    a library file's attractors, the goals of the searches and descent,
-    and, in one type pass per path, ``search.check_path``); only
-    ``check_config`` converts its input first."""
+    a library file's attractors, the goals of the searches, a descent's
+    start and attractor, and, in one type pass per path,
+    ``search.check_path``); only ``check_config`` converts its input
+    first."""
     if type(q) is not tuple or len(q) != len(scenario.dims):
         return False
     for c, n in zip(q, scenario.dims):
@@ -646,25 +647,25 @@ def _index(c) -> int:
 def check_config(scenario: Scenario, q) -> Config:
     """Check a user-supplied configuration: one integer per DOF, in bounds.
 
-    A coordinate must be an integer for ``operator.index``: a float, a
-    string or a bool is refused with ValueError, not truncated or parsed.
-    Unlike ``in_bounds``, which refuses anything but a tuple of ints, it
-    converts what it accepts (a list, a NumPy integer), so its result is
-    a state that ``in_bounds`` accepts. Each test runs over the whole
-    tuple at C level and reads no table, so the check costs the same on a
-    scenario whose tables are not built.
+    A lattice state (``in_bounds``) is returned as it is. Anything else is
+    converted with ``_index`` and must then be one: a coordinate must be
+    an integer for ``operator.index``, so a float, a string or a bool is
+    refused with ValueError, not truncated or parsed, while a list or a
+    NumPy integer is converted. So the result is a state that
+    ``in_bounds`` accepts, and the rule lives there alone. No test reads
+    a table, so the check costs the same on a scenario whose tables are
+    not built.
     """
+    if in_bounds(scenario, q):
+        return q
     try:
-        items = tuple(q)
-        cfg = tuple(map(operator.index, items))
-        if bool in map(type, items):
-            raise TypeError("a coordinate is a bool")
+        cfg = tuple(map(_index, q))
     except TypeError as exc:
         raise ValueError(f"configuration must be a sequence of integers, got {q!r}") from exc
     dims = scenario.dims
     if len(cfg) != len(dims):
         raise ValueError(f"configuration has {len(cfg)} coordinates, scenario has {len(dims)} DOF")
-    if min(cfg) < 0 or not all(map(operator.lt, cfg, dims)):
+    if not in_bounds(scenario, cfg):
         raise ValueError(f"configuration {cfg} outside lattice dims {dims}")
     return cfg
 

@@ -1,17 +1,18 @@
 """Online phase: constant-time initial plans from the preprocessed library.
 
-A query is a few lookups and one tuple join, in one private core that
-``query`` and ``CoverPlanner.plan`` share, and that checks the inputs of
-both with one rule (``cspace.check_config`` and the budget). The goal's
-coverage is one dict lookup in the library's goal index, and its stored
-home path is one lookup in the library's ``start_index``, built when the
-library was built or loaded (no collision checks, no navigation values,
-no search).
-The reversed home path of the start is joined to the home path of the
-goal in one tuple concatenation, and the core reads every stored path as
-a tuple, so a no-refine query builds one Path, the one it returns. The
-optional refinement stage then spends whatever remains of the time
-budget improving that path.
+``CoverPlanner`` is the one front door. ``fit`` preprocesses a scenario
+and ``from_library`` binds a library already built or loaded; either way
+the planner owns its scenario, its library and one PotentialStateIndex on
+them. ``plan`` checks its inputs with one rule (``cspace.check_config``
+and the budget) and answers with a few lookups and one tuple join. The
+goal's coverage is one dict lookup in the library's goal index, and its
+stored home path is one lookup in the library's ``start_index``, built
+when the library was built or loaded (no collision checks, no navigation
+values, no search). The reversed home path of the start is joined to the
+home path of the goal in one tuple concatenation, and every stored path
+is read as a tuple, so a no-refine plan builds one Path, the one it
+returns. The optional refinement stage then spends whatever remains of
+the time budget improving that path.
 
 A start is served the same way from any potential state: home, a state of
 a representative path, a covered goal, or a state of the last executed
@@ -24,20 +25,20 @@ path, reads the home path stored for it when the path was registered.
 A goal takes its ``start_index`` path too, so a covered goal that is
 also a rep-path state is reached along its rep path, a shortest path.
 
-Registering the path that the last query returned costs O(1) in its
+Registering the path that the last plan returned costs O(1) in its
 length: it is taken without a check, and its end, that goal, has its
 home path stored in the library. The executed path itself is the only
 record of its states; looking up a state in the middle of it scans the
 path.
 
-The library is immutable and shareable across concurrent queries, each
-with its own PotentialStateIndex. A query only reads the scenario's
-fields and tables, but it adds its operation counts to
-``scenario.counters``, so concurrent queries on one scenario mix their
-counts; the paths they return do not depend on the counters. The
-PotentialStateIndex mutates between sequential queries (a query records
-the path it returned, a registration records the executed path) and must
-be serialized per robot (single writer).
+The library is immutable and shareable across robots, each planning
+through its own CoverPlanner (``from_library`` on the shared library). A
+plan only reads the scenario's fields and tables, but it adds its
+operation counts to ``scenario.counters``, so concurrent plans on one
+scenario mix their counts; the paths they return do not depend on the
+counters. A planner's index mutates between sequential plans (a plan
+records the path it returned, a registration records the executed path),
+so each planner must be serialized (single writer).
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .cover import CoverEntry, Library
+from .cover import CoverEntry, Library, preprocess
 from .cspace import Config, Scenario, check_config
-from .errors import FingerprintMismatch, GoalUncovered, StartNotPotential
+from .errors import FingerprintMismatch, GoalUncovered, NotFittedError, StartNotPotential
 from .search import Path, RefineReport, _refine, check_path, concat_paths
 
 
@@ -70,9 +71,9 @@ def connect(entry: CoverEntry, q: Config) -> Path:
     build on the offline walk: no collision check and no walk. The path
     is served unchecked, since ``CoverEntry`` refused any home path that
     does not end at its key when it was built. Raises ValueError when q is
-    not a member. A query does not call it: its goal side reads q's path
-    in the library's ``start_index``, which for a goal on no rep path is
-    this one.
+    not a member. ``CoverPlanner.plan`` does not call it: its goal side
+    reads q's path in the library's ``start_index``, which for a goal on
+    no rep path is this one.
     """
     path = entry.home_paths.get(q)
     if path is None:
@@ -102,13 +103,12 @@ class PotentialStateIndex:
       returns it for the end itself. Only one executed path is kept, which
       bounds memory and matches a robot sitting at the end of its last
       motion;
-    - ``planned``: the path object that the last query on this index
-      (``query`` or ``CoverPlanner.plan``) returned (None before the
-      first), which ``update_potential_index`` registers without
-      re-checking it.
+    - ``planned``: the path object that the last ``CoverPlanner.plan``
+      on this index returned (None before the first), which
+      ``update_potential_index`` registers without re-checking it.
 
     Lookups try ``library.start_index``, then the executed path. The index
-    is single-writer: queries and registrations that share one must be
+    is single-writer: plans and registrations that share one must be
     serialized.
     """
 
@@ -167,7 +167,7 @@ def path_home_to(index: PotentialStateIndex, s: Config) -> Path:
     anchor plus the executed path from its end back to the state's last
     position there. The anchor was resolved at registration from lookups
     that never change, and for the end the executed branch adds nothing
-    to it, so the shortcut gives what the order gives. A query reads the
+    to it, so the shortcut gives what the order gives. ``plan`` reads the
     same rule as tuples, with no Path built for the start.
     """
     configs = _home_configs(index, s)
@@ -186,9 +186,9 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
     is, StartNotPotential is raised naming both and the index is left
     unchanged. Duplicate states keep their last position (shortest suffix).
 
-    The path the last query on this index returned (``index.planned``, the
+    The path the last plan on this index returned (``index.planned``, the
     same object) is a valid walk by construction and is taken as it is.
-    Its end is that query's goal, whose home path is the anchor or its
+    Its end is that plan's goal, whose home path is the anchor or its
     stored path in ``library.start_index``, so registering it does no work
     that grows with the path's length. Any other path must pass
     ``path_is_valid`` (its states tuples of Python ints, each a valid
@@ -214,28 +214,7 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 
 
 # ---------------------------------------------------------------------------
-# queries
-
-
-def _check_budget(budget_ms: float) -> None:
-    """The budget rule of QueryRequest and the query core."""
-    if not budget_ms > 0:  # also rejects nan
-        raise ValueError("budget_ms must be positive")
-
-
-@dataclass(frozen=True)
-class QueryRequest:
-    """One start -> goal request. ``start`` and ``goal`` are checked by the
-    query that answers it, with ``cspace.check_config``; ``budget_ms``
-    must be positive, or ValueError is raised here."""
-
-    start: Config | None  # None means home, as in CoverPlanner.plan
-    goal: Config
-    budget_ms: float = 100.0
-    refine: bool = True
-
-    def __post_init__(self):
-        _check_budget(self.budget_ms)
+# planning
 
 
 @dataclass
@@ -253,103 +232,164 @@ class QueryResult:
         return self.path.cost
 
 
-def query(
-    scenario: Scenario,
-    library: Library,
-    request: QueryRequest,
-    index: PotentialStateIndex | None = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> QueryResult:
-    """Answer a start -> goal request from the library, then refine.
+class CoverPlanner:
+    """Constant-time planner with anytime refinement.
 
-    The request's goal and start (None for home) are checked with
-    ``cspace.check_config`` and its budget by ``QueryRequest``'s rule, as
-    ``CoverPlanner.plan`` checks its arguments: ValueError for a
-    coordinate that is not an int (a float, a bool, a string), a wrong
-    length, a state off the lattice, or a budget that is not positive.
-    The pre-refinement work is lookups of stored home paths and one tuple
-    join: zero collision checks, zero expansions, and at most
-    len(rep_start) + len(rep_goal) + 2 * max_descent_steps elementary
-    steps (starts registered from an executed path substitute their stored
-    anchor length for the rep-path term). The goal must be covered
-    (``find_rep_path``), or GoalUncovered is raised; its home path is its
-    stored path in ``library.start_index``, which for a goal that is also
-    a rep-path state is its rep-path prefix, a shortest path. The start's
-    home path follows ``path_home_to``'s lookup order. The budget clock
-    starts at request receipt; lookup and connect time are deducted from
-    the refinement budget. The query plans through ``index``, a
-    PotentialStateIndex, or a fresh one when none is given: it records the
-    returned path as its ``planned`` path, and looks the start up in it. A
-    given index must be one built for this ``library`` (that object), since
-    its history is a history on that library, or ValueError is raised.
-    FingerprintMismatch is raised when the library was built for another
-    scenario. Stored paths are served unchecked: ``CoverEntry`` checked
-    them when the library was built. ``CoverPlanner.plan`` answers
-    through the same core, with no request object.
+    fit() preprocesses the scenario into a goal-region cover library, and
+    from_library() binds a library already built or loaded; plan()
+    answers start -> goal queries from stored paths and refines within the
+    time budget. Sequential use registers each executed path so the next
+    query may start anywhere along it.
+
+    It follows the scikit-learn parameter conventions (keyword-only
+    constructor params stored verbatim, get_params/set_params, fitted
+    state on trailing-underscore attributes) so it composes with that
+    ecosystem's tooling, without depending on scikit-learn itself.
+
+    Parameters
+    ----------
+    seed : rng seed for attractor sampling during fit, the one parameter;
+        rep paths are shortest paths read off ``Scenario.home_distance``.
+
+    Fitted attributes: ``scenario_``, ``library_`` (the cover library) and
+    ``index_`` (the potential-state index on that library), which the
+    planner owns together.
     """
-    if index is None:
-        index = PotentialStateIndex(scenario, library)
-    elif index.library is not library:
-        raise ValueError("the index was built for another library")
-    elif library.fingerprint != scenario.fingerprint:
-        raise FingerprintMismatch("the library was built for another scenario")
-    start, goal, budget_ms, refine = request.start, request.goal, request.budget_ms, request.refine
-    return _query(scenario, library, index, start, goal, budget_ms, refine, clock)
 
+    def __init__(self, *, seed: int = 0):
+        self.seed = seed
 
-def _query(
-    scenario: Scenario,
-    library: Library,
-    index: PotentialStateIndex,
-    start,
-    goal,
-    budget_ms: float,
-    refine: bool,
-    clock: Callable[[], float],
-) -> QueryResult:
-    """The core of ``query`` and ``CoverPlanner.plan``, and the one place
-    their inputs are checked: the goal and the start (None for home) with
-    ``cspace.check_config``, the budget by ``QueryRequest``'s rule. Every
-    stored path is read as a tuple, so a no-refine answer builds one Path,
-    the one it returns."""
-    goal = check_config(scenario, goal)
-    start = scenario.s_home if start is None else check_config(scenario, start)
-    _check_budget(budget_ms)
-    t0 = clock()
-    deadline = t0 + budget_ms / 1000.0
+    # -- scikit-learn parameter protocol ------------------------------------
 
-    if find_rep_path(library, goal) is None:
-        raise GoalUncovered(f"goal {goal} is not covered by any region")
-    t_lookup = clock()
+    def get_params(self, deep: bool = True) -> dict:
+        return {"seed": self.seed}
 
-    if start == goal:
-        configs = (start,)
-    else:
-        # Library puts every covered goal in start_index, so this is never None
-        home_to_goal = _stored_home_configs(library, goal)
-        if start == library.s_home:
-            configs = home_to_goal
+    def set_params(self, **params) -> "CoverPlanner":
+        valid = self.get_params()
+        for key, value in params.items():
+            if key not in valid:
+                raise ValueError(f"invalid parameter {key!r} for CoverPlanner")
+            setattr(self, key, value)
+        return self
+
+    # -- offline -------------------------------------------------------------
+
+    def fit(self, scenario: Scenario, y=None) -> "CoverPlanner":
+        """Preprocess the scenario and bind its library; idempotent for a
+        fixed seed.
+
+        Raises HomeInvalid when the home state is in collision.
+        """
+        return self._bind(scenario, preprocess(scenario, seed=self.seed))
+
+    @classmethod
+    def from_library(cls, scenario: Scenario, library: Library) -> "CoverPlanner":
+        """A planner on a library already built or loaded (``load_library``),
+        with no history yet: what ``fit`` gives when ``preprocess`` built
+        that library. FingerprintMismatch is raised when the library was
+        built for another scenario. ``seed`` keeps its default, since only
+        ``fit`` reads it.
+        """
+        return cls()._bind(scenario, library)
+
+    def _bind(self, scenario: Scenario, library: Library) -> "CoverPlanner":
+        self.index_ = PotentialStateIndex(scenario, library)
+        self.scenario_ = scenario
+        self.library_ = library
+        return self
+
+    def _check_fitted(self) -> None:
+        if not hasattr(self, "library_"):
+            raise NotFittedError("call fit(scenario) or from_library() before planning")
+
+    # -- online --------------------------------------------------------------
+
+    def plan(
+        self,
+        goal,
+        start=None,
+        *,
+        budget_ms: float = 100.0,
+        refine: bool = True,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> QueryResult:
+        """Plan from ``start`` (home when omitted) to ``goal``, then refine.
+
+        ``goal`` and ``start`` are checked with ``cspace.check_config``:
+        ValueError for a coordinate that is not an int (a float, a bool, a
+        string), a wrong length or a state off the lattice, and for a
+        budget that is not positive, also with ``refine=False``. The goal
+        must be covered (``find_rep_path``), or GoalUncovered is raised;
+        its home path is its stored path in ``library.start_index``, which
+        for a goal that is also a rep-path state is its rep-path prefix, a
+        shortest path. The start's home path follows ``path_home_to``'s
+        lookup order, or StartNotPotential is raised.
+
+        The pre-refinement work is lookups of stored home paths and one
+        tuple join: zero collision checks, zero expansions, and at most
+        len(rep_start) + len(rep_goal) + 2 * max_descent_steps elementary
+        steps (starts registered from an executed path substitute their
+        stored anchor length for the rep-path term). Stored paths are
+        served unchecked: ``CoverEntry`` checked them when the library was
+        built. Every stored path is read as a tuple, so a no-refine plan
+        builds one Path, the one it returns. The budget clock starts once
+        the inputs pass their checks; lookup and connect time are deducted
+        from the refinement budget. The returned path is recorded as the
+        index's ``planned`` path, for ``register_executed``.
+        """
+        self._check_fitted()
+        scenario, library, index = self.scenario_, self.library_, self.index_
+        goal = check_config(scenario, goal)
+        start = scenario.s_home if start is None else check_config(scenario, start)
+        if not budget_ms > 0:  # also rejects nan
+            raise ValueError("budget_ms must be positive")
+        t0 = clock()
+        deadline = t0 + budget_ms / 1000.0
+
+        if find_rep_path(library, goal) is None:
+            raise GoalUncovered(f"goal {goal} is not covered by any region")
+        t_lookup = clock()
+
+        if start == goal:
+            configs = (start,)
         else:
-            # both paths leave home: back along the first, out along the second
-            configs = _home_configs(index, start)[::-1] + home_to_goal[1:]
-    initial = Path(configs)
-    scenario.counters.elementary_steps += len(configs)
-    t_connect = clock()
+            # Library puts every covered goal in start_index, so this is never None
+            home_to_goal = _stored_home_configs(library, goal)
+            if start == library.s_home:
+                configs = home_to_goal
+            else:
+                # both paths leave home: back along the first, out along the second
+                configs = _home_configs(index, start)[::-1] + home_to_goal[1:]
+        initial = Path(configs)
+        scenario.counters.elementary_steps += len(configs)
+        t_connect = clock()
 
-    result = QueryResult(
-        path=initial,
-        initial_cost=initial.cost,
-        lookup_ms=(t_lookup - t0) * 1000.0,
-        connect_ms=(t_connect - t_lookup) * 1000.0,
-        refine_ms=0.0,
-        optimal_flag=initial.cost == 0.0,
-    )
-    if refine and initial.cost > 0.0:
-        # the seed is built from library paths, so it skips the seed check
-        refined, report = _refine(scenario, initial, deadline, clock)
-        result.path = refined
-        result.refine_ms = (clock() - t_connect) * 1000.0
-        result.optimal_flag = report.optimal_flag
-        result.refine_report = report
-    index.planned = result.path
-    return result
+        result = QueryResult(
+            path=initial,
+            initial_cost=initial.cost,
+            lookup_ms=(t_lookup - t0) * 1000.0,
+            connect_ms=(t_connect - t_lookup) * 1000.0,
+            refine_ms=0.0,
+            optimal_flag=initial.cost == 0.0,
+        )
+        if refine and initial.cost > 0.0:
+            # the seed is built from library paths, so it skips the seed check
+            refined, report = _refine(scenario, initial, deadline, clock)
+            result.path = refined
+            result.refine_ms = (clock() - t_connect) * 1000.0
+            result.optimal_flag = report.optimal_flag
+            result.refine_report = report
+        index.planned = result.path
+        return result
+
+    def register_executed(self, path: Path) -> None:
+        """Mark a path as executed; its states become valid starts.
+
+        The path the last ``plan`` returned (that object) is registered as
+        it is; any other must pass ``path_is_valid``, or InvalidPath is
+        raised and nothing is registered. One end must be a potential
+        state; when neither is, StartNotPotential is raised and nothing is
+        registered.
+        """
+        self._check_fitted()
+        update_potential_index(self.index_, path)

@@ -418,7 +418,7 @@ def _refine(
     clock: Callable[[], float],
 ) -> tuple[Path, RefineReport]:
     """``anytime_refine`` between the seed's ends, without its checks, for
-    a seed valid by construction: ``online.query``'s, from library paths.
+    a seed valid by construction: ``CoverPlanner.plan``'s, from library paths.
 
     The incumbent is read back after every pass. The loop's exit test is
     the lower bound h(start), one memo read: it runs before the seed is

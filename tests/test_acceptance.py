@@ -12,9 +12,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from coverplan import Circle, bench, corpus, cspace
+from coverplan import Circle, CoverPlanner, bench, corpus, cspace
 from coverplan import cover as pre
-from coverplan import online as onl
 from coverplan.search import anytime_refine, astar, concat_paths, path_is_valid
 from oracles import bfs_distances
 
@@ -94,12 +93,9 @@ def test_criterion_1_cover_completeness(fitted_corpus):
                         assert q in rc.excluded, (name, region.id, q)
                 assert rc.covered | rc.excluded == set(states), (name, region.id)
             covered = sorted(set().union(*(rc.covered for rc in library.regions)))
+            planner = CoverPlanner.from_library(scenario, library)
             for goal in covered:
-                res = onl.query(
-                    scenario,
-                    library,
-                    onl.QueryRequest(start=scenario.s_home, goal=goal, refine=False),
-                )
+                res = planner.plan(goal, scenario.s_home, refine=False)
                 assert res.path.configs[0] == scenario.s_home
                 assert res.path.configs[-1] == goal
         assert time.monotonic() - t_start < 120.0  # stated runtime bound
@@ -125,7 +121,7 @@ def test_criterion_2_constant_time_query(fitted_corpus):
                 obstacles=base.obstacles[:1] + far,
             )
             library = pre.preprocess(scenario, seed=0)
-            index = onl.PotentialStateIndex(scenario, library)
+            planner = CoverPlanner.from_library(scenario, library)
             starts = [scenario.s_home] + sorted(library.regions[0].covered)[:3]
             goals = sorted(library.regions[1].covered)[:3]
             per_query = []
@@ -133,12 +129,7 @@ def test_criterion_2_constant_time_query(fitted_corpus):
                 for g in goals:
                     scenario.counters.reset()
                     t0 = time.perf_counter()
-                    onl.query(
-                        scenario,
-                        library,
-                        onl.QueryRequest(start=s, goal=g, refine=False),
-                        index=index,
-                    )
+                    planner.plan(g, s, refine=False)
                     wall = time.perf_counter() - t0
                     checks, expansions, steps = scenario.counters.snapshot()
                     assert checks == 0, (s, g)
@@ -213,14 +204,12 @@ def test_criterion_5_anytime_monotonicity(bench_runs, fitted_corpus):
             assert all(b <= a for a, b in zip(costs, costs[1:])), (name, rec.trial_id)
         # direct runs retain every intermediate incumbent for validation
         scenario, library = fitted_corpus["grid16_d30"]
-        index = onl.PotentialStateIndex(scenario, library)
+        planner = CoverPlanner.from_library(scenario, library)
         starts = sorted(library.regions[0].covered)[:4]
         goals = sorted(library.regions[1].covered)[:4]
         validated = 0
         for s, g in zip(starts, goals):
-            res = onl.query(
-                scenario, library, onl.QueryRequest(start=s, goal=g, budget_ms=2000.0), index=index
-            )
+            res = planner.plan(g, s, budget_ms=2000.0)
             report = res.refine_report
             assert report is not None
             for inc in report.incumbents:
@@ -236,7 +225,7 @@ def test_criterion_6_sequential_improvement(fitted_corpus):
         ratios = []
         for name in ("grid12_d00", "grid16_d00", "grid24_d00", "arm24_o0", "arm32_o0"):
             scenario, library = fitted_corpus[name]
-            index = onl.PotentialStateIndex(scenario, library)
+            planner = CoverPlanner.from_library(scenario, library)
             rng = random.Random(77)
             pick = sorted(library.regions[0].covered)
             place = sorted(library.regions[1].covered)
@@ -245,12 +234,7 @@ def test_criterion_6_sequential_improvement(fitted_corpus):
                 goal = place[rng.randrange(len(place))]
                 if start == goal:
                     continue
-                res = onl.query(
-                    scenario,
-                    library,
-                    onl.QueryRequest(start=start, goal=goal, budget_ms=10_000.0),
-                    index=index,
-                )
+                res = planner.plan(goal, start, budget_ms=10_000.0)
                 oracle = astar(scenario, start, goal).cost
                 if oracle >= res.initial_cost:  # via-home already as short as direct
                     continue

@@ -13,7 +13,6 @@ PUBLIC = [
     "OpCounters",
     "Path",
     "PotentialStateIndex",
-    "QueryRequest",
     "QueryResult",
     "Rect",
     "RefineReport",
@@ -35,7 +34,6 @@ PUBLIC = [
     "path_home_to",
     "path_is_valid",
     "preprocess",
-    "query",
     "save_library",
     "save_scenario",
     "shortcut_path",

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 from oracles import bfs_distances
-from coverplan import bench, corpus, cspace
+from coverplan import CoverPlanner, bench, corpus, cspace
 from coverplan import cover as pre
-from coverplan.online import PotentialStateIndex
 from coverplan.search import astar
 
 
@@ -266,9 +265,9 @@ def test_trial_failing_revalidation_is_not_optimal(small_setup, monkeypatch):
     with it: a failed trial never reads optimal."""
     d, sc, lib, spath, lpath = small_setup
     cfg = make_cfg(small_setup)
-    index = PotentialStateIndex(sc, lib)
+    robot = CoverPlanner.from_library(sc, lib)
     goal = sorted(lib.regions[0].covered)[-1]
-    args = (sc, lib, index, 0, sc.s_home, goal, 500.0, cfg)
+    args = (robot, 0, sc.s_home, goal, 500.0, cfg)
     for planner in ("astar", "ctmp+refine"):
         assert bench.run_trial(planner, *args).optimal_flag
     monkeypatch.setattr(bench, "path_is_valid", lambda scenario, path: False)

@@ -54,6 +54,10 @@ def ara_star_start(sc, state, path):
     return search.ara_star(sc, state, (7, 7))
 
 
+def descend_start(sc, state, path):
+    return cover.descend(sc, state, (7, 7))
+
+
 def descend_attractor(sc, state, path):
     return cover.descend(sc, (7, 7), state)
 
@@ -88,6 +92,7 @@ BOUNDARIES = {
     "astar start": (astar_start, errors.NoPath),
     "ara_star goal": (ara_star_goal, errors.NoPath),
     "ara_star start": (ara_star_start, errors.NoPath),
+    "descend start": (descend_start, ValueError),
     "descend attractor": (descend_attractor, ValueError),
     "library attractor": (library_attractor, errors.CorruptLibrary),
     "check_path": (check_path, errors.InvalidPath),

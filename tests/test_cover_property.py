@@ -28,8 +28,7 @@ import pytest
 
 from conftest import cell_rect, grid
 from oracles import bfs_distances, reference_attractors, simulate_descent
-from coverplan import RegionSpec, corpus, cover, cspace
-from coverplan.online import QueryRequest, query
+from coverplan import CoverPlanner, RegionSpec, corpus, cover, cspace
 from coverplan.search import path_is_valid
 from test_astar_property import wrapping_arms
 from test_refine_property import grids
@@ -87,12 +86,13 @@ def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
 
     goals = sorted(set().union(*(rc.covered for rc in library.regions)))
     home = scenario.s_home
+    planner = CoverPlanner.from_library(scenario, library)
     for goal in goals:
         entry = library.goal_index[goal]
         reached, steps, _ = simulate_descent(scenario, goal, entry.attractor)
         assert reached and steps <= entry.max_descent_steps, goal
         scenario.counters.reset()
-        path = query(scenario, library, QueryRequest(start=home, goal=goal, refine=False)).path
+        path = planner.plan(goal, home, refine=False).path
         assert (scenario.counters.collision_checks, scenario.counters.expansions) == (0, 0)
         assert path.start == home and path.goal == goal
         assert path_is_valid(scenario, path), goal
@@ -100,8 +100,7 @@ def test_cover_file_and_queries_match_the_bfs_oracle(case, data):
     if goals:
         drawn = data.draw(st.lists(st.sampled_from(goals), min_size=1, max_size=3, unique=True))
         for goal in drawn:
-            request = QueryRequest(start=home, goal=goal, budget_ms=1e7)
-            result = query(scenario, library, request)
+            result = planner.plan(goal, home, budget_ms=1e7)
             assert result.optimal_flag, goal
             assert result.path.cost == reach[goal], goal
             assert path_is_valid(scenario, result.path), goal

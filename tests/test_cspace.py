@@ -430,6 +430,16 @@ def test_scenario_is_frozen(empty8):
     assert empty8.dims == (8, 8) and empty8.wraps == (False, False)
 
 
+def test_scenario_refuses_grid_dims_off_the_exact_int_rule():
+    """Grid dims are two positive ints, with the exact type test of
+    ``in_bounds``: ``(True, 8)`` once gave ``dims == (True, 8)``, which
+    ``save_scenario`` wrote and ``load_scenario`` refused."""
+    region = (RegionSpec("r", (1.0, 1.0, 2.0, 2.0)),)
+    for dims in [(True, 8), (8, False), (8.0, 8), (0, 8), (8, -1), (8,), (8, 8, 8), None]:
+        with pytest.raises(ValueError, match="grid_dims must be two positive ints"):
+            Scenario(kind="grid", grid_dims=dims, s_home=(0, 0), regions=region)
+
+
 def test_check_config(empty8):
     assert cspace.check_config(empty8, [3, 4]) == (3, 4)
     with pytest.raises(ValueError):

@@ -92,9 +92,8 @@ import json
 import pytest
 
 from conftest import arm3_s16, v1_projection, v2_projection, v3_projection
-from coverplan import bench, corpus, cspace, search
+from coverplan import CoverPlanner, bench, corpus, cspace, search
 from coverplan import cover as pre
-from coverplan.online import QueryRequest, query
 
 # goal -> (iterations, total expansions, sha256 of the refine records)
 REFINE = {
@@ -288,8 +287,7 @@ def _sha256(value) -> str:
 
 
 def _initial(scenario, library, start, goal):
-    request = QueryRequest(start=start, goal=goal, refine=False)
-    return query(scenario, library, request).path
+    return CoverPlanner.from_library(scenario, library).plan(goal, start, refine=False).path
 
 
 def _refine_pin(scenario, start, goal, initial, **kwargs):
@@ -322,8 +320,8 @@ def test_pinned_goals_span_the_library(ladder):
 @pytest.mark.parametrize("goal", sorted(REFINE))
 def test_refine_records_frozen(ladder, goal):
     scenario, library = ladder
-    request = QueryRequest(start=scenario.s_home, goal=goal, refine=False)
-    initial = query(scenario, library, request).path
+    planner = CoverPlanner.from_library(scenario, library)
+    initial = planner.plan(goal, scenario.s_home, refine=False).path
     _, report = search.anytime_refine(scenario, scenario.s_home, goal, initial)
     records = [(it.epsilon, it.cost, it.expansions, it.selections) for it in report.iterations]
     digest = hashlib.sha256(repr(records).encode()).hexdigest()

@@ -14,7 +14,6 @@ from coverplan import (
     cspace,
 )
 from coverplan import cover as pre
-from coverplan import online as onl
 from coverplan.search import astar, path_is_valid
 from oracles import bfs_distances
 
@@ -48,10 +47,9 @@ def test_limited_arm_pipeline(limited_arm):
         states = cspace.region_configs(sc, region)
         assert states, region.id
         assert rc.covered == frozenset(q for q in states if q in reach)
-    index = onl.PotentialStateIndex(sc, lib)
     start = sorted(lib.regions[0].covered)[0]
     goal = sorted(lib.regions[1].covered)[-1]
-    res = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, budget_ms=2000.0), index=index)
+    res = CoverPlanner.from_library(sc, lib).plan(goal, start, budget_ms=2000.0)
     assert res.optimal_flag
     assert res.final_cost == astar(sc, start, goal).cost
     assert path_is_valid(sc, res.path)
@@ -82,8 +80,9 @@ def test_rectangular_grid_pipeline():
     lib = pre.preprocess(sc, seed=1)
     covered = sorted(lib.regions[0].covered)
     assert covered
+    planner = CoverPlanner.from_library(sc, lib)
     for goal in covered:
-        res = onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=goal, budget_ms=500.0))
+        res = planner.plan(goal, sc.s_home, budget_ms=500.0)
         assert res.final_cost == astar(sc, sc.s_home, goal).cost
 
 
@@ -129,7 +128,7 @@ def test_home_inside_region_is_covered():
     )
     lib = pre.preprocess(sc, seed=0)
     assert sc.s_home in lib.regions[0].covered
-    res = onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=sc.s_home))
+    res = CoverPlanner.from_library(sc, lib).plan(sc.s_home, sc.s_home)
     assert res.final_cost == 0.0
     assert res.optimal_flag
 

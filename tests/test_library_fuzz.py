@@ -16,9 +16,8 @@ import copy
 
 import pytest
 
-from coverplan import corpus, errors
+from coverplan import CoverPlanner, corpus, errors
 from coverplan import cover as pre
-from coverplan.online import QueryRequest, query
 from coverplan.search import path_is_valid
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -112,7 +111,8 @@ def test_mutated_payload_is_refused_or_answers_validly(setups, name, data):
     except errors.PlanningError:
         return
     home = scenario.s_home
+    planner = CoverPlanner.from_library(scenario, library)
     for goal in sorted(set().union(*(rc.covered for rc in library.regions))):
-        path = query(scenario, library, QueryRequest(start=home, goal=goal, refine=False)).path
+        path = planner.plan(goal, home, refine=False).path
         assert path.start == home and path.goal == goal, goal
         assert path_is_valid(scenario, path), goal

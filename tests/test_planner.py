@@ -5,6 +5,7 @@ import pytest
 import oracles
 from conftest import record_start_reads
 from coverplan import CoverPlanner, corpus, cspace, errors, online, search
+from coverplan import load_library, save_library
 
 
 def test_get_set_params_round_trip():
@@ -204,8 +205,9 @@ def _walk_off_the_start_index(sc, lib, start, moves=3):
 
 
 def _planner_with_a_history(name):
-    """A fitted planner on a corpus scenario, a second index on its library
-    that replays the same registrations, and one start of each kind: home,
+    """A fitted planner on a corpus scenario, a second planner bound to its
+    library by ``from_library`` that replays the same registrations, and
+    one start of each kind: home,
     a rep-path state, the end of the executed path and a state in its
     middle. The executed path is a walk of three moves off the library's
     start index, from the largest covered goal that has one, registered
@@ -217,10 +219,10 @@ def _planner_with_a_history(name):
     walks = (_walk_off_the_start_index(sc, lib, q) for q in sorted(lib.goal_index, reverse=True))
     walk = next(w for w in walks if w is not None)
     goal = walk[0]
-    replay = online.PotentialStateIndex(sc, lib)
+    replay = CoverPlanner.from_library(sc, lib)
     for path in (planner.plan(goal, refine=False).path, search.Path(tuple(walk))):
         planner.register_executed(path)
-        online.update_potential_index(replay, path)
+        replay.register_executed(path)
     rep = lib.regions[-1].entries[-1].rep_path.configs
     starts = {
         "home": sc.s_home,
@@ -232,12 +234,13 @@ def _planner_with_a_history(name):
 
 
 @pytest.mark.parametrize("name", ["grid16_d20", "arm32_o2"])  # a grid; a wrapping arm
-def test_plan_and_query_are_one_code_path(name):
-    """CoverPlanner.plan against query on an index that replays the same
-    registrations: for every covered goal, from each kind of start, with
-    and without refinement, the same path, initial cost, optimal flag and
-    counter deltas; the same for a None start (home) and a list start;
-    and the same error type for each bad input."""
+def test_fit_and_from_library_plan_alike(name):
+    """A fitted planner against one bound to its library by
+    ``from_library`` that replays the same registrations: for every
+    covered goal, from each kind of start, with and without refinement,
+    the same path, initial cost, optimal flag and counter deltas; the same
+    for a None start (home) and a list start; and the same error type for
+    each bad input."""
     planner, replay, starts = _planner_with_a_history(name)
     sc, lib = planner.scenario_, planner.library_
     counters = sc.counters
@@ -255,25 +258,25 @@ def test_plan_and_query_are_one_code_path(name):
         for kind, start in starts.items():
             for refine in (False, True):
                 planned = answer(lambda: planner.plan(goal, start, refine=refine, clock=clock))
-                request = online.QueryRequest(start, goal, refine=refine)
-                queried = answer(lambda: online.query(sc, lib, request, index=replay, clock=clock))
-                assert planned == queried, (goal, kind, refine)
+                replayed = answer(lambda: replay.plan(goal, start, refine=refine, clock=clock))
+                assert planned == replayed, (goal, kind, refine)
                 assert planned[0][0] == start and planned[0][-1] == goal
 
     # a start of None is home, and a list start is read as its tuple
     goal = max(lib.goal_index)
     for start in (None, list(starts["rep path"])):
         planned = answer(lambda: planner.plan(goal, start, refine=False))
-        request = online.QueryRequest(start, goal, refine=False)
-        queried = answer(lambda: online.query(sc, lib, request, index=replay))
-        assert planned == queried, start
+        replayed = answer(lambda: replay.plan(goal, start, refine=False))
+        assert planned == replayed, start
     assert planned[0][0] == starts["rep path"]
-    home_request = online.QueryRequest(None, goal, refine=False)  # on a fresh index
-    assert online.query(sc, lib, home_request).path == planner.plan(goal, refine=False).path
+    fresh = CoverPlanner.from_library(sc, lib)  # no history
+    assert fresh.plan(goal, refine=False).path == planner.plan(goal, refine=False).path
 
     uncovered = next(q for q in cspace.lattice_configs(sc) if q not in lib.goal_index)
     stranger = next(
-        q for q in cspace.lattice_configs(sc) if cspace.collision_free(sc, q) and q not in replay
+        q
+        for q in cspace.lattice_configs(sc)
+        if cspace.collision_free(sc, q) and q not in replay.index_
     )
     goal = min(lib.goal_index)
     bad = [(errors.GoalUncovered, uncovered, sc.s_home, 100.0, True)]
@@ -291,38 +294,28 @@ def test_plan_and_query_are_one_code_path(name):
     for error, goal, start, budget, refine in bad:
         with pytest.raises(error) as planned:
             planner.plan(goal, start, budget_ms=budget, refine=refine)
-        with pytest.raises(error) as queried:
-            request = online.QueryRequest(start, goal, budget_ms=budget, refine=refine)
-            online.query(sc, lib, request, index=replay)
-        assert type(planned.value) is type(queried.value), (goal, start, budget, refine)
+        with pytest.raises(error) as replayed:
+            replay.plan(goal, start, budget_ms=budget, refine=refine)
+        assert type(planned.value) is type(replayed.value), (goal, start, budget, refine)
 
 
-def test_a_no_refine_plan_builds_one_path_and_no_request(monkeypatch):
+def test_a_no_refine_plan_builds_one_path(monkeypatch):
     """A no-refine plan builds exactly one Path, the one it returns, from
-    every kind of start, and no QueryRequest; a refined plan builds no
-    QueryRequest either."""
+    every kind of start."""
     planner, _, starts = _planner_with_a_history("grid16_d20")
     goal = min(planner.library_.goal_index)
     built = []
+    post_init = search.Path.__post_init__
 
-    def counted(cls):
-        post_init = cls.__post_init__
+    def counted_post_init(self):
+        built.append("Path")
+        post_init(self)
 
-        def counted_post_init(self):
-            built.append(cls.__name__)
-            post_init(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted_post_init)
-
-    counted(search.Path)
-    counted(online.QueryRequest)
+    monkeypatch.setattr(search.Path, "__post_init__", counted_post_init)
     for kind, start in starts.items():
         built.clear()
         planner.plan(goal, start, refine=False)
         assert built == ["Path"], kind
-        built.clear()
-        planner.plan(goal, start, budget_ms=1e4)
-        assert "QueryRequest" not in built, kind
 
 
 def test_a_state_visited_twice_is_served_from_its_last_visit():
@@ -384,3 +377,32 @@ def test_sklearn_clone_compatibility(two_region_grid12):
     assert cloned.get_params() == planner.get_params()
     cloned.fit(two_region_grid12)
     assert hasattr(cloned, "library_") and not hasattr(planner, "library_")
+
+
+def test_a_loaded_library_plans_as_the_fitted_one(tmp_path):
+    """A planner bound by ``from_library`` to a saved and reloaded library
+    returns the paths of the planner that built it with ``fit``: on
+    grid21_ladder, for every covered goal, without and with refinement,
+    from home and chained from the previous goal after registering the
+    last plan. The clock stands still, so every refinement runs to its
+    end."""
+    sc = dict(corpus.corpus())["grid21_ladder"]
+    fitted = CoverPlanner(seed=0).fit(sc)
+    save_library(fitted.library_, tmp_path / "ladder.json")
+    loaded = CoverPlanner.from_library(sc, load_library(tmp_path / "ladder.json", sc))
+    assert loaded.library_ == fitted.library_ and loaded.library_ is not fitted.library_
+    goals = sorted(fitted.library_.goal_index)
+    assert len(goals) == 18
+    starts = [None]  # home, then also the previous goal
+    for goal in goals:
+        for start in starts:
+            for refine in (False, True):
+                answers = [
+                    planner.plan(goal, start, refine=refine, clock=lambda: 0.0)
+                    for planner in (fitted, loaded)
+                ]
+                paths = [answer.path.configs for answer in answers]
+                assert paths[0] == paths[1], (goal, start, refine)
+        for planner, answer in zip((fitted, loaded), answers):
+            planner.register_executed(answer.path)
+        starts = [None, goal]

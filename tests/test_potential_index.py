@@ -47,7 +47,8 @@ def test_index_matches_the_provenance_oracle(seed):
     scenarios["arm3_s16"] = arm3_s16()
     for name, sc in scenarios.items():
         lib = pre.preprocess(sc, seed=seed)
-        index = onl.PotentialStateIndex(sc, lib)
+        planner = CoverPlanner.from_library(sc, lib)
+        index = planner.index_
         provenance = oracles.potential_provenance(lib)
         expected = {q: oracle_path(lib, q, why) for q, why in provenance.items()}
         potentials = {q for q in cspace.lattice_configs(sc) if q in index}
@@ -56,13 +57,13 @@ def test_index_matches_the_provenance_oracle(seed):
             assert onl.path_home_to(index, q) == path, (name, q)
         for q in lib.goal_index:
             path, k = lib.start_index[q]
-            got = onl.query(sc, lib, onl.QueryRequest(sc.s_home, q, refine=False)).path
+            got = planner.plan(q, sc.s_home, refine=False).path
             assert got.configs == path[: k + 1], (name, q)
             if provenance[q][0] == "rep_path":
                 assert got.cost == sc.home_distance[q], (name, q)
 
         goal = max(lib.goal_index)
-        executed = onl.query(sc, lib, onl.QueryRequest(sc.s_home, goal, refine=False)).path
+        executed = planner.plan(goal, sc.s_home, refine=False).path
         onl.update_potential_index(index, executed)
         potentials = {q for q in cspace.lattice_configs(sc) if q in index}
         assert potentials == set(expected) | set(executed.configs), name
@@ -183,12 +184,12 @@ def test_plans_depend_only_on_registrations(name, chain):
         if kind == "plan":
             if start not in index:
                 continue
-            request = onl.QueryRequest(start, few[extra % len(few)], refine=False)
-            path = planner.plan(request.goal, start, refine=False).path
-            fresh = onl.PotentialStateIndex(sc, lib)
+            goal = few[extra % len(few)]
+            path = planner.plan(goal, start, refine=False).path
+            fresh = CoverPlanner.from_library(sc, lib)
             for executed_path in registered:
-                onl.update_potential_index(fresh, executed_path)
-            assert onl.query(sc, lib, request, index=fresh).path.configs == path.configs
+                fresh.register_executed(executed_path)
+            assert fresh.plan(goal, start, refine=False).path.configs == path.configs
         else:
             path = random_walk(sc, start, extra)
         try:

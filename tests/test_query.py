@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import cell_rect, grid, record_start_reads
-from coverplan import Circle, RegionSpec, corpus, cspace, errors
+from coverplan import Circle, CoverPlanner, RegionSpec, corpus, cspace, errors
 from coverplan import cover as pre
 from coverplan import online as onl
 from coverplan.search import astar, path_is_valid
@@ -152,15 +152,13 @@ def test_descend_detects_post_hoc_obstacle(fitted12):
 
 
 # ---------------------------------------------------------------------------
-# query
+# plan on a bound library
 
 
 def test_query_home_to_attractor_is_rep_path(fitted12):
     sc, lib = fitted12
     entry = lib.regions[0].entries[0]
-    res = onl.query(
-        sc, lib, onl.QueryRequest(start=sc.s_home, goal=entry.attractor, refine=False)
-    )
+    res = CoverPlanner.from_library(sc, lib).plan(entry.attractor, sc.s_home, refine=False)
     assert res.path.configs == entry.rep_path.configs
     assert res.initial_cost == entry.rep_path.cost
 
@@ -169,11 +167,11 @@ def test_query_concatenation_arithmetic(fitted12):
     """Unrefined pick->place queries pass through home: cost is the sum of
     the two half-paths."""
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
+    planner = CoverPlanner.from_library(sc, lib)
     start = sorted(lib.regions[0].covered)[0]
     goal = sorted(lib.regions[1].covered)[0]
-    res = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False), index=index)
-    half_start = onl.path_home_to(index, start)
+    res = planner.plan(goal, start, refine=False)
+    half_start = onl.path_home_to(planner.index_, start)
     half_goal = onl.connect(onl.find_rep_path(lib, goal), goal)
     assert res.initial_cost == half_start.cost + half_goal.cost
     assert sc.s_home in res.path.configs
@@ -182,12 +180,9 @@ def test_query_concatenation_arithmetic(fitted12):
 
 def test_query_refine_reaches_oracle(fitted12):
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
     start = sorted(lib.regions[0].covered)[0]
     goal = sorted(lib.regions[1].covered)[0]
-    res = onl.query(
-        sc, lib, onl.QueryRequest(start=start, goal=goal, budget_ms=2000.0), index=index
-    )
+    res = CoverPlanner.from_library(sc, lib).plan(goal, start, budget_ms=2000.0)
     oracle = astar(sc, start, goal).cost
     assert res.final_cost == oracle
     assert res.final_cost < res.initial_cost
@@ -197,8 +192,9 @@ def test_query_refine_reaches_oracle(fitted12):
 def test_an_index_holds_only_the_robots_history(fitted12, monkeypatch):
     """An index holds its scenario, its library and three history slots, and
     builds no table: the library answers the home, rep-path and goal
-    lookups. A query without an index plans through one fresh index, from
-    home and from any other potential start alike."""
+    lookups. ``from_library`` builds one fresh index on the library it is
+    given, and the planner plans through it, from home and from any other
+    potential start alike."""
     sc, lib = fitted12
     index = onl.PotentialStateIndex(sc, lib)
     assert vars(index).keys() == {"scenario", "library", "executed_path", "anchor", "planned"}
@@ -212,11 +208,13 @@ def test_an_index_holds_only_the_robots_history(fitted12, monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(onl, "PotentialStateIndex", Counted)
+    planner = CoverPlanner.from_library(sc, lib)
+    assert built == [planner.index_] and planner.library_ is lib and planner.scenario_ is sc
     goal = sorted(lib.regions[1].covered)[0]
     for start in (sc.s_home, sorted(lib.regions[0].covered)[0]):
-        result = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False))
-        assert built[-1].planned is result.path and built[-1].library is lib
-    assert len(built) == 2
+        result = planner.plan(goal, start, refine=False)
+        assert planner.index_.planned is result.path
+    assert len(built) == 1
 
 
 def test_a_library_of_another_scenario_is_refused():
@@ -224,64 +222,44 @@ def test_a_library_of_another_scenario_is_refused():
     the first answered queries on the second: every home query returned a
     path through the second's obstacles, and refinement flagged it
     optimal. The library's fingerprint is now checked against the
-    scenario's, by ``query`` with or without an index and by the index."""
+    scenario's when a planner is bound to it, by ``from_library`` and by
+    the index it builds."""
     scenarios = dict(corpus.corpus())
     sc_a, sc_b = scenarios["grid8_d00"], scenarios["grid8_d10"]
     lib_a = pre.preprocess(sc_a, seed=0)
     goals = sorted(lib_a.goal_index)
     assert len(goals) == 18
-    plans = [onl.query(sc_a, lib_a, onl.QueryRequest(sc_a.s_home, q, refine=False)) for q in goals]
+    planner = CoverPlanner.from_library(sc_a, lib_a)
+    plans = [planner.plan(q, refine=False) for q in goals]
     assert not any(path_is_valid(sc_b, plan.path) for plan in plans)
-    index = onl.PotentialStateIndex(sc_a, lib_a)
-    for q in goals:
-        request = onl.QueryRequest(sc_b.s_home, q, budget_ms=1e6)
-        with pytest.raises(errors.FingerprintMismatch):
-            onl.query(sc_b, lib_a, request)
-        with pytest.raises(errors.FingerprintMismatch):
-            onl.query(sc_b, lib_a, request, index=index)
+    with pytest.raises(errors.FingerprintMismatch):
+        CoverPlanner.from_library(sc_b, lib_a)
     with pytest.raises(errors.FingerprintMismatch):
         onl.PotentialStateIndex(sc_b, lib_a)
-    assert index.planned is None
-
-
-def test_query_refuses_an_index_of_another_library():
-    """grid8_d00 and grid8_d10 share their lattice and home and both cover
-    (5, 2) and (5, 6). With an index of the first that has registered a
-    plan to (5, 2), a query on the second from there to (5, 6) went back
-    along the first's path, which crosses an obstacle of the second; an
-    index of another library is now refused."""
-    scenarios = dict(corpus.corpus())
-    sc_a, sc_b = scenarios["grid8_d00"], scenarios["grid8_d10"]
-    lib_a, lib_b = pre.preprocess(sc_a, seed=0), pre.preprocess(sc_b, seed=0)
-    index = onl.PotentialStateIndex(sc_a, lib_a)
-    first = onl.query(sc_a, lib_a, onl.QueryRequest(sc_a.s_home, (5, 2), refine=False), index=index)
-    onl.update_potential_index(index, first.path)
-    assert not path_is_valid(sc_b, first.path)
-    request = onl.QueryRequest(start=(5, 2), goal=(5, 6), refine=False)
-    with pytest.raises(ValueError, match="another library"):
-        onl.query(sc_b, lib_b, request, index=index)
-    with pytest.raises(ValueError, match="another library"):
-        onl.query(sc_a, pre.preprocess(sc_a, seed=0), request, index=index)
-    assert path_is_valid(sc_b, onl.query(sc_b, lib_b, request).path)
 
 
 def test_query_goal_uncovered(fitted12):
     sc, lib = fitted12
     with pytest.raises(errors.GoalUncovered):
-        onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=(5, 5)))
+        CoverPlanner.from_library(sc, lib).plan((5, 5), sc.s_home)
 
 
-def test_query_request_rejects_bad_budget():
+def test_query_request_rejects_bad_budget(fitted12):
+    sc, lib = fitted12
+    planner = CoverPlanner.from_library(sc, lib)
+    goal = sorted(lib.regions[0].covered)[0]
     for budget in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            onl.QueryRequest(start=(0, 0), goal=(1, 1), budget_ms=budget)
+        for refine in (True, False):
+            with pytest.raises(ValueError, match="budget_ms must be positive"):
+                planner.plan(goal, budget_ms=budget, refine=refine)
+    assert planner.index_.planned is None
 
 
 def test_query_start_not_potential(fitted12):
     sc, lib = fitted12
     goal = sorted(lib.regions[0].covered)[0]
     with pytest.raises(errors.StartNotPotential):
-        onl.query(sc, lib, onl.QueryRequest(start=(5, 5), goal=goal))
+        CoverPlanner.from_library(sc, lib).plan(goal, (5, 5))
 
 
 def stale_libraries(lib):
@@ -310,7 +288,7 @@ def test_query_stale_library_propagation(fitted12):
         stale = None
         with pytest.raises(errors.StaleLibrary, match=re.escape(f"home path of {q} ends at")):
             stale = build()
-            onl.query(sc, stale, onl.QueryRequest(start=sc.s_home, goal=q))
+            CoverPlanner.from_library(sc, stale).plan(q, sc.s_home)
         assert stale is None
 
 
@@ -365,26 +343,27 @@ def test_path_home_to_goal_region_matches_connect(fitted12):
 
 def test_update_potential_index_enables_sequential_starts(fitted12):
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
+    planner = CoverPlanner.from_library(sc, lib)
+    index = planner.index_
     goal_a = sorted(lib.regions[0].covered)[0]
-    res = onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=goal_a), index=index)
+    res = planner.plan(goal_a, sc.s_home)
     onl.update_potential_index(index, res.path)
 
     # next query may start at the previous goal
     goal_b = sorted(lib.regions[1].covered)[0]
-    res2 = onl.query(sc, lib, onl.QueryRequest(start=goal_a, goal=goal_b), index=index)
+    res2 = planner.plan(goal_b, goal_a)
     assert res2.path.configs[0] == goal_a
 
     # and at any mid-path state of the executed path
     mid = res.path.configs[len(res.path.configs) // 2]
-    res3 = onl.query(sc, lib, onl.QueryRequest(start=mid, goal=goal_b), index=index)
+    res3 = planner.plan(goal_b, mid)
     assert res3.path.configs[0] == mid
 
     # but never from an unvisited config
     never_visited = [q for q in cspace.lattice_configs(sc) if q not in index]
     assert never_visited
     with pytest.raises(errors.StartNotPotential):
-        onl.query(sc, lib, onl.QueryRequest(start=never_visited[0], goal=goal_b), index=index)
+        planner.plan(goal_b, never_visited[0])
 
 
 def test_chained_start_reads_the_anchor(two_region_grid12):
@@ -392,8 +371,6 @@ def test_chained_start_reads_the_anchor(two_region_grid12):
     home path from the stored anchor: the start is a covered goal off every
     rep path, yet the query reads no start-index entry for it, and reads
     the goal's entry once."""
-    from coverplan import CoverPlanner
-
     planner = CoverPlanner(seed=0).fit(two_region_grid12)
     lib = planner.library_
     on_rep = {q for rc in lib.regions for e in rc.entries for q in e.rep_path.configs}
@@ -409,9 +386,10 @@ def test_executed_mid_path_home_route_is_valid(fitted12):
     from coverplan.search import path_is_valid
 
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
+    planner = CoverPlanner.from_library(sc, lib)
+    index = planner.index_
     goal_a = sorted(lib.regions[0].covered)[-1]
-    res = onl.query(sc, lib, onl.QueryRequest(start=sc.s_home, goal=goal_a), index=index)
+    res = planner.plan(goal_a, sc.s_home)
     onl.update_potential_index(index, res.path)
     for k in range(0, len(res.path.configs), 3):
         s = res.path.configs[k]
@@ -421,7 +399,7 @@ def test_executed_mid_path_home_route_is_valid(fitted12):
 
 
 def test_concurrent_robots_share_one_library():
-    """Four threads, each with its own index on one shared library and
+    """Four threads, each with its own planner on one shared library and
     scenario (grid24_d30), run the same chained pick -> place sweep with
     refinement and registration, and each gets the paths and refine
     records of a serial run. The counters mix by design and are left out;
@@ -431,12 +409,11 @@ def test_concurrent_robots_share_one_library():
     picks, places = (sorted(rc.covered) for rc in lib.regions)
 
     def sweep():
-        index = onl.PotentialStateIndex(sc, lib)
+        planner = CoverPlanner.from_library(sc, lib)
         start, outputs = sc.s_home, []
         for goal in (g for pair in zip(picks, places) for g in pair):
-            request = onl.QueryRequest(start, goal, budget_ms=1.0)
-            result = onl.query(sc, lib, request, index=index, clock=lambda: 0.0)
-            onl.update_potential_index(index, result.path)
+            result = planner.plan(goal, start, budget_ms=1.0, clock=lambda: 0.0)
+            planner.register_executed(result.path)
             report = result.refine_report
             records = [(it.epsilon, it.cost, it.expansions) for it in report.iterations]
             outputs.append((result.path.configs, records, result.optimal_flag))
@@ -479,11 +456,11 @@ def obstacle_flooded_variant(sc, extra: int):
 
 def test_query_zero_checks_zero_expansions(fitted12):
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
+    planner = CoverPlanner.from_library(sc, lib)
     start = sorted(lib.regions[0].covered)[0]
     goal = sorted(lib.regions[1].covered)[0]
     sc.counters.reset()
-    res = onl.query(sc, lib, onl.QueryRequest(start=start, goal=goal, refine=False), index=index)
+    res = planner.plan(goal, start, refine=False)
     checks, expansions, steps = sc.counters.snapshot()
     assert checks == 0
     assert expansions == 0
@@ -492,9 +469,11 @@ def test_query_zero_checks_zero_expansions(fitted12):
 
 def test_query_elementary_bound(fitted12):
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
-    entry_goal = onl.find_rep_path(lib, sorted(lib.regions[1].covered)[0])
-    entry_start = onl.find_rep_path(lib, sorted(lib.regions[0].covered)[0])
+    planner = CoverPlanner.from_library(sc, lib)
+    start = sorted(lib.regions[0].covered)[0]
+    goal = sorted(lib.regions[1].covered)[0]
+    entry_goal = onl.find_rep_path(lib, goal)
+    entry_start = onl.find_rep_path(lib, start)
     bound = (
         len(entry_start.rep_path.configs)
         + len(entry_goal.rep_path.configs)
@@ -502,16 +481,7 @@ def test_query_elementary_bound(fitted12):
         + entry_goal.max_descent_steps
     )
     sc.counters.reset()
-    onl.query(
-        sc,
-        lib,
-        onl.QueryRequest(
-            start=sorted(lib.regions[0].covered)[0],
-            goal=sorted(lib.regions[1].covered)[0],
-            refine=False,
-        ),
-        index=index,
-    )
+    planner.plan(goal, start, refine=False)
     assert sc.counters.elementary_steps <= bound
 
 
@@ -521,13 +491,11 @@ def test_query_step_count_independent_of_obstacles(fitted12):
     for extra in (0, 499):
         variant = obstacle_flooded_variant(sc, extra)
         vlib = pre.preprocess(variant, seed=0)
-        index = onl.PotentialStateIndex(variant, vlib)
+        planner = CoverPlanner.from_library(variant, vlib)
         start = sorted(vlib.regions[0].covered)[0]
         goal = sorted(vlib.regions[1].covered)[0]
         variant.counters.reset()
-        onl.query(
-            variant, vlib, onl.QueryRequest(start=start, goal=goal, refine=False), index=index
-        )
+        planner.plan(goal, start, refine=False)
         counts[extra] = variant.counters.snapshot()
     assert counts[0] == counts[499]
     assert counts[0][0] == 0 and counts[0][1] == 0
@@ -535,13 +503,12 @@ def test_query_step_count_independent_of_obstacles(fitted12):
 
 def test_query_wall_time_under_10ms(fitted12):
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
+    planner = CoverPlanner.from_library(sc, lib)
     start = sorted(lib.regions[0].covered)[0]
     goal = sorted(lib.regions[1].covered)[0]
-    request = onl.QueryRequest(start=start, goal=goal, refine=False)
-    onl.query(sc, lib, request, index=index)  # warm caches
+    planner.plan(goal, start, refine=False)  # warm caches
     t0 = time.perf_counter()
-    onl.query(sc, lib, request, index=index)
+    planner.plan(goal, start, refine=False)
     assert time.perf_counter() - t0 < 0.010
 
 
@@ -557,12 +524,12 @@ def test_all_potential_to_all_covered_succeed():
         obstacles=[cell_rect(3, 3), cell_rect(3, 4)],
     )
     lib = pre.preprocess(sc, seed=0)
-    index = onl.PotentialStateIndex(sc, lib)
-    potentials = [q for q in cspace.lattice_configs(sc) if q in index]
+    planner = CoverPlanner.from_library(sc, lib)
+    potentials = [q for q in cspace.lattice_configs(sc) if q in planner.index_]
     goals = sorted(set().union(*(rc.covered for rc in lib.regions)))
     for s in potentials:
         for goal in goals:
-            res = onl.query(sc, lib, onl.QueryRequest(start=s, goal=goal, refine=False), index=index)
+            res = planner.plan(goal, s, refine=False)
             assert res.path.configs[0] == s and res.path.configs[-1] == goal
 
 
@@ -577,14 +544,14 @@ def test_constant_time_contract_randomized_sweep():
     for name in ("grid16_d20", "arm24_o2", "grid24_d30"):
         sc = dict(corpus.corpus())[name]
         lib = pre.preprocess(sc, seed=0)
-        index = onl.PotentialStateIndex(sc, lib)
-        potentials = sorted(q for q in cspace.lattice_configs(sc) if q in index)
+        planner = CoverPlanner.from_library(sc, lib)
+        potentials = sorted(q for q in cspace.lattice_configs(sc) if q in planner.index_)
         goals = sorted(set().union(*(rc.covered for rc in lib.regions)))
         for _ in range(25):
             s = potentials[rng.randrange(len(potentials))]
             g = goals[rng.randrange(len(goals))]
             sc.counters.reset()
-            res = onl.query(sc, lib, onl.QueryRequest(start=s, goal=g, refine=False), index=index)
+            res = planner.plan(g, s, refine=False)
             checks, expansions, steps = sc.counters.snapshot()
             assert checks == 0 and expansions == 0, (name, s, g)
             assert steps == len(res.path.configs)
@@ -592,9 +559,9 @@ def test_constant_time_contract_randomized_sweep():
 
 def test_refinement_never_worsens(fitted12):
     sc, lib = fitted12
-    index = onl.PotentialStateIndex(sc, lib)
+    planner = CoverPlanner.from_library(sc, lib)
     goals = sorted(lib.regions[1].covered)
     starts = sorted(lib.regions[0].covered)
     for s, g in zip(starts[:5], goals[:5]):
-        res = onl.query(sc, lib, onl.QueryRequest(start=s, goal=g, budget_ms=500.0), index=index)
+        res = planner.plan(g, s, budget_ms=500.0)
         assert res.final_cost <= res.initial_cost

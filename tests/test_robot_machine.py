@@ -12,8 +12,9 @@ a sequence of rules on one ``CoverPlanner``:
 - register a random valid walk of up to six moves from the position, or
   from any state of the executed path (home before the first);
 - plan as in the first rule while another thread, on a second
-  ``PotentialStateIndex`` of the same library, replays the robot's
-  registrations and plans from the position to another drawn goal.
+  ``CoverPlanner`` bound to the same library by ``from_library``, replays
+  the robot's registrations and plans from the position to another drawn
+  goal.
 
 After every plan and registration the model checks, against
 ``oracles.bfs_distances`` and ``path_is_valid``:
@@ -24,7 +25,7 @@ After every plan and registration the model checks, against
 - a refined plan is flagged optimal and costs the breadth-first distance,
   and a plan cut by its deadline is flagged optimal only at that cost;
 - the index's anchor is a valid path from home to the executed path's end;
-- the second index's plan is the robot's own plan of the same request,
+- the second planner's plan is the robot's own plan of the same request,
   made after the threads are joined (the paths only: the two threads add
   their counts to the one scenario's counters).
 
@@ -40,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import cell_rect, grid
-from coverplan import CoverPlanner, RegionSpec, bench, online
+from coverplan import CoverPlanner, RegionSpec, bench
 from coverplan.search import Path, path_is_valid
 from oracles import bfs_distances, lattice_neighbors, valid_states
 
@@ -142,14 +143,12 @@ class RobotMachine(RuleBasedStateMachine):
         assert path.configs == again.path.configs
 
     def replay_and_plan(self, start, goal, refine):
-        """On a fresh index of the robot's library: register the robot's
+        """On a fresh planner of the robot's library: register the robot's
         executed paths in order, then plan start -> goal."""
-        library = self.planner.library_
-        index = online.PotentialStateIndex(self.sc, library)
+        replay = CoverPlanner.from_library(self.sc, self.planner.library_)
         for path in self.registered:
-            online.update_potential_index(index, path)
-        request = online.QueryRequest(start, goal, budget_ms=1e7, refine=refine)
-        return online.query(self.sc, library, request, index=index).path
+            replay.register_executed(path)
+        return replay.plan(goal, start, budget_ms=1e7, refine=refine).path
 
     @rule(moves=st.lists(st.integers(0, 3), max_size=6))
     def walk(self, moves):
