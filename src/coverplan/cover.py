@@ -29,9 +29,13 @@ entry from the goal.
 
 Descent compares squared navigation values, as integers: the sum over
 axes of the squared wrapped index distance, read from a per-attractor
-table that each walk builds once. The walk is the one the float value
+table that each memo builds once. The walk is the one the float value
 gives: ``math.sqrt`` is correctly rounded and strictly monotone on these
 integers, so every argmin, every strict decrease and every tie is the same.
+Each attractor's memo also keeps every state it has checked, with its
+squared value or its collision, so a build or a load charges one
+collision check per state per attractor, however many walk states the
+state is next to.
 
 A library file (format 4) stores only the attractors, per region, with
 the region ids and the scenario fingerprint. ``preprocess`` and the
@@ -181,6 +185,10 @@ class Library:
 # greedy descent
 
 
+# ``_Descent.navs``'s marker for a state the memo has not met yet
+_UNSEEN = object()
+
+
 def _squared_deltas(scenario: Scenario, attractor: Config) -> tuple[tuple[int, ...], ...]:
     """Per axis, each index's squared wrapped distance to the attractor's
     index: the scenario's ``axis_squares`` re-centred by ``cspace.axis_rows``."""
@@ -189,24 +197,35 @@ def _squared_deltas(scenario: Scenario, attractor: Config) -> tuple[tuple[int, .
     return cspace.axis_rows(scenario.axis_squares, attractor)
 
 
-def greedy_step(scenario: Scenario, q: Config, attractor: Config, squares=None) -> Config | None:
+def greedy_step(
+    scenario: Scenario, q: Config, attractor: Config, descent: _Descent | None = None
+) -> Config | None:
     """One steepest-descent move of the navigation value, or None at a stall.
 
     Candidates are the valid successors of the lattice state ``q``, from
     the scenario's neighbour table. The move must strictly decrease the
-    navigation value, compared squared, as an integer sum over ``squares``
-    (``_squared_deltas``, which a walk builds once); ties break lexicographically.
+    navigation value, compared squared, as an integer sum over the
+    attractor's ``_squared_deltas``; ties break lexicographically. Values
+    and validity are read from ``descent.navs`` (a fresh ``_Descent`` when
+    none is given): a neighbour is checked with ``cspace.is_valid`` and
+    scored only the first time the memo meets it.
     """
-    if squares is None:
-        squares = _squared_deltas(scenario, attractor)
+    if descent is None:
+        descent = _Descent(scenario, attractor)
+    navs, squares = descent.navs, descent.squares
     is_valid = cspace.is_valid
     best: Config | None = None
-    best_nav = sum(map(getitem, squares, q))
+    best_nav = navs.get(q)
+    if best_nav is None:  # a walk's first state, or one in collision
+        best_nav = sum(map(getitem, squares, q))
     for nb in scenario.neighbor_table[q]:
-        if is_valid(scenario, nb):
-            nav = sum(map(getitem, squares, nb))
-            if nav < best_nav or (nav == best_nav and best is not None and nb < best):
-                best, best_nav = nb, nav
+        nav = navs.get(nb, _UNSEEN)
+        if nav is _UNSEEN:
+            nav = navs[nb] = sum(map(getitem, squares, nb)) if is_valid(scenario, nb) else None
+        if nav is not None and (
+            nav < best_nav or (nav == best_nav and best is not None and nb < best)
+        ):
+            best, best_nav = nb, nav
     return best
 
 
@@ -234,6 +253,9 @@ class _Descent:
     attractor: its home path, or the attractor alone when none is given)
     followed by the state's walk reversed, or to None where the walk
     stalls. So a state's path is its next state's path plus itself.
+    ``navs`` maps each state the memo has checked to its squared
+    navigation value, or to None when it is in collision, so each state
+    costs at most one ``cspace.is_valid`` call per attractor.
     """
 
     def __init__(self, scenario: Scenario, attractor: Config, rep: tuple[Config, ...] = ()):
@@ -241,6 +263,16 @@ class _Descent:
         self.attractor = attractor
         self.squares = _squared_deltas(scenario, attractor)
         self.paths: dict[Config, tuple[Config, ...] | None] = {attractor: rep or (attractor,)}
+        self.navs: dict[Config, int | None] = {}
+
+    def is_valid(self, q: Config) -> bool:
+        """``cspace.is_valid`` of q, checked only when ``navs`` lacks q."""
+        nav = self.navs.get(q, _UNSEEN)
+        if nav is _UNSEEN:
+            nav = self.navs[q] = (
+                sum(map(getitem, self.squares, q)) if cspace.is_valid(self.scenario, q) else None
+            )
+        return nav is not None
 
     def walk(self, q: Config) -> tuple[Config, ...] | None:
         """q's path (see ``paths``), or None for a walk that stalls."""
@@ -251,7 +283,7 @@ class _Descent:
         cur = q
         while cur not in paths:
             chain.append(cur)
-            cur = greedy_step(self.scenario, cur, self.attractor, self.squares)
+            cur = greedy_step(self.scenario, cur, self.attractor, self)
             if cur is None:
                 break
         path = None if cur is None else paths[cur]
@@ -274,7 +306,7 @@ def construct_neighborhood(
     only the region's part of the basin and never calls this.
     """
     descent = _Descent(scenario, attractor)
-    valid = [q for q in scenario.state_table if cspace.is_valid(scenario, q)]
+    valid = [q for q in scenario.state_table if descent.is_valid(q)]
     members = {}
     for q in valid:
         path = descent.walk(q)
@@ -353,7 +385,7 @@ def _frontier(descent: _Descent, goals: Collection[Config]) -> frozenset[Config]
     def in_basin(q: Config) -> bool:
         # Validity first: a walk from a state in collision can still
         # reach the attractor, but such a state is in no basin.
-        return cspace.is_valid(descent.scenario, q) and descent.walk(q) is not None
+        return descent.is_valid(q) and descent.walk(q) is not None
 
     neighbors = descent.scenario.neighbor_table
     return frozenset(q for q in goals if any(map(in_basin, neighbors[q])))

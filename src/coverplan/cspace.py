@@ -155,7 +155,9 @@ class OpCounters:
     collision_checks counts is_valid() calls (logical checks: one per call,
     although the geometry runs once per scenario, when
     ``Scenario.state_table`` is built: per joint prefix on an arm, per
-    obstacle footprint on a grid),
+    obstacle footprint on a grid; a library build or load charges one per
+    state per attractor, as each attractor's descent memo checks a state
+    once),
     expansions counts search-node expansions, elementary_steps counts
     constant-cost bookkeeping ops (configs assembled into a lookup-built
     path, descent moves).

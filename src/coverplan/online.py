@@ -50,7 +50,7 @@ from typing import Callable
 from .cover import CoverEntry, Library, preprocess
 from .cspace import Config, Scenario, check_config
 from .errors import FingerprintMismatch, GoalUncovered, NotFittedError, StartNotPotential
-from .search import Path, RefineReport, _refine, check_path, concat_paths
+from .search import Path, RefineReport, check_path, concat_paths, refine_seed
 
 
 def find_rep_path(library: Library, q: Config) -> CoverEntry | None:
@@ -374,7 +374,7 @@ class CoverPlanner:
         )
         if refine and initial.cost > 0.0:
             # the seed is built from library paths, so it skips the seed check
-            refined, report = _refine(scenario, initial, deadline, clock)
+            refined, report = refine_seed(scenario, initial, deadline, clock)
             result.path = refined
             result.refine_ms = (clock() - t_connect) * 1000.0
             result.optimal_flag = report.optimal_flag

@@ -408,17 +408,19 @@ def anytime_refine(
     check_path(scenario, initial_path)
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
-    return _refine(scenario, initial_path, deadline, clock)
+    return refine_seed(scenario, initial_path, deadline, clock)
 
 
-def _refine(
+def refine_seed(
     scenario: Scenario,
     initial_path: Path,
     deadline: float | None,
     clock: Callable[[], float],
 ) -> tuple[Path, RefineReport]:
     """``anytime_refine`` between the seed's ends, without its checks, for
-    a seed valid by construction: ``CoverPlanner.plan``'s, from library paths.
+    a seed valid by construction: ``CoverPlanner.plan``'s, from library
+    paths. Public to the package's modules but left out of its
+    ``__all__``: an outside caller's seed goes through ``anytime_refine``.
 
     The incumbent is read back after every pass. The loop's exit test is
     the lower bound h(start), one memo read: it runs before the seed is

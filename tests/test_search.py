@@ -593,3 +593,26 @@ def test_path_is_valid_makes_no_counted_check(empty8):
     assert search.path_is_valid(empty8, path)
     assert not search.path_is_valid(empty8, search.Path(((0, 0), (-1, 0))))
     assert empty8.counters.snapshot() == before
+
+
+def test_path_defect_calls_in_bounds_only_off_the_typed_path(empty8, monkeypatch):
+    """A path of tuples of ints passes the type pass and calls
+    ``in_bounds`` on no state; a path with one float state calls it on
+    each state up to and including that one, where the walk stops."""
+    calls = []
+    in_bounds = cspace.in_bounds
+
+    def counting(scenario, q):
+        calls.append(q)
+        return in_bounds(scenario, q)
+
+    monkeypatch.setattr(cspace, "in_bounds", counting)
+    typed = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
+    assert search._path_defect(empty8, search.Path(typed)) is None
+    assert calls == []
+    for k in range(len(typed)):
+        calls.clear()
+        configs = typed[:k] + (tuple(map(float, typed[k])),) + typed[k + 1 :]
+        defect = search._path_defect(empty8, search.Path(configs))
+        assert defect == f"path state {configs[k]} leaves the lattice"
+        assert calls == list(configs[: k + 1])
