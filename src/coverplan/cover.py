@@ -191,10 +191,11 @@ _UNSEEN = object()
 
 def _squared_deltas(scenario: Scenario, attractor: Config) -> tuple[tuple[int, ...], ...]:
     """Per axis, each index's squared wrapped distance to the attractor's
-    index: the scenario's ``axis_squares`` re-centred by ``cspace.axis_rows``."""
+    index: the attractor's row of the scenario's ``square_rows``, picked
+    with one index per axis."""
     if not cspace.in_bounds(scenario, attractor):
         raise ValueError(f"attractor {attractor} is not a lattice state")
-    return cspace.axis_rows(scenario.axis_squares, attractor)
+    return tuple(map(getitem, scenario.square_rows, attractor))
 
 
 def greedy_step(
@@ -369,8 +370,9 @@ def _cover_entry(descent: _Descent, covered: Collection[Config]) -> CoverEntry:
     on the rep path takes the rep path up to it. ``preprocess`` and the
     loader both build entries here.
     """
-    home_paths = {q: path for q in covered if (path := descent.walk(q)) is not None}
-    rep = descent.paths[descent.attractor]
+    paths, walk = descent.paths, descent.walk
+    home_paths = {q: p for q in covered if (p := paths[q] if q in paths else walk(q)) is not None}
+    rep = paths[descent.attractor]
     max_steps = max(map(len, home_paths.values())) - len(rep)
     for k, q in enumerate(rep):
         if q in home_paths:

@@ -6,22 +6,22 @@ freedom. Grid scenarios index workspace cells directly (1 m cells, cell
 fixed angular step of 2*pi / joints_per_rev. Continuous joints wrap;
 joints with limits do not.
 
-A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``,
-``axis_offsets``, ``axis_squares``) are derived once, at construction,
-from fields that cannot change afterwards. ``axis_rows`` re-centres a
-per-axis constant on a state, giving each index's value at its wrapped
-offset from that state: the search heuristic's rows (``axis_offsets``)
-and the descent's integer squares (``axis_squares``) to one goal. Every
-result is a pure function of that data. ``counters`` is an ``OpCounters``
-instrumentation block, which exists so callers can prove how much work
-(collision checks, expansions, elementary steps) an online query
-performed. It is the one mutable part, and it is shared: queries and
-builds on a scenario add their counts to it (each ``is_valid`` adds a
-collision check), so concurrent queries or builds on one scenario mix
-their counts. No result depends on the counters. Four tables run
-lattice-only work once per scenario, each built whole on first use.
-Two are keyed by exactly the prod(dims) lattice
-states, in lexicographic order: ``state_table`` (each state's
+A ``Scenario`` is frozen: its lattice constants (``dims``, ``wraps``) are
+derived once, at construction, from fields that cannot change
+afterwards. Every result is a pure function of that data. ``counters``
+is an ``OpCounters`` instrumentation block, which exists so callers can
+prove how much work (collision checks, expansions, elementary steps) an
+online query performed. It is the one mutable part, and it is shared:
+queries and builds on a scenario add their counts to it (each
+``is_valid`` adds a collision check), so concurrent queries or builds on
+one scenario mix their counts. No result depends on the counters. Six
+tables run lattice-only work once per scenario, each built whole on
+first use. Two hold, per axis and per index, every index's wrapped
+distance to that index: ``distance_rows`` as floats, for the search
+heuristic, and ``square_rows`` squared, as ints, for the descent. So a
+search or a descent toward one state picks its rows with one index per
+axis and re-centres nothing. Two are keyed by exactly the prod(dims)
+lattice states, in lexicographic order: ``state_table`` (each state's
 collision-free flag and end-effector point, read by ``is_valid``,
 ``region_configs`` and ``region_reach``; an arm's is built by walking the
 joint lattice as a tree, with each link segment computed and tested at
@@ -58,6 +58,7 @@ from functools import cached_property
 from .errors import ScenarioFormatError
 
 Config = tuple[int, ...]
+Rows = tuple[tuple[tuple, ...], ...]  # per axis, per index, one value per index
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -180,13 +181,12 @@ class OpCounters:
 class Scenario:
     """A planning world: domain, obstacles, home state and goal regions.
 
-    ``dims`` (lattice size per DOF), ``wraps`` (which axes wrap),
-    ``axis_offsets`` (per axis, each index's wrapped distance from index 0,
-    as a float) and ``axis_squares`` (the same distances squared, as ints)
-    are computed once from ``grid_dims`` or ``arm``, and so is
-    ``fingerprint``, the content hash that binds libraries to the scenario;
-    freezing keeps them valid. ``counters`` is the one mutable part. The
-    tables are built whole on first use: ``state_table``, then
+    ``dims`` (lattice size per DOF) and ``wraps`` (which axes wrap) are
+    computed once from ``grid_dims`` or ``arm``, and so is
+    ``fingerprint``, the content hash that binds libraries to the
+    scenario; freezing keeps them valid. ``counters`` is the one mutable
+    part. The tables are built whole on first use: ``distance_rows`` and
+    ``square_rows`` from ``dims`` and ``wraps``, ``state_table``, then
     ``neighbor_table`` from its keys, ``home_distance`` from those two, and
     ``region_reach`` from ``state_table`` and ``home_distance`` (the module
     docstring says why they are safe to share). ``s_home`` must pass
@@ -203,8 +203,6 @@ class Scenario:
     counters: OpCounters = field(default_factory=OpCounters, init=False, compare=False, repr=False)
     dims: tuple[int, ...] = field(init=False, compare=False, repr=False)
     wraps: tuple[bool, ...] = field(init=False, compare=False, repr=False)
-    axis_offsets: tuple[tuple[float, ...], ...] = field(init=False, compare=False, repr=False)
-    axis_squares: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     fingerprint: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -233,15 +231,23 @@ class Scenario:
         object.__setattr__(self, "wraps", wraps)
         if not in_bounds(self, self.s_home):
             raise ValueError(f"s_home {self.s_home} is not a state of a lattice with dims {dims}")
-        offsets = [[axis_delta(c, 0, n, w) for c in range(n)] for n, w in zip(dims, wraps)]
-        object.__setattr__(self, "axis_offsets", tuple(tuple(map(float, r)) for r in offsets))
-        object.__setattr__(self, "axis_squares", tuple(tuple(d * d for d in r) for r in offsets))
         payload = canonical_json(scenario_to_payload(self))
         object.__setattr__(self, "fingerprint", hashlib.sha256(payload.encode()).hexdigest())
 
     @property
     def dof(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def distance_rows(self) -> Rows:
+        """Per axis, per index i, every index's wrapped distance to i, as a
+        float: ``distance_rows[axis][i][c]``. The search heuristic's rows."""
+        return tuple(_rows_by_index(n, w, float) for n, w in zip(self.dims, self.wraps))
+
+    @cached_property
+    def square_rows(self) -> Rows:
+        """``distance_rows`` squared, as ints: the descent's rows."""
+        return tuple(_rows_by_index(n, w, lambda d: d * d) for n, w in zip(self.dims, self.wraps))
 
     @cached_property
     def neighbor_table(self) -> dict[Config, tuple[Config, ...]]:
@@ -586,20 +592,20 @@ def axis_delta(a: int, b: int, n: int, wrap: bool) -> int:
     return d
 
 
-def axis_rows(per_axis: tuple[tuple, ...], q: Config) -> tuple[tuple, ...]:
-    """``per_axis`` re-centred on the lattice state q: per axis, row[c] is
-    the axis's value at |c - q[axis]|. With values indexed by the wrapped
-    offset from index 0 (``Scenario.axis_offsets``, ``axis_squares``), that
-    is the value at c's wrapped offset from q's index, since the wrapped
-    distance depends on |c - q[axis]| alone."""
-    return tuple(row[a:0:-1] + row[: len(row) - a] for row, a in zip(per_axis, q))
+def _rows_by_index(n: int, wrap: bool, value) -> tuple[tuple, ...]:
+    """The rows of an axis of n indices, one per index i: row i's entry c
+    is ``value`` of c's wrapped distance from i. That distance depends on
+    |c - i| alone, so each row is cut from the values at the distances
+    from index 0, and the rows share one object per distance."""
+    v = tuple(value(axis_delta(c, 0, n, wrap)) for c in range(n))
+    return tuple(v[i:0:-1] + v[: n - i] for i in range(n))
 
 
 def heuristic(scenario: Scenario, q: Config, goal: Config) -> float:
     """Wrapped Manhattan lattice distance; consistent for the unit action set.
 
     The per-call definition; a search reads the same values off the goal's
-    ``axis_rows`` of ``axis_offsets`` (``search._HeuristicMemo``)."""
+    ``Scenario.distance_rows`` (``search._HeuristicMemo``)."""
     dims = scenario.dims
     wraps = scenario.wraps
     return float(sum(axis_delta(a, b, n, w) for a, b, n, w in zip(q, goal, dims, wraps)))

@@ -217,7 +217,7 @@ def update_potential_index(index: PotentialStateIndex, executed_path: Path) -> P
 # planning
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     path: Path
     initial_cost: float
@@ -361,18 +361,13 @@ class CoverPlanner:
                 # both paths leave home: back along the first, out along the second
                 configs = _home_configs(index, start)[::-1] + home_to_goal[1:]
         initial = Path(configs)
+        cost = initial.cost
         scenario.counters.elementary_steps += len(configs)
         t_connect = clock()
 
-        result = QueryResult(
-            path=initial,
-            initial_cost=initial.cost,
-            lookup_ms=(t_lookup - t0) * 1000.0,
-            connect_ms=(t_connect - t_lookup) * 1000.0,
-            refine_ms=0.0,
-            optimal_flag=initial.cost == 0.0,
-        )
-        if refine and initial.cost > 0.0:
+        lookup_ms, connect_ms = (t_lookup - t0) * 1000.0, (t_connect - t_lookup) * 1000.0
+        result = QueryResult(initial, cost, lookup_ms, connect_ms, 0.0, cost == 0.0)
+        if refine and cost > 0.0:
             # the seed is built from library paths, so it skips the seed check
             refined, report = refine_seed(scenario, initial, deadline, clock)
             result.path = refined

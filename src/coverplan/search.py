@@ -15,10 +15,12 @@ goal is put back on the open list. ara_star is the classic fixed-schedule
 baseline, shortcut_path the random-restart smoothing baseline. astar and
 ara_star use the wrapped Manhattan heuristic; anytime_refine raises it
 with a landmark, the scenario's distances from home. Every search reads
-its heuristic from a _HeuristicMemo, which builds what depends on the
-goal once: per axis, each index's wrapped distance to the goal's. A
-state's value is then one row entry per axis, summed, and one landmark
-read; shortcut_path calls cspace.heuristic, the per-call definition. In
+its heuristic from a _HeuristicMemo, which picks the goal's row of the
+scenario's distance_rows on each axis, one index per axis, and rebuilds
+nothing. A state's value is then one row entry per axis, summed, and one
+landmark read; shortcut_path calls cspace.heuristic, the per-call
+definition. anytime_refine puts its seed path into the search in one
+loop over the path, which also gives the first inflation. In
 the same way the pass reads the scenario's neighbor_table and calls
 cspace.is_valid once per neighbour; cspace.successors remains the
 per-call definition of a state's successors.
@@ -59,7 +61,7 @@ ARA_DW = 5.0
 SHORTCUT_PATIENCE = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """An ordered lattice path; every step is one unit-cost move."""
 
@@ -141,12 +143,12 @@ def check_path(scenario: Scenario, path: Path) -> None:
 
 
 def _reconstruct(parent: dict, goal: Config) -> Path:
-    """Follow parent pointers back from goal."""
-    configs = [goal]
-    while parent[configs[-1]] is not None:
-        configs.append(parent[configs[-1]])
-    configs.reverse()
-    return Path(tuple(configs))
+    """Follow parent pointers back from goal, one read per state."""
+    configs, q = [], goal
+    while q is not None:
+        configs.append(q)
+        q = parent[q]
+    return Path(tuple(configs[::-1]))
 
 
 def astar(
@@ -193,10 +195,10 @@ class _HeuristicMemo(dict):
     SODA 2005). Both terms are consistent, and valid neighbours are both
     in a flood-filled table or both out of it, so the max is consistent.
 
-    What depends on the goal alone is computed here, once: ``rows``, per
-    axis each index's wrapped distance to the goal's index as a float (the
-    scenario's ``axis_offsets`` through ``cspace.axis_rows``), and d(goal).
-    A lookup then sums one row entry per axis, the value of
+    What depends on the goal alone is read here, once: ``rows``, per axis
+    the goal's row of the scenario's ``distance_rows`` (each index's
+    wrapped distance to the goal's index, as a float), one index per axis,
+    and d(goal). A lookup then sums one row entry per axis, the value of
     ``cspace.heuristic``, and reads the landmark once. A goal that
     ``cspace.in_bounds`` refuses (off the lattice, or not a tuple of ints)
     has no path, so it raises NoPath here.
@@ -207,7 +209,7 @@ class _HeuristicMemo(dict):
             raise NoPath(f"goal {goal} is not a lattice state")
         self.scenario = scenario
         self.goal = goal
-        self.rows = cspace.axis_rows(scenario.axis_offsets, goal)
+        self.rows = tuple(map(getitem, scenario.distance_rows, goal))
         self.landmark = landmark if landmark and goal in landmark else {}
         self.goal_distance = self.landmark.get(goal)
 
@@ -301,19 +303,21 @@ def _max_ratio(states, g, h, incumbent_cost: float, delta: float = DEFAULT_DELTA
     """max over ``states`` of (C - g) / (h + delta), with g and h mappings; inf if empty.
 
     anytime_refine starts at this ratio over the seed path, clamped below
-    at 1: above 1, the maximizing state outranks the goal (whose term is 0)
-    on the open list, so at least one non-goal selection happens. After
-    each pass that another pass follows it takes the min of the ratio of
-    the incumbent read back from that pass and the open set's, each by one
-    scan, clamped at 1, which is strictly below the inflation the pass ran
-    at while the open set is non-empty. It makes neither scan once the incumbent costs C = h(start): by
-    consistency every state then has g + h >= C, so every ratio is below 1,
-    and the inflation-1 pass that would follow selects the goal first.
+    at 1, which ``_seeded_search`` computes with the same expression as it
+    seeds the search: above 1, the maximizing state outranks the goal
+    (whose term is 0) on the open list, so at least one non-goal selection
+    happens. After each pass that another pass follows it takes the min of
+    the ratio of the incumbent read back from that pass and the open set's,
+    each by one scan, clamped at 1, which is strictly below the inflation
+    the pass ran at while the open set is non-empty. It makes neither scan
+    once the incumbent costs C = h(start): by consistency every state then
+    has g + h >= C, so every ratio is below 1, and the inflation-1 pass
+    that would follow selects the goal first.
     """
     return max(((incumbent_cost - g[q]) / (h[q] + delta) for q in states), default=math.inf)
 
 
-@dataclass
+@dataclass(slots=True)
 class RefineIteration:
     epsilon: float
     incumbent: Path  # read back after the pass; its cost is the pass's
@@ -346,22 +350,29 @@ class RefineReport:
         return [it.epsilon for it in self.iterations]
 
 
-def _seed_from_path(path: Path):
-    """Path states with their path g-values and predecessor links.
+def _seeded_search(h: _HeuristicMemo, path: Path) -> tuple[_AnytimeSearch, float]:
+    """The search seeded with ``path`` toward ``h.goal``, and its first
+    inflation, in one loop over the path.
 
-    A concatenated initial path can revisit a state (the V through home);
-    the first, cheaper occurrence wins, which keeps g strictly decreasing
-    along parent chains and therefore acyclic.
+    Every state of the path enters the open set with its path g-value and
+    its predecessor as parent. A concatenated initial path can revisit a
+    state (the V through home); the first, cheaper occurrence wins, which
+    keeps g strictly decreasing along parent chains and therefore acyclic.
+    The inflation is ``_max_ratio`` over the path, clamped below at 1: each
+    first occurrence's (C - g) / (h + delta), in the same float operations
+    (a repeat's ratio is its first occurrence's).
     """
-    g: dict[Config, float] = {}
-    parent: dict[Config, Config | None] = {}
-    prev: Config | None = None
+    cost, unit, delta = path.cost, cspace.UNIT_COST, DEFAULT_DELTA
+    g, parent, eps, prev = {}, {}, 1.0, None
     for k, q in enumerate(path.configs):
         if q not in g:
-            g[q] = cspace.UNIT_COST * k
+            g[q] = gq = unit * k
             parent[q] = prev
+            ratio = (cost - gq) / (h[q] + delta)
+            if ratio > eps:
+                eps = ratio
         prev = q
-    return g, parent
+    return _AnytimeSearch(h, g, parent, set(g)), eps
 
 
 def anytime_refine(
@@ -398,12 +409,13 @@ def anytime_refine(
     convergence. Between two deadline checks the run does one of: a
     selection's successor scan (at most 2·dof neighbours, one counted check
     each) and the stale heap entries popped before the next; the seed's
-    set-up, O(|seed|); or, at a pass boundary, one ``_reconstruct``, two
-    ``_max_ratio`` scans and the heapify of open ∪ INCONS, O(|open| +
-    |incumbent|), none of it cut short by the deadline. Raises InvalidPath
-    for a seed path that fails ``path_is_valid`` (a state off the lattice
-    or in collision, or a step that is not one lattice move), and
-    ValueError for one whose endpoints are not start and goal.
+    set-up, one loop over it (``_seeded_search``); or, at a pass boundary,
+    one ``_reconstruct``, two ``_max_ratio`` scans and the heapify of open
+    ∪ INCONS, O(|open| + |incumbent|), none of it cut short by the
+    deadline. Raises InvalidPath for a seed path that fails
+    ``path_is_valid`` (a state off the lattice or in collision, or a step
+    that is not one lattice move), and ValueError for one whose endpoints
+    are not start and goal.
     """
     check_path(scenario, initial_path)
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
@@ -449,10 +461,8 @@ def refine_seed(
     search = None
     while incumbent.cost > lower:
         if search is None:
-            g, parent = _seed_from_path(incumbent)
-            search = _AnytimeSearch(h, g, parent, set(incumbent.configs))
-            # the open set is the seed's states, so one scan gives both ratios
-            eps = max(1.0, _max_ratio(incumbent.configs, g, h, incumbent.cost))
+            search, eps = _seeded_search(h, incumbent)
+            g, parent = search.g, search.parent
         else:
             path_ratio = _max_ratio(incumbent.configs, g, h, incumbent.cost)
             new_eps = max(1.0, min(path_ratio, _max_ratio(search.open_set, g, h, incumbent.cost)))

@@ -2,6 +2,7 @@ import math
 import operator
 
 import pytest
+from hypothesis import strategies as st
 
 from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario
 from coverplan import cover
@@ -36,6 +37,32 @@ def arm3_s16():
             RegionSpec("place", (-1.0 * reach, 0.15 * reach, -0.55 * reach, 0.65 * reach)),
         ),
         obstacles=(Circle((0.0, 1.7), 0.25), Circle((0.3, -1.5), 0.3)),
+    )
+
+
+@st.composite
+def drawn_arms(draw):
+    """1-3 unit links at 4-12 steps per revolution, each joint wrapping or
+    limited to an interval of at least half a step, up to two discs, home
+    at index 0 of every joint and one region over the whole workspace."""
+    dof = draw(st.integers(1, 3))
+    steps = draw(st.integers(4, 12))
+    step = 2.0 * math.pi / steps
+    limits = []
+    for _ in range(dof):
+        if draw(st.booleans()):
+            limits.append(None)
+        else:
+            lo = draw(st.floats(-math.pi, math.pi))
+            limits.append((lo, lo + draw(st.floats(0.5 * step, 2.0 * math.pi))))
+    centers = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    obstacles = draw(st.lists(st.builds(Circle, centers, st.floats(0.05, 0.5)), max_size=2))
+    return Scenario(
+        kind="arm",
+        arm=ArmModel(link_lengths=(1.0,) * dof, joints_per_rev=steps, joint_limits=tuple(limits)),
+        s_home=(0,) * dof,
+        regions=(RegionSpec("r", (-3.0, -3.0, 3.0, 3.0)),),
+        obstacles=tuple(obstacles),
     )
 
 

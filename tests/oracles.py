@@ -4,14 +4,14 @@ These deliberately avoid the search / preprocess / query code paths they
 are used to check: breadth-first flood fill for unit-cost distances, the
 home-landmark heuristic built on it, a literal step-by-step simulation of
 the navigation-descent rule, the offline sampling loop over whole basins,
-a plain anytime refinement loop that heapifies its whole open set every
-pass, and the first-match rule that makes a state a potential start and
-the home path that rule gives it. They test validity with
-``cspace.collision_free``, which runs the geometry on every call (the
-floods can instead take ``valid_states``, the set of states it accepts,
-made once), and find moves and neighbours by their own formula, so they
-never read the validity memo or the move and neighbour tables that the
-scenario keeps.
+the seed path's g-values and parent links, a plain anytime refinement
+loop that heapifies its whole open set every pass, and the first-match
+rule that makes a state a potential start and the home path that rule
+gives it. They test validity with ``cspace.collision_free``, which runs
+the geometry on every call (the floods can instead take
+``valid_states``, the set of states it accepts, made once), and find
+moves and neighbours by their own formula, so they never read the
+validity memo or the move and neighbour tables that the scenario keeps.
 """
 
 import functools
@@ -212,6 +212,23 @@ def reference_attractors(scenario, seed):
             }
         out.append(attractors)
     return out
+
+
+def seed_from_path(path):
+    """A seed path's states with their path g-values and predecessor links.
+
+    A concatenated initial path can revisit a state (the V through home);
+    the first, cheaper occurrence wins, which keeps g strictly decreasing
+    along parent chains and therefore acyclic.
+    """
+    g, parent = {}, {}
+    prev = None
+    for k, q in enumerate(path.configs):
+        if q not in g:
+            g[q] = cspace.UNIT_COST * k
+            parent[q] = prev
+        prev = q
+    return g, parent
 
 
 def reference_refine(scenario, start, goal, initial_path, h, *, deadline=None, clock=None):

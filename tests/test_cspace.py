@@ -7,9 +7,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
-from conftest import arm3_s16, cell_rect, grid
+from conftest import arm3_s16, cell_rect, drawn_arms, grid
 from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors
 
 
@@ -182,6 +183,35 @@ def test_heuristic_consistency_exhaustive(size):
                 assert cspace.heuristic(sc, q, goal) <= cspace.UNIT_COST + cspace.heuristic(
                     sc, nb, goal
                 )
+
+
+def assert_rows_equal_axis_delta(sc):
+    """``distance_rows[axis][i][c]`` is ``axis_delta(c, i)`` as a float, and
+    ``square_rows[axis][i][c]`` its square as an int, for every axis, index
+    i and index c."""
+    assert len(sc.distance_rows) == len(sc.square_rows) == sc.dof
+    for n, wrap, floats, squares in zip(sc.dims, sc.wraps, sc.distance_rows, sc.square_rows):
+        assert len(floats) == len(squares) == n
+        for i in range(n):
+            assert len(floats[i]) == len(squares[i]) == n
+            for c in range(n):
+                d = cspace.axis_delta(c, i, n, wrap)
+                assert type(floats[i][c]) is float and floats[i][c] == d, (i, c)
+                assert type(squares[i][c]) is int and squares[i][c] == d * d, (i, c)
+
+
+ROW_SCENARIOS = dict(corpus.corpus(), arm3_s16=arm3_s16())
+
+
+@pytest.mark.parametrize("name", ROW_SCENARIOS)
+def test_distance_rows_equal_axis_delta(name):
+    assert_rows_equal_axis_delta(ROW_SCENARIOS[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_arms())
+def test_distance_rows_of_drawn_arms_equal_axis_delta(sc):
+    assert_rows_equal_axis_delta(sc)
 
 
 def test_neighbor_table_matches_the_oracle():

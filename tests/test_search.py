@@ -4,10 +4,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cell_rect, grid
+from conftest import arm3_s16, cell_rect, drawn_arms, grid
 from coverplan import ArmModel, Circle, RegionSpec, Scenario, corpus, cspace, errors, search
-from oracles import bfs_distances, landmark_heuristic
+from oracles import bfs_distances, landmark_heuristic, valid_states
 
 
 def wall_grid(size=8, col=4, gap=7):
@@ -138,10 +140,11 @@ def two_link_arm(limits=None):
     )
 
 
-# name -> (scenario, goals beyond the spread over the lattice)
+# name -> (scenario, goals beyond the spread over the lattice): every
+# corpus scenario, the benchmark's 3-link arm, and the cases below
 MEMO_SCENARIOS = {
-    "grid12_d20": lambda: (corpus.make_grid(12, 0.2, seed=12 * 31 + 20), []),
-    "grid21_ladder": lambda: (corpus.make_ladder_grid(21, (5, 10, 15)), []),
+    **{name: (lambda sc=sc: (sc, [])) for name, sc in corpus.corpus()},
+    "arm3_s16": lambda: (arm3_s16(), []),
     # goals on both sides of the seam between indices 15 and 0
     "arm16 wrapping": lambda: (two_link_arm(), [(0, 15), (15, 0), (1, 15), (15, 1), (8, 15)]),
     # the first joint is limited to [0, pi), 8 indices; the second wraps
@@ -151,18 +154,16 @@ MEMO_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", MEMO_SCENARIOS)
-def test_heuristic_memo_matches_its_definitions(name):
-    """Every lattice state against a spread of goals: with the home table,
-    the memo equals the landmark oracle; without it, ``cspace.heuristic``.
-    Every value is a float, so heap keys and inflations do not change."""
-    sc, extra = MEMO_SCENARIOS[name]()
+def assert_memo_matches_its_definitions(sc, goals):
+    """Every lattice state toward each goal: with the home table, the memo
+    equals the landmark oracle (the wrapped Manhattan distance raised to
+    the landmark bound); without it, ``cspace.heuristic``. Every value is a float, so
+    heap keys and inflations do not change."""
     states = list(cspace.lattice_configs(sc))
-    goals = states[:: len(states) // 9] + [states[-1], sc.s_home] + extra
-    assert all(cspace.in_bounds(sc, goal) for goal in goals)
-    assert (sc.home_distance == {}) == (name == "grid8 home collides")
+    free = valid_states(sc)
+    distances = bfs_distances(sc, sc.s_home, free) if sc.s_home in free else {}
     for goal in goals:
-        oracle = landmark_heuristic(sc, goal)
+        oracle = landmark_heuristic(sc, goal, distances)
         with_landmark = search._HeuristicMemo(sc, goal, sc.home_distance)
         manhattan = search._HeuristicMemo(sc, goal)
         for q in states:
@@ -170,6 +171,26 @@ def test_heuristic_memo_matches_its_definitions(name):
             assert type(h) is float and h == oracle(q), (goal, q)
             h = manhattan[q]
             assert type(h) is float and h == cspace.heuristic(sc, q, goal), (goal, q)
+
+
+@pytest.mark.parametrize("name", MEMO_SCENARIOS)
+def test_heuristic_memo_matches_its_definitions(name):
+    """A spread of goals over the lattice, its last state, home and the
+    case's own goals."""
+    sc, extra = MEMO_SCENARIOS[name]()
+    states = list(cspace.lattice_configs(sc))
+    goals = states[:: len(states) // 9] + [states[-1], sc.s_home] + extra
+    assert all(cspace.in_bounds(sc, goal) for goal in goals)
+    assert (sc.home_distance == {}) == (name == "grid8 home collides")
+    assert_memo_matches_its_definitions(sc, goals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_arms(), st.data())
+def test_heuristic_memo_matches_its_definitions_on_drawn_arms(sc, data):
+    """Arms with wrapping and limited joints, toward home and drawn goals."""
+    goals = data.draw(st.lists(st.sampled_from(list(cspace.lattice_configs(sc))), max_size=4))
+    assert_memo_matches_its_definitions(sc, goals + [sc.s_home])
 
 
 # ---------------------------------------------------------------------------
