@@ -38,7 +38,16 @@ operation counts to ``scenario.counters``, so concurrent plans on one
 scenario mix their counts; the paths they return do not depend on the
 counters. A planner's index mutates between sequential plans (a plan
 records the path it returned, a registration records the executed path),
-so each planner must be serialized (single writer).
+and a refining plan stores the heuristic values it computes, so each
+planner must be serialized (single writer).
+
+A planner keeps one heuristic memo per goal it has refined to, which
+every later refinement to that goal reads and extends: h is a function of
+the scenario and the goal alone, so a warm memo changes no path, count or
+schedule, only the time spent computing values. ``plan`` refuses an
+uncovered goal before it refines, so a planner holds at most one memo per
+covered goal, each with only the states its searches touched; binding a
+scenario (``fit``, ``from_library``) starts with none.
 """
 
 from __future__ import annotations
@@ -251,9 +260,10 @@ class CoverPlanner:
     seed : rng seed for attractor sampling during fit, the one parameter;
         rep paths are shortest paths read off ``Scenario.home_distance``.
 
-    Fitted attributes: ``scenario_``, ``library_`` (the cover library) and
-    ``index_`` (the potential-state index on that library), which the
-    planner owns together.
+    Fitted attributes: ``scenario_``, ``library_`` (the cover library),
+    ``index_`` (the potential-state index on that library) and
+    ``heuristics_`` (each goal refined to, mapped to its heuristic memo),
+    which the planner owns together.
     """
 
     def __init__(self, *, seed: int = 0):
@@ -294,6 +304,7 @@ class CoverPlanner:
 
     def _bind(self, scenario: Scenario, library: Library) -> "CoverPlanner":
         self.index_ = PotentialStateIndex(scenario, library)
+        self.heuristics_ = {}  # h depends on the scenario: a new one starts empty
         self.scenario_ = scenario
         self.library_ = library
         return self
@@ -334,8 +345,9 @@ class CoverPlanner:
         built. Every stored path is read as a tuple, so a no-refine plan
         builds one Path, the one it returns. The budget clock starts once
         the inputs pass their checks; lookup and connect time are deducted
-        from the refinement budget. The returned path is recorded as the
-        index's ``planned`` path, for ``register_executed``.
+        from the refinement budget. Refinement reads and extends the goal's
+        heuristic memo in ``heuristics_``. The returned path is recorded as
+        the index's ``planned`` path, for ``register_executed``.
         """
         self._check_fitted()
         scenario, library, index = self.scenario_, self.library_, self.index_
@@ -369,7 +381,7 @@ class CoverPlanner:
         result = QueryResult(initial, cost, lookup_ms, connect_ms, 0.0, cost == 0.0)
         if refine and cost > 0.0:
             # the seed is built from library paths, so it skips the seed check
-            refined, report = refine_seed(scenario, initial, deadline, clock)
+            refined, report = refine_seed(scenario, initial, deadline, clock, self.heuristics_)
             result.path = refined
             result.refine_ms = (clock() - t_connect) * 1000.0
             result.optimal_flag = report.optimal_flag

@@ -19,11 +19,15 @@ its heuristic from a _HeuristicMemo, which picks the goal's row of the
 scenario's distance_rows on each axis, one index per axis, and rebuilds
 nothing. A state's value is then one row entry per axis, summed, and one
 landmark read; shortcut_path calls cspace.heuristic, the per-call
-definition. anytime_refine puts its seed path into the search in one
-loop over the path, which also gives the first inflation. In
-the same way the pass reads the scenario's neighbor_table and calls
-cspace.is_valid once per neighbour; cspace.successors remains the
-per-call definition of a state's successors.
+definition. refine_seed takes the goal's memo from a dict of memos by
+goal that its caller passes: a CoverPlanner keeps one such dict for its
+scenario, so a later refinement to a goal reads the values the earlier
+ones computed, and anytime_refine passes a fresh one. anytime_refine
+puts its seed path into the search in one loop over the path, which also
+gives the first inflation. In the same way the pass reads the
+scenario's neighbor_table and calls cspace.is_valid once per neighbour;
+cspace.successors remains the per-call definition of a state's
+successors.
 
 All searches own their g-values, parents and open lists and only read
 the scenario's fields and tables, but they add their counts (collision
@@ -61,15 +65,27 @@ ARA_DW = 5.0
 SHORTCUT_PATIENCE = 100
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Path:
-    """An ordered lattice path; every step is one unit-cost move."""
+    """An ordered lattice path; every step is one unit-cost move.
 
+    Slotted by hand rather than with ``slots=True``: the ``__setattr__``
+    that a frozen dataclass generates names the class it decorated, which
+    ``slots=True`` replaces, so assigning a new name raised TypeError in
+    place of FrozenInstanceError. ``__reduce__`` rebuilds a copy through
+    the constructor, since the default slot state is restored by setattr,
+    which a frozen class refuses.
+    """
+
+    __slots__ = ("configs",)
     configs: tuple[Config, ...]
 
     def __post_init__(self):
         if not self.configs:
             raise ValueError("a path has at least one configuration")
+
+    def __reduce__(self):
+        return type(self), (self.configs,)
 
     @property
     def cost(self) -> float:
@@ -420,7 +436,7 @@ def anytime_refine(
     check_path(scenario, initial_path)
     if initial_path.configs[0] != start or initial_path.configs[-1] != goal:
         raise ValueError("initial path endpoints do not match start/goal")
-    return refine_seed(scenario, initial_path, deadline, clock)
+    return refine_seed(scenario, initial_path, deadline, clock, {})
 
 
 def refine_seed(
@@ -428,11 +444,20 @@ def refine_seed(
     initial_path: Path,
     deadline: float | None,
     clock: Callable[[], float],
+    memos: dict[Config, _HeuristicMemo],
 ) -> tuple[Path, RefineReport]:
     """``anytime_refine`` between the seed's ends, without its checks, for
     a seed valid by construction: ``CoverPlanner.plan``'s, from library
     paths. Public to the package's modules but left out of its
     ``__all__``: an outside caller's seed goes through ``anytime_refine``.
+
+    ``memos`` maps a goal to its heuristic memo. The goal's memo is taken
+    from it, or built and stored there, so a caller that passes the same
+    dict again, as a ``CoverPlanner`` does for every plan on its scenario,
+    reads the values an earlier refinement to that goal computed. A memo
+    holds values of h alone, a function of the scenario and the goal, so
+    sharing one changes no path, count or schedule; the dict must serve
+    one scenario. ``anytime_refine`` passes a fresh one.
 
     The incumbent is read back after every pass. The loop's exit test is
     the lower bound h(start), one memo read: it runs before the seed is
@@ -455,7 +480,9 @@ def refine_seed(
     if first_goal < len(initial_path.configs) - 1:
         initial_path = Path(initial_path.configs[: first_goal + 1])
 
-    h = _HeuristicMemo(scenario, goal, scenario.home_distance)
+    h = memos.get(goal)
+    if h is None:
+        h = memos[goal] = _HeuristicMemo(scenario, goal, scenario.home_distance)
     lower = h[start]  # h is consistent and 0 at the goal: no path is cheaper
     incumbent = initial_path
     search = None

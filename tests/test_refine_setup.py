@@ -110,3 +110,18 @@ def test_records_are_slotted_and_round_trip(kind):
         assert dataclasses.replace(record, **{name: -1.0}) != record
         with pytest.raises(AttributeError):  # no __dict__ to take a new name
             record.extra = 1
+
+
+def test_a_path_refuses_every_assignment_as_frozen():
+    """Assigning or deleting a field, and assigning a name that is not a
+    field, each raise FrozenInstanceError; with ``slots=True`` the new name
+    raised TypeError on CPython 3.10-3.13, from the generated
+    ``__setattr__`` naming the class that the slotted copy replaced."""
+    path = search.Path(((0, 0), (0, 1)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.configs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.foo = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del path.configs
+    assert path.configs == ((0, 0), (0, 1)) and not hasattr(path, "foo")
