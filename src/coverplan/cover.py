@@ -481,7 +481,10 @@ def library_from_payload(payload: dict, scenario: Scenario) -> Library:
     list whose tuple passes ``cspace.in_bounds`` (ints, not bools or
     floats) and names a covered state of its region, an attractor listed
     twice in a region (``preprocess`` never repeats one), or a covered goal
-    that reaches none of its region's attractors.
+    that reaches none of its region's attractors. Keys it does not name are
+    not read, so an ``s_home``, a ``max_descent_steps`` or a ``rep_path``
+    written into the file, as older formats stored them, changes nothing
+    (``bench.load_experiment_config`` refuses such keys).
     """
     try:
         version = payload["format_version"]

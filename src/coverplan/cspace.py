@@ -748,6 +748,8 @@ def scenario_from_payload(payload: dict) -> Scenario:
     workspace coordinate, length and radius a finite number, with the
     count its field has; region ids strings. Raises ScenarioFormatError
     otherwise, and for a defect that ``Scenario`` or ``ArmModel`` refuses.
+    Keys it does not name, at the top level or in a region, an obstacle or
+    the arm, are not read (``bench.load_experiment_config`` refuses them).
     """
     try:
         version = payload["format_version"]

@@ -13,13 +13,12 @@ start reaches.
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import bfs_distances
 from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario, corpus, cspace, errors, search
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

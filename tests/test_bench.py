@@ -47,6 +47,9 @@ def test_config_validation(small_setup):
         make_cfg(small_setup, planners=("warp-drive",))
     with pytest.raises(ValueError):
         make_cfg(small_setup, mode="weird")
+    # the ends of each range are accepted
+    make_cfg(small_setup, trials=1, budget_ms=0.5)
+    make_cfg(small_setup, mode="sequential", budget_range_ms=(0.5, 0.5))
 
 
 def test_config_file_round_trip(small_setup, tmp_path):

@@ -3,11 +3,11 @@
 ``cspace.in_bounds`` says what a lattice state is: a tuple of one int per
 DOF, each in range. Each row is a state that is not one, on ``grid8_d00``
 (8 x 8, no obstacles, home (0, 4)), and each boundary must refuse it with
-its typed error. The path boundaries take a walk from home that is valid
-but for its last state, the row's, so only that state's type or range is
-at fault. ``plan`` converts its goal and start with ``operator.index``, so
-it answers a list as the tuple of its items; that row checks the
-conversion instead.
+its typed error and its message. The path boundaries take a walk from
+home that is valid but for its last state, the row's, so only that
+state's type or range is at fault. ``plan`` converts its goal and start
+with ``operator.index``, so it answers a list as the tuple of its items;
+that row checks the conversion instead.
 """
 
 import dataclasses
@@ -62,6 +62,10 @@ def descend_attractor(sc, state, path):
     return cover.descend(sc, (7, 7), state)
 
 
+def greedy_step_attractor(sc, state, path):
+    return cover.greedy_step(sc, (7, 7), state)
+
+
 def library_attractor(sc, state, path):
     payload = cover.library_to_payload(cover.preprocess(sc))
     payload["regions"][0]["attractors"][0] = list(state)  # a file's form of a state
@@ -84,26 +88,29 @@ def anytime_refine(sc, state, path):
     return search.anytime_refine(sc, sc.s_home, state, path)
 
 
+# boundary -> (its call, its error, what its message says)
 BOUNDARIES = {
-    "Scenario home": (scenario_home, ValueError),
-    "plan goal": (plan_goal, ValueError),
-    "plan start": (plan_start, ValueError),
-    "astar goal": (astar_goal, errors.NoPath),
-    "astar start": (astar_start, errors.NoPath),
-    "ara_star goal": (ara_star_goal, errors.NoPath),
-    "ara_star start": (ara_star_start, errors.NoPath),
-    "descend start": (descend_start, ValueError),
-    "descend attractor": (descend_attractor, ValueError),
-    "library attractor": (library_attractor, errors.CorruptLibrary),
-    "check_path": (check_path, errors.InvalidPath),
-    "register_executed": (register_executed, errors.InvalidPath),
-    "anytime_refine": (anytime_refine, errors.InvalidPath),
+    "Scenario home": (scenario_home, ValueError, "is not a state of a lattice"),
+    "plan goal": (plan_goal, ValueError, "configuration"),
+    "plan start": (plan_start, ValueError, "configuration"),
+    "astar goal": (astar_goal, errors.NoPath, "is not a lattice state"),
+    "astar start": (astar_start, errors.NoPath, "is invalid"),
+    "ara_star goal": (ara_star_goal, errors.NoPath, "is not a lattice state"),
+    "ara_star start": (ara_star_start, errors.NoPath, "is invalid"),
+    "descend start": (descend_start, ValueError, "is not a lattice state"),
+    "descend attractor": (descend_attractor, ValueError, "is not a lattice state"),
+    "greedy_step attractor": (greedy_step_attractor, ValueError, "is not a lattice state"),
+    "library attractor": (library_attractor, errors.CorruptLibrary, "is not a covered state"),
+    "check_path": (check_path, errors.InvalidPath, "leaves the lattice"),
+    "register_executed": (register_executed, errors.InvalidPath, "leaves the lattice"),
+    "anytime_refine": (anytime_refine, errors.InvalidPath, "leaves the lattice"),
 }
 
 # (state, the cell the row's path visits just before it)
 STATES = {
     "bool": ((True, 4), (0, 4)),
     "float": ((4.0, 4), (3, 4)),
+    "string": (("4", 4), (3, 4)),
     "list": ([4, 4], (3, 4)),
     "one coordinate": ((4,), (3, 4)),
     "past the end": ((8, 4), (3, 4)),
@@ -123,10 +130,10 @@ def outcome(call, sc, state, path):
 @pytest.mark.parametrize("row", list(STATES))
 def test_every_boundary_refuses_a_state_off_the_rule(sc, row, boundary):
     state, before = STATES[row]
-    call, error = BOUNDARIES[boundary]
+    call, error, message = BOUNDARIES[boundary]
     path = search.Path(search.astar(sc, sc.s_home, before).configs + (state,))
     if type(state) is list and boundary.startswith("plan "):
         assert outcome(call, sc, state, path) == outcome(call, sc, tuple(state), path)
         return
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         call(sc, state, path)

@@ -171,6 +171,7 @@ def test_bad_config_exits_1(scenario_file, tmp_path, capsys):
         ({"budget_ms": "inf"}, "'budget_ms': 'inf' is not a finite number"),
         ({"budget_ms": float("inf")}, "'budget_ms': inf is not a finite number"),
         ({"mode": "sequential", "budget_range_ms": [1, float("inf")]}, "inf is not a finite"),
+        ({"budget_ms": 0}, "budget_ms must be positive"),
         # raw file bytes: not UTF-8, and an array nested too deep to parse
         pytest.param(b'{"scenario": "\xff"}', "cannot read experiment config", id="not-utf-8"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, "cannot read", id="nested-too-deep"),

@@ -25,6 +25,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import cell_rect, grid
 from oracles import bfs_distances, reference_attractors, simulate_descent
@@ -33,9 +35,6 @@ from coverplan.search import path_is_valid
 from test_astar_property import wrapping_arms
 from test_refine_property import grids
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -208,7 +208,7 @@ def test_distance_rows_equal_axis_delta(name):
     assert_rows_equal_axis_delta(ROW_SCENARIOS[name])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(drawn_arms())
 def test_distance_rows_of_drawn_arms_equal_axis_delta(sc):
     assert_rows_equal_axis_delta(sc)

@@ -12,14 +12,12 @@ distance; joints may have limits.
 
 import math
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import simulate_descent
 from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario, cover, cspace
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 

@@ -15,14 +15,13 @@ query with ``StaleLibrary``.
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverplan import CoverPlanner, corpus, errors
 from coverplan import cover as pre
 from coverplan.search import path_is_valid
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 

@@ -17,13 +17,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import lattice_neighbors
 from coverplan import ArmModel, Circle, RegionSpec, Rect, Scenario, cspace, errors, search
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -124,7 +123,7 @@ def mutate(data, scenario, walk, mutation):
 
 def check(data, scenario):
     free = [q for q in states(scenario) if cspace.collision_free(scenario, q)]
-    hypothesis.assume(free)
+    assume(free)
     walk = random_walk(data, scenario, free)
     assert search.path_is_valid(scenario, search.Path(tuple(walk)))
     for mutation in MUTATIONS:

@@ -9,6 +9,7 @@ from coverplan import load_library, save_library
 
 
 def test_get_set_params_round_trip():
+    assert CoverPlanner().get_params() == {"seed": 0}  # preprocess's default
     p = CoverPlanner(seed=3)
     params = p.get_params()
     assert params == {"seed": 3}
@@ -51,18 +52,6 @@ def test_fit_validates_scenario(two_region_grid12):
     bad = grid(12, home=(0, 6), regions=two_region_grid12.regions, obstacles=[cell_rect(0, 6)])
     with pytest.raises(errors.HomeInvalid):
         CoverPlanner().fit(bad)
-
-
-def test_plan_validates_configs(two_region_grid12):
-    planner = CoverPlanner().fit(two_region_grid12)
-    with pytest.raises(ValueError):
-        planner.plan((1, 2, 3))
-    goal = sorted(planner.library_.regions[0].covered)[0]
-    for q in [(9.7, 0), ("9", 0), (True, 0)]:  # once read as (9, 0) or (1, 0)
-        with pytest.raises(ValueError):
-            planner.plan(q)
-        with pytest.raises(ValueError):
-            planner.plan(goal, start=q)
 
 
 def test_sequential_flow_via_register(two_region_grid12):
@@ -240,7 +229,7 @@ def test_fit_and_from_library_plan_alike(name):
     covered goal, from each kind of start, with and without refinement,
     the same path, initial cost, optimal flag and counter deltas; the same
     for a None start (home) and a list start; and the same error type for
-    each bad input."""
+    each bad input, which leaves the planned path as it was."""
     planner, replay, starts = _planner_with_a_history(name)
     sc, lib = planner.scenario_, planner.library_
     counters = sc.counters
@@ -291,12 +280,16 @@ def test_fit_and_from_library_plan_alike(name):
         (ValueError, goal[:1], sc.s_home, 100.0, True),
         (ValueError, tuple(sc.dims), sc.s_home, 100.0, True),  # one past the lattice's end
     ]
+    kept = planner.index_.planned, replay.index_.planned
     for error, goal, start, budget, refine in bad:
         with pytest.raises(error) as planned:
             planner.plan(goal, start, budget_ms=budget, refine=refine)
         with pytest.raises(error) as replayed:
             replay.plan(goal, start, budget_ms=budget, refine=refine)
         assert type(planned.value) is type(replayed.value), (goal, start, budget, refine)
+        assert ("budget_ms must be positive" in str(planned.value)) == (not budget > 0)
+        # a refusal leaves the path that register_executed takes as it was
+        assert planner.index_.planned is kept[0] and replay.index_.planned is kept[1]
 
 
 def test_a_no_refine_plan_builds_one_path(monkeypatch):

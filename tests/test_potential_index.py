@@ -13,6 +13,8 @@ which answers the end of the executed path from its stored anchor, against
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coverplan import CoverPlanner, corpus, cspace, errors
@@ -20,10 +22,6 @@ from coverplan import cover as pre
 from coverplan import online as onl
 from coverplan.search import Path, path_is_valid
 from conftest import arm3_s16
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 
 def oracle_path(library, q, why):

@@ -95,15 +95,6 @@ def test_descend_bound_exceeded():
     assert len(pre.descend(sc, (2, 2), (0, 0)).configs) - 1 == 4
 
 
-def test_descent_needs_a_lattice_attractor():
-    sc = grid3()
-    for attractor in [(-1, 0), (0, 3), (0,)]:
-        with pytest.raises(ValueError, match="not a lattice state"):
-            pre.descend(sc, (0, 0), attractor)
-        with pytest.raises(ValueError, match="not a lattice state"):
-            pre.greedy_step(sc, (0, 0), attractor)
-
-
 @pytest.fixture(scope="module")
 def corpus_libraries():
     return [(name, sc, pre.preprocess(sc, seed=0)) for name, sc in corpus.corpus()]
@@ -473,9 +464,11 @@ def _set(region, *attractors):
 
 # Each case keeps the name of the format-3 corruption it replaced, where
 # there was one. Format 4 stores one field per entry, its attractor, so
-# every case now attacks a region's attractor list. Each attractor must be
-# a list of plain ints naming a covered state of its region, and each
-# covered goal must reach some attractor.
+# every such case now attacks a region's attractor list; the last three
+# attack the region list. Each attractor must be a list of plain ints
+# naming a covered state of its region (so not the excluded (11, 0), which
+# home cannot reach, nor the colliding (10, 0)), and each covered goal
+# must reach some attractor.
 CORRUPTIONS = {
     # the old member list, read as one attractor: off the lattice
     "members [-5, 1000]": _set(0, [-5, 1000]),
@@ -508,12 +501,27 @@ CORRUPTIONS = {
     "attractors not a list": lambda payload: payload["regions"][0].update(attractors=10),
     # a repeat would build a second, identical entry that no goal is served by
     "attractor listed twice": _set(1, [9, 10], [11, 10], [9, 10]),
+    # payload regions pair with the scenario's by position: count and ids
+    "one region too few": lambda payload: payload["regions"].pop(),
+    "one region too many": lambda payload: payload["regions"].append(dict(payload["regions"][0])),
+    "regions swapped": lambda payload: payload["regions"].reverse(),
+}
+# what the loader says, where it is not "is not a covered state"
+MESSAGES = {
+    "members repeat a rank": "is listed twice",
+    "attractor listed twice": "is listed twice",
+    "member without a move": "malformed library payload",
+    "attractors not a list": "malformed library payload",
+    "one region too few": "are not the scenario's",
+    "one region too many": "are not the scenario's",
+    "regions swapped": "are not the scenario's",
 }
 
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
-    """A bad attractor list is refused on load: CorruptLibrary."""
+    """A bad attractor or region list is refused on load: CorruptLibrary,
+    with a message that names what is wrong."""
     _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
     payload = pre.library_to_payload(lib)
     assert [rc["attractors"] for rc in payload["regions"]] == ATTRACTORS
@@ -524,7 +532,7 @@ def test_library_corrupt_payload_rejected(tmp_path, corpus_libraries, case):
     CORRUPTIONS[case](payload)
     path = tmp_path / "lib.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(errors.CorruptLibrary):
+    with pytest.raises(errors.CorruptLibrary, match=MESSAGES.get(case, "is not a covered state")):
         pre.load_library(path, sc)
 
 
@@ -616,37 +624,6 @@ def test_library_rep_path_must_be_a_valid_walk(corpus_libraries, case):
             path = entry.rep_path
             assert path.start == sc.s_home and path.goal == entry.attractor
             assert path_is_valid(sc, path)
-
-
-def test_library_member_home_cannot_reach_rejected(corpus_libraries):
-    """An attractor must be a state home reaches. Here region pick's
-    attractor is the excluded (11, 0), a valid state that no path from home
-    reaches, and then the colliding (8, 0) next to it: each is refused."""
-    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
-    assert sc.state_table[11, 0][0] and (11, 0) not in sc.home_distance
-    assert not sc.state_table[8, 0][0]
-    for attractor in ([11, 0], [8, 0]):
-        payload = pre.library_to_payload(lib)
-        payload["regions"][0]["attractors"] = [attractor]
-        with pytest.raises(errors.CorruptLibrary, match="not a covered state"):
-            pre.library_from_payload(payload, sc)
-
-
-@pytest.mark.parametrize("case", ["one region too few", "one region too many", "regions swapped"])
-def test_library_regions_must_be_the_scenarios(corpus_libraries, case):
-    """Payload regions pair with the scenario's by position: their count
-    and ids must match, or the load fails."""
-    _, sc, lib = next(built for built in corpus_libraries if built[0] == "grid12_d20")
-    payload = pre.library_to_payload(lib)
-    regions = payload["regions"]
-    if case == "one region too few":
-        del regions[-1]
-    elif case == "one region too many":
-        regions.append(dict(regions[0]))
-    else:
-        regions.reverse()
-    with pytest.raises(errors.CorruptLibrary, match="region"):
-        pre.library_from_payload(payload, sc)
 
 
 def test_library_covered_goal_in_no_entry_rejected(corpus_libraries):

@@ -238,30 +238,6 @@ def test_a_library_of_another_scenario_is_refused():
         onl.PotentialStateIndex(sc_b, lib_a)
 
 
-def test_query_goal_uncovered(fitted12):
-    sc, lib = fitted12
-    with pytest.raises(errors.GoalUncovered):
-        CoverPlanner.from_library(sc, lib).plan((5, 5), sc.s_home)
-
-
-def test_query_request_rejects_bad_budget(fitted12):
-    sc, lib = fitted12
-    planner = CoverPlanner.from_library(sc, lib)
-    goal = sorted(lib.regions[0].covered)[0]
-    for budget in (0.0, -1.0, float("nan")):
-        for refine in (True, False):
-            with pytest.raises(ValueError, match="budget_ms must be positive"):
-                planner.plan(goal, budget_ms=budget, refine=refine)
-    assert planner.index_.planned is None
-
-
-def test_query_start_not_potential(fitted12):
-    sc, lib = fitted12
-    goal = sorted(lib.regions[0].covered)[0]
-    with pytest.raises(errors.StartNotPotential):
-        CoverPlanner.from_library(sc, lib).plan(goal, (5, 5))
-
-
 def stale_libraries(lib):
     """(q, build) pairs: ``build()`` makes the library whose first entry's
     stored home path of the covered goal q ends elsewhere (``stale_edits``),

@@ -13,15 +13,13 @@ and reach the breadth-first distance. Under a
 same pass with the same truncated records.
 """
 
-import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import bfs_distances, landmark_heuristic, lattice_move, reference_refine
 from coverplan import RegionSpec, Rect, Scenario, bench, cspace, search
 from test_astar_property import wrapping_arms
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

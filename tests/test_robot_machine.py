@@ -38,23 +38,20 @@ cost over the distance. ``pytest tests/test_robot_machine.py
 
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
-from conftest import cell_rect, grid
-from coverplan import CoverPlanner, RegionSpec, bench
-from coverplan.search import Path, path_is_valid
-from oracles import bfs_distances, lattice_neighbors, valid_states
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import event, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-from hypothesis.stateful import (  # noqa: E402
+from hypothesis import event, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
     precondition,
     rule,
 )
+
+from conftest import cell_rect, grid
+from coverplan import CoverPlanner, RegionSpec, bench
+from coverplan.search import Path, path_is_valid
+from oracles import bfs_distances, lattice_neighbors, valid_states
 
 
 @st.composite

@@ -11,14 +11,13 @@ agree in key order, flags and points, compared bit for bit.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import arm3_s16, grid
 from coverplan import ArmModel, Circle, Rect, RegionSpec, Scenario, corpus, cspace
 from test_cspace import mixed_limit_arm
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
